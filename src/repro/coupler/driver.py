@@ -41,6 +41,7 @@ from repro.resilience.checkpoint import (
 from repro.smpi import FaultPlan, Traffic, run_ranks
 from repro.telemetry.recorder import active_recorder, span as _tspan, use_recorder
 from repro.telemetry.timeline import Timeline, TraceSession
+from repro.util.atomicio import load_npz
 from repro.util.timing import Timer
 
 _TAG_DONOR = 9000
@@ -759,7 +760,7 @@ def _hs_member_payload(solver: HydraSolver,
 def _hs_restore(world, solver: HydraSolver, probe: "_ProbeRecorder",
                 manifest: CheckpointManifest) -> None:
     """Load this HS rank's member of a committed checkpoint set."""
-    with np.load(manifest.member(world.rank)) as archive:
+    with load_npz(manifest.member(world.rank)) as archive:
         for name, dat in (("q", solver.q), ("qn", solver.qn),
                           ("qnm1", solver.qnm1)):
             data = archive[name]
@@ -1132,7 +1133,7 @@ def _cu_member_payload(acct: CUAccounting,
 def _cu_restore(world, acct: CUAccounting,
                 manifest: CheckpointManifest,
                 engines: dict[int, CUTransferEngine]) -> None:
-    with np.load(manifest.member(world.rank)) as archive:
+    with load_npz(manifest.member(world.rank)) as archive:
         acct.rounds = int(archive["rounds"][0])
         values = [int(v) for v in archive["stats"]]
         values += [0] * (8 - len(values))  # pre-fastpath checkpoint sets

@@ -19,7 +19,7 @@ from repro.hydra.kernels import KERNELS
 from repro.mesh.config import RowConfig
 from repro.op2.distribute import LocalProblem
 from repro.telemetry.recorder import active_recorder, span as _tspan
-from repro.util.atomicio import atomic_savez
+from repro.util.atomicio import atomic_savez, load_npz
 from repro.util.timing import TimerRegistry
 
 
@@ -417,7 +417,7 @@ class HydraSolver:
 
     def restore(self, path) -> None:
         """Load a checkpoint written by :meth:`checkpoint`."""
-        with np.load(path) as archive:
+        with load_npz(path) as archive:
             for name, dat in (("q", self.q), ("qn", self.qn),
                               ("qnm1", self.qnm1)):
                 data = archive[name]

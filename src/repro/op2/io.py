@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.op2.dat import Dat
 from repro.op2.distribute import GlobalProblem
-from repro.util.atomicio import atomic_savez
+from repro.util.atomicio import atomic_savez, load_npz
 
 
 def save_problem(path: str | os.PathLike, problem: GlobalProblem) -> None:
@@ -36,7 +36,7 @@ def save_problem(path: str | os.PathLike, problem: GlobalProblem) -> None:
 
 def load_problem(path: str | os.PathLike) -> GlobalProblem:
     """Read a GlobalProblem written by :func:`save_problem`."""
-    with np.load(path, allow_pickle=False) as archive:
+    with load_npz(path, allow_pickle=False) as archive:
         gp = GlobalProblem()
         for key in archive.files:
             if key.startswith("set:"):
@@ -62,6 +62,6 @@ def save_dat(path: str | os.PathLike, dat: Dat) -> None:
 
 def load_dat_values(path: str | os.PathLike) -> tuple[str, str, np.ndarray]:
     """Read (dat name, set name, values) written by :func:`save_dat`."""
-    with np.load(path, allow_pickle=False) as archive:
+    with load_npz(path, allow_pickle=False) as archive:
         return (str(archive["name"][0]), str(archive["set"][0]),
                 archive["data"])

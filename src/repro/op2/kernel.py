@@ -31,19 +31,11 @@ import textwrap
 import threading
 from typing import Callable
 
+from repro.util.atomicio import ast_lock
+
 
 class KernelParseError(ValueError):
     """The kernel source steps outside the restricted language."""
-
-
-#: CPython 3.11 keeps AST<->object conversion recursion bookkeeping in
-#: per-interpreter (not per-thread) state, so concurrent ``ast.parse``
-#: / ``compile(ast_obj)`` calls — e.g. simulated-MPI rank threads each
-#: lazily parsing their kernels — intermittently raise ``SystemError:
-#: AST constructor recursion depth mismatch``. Serializing all AST
-#: conversions through one lock removes the race (fixed upstream in
-#: 3.12 by moving the bookkeeping to the thread state).
-_ast_lock = threading.Lock()
 
 
 #: functions kernels may call, and their numpy spellings
@@ -83,7 +75,7 @@ class Kernel:
             self.fn = None
             self.source = textwrap.dedent(fn)
             try:
-                with _ast_lock:
+                with ast_lock:
                     tree = ast.parse(self.source)
             except SyntaxError as exc:
                 raise KernelParseError(
@@ -125,7 +117,7 @@ class Kernel:
     def func_ast(self) -> ast.FunctionDef:
         """The parsed (and validated) function definition."""
         if self._ast is None:
-            with _ast_lock:
+            with ast_lock:
                 tree = ast.parse(self.source)
             fdefs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
             if len(fdefs) != 1:
@@ -172,7 +164,7 @@ class Kernel:
             }
             module = ast.Module(body=[fdef], type_ignores=[])
             ast.fix_missing_locations(module)
-            with _ast_lock:  # compile(ast_obj) converts AST too
+            with ast_lock:  # compile(ast_obj) converts AST too
                 code = compile(module, filename=f"<op2-kernel:{self.name}>",
                                mode="exec")
             exec(code, namespace)  # noqa: S102 - validated kernel source

@@ -1,17 +1,19 @@
-"""Simulated MPI: in-process message passing between cooperating ranks.
+"""Simulated MPI: message passing between cooperating ranks.
 
-The paper's runs use real MPI on up to 65k cores of ARCHER2. Here,
-ranks are Python threads inside one process, exchanging numpy buffers
-through mailboxes with genuine blocking semantics (a misordered
-send/recv deadlocks — reported by the wait-for-graph detector with the
-actual blocked-on cycle, exactly what a hung cluster job would not
-tell you). The layer provides communicators, ``split`` for the
-HS/CU sub-communicator layout of the coupled solver, point-to-point
-and collective operations, *traffic accounting* — per-phase message
-and byte counts that drive the communication-optimization study
-(Table III of the paper) — and a seeded
-:class:`DeterministicScheduler` that serializes rank threads into a
-replayable interleaving for sweeping message-race schedules.
+The paper's runs use real MPI on up to 65k cores of ARCHER2. Here
+there is **one communicator** — :class:`SimComm`: communicators,
+``split`` for the HS/CU sub-communicator layout of the coupled solver,
+point-to-point and collective operations, fault hooks and *traffic
+accounting* (per-phase message and byte counts that drive the
+communication-optimization study, Table III of the paper) — written
+once over a four-method channel, and **two channels**: ranks as
+threads of this interpreter (default) or as forked OS processes with
+true multi-core parallelism (``run_ranks(..., transport="process")``).
+Blocking semantics are genuine: a misordered send/recv deadlocks — on
+the thread channel the wait-for-graph detector reports the actual
+blocked-on cycle, exactly what a hung cluster job would not tell you,
+and a seeded :class:`DeterministicScheduler` serializes rank threads
+into a replayable interleaving for sweeping message-race schedules.
 """
 
 from repro.smpi.comm import (
@@ -33,11 +35,9 @@ from repro.smpi.transport import (
     HEARTBEAT_ENV,
     TRANSPORTS,
     WATCHDOG_ENV,
-    ProcessComm,
     default_transport,
     heartbeat_seconds,
     resolve_transport,
-    run_ranks_process,
     watchdog_seconds,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "FaultRecord",
     "HEARTBEAT_ENV",
     "MessageFault",
-    "ProcessComm",
     "ProcessRankDied",
     "RankFailure",
     "Request",
@@ -71,7 +70,6 @@ __all__ = [
     "heartbeat_seconds",
     "resolve_transport",
     "run_ranks",
-    "run_ranks_process",
     "sweep_schedules",
     "waitall",
     "watchdog_seconds",

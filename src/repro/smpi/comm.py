@@ -1,38 +1,43 @@
-"""Simulated MPI communicators over Python threads.
+"""One simulated-MPI communicator over a four-method channel.
 
-Each rank runs its target function on its own thread; ranks of a
-communicator share mailboxes (point-to-point) and a collective context
-(barrier + data slots). Blocking semantics are real — a ``recv`` with
-no matching ``send`` blocks, mirroring a hung MPI job — but hangs are
-*diagnosed*, not merely timed out: every blocking operation registers
-a wait-for edge with a world-level
-:class:`~repro.smpi.deadlock.WaitRegistry`, and a genuine cycle (rank
-0 waiting on rank 1 waiting on rank 0, or a wait on a rank that
-already exited) raises :class:`~repro.smpi.errors.DeadlockError`
-naming the full cycle within milliseconds. The watchdog timeout
-remains as a backstop for ranks stuck *outside* MPI (e.g. an infinite
-compute loop).
+:class:`SimComm` is the only class that knows MPI semantics — rank
+translation, traffic accounting, the fault-injection path, matched
+receives, every collective and ``split``. It is written once over a
+per-rank :class:`Channel` (``put`` / ``get`` / ``poll`` / ``close``)
+that moves opaque wire items ``(comm_id, kind, src_world, tag,
+payload)`` between *world* ranks; what differs between transports
+lives in the two channel implementations and nowhere else:
 
-Runs can additionally be serialized under a seeded
-:class:`~repro.smpi.schedule.DeterministicScheduler`
-(``run_ranks(..., scheduler=...)``): one rank executes at a time and
-every interleaving decision is replayable, which turns ``ANY_SOURCE``
-and ``probe`` races from flaky into sweepable.
+* :class:`ThreadChannel` (this module) — ranks are threads of one
+  interpreter. One mailbox + condition per world rank, payloads copied
+  on ``put`` (value semantics, like a real network). Blocked ``get``\\ s
+  register a wait-for edge with the world's
+  :class:`~repro.smpi.deadlock.WaitRegistry`, so a genuine cycle (or a
+  wait on a rank that already exited) raises
+  :class:`~repro.smpi.errors.DeadlockError` naming every stuck rank
+  within milliseconds; under a seeded
+  :class:`~repro.smpi.schedule.DeterministicScheduler` every channel
+  operation is a scheduling point, which makes ``ANY_SOURCE`` and
+  ``probe`` races replayable and sweepable.
+* :class:`~repro.smpi.transport.ProcessChannel` — ranks are forked OS
+  processes; see :mod:`repro.smpi.transport`.
 
-Design notes
-------------
-* Payloads that are numpy arrays are **copied on send** (value
-  semantics, like a real network) so a sender mutating its buffer
-  after ``send`` cannot corrupt the receiver — the classic MPI buffer
-  contract.
-* Collectives use a generation-counting barrier plus shared slots; the
-  rank that draws arrival index 0 performs the reduction.
-  Sub-communicators from :meth:`SimComm.split` get fresh
-  mailboxes/barriers, so HS and CU groups of the coupled solver cannot
-  interfere — but they share the world's wait registry, scheduler and
-  traffic ledger.
-* All traffic is recorded in a world-level :class:`~repro.smpi.traffic.Traffic`
-  ledger keyed by *world* ranks, whatever communicator carried it.
+Consequences that hold on both transports *by construction*:
+
+* Collectives are ``kind="coll"`` messages tagged by a per-communicator
+  sequence counter (every member calls collectives in the same program
+  order, so the counters agree without negotiation): gather to a root,
+  fold in ascending rank order, broadcast. Floating-point reductions
+  are therefore bitwise-identical across transports.
+* Collectives are not recorded in the :class:`~repro.smpi.traffic.Traffic`
+  ledger, bypass the fault plan and emit exactly one
+  ``smpi.collective`` telemetry span (no inner ``smpi.recv`` spans).
+* Sub-communicators from :meth:`SimComm.split` are deterministic
+  ``comm_id`` namespaces over the same per-rank channel — HS and CU
+  groups of the coupled solver cannot see each other's messages, yet
+  share the world's traffic ledger, fault plan and deadlock detector.
+* Point-to-point traffic is recorded keyed by *world* ranks, whatever
+  communicator carried it.
 """
 
 from __future__ import annotations
@@ -40,12 +45,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Protocol, Sequence
 
 import numpy as np
 
 from repro.smpi.deadlock import WaitEdge, WaitRegistry
-from repro.smpi.errors import DeadlockError, SimAbort, SimMPIError
+from repro.smpi.errors import SimAbort, SimMPIError, TransportError
 from repro.smpi.traffic import Traffic, payload_nbytes
 from repro.telemetry.recorder import active_recorder, span as _tspan
 
@@ -57,18 +62,23 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 #: Default seconds a blocking operation may wait before the run is
-#: declared hung. True message/barrier deadlocks are caught by the
-#: wait-for detector long before this; the watchdog only catches ranks
-#: stuck outside the MPI layer.
+#: declared hung. True message/collective deadlocks on the thread
+#: channel are caught by the wait-for detector long before this; the
+#: timeout only catches ranks stuck outside the MPI layer.
 DEFAULT_TIMEOUT = 120.0
 
 #: Poll step (seconds) of blocking waits; also bounds how often the
-#: deadlock detector re-checks an already-blocked rank.
+#: deadlock detector re-checks an already-blocked rank and how long an
+#: abort takes to reach a rank blocked on the process channel.
 _WAIT_STEP = 0.05
+
+#: A wire item: ``(comm_id, kind, src_world, tag, payload)``.
+Item = tuple
+Match = Callable[[Item], bool]
 
 
 def _copy_payload(obj: Any) -> Any:
-    """Copy-on-send for mutable buffers (numpy value semantics)."""
+    """Deep-copy the mutable buffers of a payload (numpy value semantics)."""
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, tuple):
@@ -80,195 +90,123 @@ def _copy_payload(obj: Any) -> Any:
     return obj
 
 
-@dataclass
-class _Message:
-    src: int
-    tag: int
-    payload: Any
-    seq: int
-
-
-class _Mailbox:
-    """Incoming-message queue for one rank of one communicator."""
-
-    def __init__(self, state: "_CommState", rank: int) -> None:
-        self._state = state
-        self._rank = rank
-        self._cond = threading.Condition()
-        self._messages: list[_Message] = []
-        self._seq = 0
-
-    def put(self, src: int, tag: int, payload: Any) -> None:
-        with self._cond:
-            self._messages.append(_Message(src, tag, payload, self._seq))
-            self._seq += 1
-            self._cond.notify_all()
-
-    def _match_index(self, source: int, tag: int) -> int | None:
-        for i, msg in enumerate(self._messages):
-            if source not in (ANY_SOURCE, msg.src):
-                continue
-            if tag not in (ANY_TAG, msg.tag):
-                continue
+def _find(items: list[Item], match: Match) -> int:
+    """Index of the earliest-arrived item ``match`` accepts, or -1."""
+    for i, item in enumerate(items):
+        if match(item):
             return i
-        return None
+    return -1
 
-    def _has_match(self, source: int, tag: int) -> bool:
-        """Lock-free peek (GIL-atomic snapshot; safe for wait probes)."""
-        for msg in list(self._messages):
-            if source in (ANY_SOURCE, msg.src) and tag in (ANY_TAG, msg.tag):
-                return True
-        return False
 
-    def _edge(self, source: int, tag: int) -> WaitEdge:
-        state = self._state
-        me = state.world_ranks[self._rank]
-        if source == ANY_SOURCE:
-            peers = tuple(w for r, w in enumerate(state.world_ranks)
-                          if r != self._rank)
-            detail = "source=ANY"
-        else:
-            peers = (state.world_ranks[source],)
-            detail = f"source={state.world_ranks[source]}"
-        return WaitEdge(rank=me, op="recv", peers=peers,
-                        tag=None if tag == ANY_TAG else tag, detail=detail)
+class Channel(Protocol):
+    """What a transport must provide for one rank: four methods.
 
-    def get(self, source: int, tag: int, timeout: float) -> _Message:
-        state = self._state
-        abort = state.abort
-        if state.scheduler is not None:
-            state.scheduler.wait_until(
-                lambda: abort.is_set() or self._has_match(source, tag),
-                self._edge(source, tag),
-            )
-            if abort.is_set():
-                raise SimAbort("run aborted by another rank")
-            with self._cond:
-                i = self._match_index(source, tag)
-                assert i is not None  # scheduler only wakes us when matched
-                return self._messages.pop(i)
+    Items are opaque to the channel apart from ``item[4]``, the
+    payload, which ``put`` must detach from the sender (copy, pickle
+    or shared-memory hand-off) so each delivery owns its buffers.
+    Delivery is FIFO per (sender, receiver) pair; items no ``get`` has
+    matched yet stay buffered in arrival order.
+    """
 
-        deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        edge = self._edge(source, tag)
+    def put(self, dst_world: int, item: Item) -> None:
+        """Deliver ``item`` to world rank ``dst_world`` (buffered)."""
 
-        def satisfied() -> bool:
-            return abort.is_set() or self._has_match(source, tag)
+    def get(self, match: Match, deadline: float, edge: WaitEdge) -> Item:
+        """Remove and return the earliest item ``match`` accepts,
+        blocking until one arrives. Raises :class:`TimeoutError` once
+        ``time.monotonic()`` passes ``deadline`` and
+        :class:`~repro.smpi.errors.SimAbort` once the run is closed.
+        ``edge`` describes the wait for deadlock diagnosis."""
 
+    def poll(self, match: Match) -> bool:
+        """Whether a ``get(match)`` would return without blocking."""
+
+    def close(self) -> None:
+        """Abort the run: wake every blocked ``get`` on every rank."""
+
+
+class ThreadChannel:
+    """In-process channel: one mailbox + condition per world rank."""
+
+    def __init__(self, peers: "list[ThreadChannel]",
+                 abort: threading.Event, registry: WaitRegistry,
+                 scheduler: "DeterministicScheduler | None") -> None:
+        self._peers = peers  #: every rank's channel, indexed by world rank
+        self._abort = abort
+        self._registry = registry
+        self._scheduler = scheduler
+        self._cond = threading.Condition()
+        self._box: list[Item] = []
+
+    @classmethod
+    def world(cls, nranks: int, abort: threading.Event,
+              registry: WaitRegistry,
+              scheduler: "DeterministicScheduler | None" = None,
+              ) -> "list[ThreadChannel]":
+        """The connected channels of one ``nranks``-rank run."""
+        peers: list[ThreadChannel] = []
+        peers.extend(cls(peers, abort, registry, scheduler)
+                     for _ in range(nranks))
+        return peers
+
+    def put(self, dst_world: int, item: Item) -> None:
+        item = item[:4] + (_copy_payload(item[4]),)
+        peer = self._peers[dst_world]
+        with peer._cond:
+            peer._box.append(item)
+            peer._cond.notify_all()
+        if self._scheduler is not None:
+            self._scheduler.maybe_yield()
+
+    def get(self, match: Match, deadline: float, edge: WaitEdge) -> Item:
+        abort, box = self._abort, self._box
+
+        def ready() -> bool:
+            # lock-free peek (GIL-atomic snapshot): the deadlock detector
+            # and the scheduler call this from other ranks' threads
+            return abort.is_set() or any(match(it) for it in list(box))
+
+        if self._scheduler is not None:
+            self._scheduler.wait_until(ready, edge)
+        registered = False
         with self._cond:
-            waited = 0.0
-            registered = False
             try:
                 while True:
                     if abort.is_set():
                         raise SimAbort("run aborted by another rank")
-                    i = self._match_index(source, tag)
-                    if i is not None:
-                        return self._messages.pop(i)
+                    i = _find(box, match)
+                    if i >= 0:
+                        break
                     if not registered:
-                        state.registry.register(edge, satisfied)
+                        self._registry.register(edge, ready)
                         registered = True
-                    state.registry.raise_if_deadlocked(edge.rank)
-                    remaining = deadline - waited
+                    self._registry.raise_if_deadlocked(edge.rank)
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        raise SimMPIError(
-                            f"recv(source={source}, tag={tag}) timed out "
-                            f"after {deadline:.1f}s — deadlock?"
-                        )
-                    step = min(_WAIT_STEP, remaining)
-                    self._cond.wait(step)
-                    waited += step
+                        raise TimeoutError
+                    self._cond.wait(min(_WAIT_STEP, remaining))
             finally:
+                # drop the edge while the item is still in the box, so a
+                # peer's detector never sees "registered and unsatisfied"
                 if registered:
-                    state.registry.unregister(edge.rank)
+                    self._registry.unregister(edge.rank)
+            return box.pop(i)
 
-    def probe(self, source: int, tag: int) -> bool:
+    def poll(self, match: Match) -> bool:
+        if self._scheduler is not None:
+            # a yield point, so a probe-poll loop cannot starve the
+            # rank it is waiting on
+            self._scheduler.maybe_yield()
         with self._cond:
-            return self._match_index(source, tag) is not None
+            return _find(self._box, match) >= 0
 
-
-class _Barrier:
-    """Generation-counting cyclic barrier with deadlock registration.
-
-    Replaces ``threading.Barrier`` so waiting ranks can (a) register
-    wait-for edges naming the members still missing, (b) park in the
-    deterministic scheduler instead of blocking natively, and (c) be
-    woken by :meth:`abort`. ``wait`` returns a unique arrival index
-    per generation; the first arriver gets 0 (the reduction owner).
-    """
-
-    def __init__(self, state: "_CommState") -> None:
-        self._state = state
-        self._cond = threading.Condition()
-        self._count = 0
-        self._gen = 0
-        self._arrived: set[int] = set()
-        self.broken = False
-
-    def abort(self) -> None:
-        with self._cond:
-            self.broken = True
-            self._cond.notify_all()
-        sched = self._state.scheduler
-        if sched is not None:
-            sched.abort_all()
-
-    def wait(self, timeout: float, rank: int) -> int:
-        state = self._state
-        with self._cond:
-            if self.broken:
-                raise threading.BrokenBarrierError
-            gen = self._gen
-            idx = self._count
-            self._count += 1
-            self._arrived.add(rank)
-            if self._count == state.size:
-                self._count = 0
-                self._arrived.clear()
-                self._gen += 1
-                self._cond.notify_all()
-                return idx
-            peers = tuple(state.world_ranks[r] for r in range(state.size)
-                          if r != rank and r not in self._arrived)
-        me = state.world_ranks[rank]
-        edge = WaitEdge(rank=me, op="barrier", peers=peers,
-                        detail=f"{state.size}-rank barrier")
-
-        def released() -> bool:
-            return self.broken or self._gen != gen or state.abort.is_set()
-
-        if state.scheduler is not None:
-            state.scheduler.wait_until(released, edge)
-            if self.broken or state.abort.is_set():
-                raise threading.BrokenBarrierError
-            return idx
-
-        deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-        with self._cond:
-            waited = 0.0
-            with state.registry.blocking(edge, released):
-                while not (self.broken or self._gen != gen):
-                    if state.abort.is_set():
-                        raise threading.BrokenBarrierError
-                    state.registry.raise_if_deadlocked(me)
-                    if waited >= deadline:
-                        self.broken = True
-                        self._cond.notify_all()
-                        raise threading.BrokenBarrierError
-                    step = min(_WAIT_STEP, deadline - waited)
-                    self._cond.wait(step)
-                    waited += step
-            if self.broken:
-                raise threading.BrokenBarrierError
-            return idx
-
-
-class _Collective:
-    """Barrier + data slots shared by the ranks of one communicator."""
-
-    def __init__(self, state: "_CommState") -> None:
-        self.barrier = _Barrier(state)
-        self.slots: list[Any] = [None] * state.size
-        self.result: Any = None
+    def close(self) -> None:
+        self._abort.set()
+        for peer in self._peers:
+            with peer._cond:
+                peer._cond.notify_all()
+        if self._scheduler is not None:
+            self._scheduler.abort_all()
 
 
 @dataclass
@@ -294,141 +232,150 @@ class Request:
         return self._done
 
 
-class _CommState:
-    """Shared state behind every rank-view of one communicator."""
-
-    def __init__(self, size: int, world_ranks: Sequence[int],
-                 traffic: Traffic, abort: threading.Event,
-                 timeout: float, registry: WaitRegistry | None = None,
-                 scheduler: "DeterministicScheduler | None" = None,
-                 faults: "FaultPlan | None" = None) -> None:
-        self.size = size
-        self.world_ranks = list(world_ranks)
-        self.traffic = traffic
-        self.abort = abort
-        self.timeout = timeout
-        self.registry = registry if registry is not None else WaitRegistry()
-        self.scheduler = scheduler
-        self.faults = faults
-        self.mailboxes = [_Mailbox(self, r) for r in range(size)]
-        self.collective = _Collective(self)
-        self._split_lock = threading.Lock()
-        self._split_results: dict[int, dict[int, "_CommState"]] = {}
-        self._split_gen = 0
-
-
 class SimComm:
-    """One rank's view of a simulated-MPI communicator."""
+    """One rank's view of a simulated-MPI communicator.
 
-    def __init__(self, state: _CommState, rank: int) -> None:
-        self._state = state
+    The same class runs on every transport; only the ``channel``
+    differs. ``world_ranks[r]`` is the world rank of this
+    communicator's rank ``r``.
+    """
+
+    def __init__(self, channel: Channel, world_ranks: Sequence[int],
+                 rank: int, traffic: Traffic, timeout: float,
+                 faults: "FaultPlan | None" = None,
+                 comm_id: str = "world") -> None:
+        self._chan = channel
+        self._world_ranks = list(world_ranks)
+        self._local = {w: r for r, w in enumerate(self._world_ranks)}
         self.rank = rank
+        self._traffic = traffic
+        self._timeout = timeout
+        self._faults = faults
+        self.comm_id = comm_id
+        self._seq = 0        #: collectives issued on this communicator
+        self._split_gen = 0  #: splits issued on this communicator
+        self._others = tuple(w for w in self._world_ranks
+                             if w != self.world_rank)
 
     # -- introspection -------------------------------------------------
     @property
     def size(self) -> int:
-        return self._state.size
+        return len(self._world_ranks)
 
     @property
     def traffic(self) -> Traffic:
-        return self._state.traffic
+        return self._traffic
 
     @property
     def world_rank(self) -> int:
         """This rank's id in the world communicator."""
-        return self._state.world_ranks[self.rank]
+        return self._world_ranks[self.rank]
 
     def set_phase(self, phase: str) -> None:
         """Label subsequent sends from this rank for traffic accounting."""
-        self._state.traffic.set_phase(self.world_rank, phase)
+        self._traffic.set_phase(self.world_rank, phase)
 
     # -- fault injection ------------------------------------------------
     def notify_step(self, step: int) -> None:
         """Announce a physical-step boundary to the installed fault plan.
 
         No-op without a plan. A matching crash fault raises
-        :class:`~repro.smpi.errors.RankFailure` here, which aborts the
-        world through the standard failure path.
+        :class:`~repro.smpi.errors.RankFailure` here (or, for
+        ``crash_hard`` on the process transport, SIGKILLs this rank's
+        process after a pre-death notice), which aborts the world
+        through the standard failure path.
         """
-        plan = self._state.faults
-        if plan is not None:
-            plan.on_step(self.world_rank, step)
+        if self._faults is not None:
+            self._faults.on_step(self.world_rank, step)
+
+    # -- matched, deadline-bounded waits ---------------------------------
+    def _match(self, kind: str, srcs: Collection[int] | None,
+               tag: int) -> Match:
+        """Predicate over wire items: this communicator's ``kind``
+        messages from world ranks ``srcs`` (``None`` = any) with
+        ``tag`` (:data:`ANY_TAG` = any)."""
+        comm_id = self.comm_id
+
+        def match(item: Item) -> bool:
+            return (item[0] == comm_id and item[1] == kind
+                    and (tag == ANY_TAG or item[3] == tag)
+                    and (srcs is None or item[2] in srcs))
+        return match
+
+    def _get(self, match: Match, edge: WaitEdge, timeout: float) -> Item:
+        try:
+            return self._chan.get(match, time.monotonic() + timeout, edge)
+        except TimeoutError:
+            raise SimMPIError(f"{edge.describe()} timed out after "
+                              f"{timeout:.1f}s — deadlock?") from None
 
     # -- point to point --------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Buffered blocking send (copies numpy payloads)."""
+        """Buffered blocking send (the channel detaches numpy payloads)."""
         if not 0 <= dest < self.size:
             raise SimMPIError(f"send dest {dest} out of range [0, {self.size})")
-        payload = _copy_payload(obj)
+        me, dst = self.world_rank, self._world_ranks[dest]
         nbytes = payload_nbytes(obj)
-        dst_world = self._state.world_ranks[dest]
-        self._state.traffic.record(self.world_rank, dst_world, nbytes)
+        self._traffic.record(me, dst, nbytes)
         rec = active_recorder()
         if rec is not None:
-            rec.instant("send", "smpi.send",
-                        dst=dst_world, tag=tag,
-                        nbytes=nbytes,
-                        phase=self._state.traffic.phase_of(self.world_rank))
+            rec.instant("send", "smpi.send", dst=dst, tag=tag, nbytes=nbytes,
+                        phase=self._traffic.phase_of(me))
             rec.counter("smpi.messages")
             rec.counter("smpi.nbytes", nbytes)
-        plan = self._state.faults
-        if plan is not None:
-            self._send_with_faults(plan, payload, dest, dst_world, tag)
-        else:
-            self._state.mailboxes[dest].put(self.rank, tag, payload)
-        if self._state.scheduler is not None:
-            self._state.scheduler.maybe_yield()
-
-    def _send_with_faults(self, plan, payload: Any, dest: int,
-                          dst_world: int, tag: int) -> None:
-        """Apply the fault plan's verdict to one outgoing message."""
-        actions = plan.on_send(self.world_rank, dst_world, tag)
-        mailbox = self._state.mailboxes[dest]
-        rank = self.rank
+        chan, plan = self._chan, self._faults
+        if plan is None:
+            chan.put(dst, (self.comm_id, "p2p", me, tag, obj))
+            return
+        # Matching runs on the sending rank; process-transport plans pin
+        # src (validate_for_transport), so fire-once counts agree with
+        # thread runs.
+        actions = plan.on_send(me, dst, tag)
         if actions.corrupt is not None:
-            payload = actions.corrupt(payload)
+            # poke a private copy: the sender must not see its own
+            # buffer corrupted
+            obj = actions.corrupt(_copy_payload(obj))
         if actions.hold:
-            plan.hold_message(self.world_rank, dst_world,
-                              lambda: mailbox.put(rank, tag, payload))
+            # freeze the payload now — the sender may reuse its buffer
+            # before the delayed delivery happens
+            held = (self.comm_id, "p2p", me, tag, _copy_payload(obj))
+            plan.hold_message(me, dst, lambda: chan.put(dst, held))
             return
         for _ in range(actions.deliver):
-            mailbox.put(rank, tag, payload)
+            chan.put(dst, (self.comm_id, "p2p", me, tag, obj))
         # a prior delayed message to this destination arrives *after*
         # this one — the reordering the delay fault models
-        plan.release_held(self.world_rank, dst_world)
+        plan.release_held(me, dst)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             timeout: float | None = None) -> Any:
-        """Blocking receive; returns the payload.
+    def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+                    timeout: float | None = None) -> tuple[Any, int, int]:
+        """Blocking receive returning ``(payload, source, tag)``.
 
         ``timeout`` overrides the communicator-wide default for this
         one receive — serve loops use it so a dead client degrades to
         a :class:`~repro.smpi.errors.SimMPIError` instead of a hang.
         """
-        timeout = self._state.timeout if timeout is None else timeout
+        timeout = self._timeout if timeout is None else timeout
+        if source == ANY_SOURCE:
+            srcs, peers, detail = None, self._others, "source=ANY"
+        else:
+            peers = (self._world_ranks[source],)
+            srcs, detail = peers, f"source={peers[0]}"
+        edge = WaitEdge(rank=self.world_rank, op="recv", peers=peers,
+                        tag=None if tag == ANY_TAG else tag, detail=detail)
         rec = active_recorder()
-        if rec is None:
-            msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-            return msg.payload
-        t0 = time.perf_counter()
-        msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-        rec.add_span("recv", "smpi.recv", t0, time.perf_counter(),
-                     src=self._state.world_ranks[msg.src], tag=msg.tag)
-        return msg.payload
+        t0 = time.perf_counter() if rec is not None else 0.0
+        _cid, _kind, src, got_tag, payload = self._get(
+            self._match("p2p", srcs, tag), edge, timeout)
+        if rec is not None:
+            rec.add_span("recv", "smpi.recv", t0, time.perf_counter(),
+                         src=src, tag=got_tag)
+        return payload, self._local[src], got_tag
 
-    def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-                    timeout: float | None = None) -> tuple[Any, int, int]:
-        """Blocking receive returning ``(payload, source, tag)``."""
-        timeout = self._state.timeout if timeout is None else timeout
-        rec = active_recorder()
-        if rec is None:
-            msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-            return msg.payload, msg.src, msg.tag
-        t0 = time.perf_counter()
-        msg = self._state.mailboxes[self.rank].get(source, tag, timeout)
-        rec.add_span("recv", "smpi.recv", t0, time.perf_counter(),
-                     src=self._state.world_ranks[msg.src], tag=msg.tag)
-        return msg.payload, msg.src, msg.tag
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+             timeout: float | None = None) -> Any:
+        """Blocking receive; returns the payload (see :meth:`recv_status`)."""
+        return self.recv_status(source, tag, timeout)[0]
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         self.send(obj, dest, tag)
@@ -438,14 +385,9 @@ class SimComm:
         return Request(_resolve=lambda: self.recv(source, tag))
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Nonblocking check for a matching pending message.
-
-        Under a deterministic scheduler this is a yield point, so a
-        probe-poll loop cannot starve the rank it is waiting on.
-        """
-        if self._state.scheduler is not None:
-            self._state.scheduler.maybe_yield()
-        return self._state.mailboxes[self.rank].probe(source, tag)
+        """Nonblocking check for a matching pending message."""
+        srcs = None if source == ANY_SOURCE else (self._world_ranks[source],)
+        return self._chan.poll(self._match("p2p", srcs, tag))
 
     def sendrecv(self, obj: Any, dest: int, source: int,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
@@ -454,97 +396,121 @@ class SimComm:
         return self.recv(source, recvtag)
 
     # -- collectives -------------------------------------------------------
-    def _barrier_wait(self) -> int:
-        try:
-            return self._state.collective.barrier.wait(
-                self._state.timeout, self.rank)
-        except threading.BrokenBarrierError as exc:
-            if self._state.abort.is_set():
-                raise SimAbort("run aborted by another rank") from exc
-            raise SimMPIError("barrier timed out — deadlock?") from exc
+    # Built from kind="coll" messages so user tags can never collide;
+    # they go straight to the channel: no ledger record, no fault plan,
+    # no per-message telemetry.
+
+    def _next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
+
+    def _coll_send(self, obj: Any, dest: int, seq: int) -> None:
+        self._chan.put(self._world_ranks[dest],
+                       (self.comm_id, "coll", self.world_rank, seq, obj))
+
+    def _coll_recv(self, op: str, sources: Sequence[int],
+                   seq: int) -> tuple[int, Any]:
+        """One ``(rank, contribution)`` to collective ``op`` from any of
+        the local ranks ``sources`` — the members still missing, which
+        is exactly what the wait-for edge names."""
+        peers = tuple(self._world_ranks[r] for r in sources)
+        edge = WaitEdge(rank=self.world_rank, op=op, peers=peers,
+                        detail=f"{self.size}-rank {op}")
+        item = self._get(self._match("coll", peers, seq), edge,
+                         self._timeout)
+        return self._local[item[2]], item[4]
+
+    def _collect(self, op: str, mine: Any, seq: int) -> list[Any]:
+        """One contribution from every member, by rank, taken in
+        arrival order; ``mine`` is this rank's own."""
+        slots: list[Any] = [None] * self.size
+        slots[self.rank] = _copy_payload(mine)
+        missing = [r for r in range(self.size) if r != self.rank]
+        while missing:
+            r, slots[r] = self._coll_recv(op, missing, seq)
+            missing.remove(r)
+        return slots
+
+    def _fan_in(self, op: str, obj: Any, root: int,
+                seq: int) -> list[Any] | None:
+        """Every member's ``obj``, by rank, on ``root``; None elsewhere."""
+        if self.rank != root:
+            self._coll_send(obj, root, seq)
+            return None
+        return self._collect(op, obj, seq)
+
+    def _fan_out(self, op: str, objs: Sequence[Any] | None, root: int,
+                 seq: int) -> Any:
+        """``objs[r]`` (given on ``root``) delivered to each rank ``r``."""
+        if self.rank != root:
+            return self._coll_recv(op, (root,), seq)[1]
+        for r in range(self.size):
+            if r != root:
+                self._coll_send(objs[r], r, seq)
+        return _copy_payload(objs[root])
 
     def barrier(self) -> None:
         with _tspan("barrier", "smpi.collective", size=self.size):
-            self._barrier_wait()
-            self._barrier_wait()  # second phase so reuse cannot overtake
+            seq = self._next_seq()
+            self._fan_in("barrier", None, 0, seq)
+            self._fan_out("barrier", [None] * self.size, 0, seq)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         with _tspan("bcast", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            if self.rank == root:
-                coll.result = _copy_payload(obj)
-            self._barrier_wait()
-            value = _copy_payload(coll.result)
-            self._barrier_wait()
-            return value
+            return self._fan_out("bcast", [obj] * self.size, root,
+                                 self._next_seq())
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         with _tspan("gather", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = _copy_payload(obj)
-            self._barrier_wait()
-            result = list(coll.slots) if self.rank == root else None
-            self._barrier_wait()
-            return result
+            return self._fan_in("gather", obj, root, self._next_seq())
 
     def allgather(self, obj: Any) -> list[Any]:
         with _tspan("allgather", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = _copy_payload(obj)
-            self._barrier_wait()
-            result = [_copy_payload(s) for s in coll.slots]
-            self._barrier_wait()
-            return result
+            seq = self._next_seq()
+            slots = self._fan_in("allgather", obj, 0, seq)
+            return self._fan_out("allgather", [slots] * self.size, 0, seq)
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         with _tspan("scatter", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            if self.rank == root:
-                if objs is None or len(objs) != self.size:
-                    raise SimMPIError(
-                        f"scatter root must supply {self.size} items, got "
-                        f"{None if objs is None else len(objs)}"
-                    )
-                coll.result = [_copy_payload(o) for o in objs]
-            self._barrier_wait()
-            value = _copy_payload(coll.result[self.rank])
-            self._barrier_wait()
-            return value
+            if self.rank == root and (objs is None
+                                      or len(objs) != self.size):
+                raise SimMPIError(
+                    f"scatter root must supply {self.size} items, got "
+                    f"{None if objs is None else len(objs)}")
+            return self._fan_out("scatter", objs, root, self._next_seq())
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | str = "sum",
                root: int = 0) -> Any | None:
         result = self.allreduce(obj, op)
         return result if self.rank == root else None
 
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | str = "sum") -> Any:
-        fn = _REDUCE_OPS.get(op, op) if isinstance(op, str) else op
+    def allreduce(self, obj: Any,
+                  op: Callable[[Any, Any], Any] | str = "sum") -> Any:
         if isinstance(op, str) and op not in _REDUCE_OPS:
-            raise SimMPIError(f"unknown reduce op {op!r}; use one of {sorted(_REDUCE_OPS)}")
+            raise SimMPIError(
+                f"unknown reduce op {op!r}; use one of {sorted(_REDUCE_OPS)}")
+        fn = _REDUCE_OPS[op] if isinstance(op, str) else op
         with _tspan("allreduce", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = _copy_payload(obj)
-            idx = self._barrier_wait()
-            if idx == 0:
-                acc = coll.slots[0]
-                for other in coll.slots[1:]:
+            seq = self._next_seq()
+            slots = self._fan_in("allreduce", obj, 0, seq)
+            acc = None
+            if slots is not None:
+                # fold in ascending rank order, whatever order the
+                # contributions arrived in: bitwise-reproducible
+                acc = slots[0]
+                for other in slots[1:]:
                     acc = fn(acc, other)
-                coll.result = acc
-            self._barrier_wait()
-            value = _copy_payload(coll.result)
-            self._barrier_wait()
-            return value
+            return self._fan_out("allreduce", [acc] * self.size, 0, seq)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         if len(objs) != self.size:
             raise SimMPIError(f"alltoall needs {self.size} items, got {len(objs)}")
         with _tspan("alltoall", "smpi.collective", size=self.size):
-            coll = self._state.collective
-            coll.slots[self.rank] = [_copy_payload(o) for o in objs]
-            self._barrier_wait()
-            result = [_copy_payload(coll.slots[src][self.rank])
-                      for src in range(self.size)]
-            self._barrier_wait()
-            return result
+            seq = self._next_seq()
+            for r in range(self.size):
+                if r != self.rank:
+                    self._coll_send(objs[r], r, seq)
+            return self._collect("alltoall", objs[self.rank], seq)
 
     # -- communicator management ---------------------------------------
     def split(self, color: int, key: int | None = None) -> "SimComm | None":
@@ -552,47 +518,22 @@ class SimComm:
 
         A negative ``color`` opts the rank out (returns ``None``), like
         ``MPI_UNDEFINED``. All ranks of this communicator must call.
+        Every member computes the same grouping from the same
+        allgathered ``(color, key, rank)`` triples, so the derived
+        ``comm_id`` — ``"{parent}/{gen}.{color}"`` — agrees everywhere
+        without a coordinator.
         """
-        state = self._state
         key = self.rank if key is None else key
-        pairs = self.allgather((color, key, self.rank))
-        idx = self._barrier_wait()
-        with state._split_lock:
-            if idx == 0:
-                state._split_gen += 1
-                gen = state._split_gen
-                groups: dict[int, list[tuple[int, int]]] = {}
-                for c, k, r in pairs:
-                    if c >= 0:
-                        groups.setdefault(c, []).append((k, r))
-                built: dict[int, _CommState] = {}
-                rank_map: dict[int, tuple[int, int]] = {}
-                for c, members in groups.items():
-                    members.sort()
-                    ranks = [r for _k, r in members]
-                    sub = _CommState(
-                        size=len(ranks),
-                        world_ranks=[state.world_ranks[r] for r in ranks],
-                        traffic=state.traffic,
-                        abort=state.abort,
-                        timeout=state.timeout,
-                        registry=state.registry,
-                        scheduler=state.scheduler,
-                        faults=state.faults,
-                    )
-                    built[c] = sub
-                    for newrank, r in enumerate(ranks):
-                        rank_map[r] = (c, newrank)
-                state._split_results[gen] = {"comms": built, "ranks": rank_map}  # type: ignore[assignment]
-        self._barrier_wait()
-        with state._split_lock:
-            gen = state._split_gen
-            entry = state._split_results[gen]
-        self._barrier_wait()
+        triples = self.allgather((color, key, self.rank))
+        self._split_gen += 1
         if color < 0:
             return None
-        _c, newrank = entry["ranks"][self.rank]  # type: ignore[index]
-        return SimComm(entry["comms"][color], newrank)  # type: ignore[index]
+        ranks = [r for _k, r in sorted((k, r) for c, k, r in triples
+                                       if c == color)]
+        return SimComm(self._chan, [self._world_ranks[r] for r in ranks],
+                       ranks.index(self.rank), self._traffic, self._timeout,
+                       self._faults,
+                       f"{self.comm_id}/{self._split_gen}.{color}")
 
 
 def waitall(requests: list[Request]) -> list[Any]:
@@ -611,8 +552,9 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     """Run ``fn(comm, *args)`` on ``nranks`` cooperating ranks.
 
     Returns each rank's return value, ordered by rank. If any rank
-    raises, the whole run is aborted (barriers broken, mailbox waits
-    poisoned) and the first failure is re-raised.
+    raises, the whole run is aborted (every blocked wait is woken with
+    :class:`~repro.smpi.errors.SimAbort`) and the first failure is
+    re-raised.
 
     ``watchdog_s`` tunes the process transport's hung-child deadline
     (default ``$REPRO_SMPI_WATCHDOG_S``, else ``2 * timeout``) and
@@ -622,10 +564,11 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     genuine deadlocks directly.
 
     ``transport`` selects how ranks execute (default: the
-    ``REPRO_SMPI_TRANSPORT`` environment variable, else ``"thread"``):
+    ``REPRO_SMPI_TRANSPORT`` environment variable, else ``"thread"``).
+    Either way ``fn`` receives the same :class:`SimComm`:
 
     * ``"thread"`` — ranks are threads of this interpreter. Blocked
-      send/recv or barrier cycles are reported as
+      send/recv or collective cycles are reported as
       :class:`~repro.smpi.errors.DeadlockError` with the wait-for
       cycle long before ``timeout``. Pass a
       :class:`~repro.smpi.schedule.DeterministicScheduler` to
@@ -639,16 +582,15 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
       inherited copy and fire-once state is merged back — with two
       transport-specific rules enforced up front: message faults must
       pin ``src``, and ``crash_hard`` faults are *only* expressible
-      here. The deterministic scheduler remains thread-only;
+      here. The deterministic scheduler is a thread-channel feature;
       requesting one raises
       :class:`~repro.smpi.errors.TransportError`.
     """
+    # runtime import: transport.py builds on this module
     from repro.smpi.transport import resolve_transport, run_ranks_process
 
-    resolved = resolve_transport(transport)
-    if resolved == "process":
+    if resolve_transport(transport) == "process":
         if scheduler is not None:
-            from repro.smpi.errors import TransportError
             raise TransportError(
                 "process transport does not support scheduler; "
                 "deterministic scheduling requires transport='thread'"
@@ -667,15 +609,14 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     registry = WaitRegistry()
     if scheduler is not None:
         scheduler.attach(nranks, abort)
-    state = _CommState(nranks, list(range(nranks)), traffic, abort, timeout,
-                       registry=registry, scheduler=scheduler,
-                       faults=fault_plan)
+    channels = ThreadChannel.world(nranks, abort, registry, scheduler)
     results: list[Any] = [None] * nranks
     failures: list[tuple[int, BaseException]] = []
     failures_lock = threading.Lock()
 
     def runner(rank: int) -> None:
-        comm = SimComm(state, rank)
+        comm = SimComm(channels[rank], range(nranks), rank, traffic,
+                       timeout, fault_plan)
         try:
             if scheduler is not None:
                 scheduler.thread_started(rank)
@@ -685,14 +626,7 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
         except BaseException as exc:  # noqa: BLE001 — re-raised below
             with failures_lock:
                 failures.append((rank, exc))
-            abort.set()
-            state.collective.barrier.abort()
-            with state._split_lock:
-                for entry in state._split_results.values():
-                    for sub in entry["comms"].values():  # type: ignore[union-attr]
-                        sub.collective.barrier.abort()
-            if scheduler is not None:
-                scheduler.abort_all()
+            channels[rank].close()
         finally:
             registry.mark_done(rank)
             if scheduler is not None:
@@ -707,18 +641,14 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     for t in threads:
         t.join(timeout=timeout * 2)
         if t.is_alive():
-            abort.set()
-            state.collective.barrier.abort()
-            if scheduler is not None:
-                scheduler.abort_all()
+            channels[0].close()
             with failures_lock:
                 if not failures:  # prefer a rank's own error if one exists
                     raise SimMPIError(
                         f"rank thread {t.name} failed to terminate")
     if failures:
         failures.sort(key=lambda pair: pair[0])
-        rank, exc = failures[0]
-        raise exc
+        raise failures[0][1]
     return results
 
 

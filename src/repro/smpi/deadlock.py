@@ -1,7 +1,7 @@
 """Wait-for-graph deadlock detection for simulated MPI runs.
 
 Every blocking operation (a ``recv`` with no matching message, a
-barrier phase waiting for stragglers) registers a :class:`WaitEdge`
+collective waiting for stragglers) registers a :class:`WaitEdge`
 with the world-level :class:`WaitRegistry` while it waits: *who* is
 blocked, in *what* operation, and *which peers* could release it. The
 registry can then answer "is anybody actually deadlocked?" in
@@ -16,15 +16,18 @@ message or arrive at the barrier) can ever unblock anyone in ``S``.
 This is computed by trimming: repeatedly drop any blocked rank that
 waits on at least one live, unblocked peer; whatever survives is a
 genuine cycle (or a wait on a rank that already exited). Because a
-blocked rank cannot send, the test has no false positives: each entry
-also carries a ``satisfied`` probe re-checked at detection time, so a
-rank whose message has just arrived (but which has not woken yet) is
-never counted as stuck.
+blocked rank cannot send, the test has no false positives, provided
+"blocked" is judged soundly against concurrent progress: each entry
+carries a ``satisfied`` probe evaluated at detection time, so a rank
+whose message has just arrived (but which has not woken yet) is never
+counted as stuck, and a rank only counts if it is still inside the
+*same* wait once every probe has run — waiters unregister before they
+consume what released them, so a rank that was woken, took its
+message and moved on mid-detection is never mistaken for a stuck one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -109,15 +112,6 @@ class WaitRegistry:
         with self._lock:
             self._entries.pop(rank, None)
 
-    @contextlib.contextmanager
-    def blocking(self, edge: WaitEdge, satisfied: Callable[[], bool]):
-        """Scope of one blocking wait: register on entry, drop on exit."""
-        self.register(edge, satisfied)
-        try:
-            yield
-        finally:
-            self.unregister(edge.rank)
-
     def mark_done(self, rank: int) -> None:
         """Record that a rank's thread has exited (cleanly or not)."""
         with self._lock:
@@ -146,6 +140,15 @@ class WaitRegistry:
                     stuck[rank] = entry.edge
             except Exception:  # probe raced a teardown; treat as not stuck
                 continue
+        with self._lock:
+            # Probes run after the snapshot, so "unsatisfied" may mean
+            # the rank has since consumed its message and moved on.
+            # Waiters unregister *before* consuming, so only a rank
+            # still inside the very same wait (same entry object) was
+            # blocked for the whole snapshot-to-here window — and a
+            # rank blocked throughout cannot have sent anything in it.
+            stuck = {rank: edge for rank, edge in stuck.items()
+                     if self._entries.get(rank) is entries[rank]}
         changed = True
         while changed:
             changed = False

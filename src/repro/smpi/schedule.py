@@ -26,8 +26,10 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.smpi.comm import DEFAULT_TIMEOUT, run_ranks
 from repro.smpi.deadlock import WaitEdge, format_cycle
 from repro.smpi.errors import DeadlockError, SimAbort
+from repro.smpi.traffic import Traffic
 
 __all__ = ["DeterministicScheduler", "ScheduleRun", "sweep_schedules"]
 
@@ -193,9 +195,6 @@ def sweep_schedules(nranks: int, fn: Callable[..., Any], args: tuple = (),
     depends on the interleaving. Re-running with the same
     ``base_seed`` reproduces every run byte-for-byte.
     """
-    from repro.smpi.comm import DEFAULT_TIMEOUT, run_ranks
-    from repro.smpi.traffic import Traffic
-
     timeout = DEFAULT_TIMEOUT if timeout is None else timeout
     runs: list[ScheduleRun] = []
     for seed in range(base_seed, base_seed + nschedules):

@@ -1,40 +1,42 @@
-"""Transport selection for simulated-MPI runs: threads or processes.
+"""Process transport for simulated-MPI runs: channel, launch, supervision.
 
-The original :func:`repro.smpi.run_ranks` executes ranks as threads of
-one interpreter — fully deterministic, instrumentable (wait-for-graph
-deadlock detection, seeded schedulers, fault plans), but GIL-capped:
-no amount of ranks buys real multi-core speedup, so the fig7/fig8
-scaling reproductions measured protocol overhead, not parallelism.
+:func:`repro.smpi.run_ranks` hands every rank the same
+:class:`~repro.smpi.comm.SimComm`, whatever the transport. On the
+default ``"thread"`` transport ranks are threads of one interpreter —
+fully deterministic and instrumentable, but GIL-capped. This module is
+the ``"process"`` transport: each rank is an OS process (``fork``)
+with true multi-core parallelism. It contributes only what really
+differs between the two:
 
-This module adds a **process transport**: each rank is an OS process
-(``fork``), point-to-point messages travel through one
-``multiprocessing.Queue`` per world rank, and numpy payloads at or
-above :data:`REPRO_SMPI_SHM_MIN` bytes (env-tunable, default 64 KiB)
-ride in ``multiprocessing.shared_memory`` segments instead of being
-pickled through the pipe — the classic large-``Dat``-halo fast path.
-Control messages (tags, communicator ids, small payloads) stay
-pickled.
+* :class:`ProcessChannel` — the four-method
+  :class:`~repro.smpi.comm.Channel` over one ``multiprocessing.Queue``
+  per world rank (a single FIFO per receiver keeps the MPI
+  non-overtaking guarantee). numpy payloads at or above
+  :data:`REPRO_SMPI_SHM_MIN` bytes (env-tunable, default 64 KiB) ride
+  in ``multiprocessing.shared_memory`` segments instead of being
+  pickled through the pipe — the classic large-``Dat``-halo fast path;
+  everything else stays pickled. Either way the receiver owns a
+  private copy (value semantics on send).
+* Launch and supervision (:func:`run_ranks_process`) — fork, result
+  pipes, process sentinels, heartbeat, watchdog, queue drain and the
+  shared-memory prefix sweep.
+* The environment resolvers (:func:`resolve_transport`,
+  :func:`watchdog_seconds`, :func:`heartbeat_seconds`,
+  :func:`shm_threshold`).
 
-Semantics parity with the threaded transport:
-
-* value semantics on send (pickling or an explicit shm copy-in/out);
-* the MPI non-overtaking guarantee per (src, dst) channel (a single
-  FIFO queue per receiver);
-* collectives folded in ascending rank order, so floating-point
-  reductions are bitwise-identical across transports;
-* collective traffic is *not* recorded in the ledger (matching the
-  threaded transport's shared-slot collectives, which send nothing);
-* per-rank message logs are merged into the caller's
-  :class:`~repro.smpi.traffic.Traffic` in ascending rank order, so
-  ``Traffic.structure_fingerprint()`` is deterministic and comparable
-  across transports.
+Matching, collectives, ``split``, traffic accounting and the fault
+path are *not* here: they are written once in
+:mod:`repro.smpi.comm`, so results, fold order and
+``Traffic.structure_fingerprint()`` agree with the thread transport by
+construction. Per-rank message logs are merged into the caller's
+:class:`~repro.smpi.traffic.Traffic` in ascending rank order (the
+canonical sender-ordered schedule).
 
 Fault tolerance (the process transport is a first-class fault
 domain):
 
-* :class:`~repro.smpi.faults.FaultPlan` injection works with the
-  same semantics the thread transport certifies — each forked rank
-  applies its inherited copy of the plan and the fire-once state is
+* Each forked rank applies its inherited copy of the run's
+  :class:`~repro.smpi.faults.FaultPlan`; the fire-once state is
   shipped back to the parent's plan object (in the final report, or a
   pre-death notice for hard crashes), so supervised retries replay
   clean. Message faults must pin ``src`` (matching runs on the
@@ -45,14 +47,14 @@ domain):
   :class:`~repro.smpi.errors.ProcessRankDied` (a
   :class:`~repro.smpi.errors.RankFailure` subclass carrying rank,
   step when attributable, signal and exitcode), never as a bare hang;
-  detection is immediate (pipe EOF) and the world is aborted so
-  surviving ranks wind down in milliseconds, not watchdog-timeouts.
+  detection is immediate (process sentinel) and the world is aborted
+  so surviving ranks wind down in milliseconds, not watchdog-timeouts.
 * An optional per-child heartbeat (``heartbeat_s`` kwarg or
-  :data:`HEARTBEAT_ENV`) reports a *wedged* rank — alive but making
-  no progress through step boundaries or blocking waits — within the
-  heartbeat deadline instead of waiting out the ``2×timeout``
-  watchdog. Disabled by default: ranks that legitimately compute for
-  long stretches without communicating would be falsely reaped.
+  :data:`HEARTBEAT_ENV`) reports a *wedged* rank — alive but silent on
+  its channel — within the heartbeat deadline instead of waiting out
+  the ``2×timeout`` watchdog. Disabled by default: ranks that
+  legitimately compute for long stretches without communicating would
+  be falsely reaped.
 * Shared-memory segments are reclaimed on **every** crash path:
   receivers unlink on decode, the parent drains stray queue messages,
   and each run's segments carry a unique name prefix that the parent
@@ -61,10 +63,11 @@ domain):
 
 Deliberate non-parity (documented, enforced):
 
-* no deterministic scheduler, no wait-for-graph deadlock detector —
-  requesting a scheduler with ``transport="process"`` raises
-  :class:`~repro.smpi.errors.TransportError`; a genuinely hung
-  run is caught by the heartbeat (if enabled) or the watchdog;
+* the deterministic scheduler and the wait-for-graph deadlock detector
+  are thread-channel features — requesting a scheduler with
+  ``transport="process"`` raises
+  :class:`~repro.smpi.errors.TransportError`; a genuinely hung run is
+  caught by the heartbeat (if enabled) or the watchdog;
 * per-rank telemetry recorders are process-local and discarded — the
   traffic ledger is the only cross-process observable.
 """
@@ -80,7 +83,6 @@ import signal as _signal
 import threading
 import time
 import uuid
-from collections import defaultdict
 from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 from multiprocessing import resource_tracker, shared_memory
@@ -88,13 +90,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.smpi.comm import _WAIT_STEP, Item, Match, SimComm, _find
 from repro.smpi.errors import (
     ProcessRankDied,
     SimAbort,
     SimMPIError,
     TransportError,
 )
-from repro.smpi.traffic import Traffic, payload_nbytes
+from repro.smpi.traffic import Traffic
 from repro.telemetry.recorder import active_recorder
 
 #: Environment variable naming the default transport for
@@ -116,7 +119,7 @@ WATCHDOG_ENV = "REPRO_SMPI_WATCHDOG_S"
 
 #: Environment variable enabling the per-child heartbeat (seconds).
 #: When set (or when ``heartbeat_s`` is passed explicitly), each rank
-#: process beats over its result pipe at every step boundary and
+#: process beats over its result pipe on every channel operation and
 #: blocking-wait poll; a rank silent for longer than this deadline is
 #: reaped and reported as a typed
 #: :class:`~repro.smpi.errors.ProcessRankDied` instead of waiting out
@@ -127,9 +130,6 @@ _DEFAULT_SHM_MIN = 64 * 1024
 
 #: Transports :func:`resolve_transport` accepts.
 TRANSPORTS = ("thread", "process")
-
-#: Poll step (seconds) of blocking waits in the process transport.
-_WAIT_STEP = 0.05
 
 
 def default_transport() -> str:
@@ -349,364 +349,70 @@ def _release_payload(obj: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the process-backed communicator
+# the process channel
 # ---------------------------------------------------------------------------
 
-class _ProcRuntime:
-    """Per-process plumbing shared by every communicator view.
+class ProcessChannel:
+    """One rank's :class:`~repro.smpi.comm.Channel` between OS processes.
 
-    One instance per rank process: the world-indexed queue array, the
-    run-wide abort event, the rank's private traffic ledger and the
-    per-communicator buffers of received-but-unmatched messages (all
-    communicators multiplex over the single per-rank queue, so a recv
-    on one communicator may pull in messages for another).
+    Every communicator of a rank multiplexes over the rank's single
+    queue, so a ``get`` may pull in items meant for a later ``get``;
+    those wait, decoded, in a process-local buffer in arrival order.
+    The heartbeat is beaten on every channel operation and every poll
+    of a blocking wait, so a rank that communicates is never mistaken
+    for a wedged one.
 
     The queue/event objects only need ``put``/``get``/``get_nowait``
-    and ``is_set``, so tests can instantiate the runtime over plain
-    ``queue.Queue``/``threading.Event`` to exercise the matching logic
+    and ``set``/``is_set``, so tests can wire channels over plain
+    ``queue.Queue``/``threading.Event`` to exercise the contract
     in-process.
     """
 
-    def __init__(self, world_rank: int, world_size: int,
-                 queues: Sequence[Any], abort: Any, timeout: float,
-                 traffic: Traffic, faults: Any = None,
-                 beat: Callable[[], None] | None = None) -> None:
-        self.world_rank = world_rank
-        self.world_size = world_size
-        self.queues = list(queues)
-        self.abort = abort
-        self.timeout = timeout
-        self.traffic = traffic
-        #: this rank's inherited copy of the run's FaultPlan (or None);
-        #: applied at step boundaries and on the send path, exactly as
-        #: the threaded SimComm does
-        self.faults = faults
-        #: liveness hook called at step boundaries and blocking-wait
-        #: polls; throttled by the reporter, no-op when heartbeats are
-        #: disabled
-        self.maybe_beat: Callable[[], None] = beat if beat is not None \
-            else (lambda: None)
-        #: comm_id -> [(kind, src_world, tag, payload)]
-        self.buffers: dict[str, list[tuple[str, int, int, Any]]] = \
-            defaultdict(list)
+    def __init__(self, rank: int, queues: Sequence[Any], abort: Any,
+                 beat: Callable[[], None] = lambda: None) -> None:
+        self._inbox = queues[rank]
+        self._queues = queues  #: every rank's queue, indexed by world rank
+        self._abort = abort
+        self._beat = beat
+        self._buffer: list[Item] = []
 
-    def pump(self, block: float = 0.0) -> bool:
-        """Move at most one wire message into its communicator buffer."""
-        q = self.queues[self.world_rank]
+    def put(self, dst_world: int, item: Item) -> None:
+        self._beat()
+        self._queues[dst_world].put(item[:4] + (_encode_payload(item[4]),))
+
+    def _pump(self, block: float = 0.0) -> bool:
+        """Move at most one wire item into the buffer."""
         try:
-            item = q.get(timeout=block) if block > 0 else q.get_nowait()
+            item = (self._inbox.get(timeout=block) if block > 0
+                    else self._inbox.get_nowait())
         except _queue.Empty:
             return False
-        comm_id, kind, src_world, tag, enc = item
-        self.buffers[comm_id].append(
-            (kind, src_world, tag, _decode_payload(enc)))
+        self._buffer.append(item[:4] + (_decode_payload(item[4]),))
         return True
 
-    def post(self, dst_world: int, comm_id: str, kind: str, tag: int,
-             obj: Any) -> None:
-        self.queues[dst_world].put(
-            (comm_id, kind, self.world_rank, tag, _encode_payload(obj)))
-
-
-# sentinel source/tag shared with the threaded transport
-ANY_SOURCE = -1
-ANY_TAG = -1
-
-
-class ProcessComm:
-    """One rank's view of a communicator over the process transport.
-
-    API-compatible with :class:`repro.smpi.comm.SimComm`: the whole
-    op2/coupler stack runs unchanged on either. Collectives are built
-    from point-to-point messages tagged with a per-communicator
-    sequence counter — every member calls collectives in the same
-    program order, so the counters advance in lockstep and the tags
-    match without negotiation. Sub-communicators from :meth:`split`
-    are deterministic ``comm_id`` namespaces over the same per-rank
-    queues; no new OS resources are created after fork.
-    """
-
-    def __init__(self, runtime: _ProcRuntime, comm_id: str,
-                 ranks_world: Sequence[int], rank: int) -> None:
-        self._rt = runtime
-        self.comm_id = comm_id
-        self._ranks_world = list(ranks_world)
-        self._world_to_local = {w: r for r, w in enumerate(self._ranks_world)}
-        self.rank = rank
-        self._seq = 0
-        self._split_gen = 0
-
-    # -- introspection -------------------------------------------------
-    @property
-    def size(self) -> int:
-        return len(self._ranks_world)
-
-    @property
-    def traffic(self) -> Traffic:
-        return self._rt.traffic
-
-    @property
-    def world_rank(self) -> int:
-        return self._ranks_world[self.rank]
-
-    def set_phase(self, phase: str) -> None:
-        self._rt.traffic.set_phase(self.world_rank, phase)
-
-    def notify_step(self, step: int) -> None:
-        """Apply step-boundary faults and beat the liveness heartbeat.
-
-        Same contract as :meth:`repro.smpi.comm.SimComm.notify_step`:
-        a :class:`~repro.smpi.faults.FaultPlan` crash scheduled for
-        ``(rank, step)`` fires here — a soft crash raises the typed
-        :class:`~repro.smpi.errors.RankFailure` inside this rank's
-        process, a hard crash SIGKILLs it after a pre-death notice.
-        """
-        self._rt.maybe_beat()
-        plan = self._rt.faults
-        if plan is not None:
-            plan.on_step(self.world_rank, step)
-
-    # -- point to point ------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise SimMPIError(f"send dest {dest} out of range [0, {self.size})")
-        dst_world = self._ranks_world[dest]
-        self._rt.traffic.record(self.world_rank, dst_world,
-                                payload_nbytes(obj))
-        plan = self._rt.faults
-        if plan is None:
-            self._rt.post(dst_world, self.comm_id, "p2p", tag, obj)
-            return
-        # message-fault path: identical order to SimComm._send_with_faults
-        # (record above, then corrupt -> hold -> deliver -> release held).
-        # Matching runs on the sending rank, so fire-once counts are
-        # per-process — validate_for_transport() already forced src to
-        # be pinned, making that indistinguishable from thread runs.
-        actions = plan.on_send(self.world_rank, dst_world, tag)
-        if actions.corrupt is not None:
-            from repro.smpi.comm import _copy_payload
-            # copy first: unlike the threaded transport there is no
-            # later copy-on-send, and the sender must not see its own
-            # buffer corrupted
-            obj = actions.corrupt(_copy_payload(obj))
-        if actions.hold:
-            rt, comm_id, me = self._rt, self.comm_id, self.world_rank
-            held = obj
-            plan.hold_message(
-                me, dst_world,
-                lambda: rt.post(dst_world, comm_id, "p2p", tag, held))
-            return
-        for _ in range(actions.deliver):
-            self._rt.post(dst_world, self.comm_id, "p2p", tag, obj)
-        plan.release_held(self.world_rank, dst_world)
-
-    def _recv_raw(self, kind: str, source_world: int, tag: int,
-                  timeout: float) -> tuple[int, int, Any]:
-        """Blocking matched receive; returns (src_world, tag, payload)."""
-        rt = self._rt
-        deadline = float("inf") if timeout is None else timeout
-        waited = 0.0
+    def get(self, match: Match, deadline: float, edge: Any) -> Item:
+        # ``edge`` is unused: there is no cross-process wait-for graph
+        # (yet); a hung run is caught by the heartbeat or the watchdog
         while True:
-            rt.maybe_beat()
-            buf = rt.buffers[self.comm_id]
-            for i, (k, s, t, _p) in enumerate(buf):
-                if k != kind:
-                    continue
-                if source_world not in (ANY_SOURCE, s):
-                    continue
-                if tag not in (ANY_TAG, t):
-                    continue
-                _k, s, t, p = buf.pop(i)
-                return s, t, p
-            if rt.abort.is_set():
+            self._beat()
+            i = _find(self._buffer, match)
+            if i >= 0:
+                return self._buffer.pop(i)
+            if self._abort.is_set():
                 raise SimAbort("run aborted by another rank")
-            if waited >= deadline:
-                raise SimMPIError(
-                    f"recv(source={source_world}, tag={tag}) timed out after "
-                    f"{deadline:.1f}s — deadlock? (process transport has no "
-                    f"wait-for-graph detector)"
-                )
-            step = min(_WAIT_STEP, deadline - waited)
-            if not rt.pump(block=step):
-                waited += step
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError
+            self._pump(min(_WAIT_STEP, remaining))
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-             timeout: float | None = None) -> Any:
-        timeout = self._rt.timeout if timeout is None else timeout
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._ranks_world[source])
-        _s, _t, payload = self._recv_raw("p2p", src_world, tag, timeout)
-        return payload
-
-    def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-                    timeout: float | None = None) -> tuple[Any, int, int]:
-        timeout = self._rt.timeout if timeout is None else timeout
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._ranks_world[source])
-        s, t, payload = self._recv_raw("p2p", src_world, tag, timeout)
-        return payload, self._world_to_local[s], t
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        self.send(obj, dest, tag)
-        from repro.smpi.comm import Request
-        return Request(_done=True)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        from repro.smpi.comm import Request
-        return Request(_resolve=lambda: self.recv(source, tag))
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        while self._rt.pump():
+    def poll(self, match: Match) -> bool:
+        self._beat()
+        while self._pump():
             pass
-        src_world = (ANY_SOURCE if source == ANY_SOURCE
-                     else self._ranks_world[source])
-        for k, s, t, _p in self._rt.buffers[self.comm_id]:
-            if k != "p2p":
-                continue
-            if src_world in (ANY_SOURCE, s) and tag in (ANY_TAG, t):
-                return True
-        return False
+        return _find(self._buffer, match) >= 0
 
-    def sendrecv(self, obj: Any, dest: int, source: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag)
-
-    # -- collectives ---------------------------------------------------
-    # Built from p2p messages with kind="coll" so user tags can never
-    # collide. Collective wire traffic is NOT recorded in the ledger,
-    # matching the threaded transport's shared-slot collectives.
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _csend(self, obj: Any, dest: int, ctag: int) -> None:
-        self._rt.post(self._ranks_world[dest], self.comm_id, "coll",
-                      ctag, obj)
-
-    def _crecv(self, source: int, ctag: int) -> Any:
-        _s, _t, payload = self._recv_raw(
-            "coll", self._ranks_world[source], ctag, self._rt.timeout)
-        return payload
-
-    def _gather0(self, obj: Any, seq: int) -> list[Any] | None:
-        """Fan-in to rank 0, receives folded in ascending rank order."""
-        if self.rank == 0:
-            from repro.smpi.comm import _copy_payload
-            slots = [_copy_payload(obj)]
-            slots.extend(self._crecv(r, seq) for r in range(1, self.size))
-            return slots
-        self._csend(obj, 0, seq)
-        return None
-
-    def _bcast0(self, value: Any, seq: int) -> Any:
-        if self.rank == 0:
-            from repro.smpi.comm import _copy_payload
-            for r in range(1, self.size):
-                self._csend(value, r, seq)
-            return _copy_payload(value)
-        return self._crecv(0, seq)
-
-    def barrier(self) -> None:
-        seq = self._next_seq()
-        self._gather0(None, seq)
-        self._bcast0(None, seq)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        seq = self._next_seq()
-        if self.rank == root:
-            from repro.smpi.comm import _copy_payload
-            for r in range(self.size):
-                if r != root:
-                    self._csend(obj, r, seq)
-            return _copy_payload(obj)
-        return self._crecv(root, seq)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        seq = self._next_seq()
-        if self.rank == root:
-            from repro.smpi.comm import _copy_payload
-            return [_copy_payload(obj) if r == root else self._crecv(r, seq)
-                    for r in range(self.size)]
-        self._csend(obj, root, seq)
-        return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        seq = self._next_seq()
-        slots = self._gather0(obj, seq)
-        return self._bcast0(slots, seq)
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        seq = self._next_seq()
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise SimMPIError(
-                    f"scatter root must supply {self.size} items, got "
-                    f"{None if objs is None else len(objs)}"
-                )
-            from repro.smpi.comm import _copy_payload
-            for r in range(self.size):
-                if r != root:
-                    self._csend(objs[r], r, seq)
-            return _copy_payload(objs[root])
-        return self._crecv(root, seq)
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any] | str = "sum",
-               root: int = 0) -> Any | None:
-        result = self.allreduce(obj, op)
-        return result if self.rank == root else None
-
-    def allreduce(self, obj: Any,
-                  op: Callable[[Any, Any], Any] | str = "sum") -> Any:
-        from repro.smpi.comm import _REDUCE_OPS
-        if isinstance(op, str) and op not in _REDUCE_OPS:
-            raise SimMPIError(
-                f"unknown reduce op {op!r}; use one of {sorted(_REDUCE_OPS)}")
-        fn = _REDUCE_OPS[op] if isinstance(op, str) else op
-        seq = self._next_seq()
-        slots = self._gather0(obj, seq)
-        if self.rank == 0:
-            # fold in ascending rank order — bitwise-identical to the
-            # threaded transport's slot fold
-            acc = slots[0]
-            for other in slots[1:]:
-                acc = fn(acc, other)
-            return self._bcast0(acc, seq)
-        return self._bcast0(None, seq)
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        if len(objs) != self.size:
-            raise SimMPIError(
-                f"alltoall needs {self.size} items, got {len(objs)}")
-        from repro.smpi.comm import _copy_payload
-        seq = self._next_seq()
-        for r in range(self.size):
-            if r != self.rank:
-                self._csend(objs[r], r, seq)
-        return [_copy_payload(objs[r]) if r == self.rank
-                else self._crecv(r, seq) for r in range(self.size)]
-
-    # -- communicator management ---------------------------------------
-    def split(self, color: int, key: int | None = None) -> "ProcessComm | None":
-        """Partition by ``color``; deterministic comm ids on all ranks.
-
-        Every member computes the same grouping from the same
-        allgathered ``(color, key, rank)`` triples, so the derived
-        ``comm_id`` — ``"{parent}/{gen}.{color}"`` — agrees everywhere
-        without a coordinator.
-        """
-        key = self.rank if key is None else key
-        pairs = self.allgather((color, key, self.rank))
-        self._split_gen += 1
-        if color < 0:
-            return None
-        members = sorted((k, r) for c, k, r in pairs if c == color)
-        ranks = [r for _k, r in members]
-        sub_id = f"{self.comm_id}/{self._split_gen}.{color}"
-        return ProcessComm(self._rt, sub_id,
-                           [self._ranks_world[r] for r in ranks],
-                           ranks.index(self.rank))
+    def close(self) -> None:
+        self._abort.set()
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +497,8 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
             os._exit(1)  # pragma: no cover - unreachable backstop
 
         fault_plan.bind_hard_crash(_die_hard)
-    runtime = _ProcRuntime(rank, nranks, queues, abort, timeout, traffic,
-                           faults=fault_plan, beat=reporter.maybe_beat)
-    comm = ProcessComm(runtime, "world", list(range(nranks)), rank)
+    channel = ProcessChannel(rank, queues, abort, reporter.maybe_beat)
+    comm = SimComm(channel, range(nranks), rank, traffic, timeout, fault_plan)
     reporter.maybe_beat()  # mark liveness before any compute
     status: str
     payload: Any
@@ -803,7 +508,7 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
     except SimAbort:
         status, payload = "abort", None
     except BaseException as exc:  # noqa: BLE001 — reported to the parent
-        abort.set()
+        channel.close()
         status, payload = "err", exc
     fault_state = (fault_plan.snapshot_state()
                    if fault_plan is not None else None)
@@ -861,12 +566,12 @@ def run_ranks_process(nranks: int, fn: Callable[..., Any], args: tuple = (),
                       heartbeat_s: float | None = None) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``nranks`` forked OS processes.
 
-    The process-transport twin of :func:`repro.smpi.comm.run_ranks`:
-    same call shape, same return contract (per-rank results in rank
-    order; the lowest-failing-rank exception re-raised on failure),
-    but ranks execute with true multi-core parallelism. ``fork`` is
-    required — test suites pass closures over mesh data, which spawn
-    could not pickle — so this transport is POSIX-only.
+    The process-transport launcher behind
+    :func:`repro.smpi.comm.run_ranks`: same return contract (per-rank
+    results in rank order; the lowest-failing-rank exception re-raised
+    on failure), but ranks execute with true multi-core parallelism.
+    ``fork`` is required — test suites pass closures over mesh data,
+    which spawn could not pickle — so this transport is POSIX-only.
 
     ``watchdog_s`` bounds how long the parent waits for all ranks to
     report before declaring the stragglers hung (default

@@ -10,15 +10,29 @@ the new complete file, never a prefix.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import threading
 import uuid
 from typing import Any
 
 import numpy as np
 
-__all__ = ["atomic_savez", "atomic_write_bytes", "atomic_write_text",
-           "sha256_file"]
+__all__ = ["ast_lock", "atomic_savez", "atomic_write_bytes",
+           "atomic_write_text", "load_npz", "sha256_file"]
+
+#: CPython 3.11 keeps AST<->object conversion recursion bookkeeping in
+#: per-interpreter (not per-thread) state, so concurrent ``ast.parse``
+#: / ``compile(ast_obj)`` calls — simulated-MPI rank threads lazily
+#: parsing their kernels, or numpy parsing ``.npy`` member headers with
+#: ``ast.literal_eval`` while they restore a checkpoint —
+#: intermittently raise ``SystemError: AST constructor recursion depth
+#: mismatch``. Serializing all AST conversions through one lock removes
+#: the race (fixed upstream in 3.12 by moving the bookkeeping to the
+#: thread state). Reentrant, so parsing a kernel while an archive is
+#: open cannot self-deadlock.
+ast_lock = threading.RLock()
 
 
 def _tmp_sibling(path: str) -> str:
@@ -72,6 +86,14 @@ def atomic_savez(path: str | os.PathLike, compressed: bool = False,
             os.unlink(tmp)
         raise
     return path
+
+
+@contextlib.contextmanager
+def load_npz(path: str | os.PathLike, **kwargs: Any):
+    """``np.load`` an ``.npz`` archive for the ``with`` body, holding
+    :data:`ast_lock` — every member read parses a header."""
+    with ast_lock, np.load(path, **kwargs) as archive:
+        yield archive
 
 
 def sha256_file(path: str | os.PathLike, chunk: int = 1 << 20) -> str:

@@ -7,6 +7,7 @@ schema drift must all be *discarded*, never restored.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ from repro.resilience import (
     load_manifest,
 )
 from repro.resilience.checkpoint import member_name, step_dirname
-from repro.util.atomicio import atomic_savez, atomic_write_text, sha256_file
+from repro.util.atomicio import (
+    ast_lock,
+    atomic_savez,
+    atomic_write_text,
+    load_npz,
+    sha256_file,
+)
 
 
 def _write_set(ckpt_dir, step, world=2, value=1.0):
@@ -122,6 +129,24 @@ class TestAtomicIO:
         with np.load(path) as archive:
             assert np.array_equal(archive["a"], np.arange(3))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.npz"]
+
+    def test_load_npz_reads_under_the_ast_lock(self, tmp_path):
+        """numpy parses member headers with ``ast.literal_eval``; on
+        CPython 3.11 that must not overlap a rank thread's kernel
+        parse (``SystemError: AST constructor recursion depth
+        mismatch`` during a threaded checkpoint restore)."""
+        path = atomic_savez(tmp_path / "snap", a=np.arange(3))
+        got = []
+        with load_npz(path) as archive:
+            other = threading.Thread(
+                target=lambda: got.append(ast_lock.acquire(blocking=False)))
+            other.start()
+            other.join()
+            with ast_lock:  # reentrant for the holder
+                assert np.array_equal(archive["a"], np.arange(3))
+        assert got == [False]
+        assert ast_lock.acquire(blocking=False)
+        ast_lock.release()
 
     def test_failed_write_leaves_previous_archive(self, tmp_path, monkeypatch):
         target = tmp_path / "snap"

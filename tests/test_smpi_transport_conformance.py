@@ -9,10 +9,10 @@ identical per-rank return values and identical
 :meth:`Traffic.structure_fingerprint` (the sender-ordered canonical
 message log).
 
-The in-process battery at the bottom drives :class:`ProcessComm`
-directly over plain ``queue.Queue``/``threading.Event`` stand-ins —
-the duck-typing :class:`_ProcRuntime` documents — so the matching,
-timeout and payload-encoding logic is covered without forking.
+There is one communicator (:class:`repro.smpi.SimComm`) over two
+channel implementations; the contract battery at the bottom drives
+both channels directly — the process channel wired over plain
+``queue.Queue``/``threading.Event`` stand-ins, so no fork is needed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,17 +29,21 @@ from repro.smpi import (
     ANY_SOURCE,
     ANY_TAG,
     RankFailure,
+    SimAbort,
+    SimComm,
     SimMPIError,
     Traffic,
     TransportError,
+    WaitEdge,
+    WaitRegistry,
     run_ranks,
 )
+from repro.smpi.comm import ThreadChannel
 from repro.smpi.traffic import payload_nbytes
 from repro.smpi.faults import FaultPlan
 from repro.smpi.schedule import DeterministicScheduler
 from repro.smpi.transport import (
-    ProcessComm,
-    _ProcRuntime,
+    ProcessChannel,
     _decode_payload,
     _encode_payload,
     _release_payload,
@@ -47,15 +52,20 @@ from repro.smpi.transport import (
 )
 
 TIMEOUT = 30.0  # short enough that a hung transport fails the suite fast
+TRANSPORTS = ("thread", "process")
 
 
-def both_transports(fn, nranks, *args, timeout=TIMEOUT, **kwargs):
-    """Run ``fn`` under both transports; return {name: (results, traffic)}."""
+def both_transports(fn, nranks, *args, timeout=TIMEOUT, make_plan=None):
+    """Run ``fn`` under both transports; return {name: (results, traffic)}.
+
+    ``make_plan`` builds a fresh (fire-once) FaultPlan for each run.
+    """
     out = {}
-    for transport in ("thread", "process"):
+    for transport in TRANSPORTS:
         traffic = Traffic()
         results = run_ranks(nranks, fn, args=args, timeout=timeout,
-                            traffic=traffic, transport=transport, **kwargs)
+                            traffic=traffic, transport=transport,
+                            fault_plan=make_plan() if make_plan else None)
         out[transport] = (results, traffic)
     return out
 
@@ -221,6 +231,79 @@ def _mixed_workload(comm):
     return (vec.tolist(), total, sub_total, got)
 
 
+def _buffering_order(comm):
+    if comm.rank == 0:
+        comm.send("noise-a", 1, tag=1)
+        comm.send("noise-b", 1, tag=2)
+        comm.send("signal", 1, tag=3)
+        return None
+    got = comm.recv(source=0, tag=3)
+    # earlier messages are still buffered, arrival order preserved
+    return [got, comm.recv(source=0, tag=ANY_TAG),
+            comm.recv(source=0, tag=ANY_TAG)]
+
+
+def _late_match(comm):
+    """60 non-matching wake-ups, then the match 0.4 s in: a 2 s
+    timeout must not fire."""
+    if comm.rank == 1:
+        for i in range(60):
+            comm.send(i, 0, tag=1)
+            time.sleep(0.001)  # one receiver wake-up per message
+        time.sleep(0.4)
+        comm.send("late", 0, tag=99)
+        return None
+    return comm.recv(source=1, tag=99, timeout=2.0)
+
+
+def _starved_recv(comm):
+    """Seconds a ``recv(timeout=0.5)`` takes to give up while a steady
+    stream of non-matching messages keeps arriving."""
+    if comm.rank == 1:
+        stop = time.monotonic() + 1.5
+        while time.monotonic() < stop:
+            comm.send(0, 0, tag=1)
+            time.sleep(0.01)
+        return None
+    start = time.monotonic()
+    with pytest.raises(SimMPIError, match="timed out after 0.5s"):
+        comm.recv(source=1, tag=99, timeout=0.5)
+    return time.monotonic() - start
+
+
+def _duplicate_twice(comm):
+    if comm.rank == 0:
+        comm.send(np.arange(4.0), 1, tag=3)
+        return None
+    a = comm.recv(source=0, tag=3)
+    b = comm.recv(source=0, tag=3)
+    a[0] = -1.0  # must not show through the second delivery
+    return (a is not b, b.tolist())
+
+
+def _bad_dest(comm):
+    comm.send("x", 5)
+
+
+def _bad_scatter(comm):
+    comm.scatter(["only-one"] if comm.rank == 0 else None, root=0)
+
+
+def _bad_alltoall(comm):
+    comm.alltoall([1, 2, 3])
+
+
+def _bad_reduce_op(comm):
+    comm.allreduce(1.0, op="median")
+
+
+def _recv_from_silent_peer(comm):
+    if comm.rank == 0:
+        comm.recv(source=1, tag=0, timeout=0.2)
+    else:
+        time.sleep(1.0)  # alive but silent: only the timeout can end it
+
+
 # --------------------------------------------------------------------------
 # the battery: every entry asserted identical across transports
 # --------------------------------------------------------------------------
@@ -258,6 +341,52 @@ class TestPointToPoint:
         results = assert_conformant(_sendrecv_shift, 4)
         assert results == [3, 0, 1, 2]
 
+    def test_non_matching_messages_stay_buffered_in_order(self):
+        results = assert_conformant(_buffering_order, 2)
+        assert results[1] == ["signal", "noise-a", "noise-b"]
+
+
+class TestTimeouts:
+    """One monotonic deadline per blocking wait, on both transports."""
+
+    def test_wakeups_do_not_eat_the_timeout(self):
+        """Regression: the thread transport charged a full 50 ms poll
+        step per wake-up, so 60 non-matching arrivals "used up" a 2 s
+        timeout in under 0.1 s."""
+        results = assert_conformant(_late_match, 2)
+        assert results[0] == "late"
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_timeout_fires_under_non_matching_stream(self, transport):
+        """Regression: the process transport only counted idle polls,
+        so a steady non-matching stream postponed the timeout
+        indefinitely (3.5 s for a 0.5 s timeout)."""
+        elapsed = run_ranks(2, _starved_recv, timeout=TIMEOUT,
+                            transport=transport)[0]
+        assert 0.5 <= elapsed < 1.0, elapsed
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_recv_timeout_mentions_deadlock(self, transport):
+        with pytest.raises(SimMPIError, match=r"recv\(source=1, tag=0\) "
+                                              r"timed out .* deadlock\?"):
+            run_ranks(2, _recv_from_silent_peer, timeout=TIMEOUT,
+                      transport=transport)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestMisuse:
+    """Protocol misuse raises the same typed error on both transports."""
+
+    @pytest.mark.parametrize("fn, message", [
+        (_bad_dest, "out of range"),
+        (_bad_scatter, "must supply 2 items"),
+        (_bad_alltoall, "needs 2 items"),
+        (_bad_reduce_op, "unknown reduce op"),
+    ])
+    def test_raises_simmpi_error(self, transport, fn, message):
+        with pytest.raises(SimMPIError, match=message):
+            run_ranks(2, fn, timeout=TIMEOUT, transport=transport)
+
 
 class TestCollectives:
     @pytest.mark.parametrize("nranks", [2, 4])
@@ -285,7 +414,7 @@ class TestCollectives:
 
 
 class TestCommunicatorManagement:
-    def test_split_subgroups(self, ):
+    def test_split_subgroups(self):
         results = assert_conformant(_split_groups, 4)
         for r, out in enumerate(results):
             assert out["color"] == r % 2
@@ -335,7 +464,7 @@ class TestTrafficAccounting:
 
 
 class TestFailurePropagation:
-    @pytest.mark.parametrize("transport", ["thread", "process"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_rank_failure_carries_rank_and_step(self, transport):
         with pytest.raises(RankFailure) as exc:
             run_ranks(3, _fail_at_step, timeout=TIMEOUT,
@@ -343,6 +472,17 @@ class TestFailurePropagation:
         assert exc.value.rank == 1
         assert exc.value.step == 7
         assert "injected by conformance suite" in str(exc.value)
+
+
+class TestFaultParity:
+    def test_duplicate_delivers_two_independent_copies(self):
+        """Regression: the thread transport handed the receiver the
+        *same* ndarray twice (``a is b``); each delivery is its own
+        copy on both transports."""
+        results = assert_conformant(
+            _duplicate_twice, 2,
+            make_plan=lambda: FaultPlan().duplicate(src=0, dst=1))
+        assert results[1] == (True, [0.0, 1.0, 2.0, 3.0])
 
 
 class TestTransportSelection:
@@ -387,120 +527,202 @@ class TestTransportSelection:
 
 
 # --------------------------------------------------------------------------
-# in-process ProcessComm battery (plain queues + threads; no fork)
+# Channel contract: what SimComm relies on, checked on both implementations
 # --------------------------------------------------------------------------
 
-class _LocalWorld:
-    """ProcessComm wired over queue.Queue/threading.Event, ranks as
-    threads — covers the transport's matching/encoding logic directly."""
+def _thread_channels(nranks):
+    return ThreadChannel.world(nranks, threading.Event(), WaitRegistry())
 
-    def __init__(self, nranks, timeout=5.0):
-        self.nranks = nranks
-        self.queues = [queue.Queue() for _ in range(nranks)]
-        self.abort = threading.Event()
-        self.traffics = [Traffic() for _ in range(nranks)]
-        self.timeout = timeout
 
-    def comm(self, rank):
-        rt = _ProcRuntime(rank, self.nranks, self.queues, self.abort,
-                          self.timeout, self.traffics[rank])
-        return ProcessComm(rt, "world", list(range(self.nranks)), rank)
+def _queue_channels(nranks):
+    """Process channels over plain queues/events: same code, no fork."""
+    queues = [queue.Queue() for _ in range(nranks)]
+    abort = threading.Event()
+    return [ProcessChannel(r, queues, abort) for r in range(nranks)]
 
-    def run(self, fn, *args):
-        results = [None] * self.nranks
-        errors = [None] * self.nranks
 
-        def target(r):
-            try:
-                results[r] = fn(self.comm(r), *args)
-            except BaseException as exc:  # noqa: BLE001 - test harness
-                errors[r] = exc
-                self.abort.set()
+@pytest.fixture(params=[_thread_channels, _queue_channels],
+                ids=["thread", "process"])
+def channels(request):
+    return request.param(3)
 
-        threads = [threading.Thread(target=target, args=(r,))
-                   for r in range(self.nranks)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-        for err in errors:
-            if err is not None:
-                raise err
-        return results
+
+def _item(src, tag, payload=None, comm_id="world"):
+    return (comm_id, "p2p", src, tag, payload)
+
+
+def _from(src):
+    return lambda item: item[2] == src
+
+
+def _tagged(tag):
+    return lambda item: item[3] == tag
+
+
+def _anything(item):
+    return True
+
+
+def _nothing(item):
+    return False
+
+
+def _soon(seconds=5.0):
+    return time.monotonic() + seconds
+
+
+#: rank 0 waiting on live rank 1 — never a deadlock
+EDGE = WaitEdge(rank=0, op="recv", peers=(1,))
+
+
+class TestChannelContract:
+    def test_fifo_per_sender_receiver_pair(self, channels):
+        for i in range(5):
+            channels[1].put(0, _item(1, 0, i))
+            channels[2].put(0, _item(2, 0, 10 + i))
+        from_2 = [channels[0].get(_from(2), _soon(), EDGE)[4]
+                  for _ in range(5)]
+        from_1 = [channels[0].get(_from(1), _soon(), EDGE)[4]
+                  for _ in range(5)]
+        assert from_1 == [0, 1, 2, 3, 4]
+        assert from_2 == [10, 11, 12, 13, 14]
+
+    def test_unmatched_items_stay_buffered_in_arrival_order(self, channels):
+        for tag in (1, 2, 3):
+            channels[1].put(0, _item(1, tag))
+        assert channels[0].poll(_tagged(3))
+        assert not channels[0].poll(_tagged(4))
+        got = [channels[0].get(m, _soon(), EDGE)[3]
+               for m in (_tagged(3), _anything, _anything)]
+        assert got == [3, 1, 2]
+        assert not channels[0].poll(_anything)
+
+    def test_comm_id_isolates_communicators(self, channels):
+        """Two communicators over one channel never see each other's
+        messages, even with wildcard source and tag."""
+        def comm(rank, comm_id):
+            return SimComm(channels[rank], range(3), rank, Traffic(), 0.2,
+                           comm_id=comm_id)
+
+        comm(1, "world/1.0").send("for-sub", 0, tag=7)
+        world, sub = comm(0, "world"), comm(0, "world/1.0")
+        assert not world.probe() and sub.probe()
+        with pytest.raises(SimMPIError, match="timed out"):
+            world.recv()
+        assert sub.recv_status() == ("for-sub", 1, 7)
+
+    def test_close_wakes_blocked_get_with_abort(self, channels):
+        threading.Timer(0.1, channels[2].close).start()
+        start = time.monotonic()
+        with pytest.raises(SimAbort):
+            channels[0].get(_nothing, _soon(30.0), EDGE)
+        assert time.monotonic() - start < 2.0
+
+    def test_deadline_is_wall_clock(self, channels):
+        """Non-matching arrivals neither shorten nor extend the wait."""
+        stop = threading.Event()
+
+        def noise():
+            while not stop.wait(0.01):
+                channels[1].put(0, _item(1, 0))
+
+        feeder = threading.Thread(target=noise)
+        feeder.start()
+        try:
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                channels[0].get(_nothing, _soon(0.3), EDGE)
+            assert 0.3 <= time.monotonic() - start < 0.8
+        finally:
+            stop.set()
+            feeder.join(timeout=5.0)
+        assert not feeder.is_alive()
+
+
+# --------------------------------------------------------------------------
+# the communicator over queue-wired process channels (threads; no fork)
+# --------------------------------------------------------------------------
+
+def _run_over_queues(nranks, fn, *args, timeout=5.0):
+    """``run_ranks`` in miniature: SimComm over :func:`_queue_channels`,
+    ranks as threads — the process channel under the real communicator
+    where a coverage tool (blind to forked children) can see it."""
+    channels = _queue_channels(nranks)
+    results, errors = [None] * nranks, []
+
+    def target(rank):
+        comm = SimComm(channels[rank], range(nranks), rank, Traffic(),
+                       timeout)
+        try:
+            results[rank] = fn(comm, *args)
+        except SimAbort:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+            channels[rank].close()
+
+    threads = [threading.Thread(target=target, args=(r,))
+               for r in range(nranks)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
 
 
 class TestProcessCommInProcess:
+    """``SimComm`` over queue-wired process channels, no fork.
+
+    The class and test names predate the single communicator (they
+    drove the deleted ``ProcessComm``) and are kept so the test ids
+    stay stable; every behaviour here is also asserted through
+    ``run_ranks`` on both transports above.
+    """
+
     def test_ring_over_plain_queues(self):
-        world = _LocalWorld(3)
-        results = world.run(_ring)
-        assert results == [("hello", 2), ("hello", 0), ("hello", 1)]
+        assert _run_over_queues(3, _ring) == [
+            ("hello", 2), ("hello", 0), ("hello", 1)]
 
     def test_collectives_over_plain_queues(self):
-        world = _LocalWorld(3)
-        results = world.run(_collectives)
+        results = _run_over_queues(3, _collectives)
         assert results[0]["gather"] == [0, 1, 4]
         assert results[2]["allreduce_sum"] == 3.0
 
     def test_split_over_plain_queues(self):
-        world = _LocalWorld(4)
-        results = world.run(_split_groups)
+        results = _run_over_queues(4, _split_groups)
         assert [r["total"] for r in results] == [2, 4, 2, 4]
 
     def test_send_dest_out_of_range(self):
-        world = _LocalWorld(2)
         with pytest.raises(SimMPIError, match="out of range"):
-            world.comm(0).send("x", 5)
+            _run_over_queues(2, _bad_dest)
 
     def test_scatter_wrong_length(self):
-        world = _LocalWorld(2)
-
-        def bad_scatter(comm):
-            if comm.rank == 0:
-                comm.scatter(["only-one"], root=0)
-            else:
-                comm.scatter(None, root=0)
-
         with pytest.raises(SimMPIError, match="must supply 2 items"):
-            world.run(bad_scatter)
+            _run_over_queues(2, _bad_scatter)
 
     def test_alltoall_wrong_length(self):
-        world = _LocalWorld(2)
         with pytest.raises(SimMPIError, match="needs 2 items"):
-            world.comm(0).alltoall([1, 2, 3])
+            _run_over_queues(2, _bad_alltoall)
 
     def test_allreduce_unknown_op(self):
-        world = _LocalWorld(2)
         with pytest.raises(SimMPIError, match="unknown reduce op"):
-            world.comm(0).allreduce(1.0, op="median")
+            _run_over_queues(2, _bad_reduce_op)
 
     def test_recv_timeout_mentions_deadlock(self):
-        world = _LocalWorld(2, timeout=0.2)
-        with pytest.raises(SimMPIError, match="timed out"):
-            world.comm(0).recv(source=1, tag=0, timeout=0.2)
+        with pytest.raises(SimMPIError, match=r"timed out .* deadlock\?"):
+            _run_over_queues(2, _recv_from_silent_peer)
 
     def test_recv_unblocks_on_abort(self):
-        from repro.smpi.errors import SimAbort
-        world = _LocalWorld(2, timeout=30.0)
-        comm = world.comm(0)
-        threading.Timer(0.05, world.abort.set).start()
-        with pytest.raises(SimAbort):
-            comm.recv(source=1, tag=0, timeout=10.0)
+        """Rank 1 fails; the peers blocked in recv are woken (the
+        helper asserts every thread ended) and its error surfaces."""
+        with pytest.raises(RankFailure, match="injected"):
+            _run_over_queues(3, _fail_at_step, timeout=30.0)
 
     def test_recv_buffers_non_matching_messages(self):
-        world = _LocalWorld(2)
-
-        def sender(comm):
-            if comm.rank == 0:
-                comm.send("noise-a", 1, tag=1)
-                comm.send("noise-b", 1, tag=2)
-                comm.send("signal", 1, tag=3)
-                return None
-            got = comm.recv(source=0, tag=3)
-            # earlier messages are still buffered, order preserved
-            return [got, comm.recv(source=0, tag=ANY_TAG),
-                    comm.recv(source=0, tag=ANY_TAG)]
-
-        results = world.run(sender)
+        results = _run_over_queues(2, _buffering_order)
         assert results[1] == ["signal", "noise-a", "noise-b"]
 
 
