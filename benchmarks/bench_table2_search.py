@@ -14,15 +14,13 @@ Both layers deliberately measure the *from-scratch* procedure
 (:func:`cu_transfer` rebuilds its windowed search every round), which
 is what Table II describes: the paper's 35% coupler win comes from
 swapping BF for ADT inside that procedure. The production default has
-since moved past it — the coupler fast path keeps one search per
+since moved past it — the coupler transfer engine keeps one search per
 (interface, direction) alive across rounds and re-validates cached
 donors in O(1) per target, so steady-state rounds skip the tree
-descent entirely (another ~40x fewer comparisons per round on this
-interface; measured with acceptance asserts in
-``bench_coupler_fastpath.py`` and ablated stage-by-stage in
-``bench_ablation_coupler.py``). The sweep below is therefore the
-baseline those benchmarks are normalized against, not the shipped
-configuration.
+descent entirely (``coupler.comparisons_per_query`` and
+``coupler.cache_hit_ratio`` in ``benchmarks/e2e``; cache on/off ablated
+in ``bench_ablation_coupler.py``). The sweep below is therefore the
+paper's baseline, not the shipped configuration.
 """
 
 import numpy as np

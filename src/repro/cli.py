@@ -58,7 +58,6 @@ def _cmd_compressor(args: argparse.Namespace) -> int:
     cfg = CoupledRunConfig(
         rig=rig, ranks_per_row=args.ranks_per_row,
         cus_per_interface=args.cus, search=args.search,
-        fastpath=not args.no_fastpath,
         incremental=not args.no_incremental,
         interp=args.interp, interp_native=args.interp_native,
         numerics=Numerics(inner_iters=args.inner),
@@ -672,9 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interface interpolation: bilinear (default) or "
                         "biquadratic (conservative high-order; reports "
                         "the per-round flux error)")
-    p.add_argument("--no-fastpath", action="store_true",
-                   help="serve transfers with the original per-round "
-                        "windowed search + per-point interpolation")
     p.add_argument("--no-incremental", action="store_true",
                    help="disable the cross-round donor cache (re-search "
                         "every target every round)")

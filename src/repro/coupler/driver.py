@@ -24,7 +24,7 @@ from repro import op2
 from repro.coupler.interface import SideGeometry, SlidingInterface
 from repro.coupler.partitioning import segment_of
 from repro.coupler.search import SearchStats
-from repro.coupler.unit import CUAccounting, CUTransferEngine, cu_transfer
+from repro.coupler.unit import CUAccounting, CUTransferEngine
 from repro.hydra.gas import FlowState, primitives
 from repro.hydra.problem import row_owners, row_problem
 from repro.hydra.session import HydraSession
@@ -61,12 +61,8 @@ class CoupledRunConfig:
     ranks_per_row: list[int] | int = 1
     cus_per_interface: int = 1
     search: str = "adt"
-    #: serve transfers through the persistent batched
-    #: :class:`~repro.coupler.unit.CUTransferEngine` (False = the
-    #: original per-round windowed search + per-point interpolation)
-    fastpath: bool = True
     #: cache donors across coupling rounds and re-validate instead of
-    #: re-searching (fastpath only)
+    #: re-searching
     incremental: bool = True
     #: interface interpolation: "bilinear" (default, bitwise-stable
     #: baseline) or "biquadratic" (conservative high-order stencil)
@@ -85,7 +81,6 @@ class CoupledRunConfig:
     hs_device: str = "cpu"
     #: GPU-side gather (GG): ship only interface values over PCIe
     gpu_gather: bool = True
-    margin_quads: float = 2.0
     #: couple every k-th outer step (1 = the paper's every-step coupling;
     #: larger values trade interface freshness for coupler cost — the
     #: ablation benchmark quantifies the accuracy loss)
@@ -688,10 +683,11 @@ def _rank_main(world, setup: _Setup):
     return _cu_main(world, idx, sub_idx, setup)
 
 
-def _hs_main(world, sub, row_idx: int, setup: _Setup):
+def _open_session(sub, row_idx: int, setup: _Setup) -> HydraSession:
+    """This rank's piece of row ``row_idx`` as a ready Hydra Session:
+    local problem -> :class:`HydraSolver` -> :class:`HydraSession`."""
     cfg = setup.cfg
-    rig = cfg.rig
-    rowcfg = rig.rows[row_idx]
+    rowcfg = cfg.rig.rows[row_idx]
     gp = setup.problems[row_idx]
     layouts = setup.layouts[row_idx]
     if layouts is None:
@@ -705,8 +701,15 @@ def _hs_main(world, sub, row_idx: int, setup: _Setup):
              if not rowcfg.halo_in else None)
     p_out = cfg.p_out if not rowcfg.halo_out else None
     solver = HydraSolver(local, rowcfg, cfg.numerics,
-                         dt_outer=rig.dt_outer, inlet=inlet, p_out=p_out)
-    session = HydraSession(solver, setup.meshes[row_idx], layout)
+                         dt_outer=cfg.rig.dt_outer, inlet=inlet, p_out=p_out)
+    return HydraSession(solver, setup.meshes[row_idx], layout)
+
+
+def _hs_main(world, sub, row_idx: int, setup: _Setup):
+    cfg = setup.cfg
+    rig = cfg.rig
+    session = _open_session(sub, row_idx, setup)
+    solver = session.solver
 
     every = max(1, cfg.couple_every)
     probe = _ProbeRecorder(solver, session)
@@ -1006,10 +1009,6 @@ def _cu_main(world, k: int, cu_index: int, setup: _Setup):
     cfg = setup.cfg
     iface = setup.interfaces[k]
     acct = CUAccounting()
-    quads = {
-        "up": iface.up.donor_quads(),
-        "down": iface.down.donor_quads(),
-    }
     my_dirs = [d for d in setup.directions if d.k == k]
     rig = setup.cfg.rig
     every = max(1, cfg.couple_every)
@@ -1019,14 +1018,13 @@ def _cu_main(world, k: int, cu_index: int, setup: _Setup):
                      cat="resilience.checkpoint_write")
 
     engines: dict[int, CUTransferEngine] = {}
-    if cfg.fastpath:
-        for d in my_dirs:
-            src = "up" if d.direction == 0 else "down"
-            dst = "down" if d.direction == 0 else "up"
-            engines[d.direction] = CUTransferEngine(
-                iface, src, dst, subset=d.cu_targets[cu_index],
-                search_kind=cfg.search, incremental=cfg.incremental,
-                interp=cfg.interp, native=cfg.interp_native)
+    for d in my_dirs:
+        src = "up" if d.direction == 0 else "down"
+        dst = "down" if d.direction == 0 else "up"
+        engines[d.direction] = CUTransferEngine(
+            iface, src, dst, subset=d.cu_targets[cu_index],
+            search_kind=cfg.search, incremental=cfg.incremental,
+            interp=cfg.interp, native=cfg.interp_native)
 
     def serve_round(t: float) -> None:
         serve.start()
@@ -1041,16 +1039,8 @@ def _cu_main(world, k: int, cu_index: int, setup: _Setup):
                     timeout=cfg.cu_request_timeout)
                 if positions.size:
                     donors[positions] = values
-            src = "up" if d.direction == 0 else "down"
-            dst = "down" if d.direction == 0 else "up"
             serve_compute.start()
-            if cfg.fastpath:
-                result = engines[d.direction].serve(donors, t)
-            else:
-                result = cu_transfer(
-                    iface, src, dst, donors, t,
-                    subset=d.cu_targets[cu_index], search_kind=cfg.search,
-                    margin_quads=cfg.margin_quads, cached_quads=quads[src])
+            result = engines[d.direction].serve(donors, t)
             acct.stats.merge(result.stats)
             acct.flux_log.append((d.direction, result.flux_sum,
                                   int(result.positions.size),
@@ -1097,9 +1087,7 @@ def _cu_main(world, k: int, cu_index: int, setup: _Setup):
         "serve_seconds": acct.serve_seconds,
         "serve_compute_seconds": acct.serve_compute_seconds,
         "checkpoint_seconds": ck_timer.elapsed,
-        "interp": cfg.interp if cfg.fastpath else "bilinear",
-        "fastpath": cfg.fastpath,
-        "incremental": cfg.fastpath and cfg.incremental,
+        "interp": cfg.interp,
         "flux_log": list(acct.flux_log),
     }
 
@@ -1135,16 +1123,11 @@ def _cu_restore(world, acct: CUAccounting,
                 engines: dict[int, CUTransferEngine]) -> None:
     with load_npz(manifest.member(world.rank)) as archive:
         acct.rounds = int(archive["rounds"][0])
-        values = [int(v) for v in archive["stats"]]
-        values += [0] * (8 - len(values))  # pre-fastpath checkpoint sets
-        acct.stats.merge(SearchStats(*values))
-        if "flux_log" in archive:
-            acct.flux_log = [
-                (int(d), float(fs), int(n), float(dm))
-                for d, fs, n, dm in archive["flux_log"]]
+        acct.stats.merge(SearchStats(*(int(v) for v in archive["stats"])))
+        acct.flux_log = [
+            (int(d), float(fs), int(n), float(dm))
+            for d, fs, n, dm in archive["flux_log"]]
         for direction, engine in engines.items():
-            key = f"cache_d{direction}"
-            if key in archive:
-                engine.restore_cache_state(
-                    archive[key].astype(np.int64),
-                    float(archive[f"baseline_d{direction}"][0]))
+            engine.restore_cache_state(
+                archive[f"cache_d{direction}"].astype(np.int64),
+                float(archive[f"baseline_d{direction}"][0]))

@@ -9,8 +9,9 @@ implementations here reproduce that **fixed evaluation order**
 * :func:`gather_apply` — numpy chain over the stencil axis; bitwise
   equal to the per-point loop by construction (same scalar ops in the
   same order per output element).
-* the optional **native** variant — a small C kernel compiled through
-  the same toolchain as the op2 native backend (PR 4), with the same
+* the optional **native** variant — a small C kernel built and loaded
+  by the op2 native backend's compile cache (same toolchain, compile
+  lock, disk-cache counters and corrupt-entry rebuild), with the same
   sequential accumulation per output element (OpenMP across targets
   only, so determinism is unaffected) and ``-ffp-contract=off``.
   Unavailable toolchain, compile failure, or load failure all fall
@@ -20,11 +21,10 @@ implementations here reproduce that **fixed evaluation order**
 from __future__ import annotations
 
 import ctypes
-import hashlib
 
 import numpy as np
 
-from repro.op2.backends.native import _compile, cache_dir, toolchain
+from repro.op2.backends.native import _Fallback, _load_compiled
 
 _SOURCE = r"""
 #include <stddef.h>
@@ -49,15 +49,9 @@ void gather_apply(long n, long S, long m,
 }
 """
 
-#: process-level cache: None = not attempted, ctypes fn = compiled,
+#: process-level cache: None = not attempted, (fn, lib) = compiled,
 #: str = fallback reason
 _native_fn: object | None = None
-
-
-class _GatherKernel:
-    """Just enough of a kernel object for native.py's cache naming."""
-
-    name = "coupler_gather_apply"
 
 
 def native_status() -> str:
@@ -72,34 +66,19 @@ def native_status() -> str:
 def _load_native():
     """Compile (or load cached) gather kernel; reason string on failure."""
     global _native_fn
-    if _native_fn is not None:
-        return _native_fn
-    tc = toolchain()
-    if tc is None:
-        _native_fn = "no C toolchain (set REPRO_CC or install cc/gcc)"
-        return _native_fn
-    cc, cflags = tc
-    digest = hashlib.sha256(
-        "\x00".join([_SOURCE, cc, " ".join(cflags)]).encode()).hexdigest()[:16]
-    so_path = cache_dir() / f"{_GatherKernel.name}_{digest}.so"
-    if not so_path.exists():
-        err = _compile(_SOURCE, cc, cflags, so_path)
-        if err is not None:
-            _native_fn = f"compile failed: {err}"
-            return _native_fn
-    try:
-        lib = ctypes.CDLL(str(so_path))
-        fn = lib.gather_apply
-    except OSError as exc:
-        _native_fn = f"load failed: {exc}"
-        return _native_fn
-    fn.restype = None
-    fn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                   ctypes.POINTER(ctypes.c_double),
-                   ctypes.POINTER(ctypes.c_long),
-                   ctypes.POINTER(ctypes.c_double),
-                   ctypes.POINTER(ctypes.c_double)]
-    _native_fn = (fn, lib)  # keep dlopen handle alive
+    if _native_fn is None:
+        loaded = _load_compiled(_SOURCE, "coupler_gather_apply",
+                                "gather_apply")
+        if isinstance(loaded, _Fallback):
+            _native_fn = loaded.reason
+        else:
+            fn, _path, lib = loaded
+            fn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                           ctypes.POINTER(ctypes.c_double),
+                           ctypes.POINTER(ctypes.c_long),
+                           ctypes.POINTER(ctypes.c_double),
+                           ctypes.POINTER(ctypes.c_double)]
+            _native_fn = (fn, lib)  # keep dlopen handle alive
     return _native_fn
 
 

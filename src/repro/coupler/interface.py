@@ -8,7 +8,8 @@ and a matching grid of halo targets. As the rows rotate relative to
 each other, a target's position in the donor frame drifts
 circumferentially; the transfer therefore (1) shifts target positions
 into the donor frame, (2) finds + interpolates donors, and (3) applies
-the exact frame velocity transformation to the conserved state.
+the exact frame velocity transformation to the conserved state —
+written once, as :meth:`SlidingInterface.interpolate`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coupler.biquad import biquadratic_stencil, grid_axes
+from repro.coupler.biquad import GridAxes, biquadratic_stencil, grid_axes
 from repro.coupler.fastpath import gather_apply
 from repro.coupler.search import DonorGeometry, make_search
 from repro.hydra.gas import shift_frame
+from repro.telemetry.recorder import span as _tspan
 
 
 @dataclass
@@ -84,6 +86,12 @@ class SideGeometry:
             self._donor_geo = geo
         return geo
 
+    def stencil_axes(self) -> GridAxes | None:
+        """Biquadratic stencil axes of the donor grid; None with fewer
+        than 3 radial stations (bilinear is the documented fallback)."""
+        axes = grid_axes(self.grid_shape, self.y, self.z, self.circumference)
+        return axes if axes.zlines.size >= 3 else None
+
 
 @dataclass
 class SlidingInterface:
@@ -130,11 +138,44 @@ class SlidingInterface:
         y_src = np.mod(y + self.shift_rate(src, dst) * t, L)
         return y_src, z
 
+    def interpolate(self, src: str, dst: str, donor_values: np.ndarray,
+                    t: float, subset: np.ndarray | None, find,
+                    corners: np.ndarray, axes: GridAxes | None = None,
+                    native: bool = False) -> np.ndarray:
+        """The one transfer procedure (paper §III-B) behind both
+        :meth:`transfer` and :meth:`CUTransferEngine.serve
+        <repro.coupler.unit.CUTransferEngine.serve>`.
+
+        Targets shifted into the donor frame resolve to donor points +
+        weights through ``find(y, z)`` (a search's ``find_batch`` or a
+        donor cache's ``query``) and ``corners`` — or the biquadratic
+        stencil when ``axes`` is given — then gather-apply and the frame
+        transformation into ``dst``.
+        """
+        y_q, z_q = self.shifted_targets(src, dst, t, subset)
+        with _tspan("donor_search", "coupler.search", interface=self.name):
+            if axes is not None:
+                # structured stencil lookup replaces the box search
+                pts, weights = biquadratic_stencil(axes, y_q, z_q)
+            else:
+                hits = find(y_q, z_q)
+                miss = np.nonzero(hits.quads < 0)[0]
+                if miss.size:
+                    i = int(miss[0])
+                    raise RuntimeError(
+                        f"interface {self.name!r} ({src}->{dst}): no donor "
+                        f"for target ({y_q[i]:.6f}, {z_q[i]:.6f}) at t={t}")
+                pts, weights = corners[hits.quads], hits.weights
+        with _tspan("interpolate", "coupler.interp", targets=int(y_q.size),
+                    interface=self.name,
+                    interp="bilinear" if axes is None else "biquadratic"):
+            out = gather_apply(weights, pts, donor_values, native=native)
+        return shift_frame(out, self.shift_rate(src, dst))
+
     def transfer(self, src: str, dst: str, donor_values: np.ndarray,
                  t: float, search_kind: str = "adt",
                  subset: np.ndarray | None = None,
-                 search=None, batch: bool = True,
-                 interp: str = "bilinear",
+                 search=None, interp: str = "bilinear",
                  native: bool = False) -> tuple[np.ndarray, object]:
         """Interpolate donor-side values onto dst targets at time ``t``.
 
@@ -142,63 +183,17 @@ class SlidingInterface:
         grid (in src's frame). Returns (target values (m, 5) in dst's
         frame, the search object — inspect ``.stats`` for effort).
 
-        ``batch=True`` (default) routes the query through ``find_batch``
-        and a vectorized gather-apply, bitwise identical to the
-        pointwise reference path (``batch=False``). ``interp`` selects
-        ``"bilinear"`` (default) or ``"biquadratic"`` (3x3 conservative
-        high-order stencil, see :mod:`repro.coupler.biquad`); ``native``
-        opts the gather-apply into the compiled kernel when available.
+        ``interp`` selects ``"bilinear"`` (default) or ``"biquadratic"``
+        (3x3 conservative high-order stencil, see
+        :mod:`repro.coupler.biquad`); ``native`` opts the gather-apply
+        into the compiled kernel when available.
         """
         geo_src = self.side(src)
         if search is None:
             geo = geo_src.donor_geometry()
             search = make_search(search_kind, geo.boxes, geo.corners)
-        corners = search.corners
-        y_q, z_q = self.shifted_targets(src, dst, t, subset)
-        if interp == "biquadratic":
-            out = self._transfer_biquadratic(geo_src, y_q, z_q,
-                                             donor_values, native)
-        elif batch:
-            hits = search.find_batch(y_q, z_q)
-            miss = np.nonzero(hits.quads < 0)[0]
-            if miss.size:
-                i = int(miss[0])
-                raise RuntimeError(
-                    f"interface {self.name!r}: no donor found for target "
-                    f"({y_q[i]:.6f}, {z_q[i]:.6f}) at t={t}"
-                )
-            out = gather_apply(hits.weights, corners[hits.quads],
-                               donor_values, native=native)
-        else:
-            out = np.empty((y_q.size, donor_values.shape[1]))
-            for i, (yy, zz) in enumerate(zip(y_q, z_q)):
-                hit = search.find(float(yy), float(zz))
-                if hit.quad < 0:
-                    raise RuntimeError(
-                        f"interface {self.name!r}: no donor found for target "
-                        f"({yy:.6f}, {zz:.6f}) at t={t}"
-                    )
-                pts = corners[hit.quad]
-                w = hit.weights
-                v = donor_values
-                out[i] = ((w[0] * v[pts[0]] + w[1] * v[pts[1]])
-                          + w[2] * v[pts[2]]) + w[3] * v[pts[3]]
-        du = (self.side(dst).frame_velocity
-              - self.side(src).frame_velocity)
-        return shift_frame(out, du), search
-
-    def _transfer_biquadratic(self, geo_src: SideGeometry, y_q: np.ndarray,
-                              z_q: np.ndarray, donor_values: np.ndarray,
-                              native: bool) -> np.ndarray:
-        axes = grid_axes(geo_src.grid_shape, geo_src.y, geo_src.z,
-                         geo_src.circumference)
-        if axes.zlines.size < 3:
-            # too few radial stations for a quadratic stencil: the
-            # bilinear batch path is the documented fallback
-            geo = geo_src.donor_geometry()
-            s = make_search("adt", geo.boxes, geo.corners)
-            hits = s.find_batch(y_q, z_q)
-            return gather_apply(hits.weights, geo.corners[hits.quads],
-                                donor_values, native=native)
-        pts, weights = biquadratic_stencil(axes, y_q, z_q)
-        return gather_apply(weights, pts, donor_values, native=native)
+        axes = geo_src.stencil_axes() if interp == "biquadratic" else None
+        out = self.interpolate(src, dst, donor_values, t, subset,
+                               search.find_batch, search.corners, axes,
+                               native)
+        return out, search

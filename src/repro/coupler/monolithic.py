@@ -12,6 +12,7 @@ which the test suite verifies.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,12 @@ from repro.coupler.driver import (
     CoupledRunConfig,
     _Setup,
     _hs_report,
+    _open_session,
     _tag,
     _TAG_DONOR,
     CoupledDriver,
 )
 from repro.coupler.unit import cu_transfer
-from repro.hydra.session import HydraSession
-from repro.hydra.solver import HydraSolver
-from repro.op2.distribute import build_local_problem, build_serial_problem
 from repro.smpi import Traffic, run_ranks
 
 
@@ -51,7 +50,7 @@ class MonolithicDriver(CoupledDriver):
 
     def __init__(self, cfg: CoupledRunConfig) -> None:
         if cfg.cus_per_interface != 1:
-            cfg = CoupledRunConfig(**{**cfg.__dict__, "cus_per_interface": 1})
+            cfg = dataclasses.replace(cfg, cus_per_interface=1)
         super().__init__(cfg)
         # strip the CU ranks: the monolithic world is solver ranks only
         self.cu_ranks = [[] for _ in self.cu_ranks]
@@ -93,22 +92,8 @@ def _mono_rank_main(world, setup: _Setup):
                    grouped_halos=cfg.grouped_halos)
 
     rig = cfg.rig
-    rowcfg = rig.rows[row_idx]
-    gp = setup.problems[row_idx]
-    layouts = setup.layouts[row_idx]
-    if layouts is None:
-        local = build_serial_problem(gp)
-        layout = None
-    else:
-        layout = layouts[sub.rank]
-        local = build_local_problem(gp, layout, sub)
-
-    inlet = (cfg.inlet.shifted_frame(rowcfg.wheel_speed)
-             if not rowcfg.halo_in else None)
-    p_out = cfg.p_out if not rowcfg.halo_out else None
-    solver = HydraSolver(local, rowcfg, cfg.numerics,
-                         dt_outer=rig.dt_outer, inlet=inlet, p_out=p_out)
-    session = HydraSession(solver, setup.meshes[row_idx], layout)
+    session = _open_session(sub, row_idx, setup)
+    solver = session.solver
     quads = {k: {"up": iface.up.donor_quads(), "down": iface.down.donor_quads()}
              for k, iface in enumerate(setup.interfaces)}
     comparisons = 0

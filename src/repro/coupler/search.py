@@ -57,15 +57,13 @@ class SearchStats:
     """Accumulated effort counters of one search object.
 
     The first four fields are the classic per-query effort counters;
-    the last four account for the incremental fast path: ``cache_hits``
+    the last four account for the incremental donor cache: ``cache_hits``
     targets were served by re-validating a cached donor, ``revalidated``
     O(1) containment checks were performed on cached donors,
     ``researched`` targets fell back to a full search after their donor
     changed, and ``comparisons_saved`` estimates the comparisons a
     from-scratch search would have spent minus what the incremental
-    path actually spent (calibrated from the first full round;
-    counter-verified against a real from-scratch run by
-    ``benchmarks/bench_coupler_fastpath.py``).
+    path actually spent (calibrated from the first full round).
     """
 
     queries: int = 0

@@ -6,20 +6,16 @@ ranks, shifts its targets into the donor frame, finds donors,
 interpolates, applies the frame transformation, and routes results to
 the ranks owning the target halo nodes.
 
-Two implementations coexist:
+Every run serves its transfers through :class:`CUTransferEngine`, one
+persistent engine per (interface, direction, CU); each serve runs
+:meth:`SlidingInterface.interpolate`, the one place the transfer
+sequence is written.
 
-* :func:`cu_transfer` — the original per-serve procedure: builds a
-  windowed search from scratch every round and interpolates
-  point-by-point. Kept as the reference baseline the equivalence suite
-  and the ablation benchmark measure against.
-* :class:`CUTransferEngine` — the fast path: one persistent engine per
-  (interface, direction) holding the donor geometry, a search built
-  once, an optional cross-round donor cache
-  (:class:`~repro.coupler.search.IncrementalSearch`), batched
-  queries + vectorized gather-apply, and the ``interp`` mode switch
-  (bilinear default, conservative biquadratic per
-  :mod:`repro.coupler.biquad`). Bilinear engine output is bitwise
-  identical to :func:`cu_transfer` on the same targets.
+:func:`cu_transfer` is not a serve path: it is the from-scratch
+baseline — a windowed search rebuilt every round, interpolated point by
+point — that the monolithic comparison (:mod:`repro.coupler.monolithic`)
+and the Table II benchmark measure, and the per-point reference the test
+suite holds the engine bitwise equal to. No run configuration reaches it.
 
 Every serve also reports the axial mass-flux sums needed for the
 interface conservation check: ``values[:, 1]`` (``rho*u_x``) is
@@ -35,8 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.coupler.biquad import GridAxes, biquadratic_stencil, grid_axes
-from repro.coupler.fastpath import gather_apply
 from repro.coupler.interface import SlidingInterface
 from repro.coupler.partitioning import donor_window
 from repro.coupler.search import IncrementalSearch, SearchStats, make_search
@@ -129,7 +123,7 @@ def cu_transfer(iface: SlidingInterface, src: str, dst: str,
 
 
 class CUTransferEngine:
-    """Persistent fast-path transfer engine for one (direction, CU).
+    """Persistent transfer engine for one (direction, CU).
 
     Built once per run; every :meth:`serve` reuses the donor geometry
     and search structure, optionally re-validating cached donors
@@ -158,27 +152,20 @@ class CUTransferEngine:
         self.subset = subset
         self.interp = interp
         self.native = native
-        self.incremental = incremental
         geo_src = iface.side(src)
         geo = geo_src.donor_geometry()
-        self.boxes = geo.boxes
         self.corners = geo.corners
         if incremental:
             self._inc: IncrementalSearch | None = IncrementalSearch(
                 search_kind, geo.boxes, geo.corners)
             self._search = self._inc.search
+            self._find = self._inc.query
         else:
             self._inc = None
             self._search = make_search(search_kind, geo.boxes, geo.corners)
-        self._axes: GridAxes | None = None
-        if interp == "biquadratic":
-            axes = grid_axes(geo_src.grid_shape, geo_src.y, geo_src.z,
-                             geo_src.circumference)
-            if axes.zlines.size >= 3:
-                self._axes = axes
-            # nr < 3: documented bilinear fallback (stencil needs 3 rows)
-        self.du = (iface.side(dst).frame_velocity
-                   - iface.side(src).frame_velocity)
+            self._find = self._search.find_batch
+        self._axes = (geo_src.stencil_axes() if interp == "biquadratic"
+                      else None)
 
     @property
     def stats(self) -> SearchStats:
@@ -211,34 +198,11 @@ class CUTransferEngine:
                 values=np.empty((0, donor_values.shape[1])),
                 stats=SearchStats(),
                 donor_flux_mean=float(np.mean(donor_values[:, 1])))
-        y_q, z_q = self.iface.shifted_targets(self.src, self.dst, t, subset)
-        with _tspan("donor_search", "coupler.search",
-                    kind=getattr(self._search, "name", "none"),
-                    incremental=self.incremental,
-                    interface=self.iface.name):
-            if self._axes is not None:
-                # structured stencil lookup replaces the box search
-                pts, weights = biquadratic_stencil(self._axes, y_q, z_q)
-                self.stats.queries += y_q.size
-            else:
-                if self._inc is not None:
-                    hits = self._inc.query(y_q, z_q)
-                else:
-                    hits = self._search.find_batch(y_q, z_q)
-                miss = np.nonzero(hits.quads < 0)[0]
-                if miss.size:
-                    i = int(miss[0])
-                    raise RuntimeError(
-                        f"interface {self.iface.name!r} "
-                        f"({self.src}->{self.dst}): no donor for target "
-                        f"({y_q[i]:.6f}, {z_q[i]:.6f}) at t={t}")
-                pts, weights = self.corners[hits.quads], hits.weights
-        with _tspan("interpolate", "coupler.interp",
-                    targets=int(subset.size), interface=self.iface.name,
-                    interp=self.interp):
-            out = gather_apply(weights, pts, donor_values,
-                               native=self.native)
-        values = shift_frame(out, self.du)
+        values = self.iface.interpolate(
+            self.src, self.dst, donor_values, t, subset, self._find,
+            self.corners, self._axes, self.native)
+        if self._axes is not None:
+            self.stats.queries += subset.size   # stencil lookups, no search
         delta = self._delta_since(before)
         self._emit_counters(delta, int(subset.size))
         flux_sum, donor_mean = _flux_fields(values, donor_values)
@@ -273,7 +237,7 @@ class CUAccounting:
     stats: SearchStats = field(default_factory=SearchStats)
     serve_seconds: float = 0.0
     #: serve time excluding the donor-assembly receives (pure
-    #: search + interp + scatter — the number the fast path improves)
+    #: search + interp + scatter)
     serve_compute_seconds: float = 0.0
     #: per serve, per direction: (direction, flux_sum, n_targets,
     #: donor_flux_mean) — the driver aggregates these across a whole

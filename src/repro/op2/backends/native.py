@@ -68,6 +68,7 @@ from repro.op2.config import current_config
 from repro.op2.kernel import KernelParseError
 from repro.op2.plan import build_block_plan, clear_native_plan_arrays
 from repro.telemetry.recorder import active_recorder, span
+from repro.util.atomicio import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.parloop import ParLoop
@@ -187,20 +188,26 @@ class _Fallback:
 
 def _compile(source: str, cc: str, cflags: list[str],
              so_path: Path) -> str | None:
-    """Build ``source`` into ``so_path`` atomically; error string on failure."""
+    """Build ``source`` into ``so_path`` atomically; error string on failure.
+
+    The compiler reads the source from stdin and writes a private temp
+    object: ranks forked onto a cold cache all build the same unit at
+    once (``_compile_lock`` does not cross ``fork``), so no file one
+    rank's ``cc`` reads may be rewritten by a sibling. Both the object
+    and the inspectable ``.c`` beside it are published by rename.
+    """
     rec = active_recorder()
     with span("native.compile", "op2.native", path=so_path.name):
         try:
             so_path.parent.mkdir(parents=True, exist_ok=True)
-            c_path = so_path.with_suffix(".c")
-            c_path.write_text(source)
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=so_path.parent)
             os.close(fd)
         except OSError as exc:
             return f"cache directory unusable: {exc}"
-        cmd = [cc, *cflags, *_LINK_FLAGS, "-o", tmp, str(c_path), "-lm"]
+        cmd = [cc, *cflags, *_LINK_FLAGS, "-o", tmp, "-x", "c", "-", "-lm"]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, input=source, capture_output=True,
+                                  text=True)
         except OSError as exc:
             os.unlink(tmp)
             return f"could not run {cc!r}: {exc}"
@@ -209,6 +216,7 @@ def _compile(source: str, cc: str, cflags: list[str],
             tail = proc.stderr.strip().splitlines()[-3:]
             return f"{cc} exited {proc.returncode}: " + " | ".join(tail)
         os.replace(tmp, so_path)  # atomic: concurrent ranks both win
+        atomic_write_text(so_path.with_suffix(".c"), source)
     if rec is not None:
         rec.counter("op2.native.compile")
     return None

@@ -37,8 +37,9 @@ __all__ = ["CheckpointError", "CheckpointManifest", "CheckpointManager",
            "latest_valid_checkpoint", "load_manifest", "MANIFEST_SCHEMA"]
 
 #: manifest schema version; bump on layout changes so old readers fail
-#: loudly instead of misinterpreting members
-MANIFEST_SCHEMA = 1
+#: loudly instead of misinterpreting members. 2: every CU member carries
+#: 8 search counters, ``flux_log`` and both ``cache_d*``/``baseline_d*``.
+MANIFEST_SCHEMA = 2
 
 _STEP_DIR = re.compile(r"^step-(\d{6})$")
 

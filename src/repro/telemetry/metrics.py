@@ -44,7 +44,7 @@ CACHE_COUNTER_MAP = {
 }
 
 
-#: the coupler fast-path counters promoted into the structured
+#: the coupler transfer-engine counters promoted into the structured
 #: ``coupler`` section: donor-cache effectiveness of the incremental
 #: search plus interpolation throughput. Emitted by
 #: :class:`~repro.coupler.unit.CUTransferEngine` during traced runs.
@@ -77,7 +77,7 @@ def cache_summary(counters) -> dict:
 
 
 def coupler_summary(counters) -> dict:
-    """Structured coupler fast-path accounting, from raw counters."""
+    """Structured coupler transfer-engine accounting, from raw counters."""
     return {
         group: {
             field: float(counters.get(key, 0.0))

@@ -159,6 +159,25 @@ def test_cache_key_includes_flags(monkeypatch):
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+def test_cold_cache_many_process_ranks():
+    """Forked ranks meeting an empty cache all build the same wrappers
+    at once; none may see a sibling's half-written file and degrade."""
+    from repro.smpi import run_ranks
+
+    sources = [FLUX, FLUX.replace("0.5", "0.25"), FLUX.replace("0.5", "0.75")]
+
+    def rank_fn(comm):
+        warnings.simplefilter("error")  # a fallback warning fails the rank
+        # ranks are the parallelism; libgomp's pool does not survive fork
+        op2.set_config(native_threads=1)
+        return [_run_flux("native", op2.Kernel(src))[1] for src in sources]
+
+    totals = run_ranks(12, rank_fn, transport="process")
+    assert all(t == totals[0] for t in totals)
+    assert len(list(cache_dir().glob("*.so"))) == len(sources)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_generated_source_is_inspectable():
     kernel = op2.Kernel(FLUX)
     _run_flux("native", kernel)

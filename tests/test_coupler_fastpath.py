@@ -1,10 +1,12 @@
-"""Coupler fast path: batched search, incremental donors, interp modes.
+"""Coupler transfer engine: batched search, incremental donors, interp
+modes.
 
-The equivalence contract under test: the batched vectorized query +
-gather-apply path and the incremental donor cache produce **bitwise**
-the same values, donors and effort counters as the original per-point
-from-scratch path; the biquadratic option conserves the interface-mean
-axial mass flux and matches its pinned golden trajectory.
+The equivalence contract under test: the engine's batched vectorized
+query + gather-apply and its incremental donor cache produce **bitwise**
+the same values, donors and effort counters as the per-point
+from-scratch reference (``cu_transfer``); the biquadratic option
+conserves the interface-mean axial mass flux and matches its pinned
+golden trajectory.
 """
 
 import dataclasses
@@ -210,10 +212,11 @@ class TestTransferPaths:
         iface = make_interface(v_up=0.1, v_down=0.45)
         rng = np.random.default_rng(8)
         donors = rng.normal(size=(iface.up.y.size, 5)) + 2.0
+        subset = np.arange(iface.down.y.size)
         for t in (0.0, 0.37, 1.91):
-            batch, _ = iface.transfer("up", "down", donors, t=t, batch=True)
-            point, _ = iface.transfer("up", "down", donors, t=t, batch=False)
-            assert np.array_equal(batch, point)
+            batch, _ = iface.transfer("up", "down", donors, t=t)
+            point = cu_transfer(iface, "up", "down", donors, t, subset=subset)
+            assert np.array_equal(batch, point.values)
 
     def test_engine_matches_legacy_cu_transfer_bitwise(self):
         iface = make_interface(v_up=0.0, v_down=0.4, nt_up=16, nt_down=12)
@@ -357,8 +360,36 @@ class TestBiquadraticGolden:
         assert err < 1e-10
 
 
+class _CuTransferEngine:
+    """``cu_transfer`` behind the engine's surface: the from-scratch,
+    per-point reference a whole coupled run is compared against."""
+
+    def __init__(self, iface, src, dst, subset, search_kind="adt", **_):
+        self._where = (iface, src, dst)
+        self._how = dict(subset=subset, search_kind=search_kind)
+        self.stats = SearchStats()   # build cost arrives with each serve
+
+    def serve(self, donor_values, t):
+        return cu_transfer(*self._where, donor_values, t, **self._how)
+
+    def cache_state(self):
+        return np.empty(0, dtype=np.int64), -1.0
+
+    def restore_cache_state(self, cached, baseline_cpq):
+        pass
+
+
 class TestCoupledEquivalence:
-    """Driver-level: fast path bitwise-identical to the legacy path."""
+    """Driver-level: the engine bitwise-identical to ``cu_transfer``."""
+
+    def _legacy_run(self, cfg, nsteps):
+        """The same run served by ``cu_transfer`` (forked ranks inherit
+        the patch, so this covers the process transport too)."""
+        from repro.coupler import CoupledDriver
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.coupler.driver.CUTransferEngine",
+                       _CuTransferEngine)
+            return CoupledDriver(cfg).run(nsteps)
 
     def _monitors(self, result):
         return [
@@ -370,12 +401,10 @@ class TestCoupledEquivalence:
     @pytest.mark.parametrize("cus", [1, 4])
     def test_fastpath_bitwise_vs_legacy(self, cus):
         from repro.coupler import CoupledDriver
-        cfg_fast = dataclasses.replace(_golden_cfg("bilinear"),
-                                       cus_per_interface=cus)
-        cfg_legacy = dataclasses.replace(cfg_fast, fastpath=False,
-                                         incremental=False)
-        fast = CoupledDriver(cfg_fast).run(3)
-        legacy = CoupledDriver(cfg_legacy).run(3)
+        cfg = dataclasses.replace(_golden_cfg("bilinear"),
+                                  cus_per_interface=cus)
+        fast = CoupledDriver(cfg).run(3)
+        legacy = self._legacy_run(cfg, 3)
         assert self._monitors(fast) == self._monitors(legacy)
         # and the cache measurably cut the search effort
         stats = fast.total_search_stats()
@@ -385,11 +414,10 @@ class TestCoupledEquivalence:
 
     def test_fastpath_bitwise_on_process_transport(self):
         from repro.coupler import CoupledDriver
-        cfg_fast = dataclasses.replace(_golden_cfg("bilinear"),
-                                       transport="process")
-        cfg_legacy = dataclasses.replace(cfg_fast, fastpath=False)
-        fast = CoupledDriver(cfg_fast).run(2)
-        legacy = CoupledDriver(cfg_legacy).run(2)
+        cfg = dataclasses.replace(_golden_cfg("bilinear"),
+                                  transport="process")
+        fast = CoupledDriver(cfg).run(2)
+        legacy = self._legacy_run(cfg, 2)
         assert self._monitors(fast) == self._monitors(legacy)
 
     def test_incremental_resume_replays_counters(self, tmp_path):

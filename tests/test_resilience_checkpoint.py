@@ -102,6 +102,18 @@ class TestTornSetsAreDiscarded:
         with pytest.raises(CheckpointError, match="schema"):
             load_manifest(final)
 
+    def test_schema_1_sets_are_discarded(self, tmp_path):
+        """Sets written before CU members were versioned (they may lack
+        ``flux_log`` and the donor caches) are skipped, not half-restored."""
+        _write_set(tmp_path, 2)
+        old = _write_set(tmp_path, 6)
+        raw = json.loads((old / "manifest.json").read_text())
+        raw["schema"] = 1
+        (old / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(CheckpointError, match="schema 1 != 2"):
+            load_manifest(old)
+        assert latest_valid_checkpoint(tmp_path).step == 2
+
     def test_latest_valid_skips_torn_newest(self, tmp_path):
         _write_set(tmp_path, 2)
         newest = _write_set(tmp_path, 6)
