@@ -292,6 +292,9 @@ class HydraSolver:
                 self.inner_iteration()
             self.step += 1
             self.time += self.dt_outer
+            # under Config.lazy the step's loops are still pending: run
+            # them inside the timer, not in the coupler's first host read
+            op2.flush_chain()
         if self.num.guard:
             self.check_health()
 

@@ -45,15 +45,20 @@ class ReductionBuffers:
 
 
 class Backend(Protocol):
-    """A compute strategy executing a range of a loop's elements."""
+    """A compute strategy executing a range of a loop group's elements."""
 
     name: str
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        """Run elements [start, end) of ``loop``.
+    def execute(self, loops: "list[ParLoop]", start: int, end: int,
+                reductions: list[ReductionBuffers]) -> None:
+        """Run elements [start, end) of every loop in ``loops``, in order.
 
-        Must fold reduction contributions into ``reductions`` and apply
-        all dat writes in place.
+        ``loops`` is a group of N >= 1 loops over one iteration set (an
+        eager ``par_loop`` is the group of one; larger groups are the
+        chain analyzer's, whose legality check admits only element-local
+        cross-loop dependencies). Must fold each loop's reduction
+        contributions into its entry of ``reductions`` and apply all dat
+        writes in place, with results bitwise-equal to running the loops
+        one at a time.
         """
         ...  # pragma: no cover

@@ -39,18 +39,19 @@ class BlockColorBackend:
 
     name = "blockcolor"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
+    def execute(self, loops: "list[ParLoop]", start: int, end: int,
+                reductions: list[ReductionBuffers]) -> None:
         block_size = max(1, current_config().block_size)
-        plan = build_block_plan(loop.args, end, block_size=block_size)
-        flat = loop.flatten_bindings(reductions)
-        wrapper = _get_wrapper(loop, "atomic")
-        if plan is None:
-            wrapper(np, np.arange(start, end, dtype=np.int64), *flat)
-            return
-        for color in range(plan.ncolors):
-            for lo, hi in plan.blocks_of_color(color):
-                lo = max(lo, start)
-                hi = min(hi, end)
-                if lo < hi:
-                    wrapper(np, np.arange(lo, hi, dtype=np.int64), *flat)
+        for loop, red in zip(loops, reductions):
+            plan = build_block_plan(loop.args, end, block_size=block_size)
+            flat = loop.flatten_bindings(red)
+            wrapper = _get_wrapper(loop, "atomic")
+            if plan is None:
+                wrapper(np, np.arange(start, end, dtype=np.int64), *flat)
+                continue
+            for color in range(plan.ncolors):
+                for lo, hi in plan.blocks_of_color(color):
+                    lo = max(lo, start)
+                    hi = min(hi, end)
+                    if lo < hi:
+                        wrapper(np, np.arange(lo, hi, dtype=np.int64), *flat)

@@ -8,9 +8,7 @@ import numpy as np
 
 from repro.op2.access import Access
 from repro.op2.backends.base import ReductionBuffers
-from repro.op2.codegen.seq import (compile_module, compile_wrapper,
-                                   generate_fused_sequential,
-                                   generate_sequential)
+from repro.op2.codegen.seq import compile_wrapper, generate_sequential
 from repro.op2.config import current_config
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,36 +26,21 @@ class SequentialBackend:
 
     name = "sequential"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        signature = loop.signature()
-        key = ("seq", signature)
-        wrapper = loop.kernel.cached(key)
-        if wrapper is None:
-            source = generate_sequential(loop.kernel.name, signature)
-            wrapper = compile_wrapper(source, loop.kernel.name)
-            loop.kernel.store(key, wrapper, source)
-        flat = loop.flatten_bindings(reductions)
-        if current_config().check_access:
-            flat = _readonly_read_args(loop, flat)
-        wrapper(np, loop.kernel.scalar_fn, start, end, *flat)
-
-    def execute_fused(self, loops: "list[ParLoop]", start: int, end: int,
-                      reductions: list[ReductionBuffers]) -> None:
-        """Run a fused loop group [start, end) through one module."""
-        key = ("fused-seq",
-               tuple((id(l.kernel), l.signature()) for l in loops))
-        wrapper = loops[0].kernel.cached(key)
-        if wrapper is None:
-            source = generate_fused_sequential(
-                [l.kernel.name for l in loops],
-                [l.signature() for l in loops])
-            wrapper = compile_module(source, "fused", "_fused_seq_wrapper")
-            loops[0].kernel.store(key, wrapper, source)
-        kernels = tuple(l.kernel.scalar_fn for l in loops)
-        flat = [x for l, r in zip(loops, reductions)
-                for x in l.flatten_bindings(r)]
-        wrapper(np, kernels, start, end, *flat)
+    def execute(self, loops: "list[ParLoop]", start: int, end: int,
+                reductions: list[ReductionBuffers]) -> None:
+        check_access = current_config().check_access
+        for loop, red in zip(loops, reductions):
+            signature = loop.signature()
+            key = ("seq", signature)
+            wrapper = loop.kernel.cached(key)
+            if wrapper is None:
+                source = generate_sequential(loop.kernel.name, signature)
+                wrapper = compile_wrapper(source, loop.kernel.name)
+                loop.kernel.store(key, wrapper, source)
+            flat = loop.flatten_bindings(red)
+            if check_access:
+                flat = _readonly_read_args(loop, flat)
+            wrapper(np, loop.kernel.scalar_fn, start, end, *flat)
 
 
 def _readonly_read_args(loop: "ParLoop", flat: list) -> list:

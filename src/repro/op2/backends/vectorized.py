@@ -19,9 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.op2.backends.base import ReductionBuffers
-from repro.op2.codegen.seq import compile_module, compile_wrapper
-from repro.op2.codegen.vector import (generate_fused_vectorized,
-                                      generate_vectorized)
+from repro.op2.codegen.seq import compile_wrapper
+from repro.op2.codegen.vector import generate_vectorized
 from repro.op2.config import current_config
 from repro.op2.plan import build_plan
 
@@ -37,20 +36,6 @@ def _get_wrapper(loop: "ParLoop", scatter: str):
         source = generate_vectorized(loop.kernel, signature, scatter)
         wrapper = compile_wrapper(source, loop.kernel.name)
         loop.kernel.store(key, wrapper, source)
-    return wrapper
-
-
-def _get_fused_wrapper(loops: "list[ParLoop]", scatter: str):
-    key = ("fused-vec", scatter,
-           tuple((id(l.kernel), l.signature()) for l in loops))
-    wrapper = loops[0].kernel.cached(key)
-    if wrapper is None:
-        source = generate_fused_vectorized(
-            [l.kernel for l in loops],
-            [l.signature() for l in loops], scatter)
-        wrapper = compile_module(source, "fused",
-                                 f"_fused_{scatter}_wrapper")
-        loops[0].kernel.store(key, wrapper, source)
     return wrapper
 
 
@@ -97,18 +82,12 @@ class VectorizedBackend:
 
     name = "vectorized"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        wrapper = _get_wrapper(loop, "atomic")
-        flat = loop.flatten_bindings(reductions)
-        wrapper(np, _get_rows(loop.kernel, start, end), *flat)
-
-    def execute_fused(self, loops: "list[ParLoop]", start: int, end: int,
-                      reductions: list[ReductionBuffers]) -> None:
-        wrapper = _get_fused_wrapper(loops, "atomic")
-        flat = [x for l, r in zip(loops, reductions)
-                for x in l.flatten_bindings(r)]
-        wrapper(np, _get_rows(loops[0].kernel, start, end), *flat)
+    def execute(self, loops: "list[ParLoop]", start: int, end: int,
+                reductions: list[ReductionBuffers]) -> None:
+        for loop, red in zip(loops, reductions):
+            wrapper = _get_wrapper(loop, "atomic")
+            flat = loop.flatten_bindings(red)
+            wrapper(np, _get_rows(loop.kernel, start, end), *flat)
 
 
 class ColoringBackend:
@@ -121,20 +100,21 @@ class ColoringBackend:
 
     name = "coloring"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        plan = build_plan(loop.args, end)
-        flat = loop.flatten_bindings(reductions)
-        if plan is None:
-            wrapper = _get_wrapper(loop, "atomic")
-            wrapper(np, _get_rows(loop.kernel, start, end), *flat)
-            return
-        wrapper = _get_wrapper(loop, "colored")
-        for group in plan.color_groups:
-            if start > 0:
-                group = group[group >= start]
-            if group.size:
-                wrapper(np, group, *flat)
+    def execute(self, loops: "list[ParLoop]", start: int, end: int,
+                reductions: list[ReductionBuffers]) -> None:
+        for loop, red in zip(loops, reductions):
+            plan = build_plan(loop.args, end)
+            flat = loop.flatten_bindings(red)
+            if plan is None:
+                wrapper = _get_wrapper(loop, "atomic")
+                wrapper(np, _get_rows(loop.kernel, start, end), *flat)
+                continue
+            wrapper = _get_wrapper(loop, "colored")
+            for group in plan.color_groups:
+                if start > 0:
+                    group = group[group >= start]
+                if group.size:
+                    wrapper(np, group, *flat)
 
 
 class AtomicsBackend:
@@ -147,21 +127,11 @@ class AtomicsBackend:
 
     name = "atomics"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        wrapper = _get_wrapper(loop, "atomic")
-        flat = loop.flatten_bindings(reductions)
-        for lo, hi in atomics_chunks(start, end,
-                                     current_config().atomics_block):
-            wrapper(np, _get_rows(loop.kernel, lo, hi), *flat)
-
-    def execute_fused(self, loops: "list[ParLoop]", start: int, end: int,
-                      reductions: list[ReductionBuffers]) -> None:
-        # chunk-interleaved section order is safe: the chain's fusion
-        # legality check only admits element-local cross-loop deps
-        wrapper = _get_fused_wrapper(loops, "atomic")
-        flat = [x for l, r in zip(loops, reductions)
-                for x in l.flatten_bindings(r)]
-        for lo, hi in atomics_chunks(start, end,
-                                     current_config().atomics_block):
-            wrapper(np, _get_rows(loops[0].kernel, lo, hi), *flat)
+    def execute(self, loops: "list[ParLoop]", start: int, end: int,
+                reductions: list[ReductionBuffers]) -> None:
+        block = current_config().atomics_block
+        for loop, red in zip(loops, reductions):
+            wrapper = _get_wrapper(loop, "atomic")
+            flat = loop.flatten_bindings(red)
+            for lo, hi in atomics_chunks(start, end, block):
+                wrapper(np, _get_rows(loop.kernel, lo, hi), *flat)

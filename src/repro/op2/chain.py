@@ -18,10 +18,12 @@ analysis that the eager path cannot perform:
   grouped multi-dat message per neighbour (the grouped-halo
   optimization applied *across* loops instead of within one);
 * **loop fusion** — adjacent loops over the same iteration set with
-  compatible signatures are fused into a single generated wrapper
-  (see ``codegen.seq.generate_fused_sequential`` /
-  ``codegen.vector.generate_fused_vectorized``), eliding per-loop
-  dispatch overhead.
+  no reordering-sensitive dependency are handed to the backend as one
+  *group* (:func:`~repro.op2.parloop.execute_group`, of which an eager
+  loop is the group of one): the numpy backends run its members back
+  to back, the native backends compile the group into a single wrapper
+  spanning one OpenMP region
+  (:func:`~repro.op2.codegen.csource.generate_native`).
 
 Equivalence guarantee
 ---------------------
@@ -41,24 +43,20 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.op2.access import Access, READING, WRITING
-from repro.op2.backends import resolve_backend
 from repro.op2.config import current_config
 from repro.op2.halo import (exchange_halos_multi_begin,
                             exchange_halos_multi_end, marker_covers,
                             normalize_scopes, resolve_eager_scope)
+from repro.op2.parloop import ParLoop, execute_group, loop_read_scopes
 from repro.telemetry.recorder import active_recorder, span as _tspan
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.parloop import ParLoop
-
-#: backends whose generated wrappers support source-level fusion — the
-#: numpy backends via generated fused modules, the native backends via
-#: one compiled OpenMP region spanning the whole group
+#: backends the analyzer forms multi-loop groups for — the native ones
+#: compile a group into one OpenMP region, the numpy ones run its
+#: members back to back
 FUSABLE_BACKENDS = frozenset({"sequential", "vectorized", "atomics",
                               "native", "native-atomics"})
 
@@ -134,8 +132,6 @@ def _read_scopes(pending: "_Pending", cfg) -> dict[int, tuple]:
     (the bitwise-equivalence guarantee depends on them agreeing on
     scope depth).
     """
-    from repro.op2.parloop import loop_read_scopes
-
     return loop_read_scopes(pending.loop, cfg)
 
 
@@ -321,7 +317,6 @@ def _fuse_groups(pending: list[_Pending],
             groups
             and not schedule.get(pos)          # exchange must run in between
             and cfg.chain_fuse
-            and not cfg.check_access
             and name in FUSABLE_BACKENDS
             and len(groups[-1]) < MAX_FUSE
         )
@@ -446,7 +441,7 @@ def _probe_key(pending: list[_Pending], cfg) -> tuple:
     """
     return (tuple(id(p.loop.kernel) for p in pending),
             cfg.partial_halos, cfg.grouped_halos, cfg.chain_fuse,
-            cfg.check_access, cfg.backend)
+            cfg.backend)
 
 
 def _capture_bindings(pending: list[_Pending]) -> tuple[list, list]:
@@ -596,10 +591,7 @@ class LoopChain:
                 rounds += 1
             for u in ends.get(gi, ()):
                 exchange_halos_multi_end(in_flight.pop(id(u)))
-            if len(group) > 1:
-                self._execute_fused([pending[i] for i in group], cfg)
-            else:
-                self._execute_one(pending[group[0]], cfg)
+            self._execute([pending[i] for i in group], cfg)
 
         st = self.stats
         st.flushes += 1
@@ -622,21 +614,15 @@ class LoopChain:
                             messages=max(0, eager_msgs - sent))
 
     # -- execution -----------------------------------------------------
-    def _execute_one(self, p: _Pending, cfg) -> None:
-        backend = resolve_backend(p.backend or cfg.backend)
-        with _swapped_globals([p]):
-            p.loop.run_compute(backend)
-
-    def _execute_fused(self, group: list[_Pending], cfg) -> None:
-        from repro.op2.parloop import execute_fused
-
-        backend_name = _resolved_backend_name(group[0], cfg)
+    def _execute(self, group: list[_Pending], cfg) -> None:
         with _swapped_globals(group):
-            execute_fused([p.loop for p in group], backend_name)
-        self.stats.fused += len(group) - 1
-        rec = active_recorder()
-        if rec is not None:
-            rec.counter("chain.fused", len(group) - 1)
+            execute_group([p.loop for p in group],
+                          _resolved_backend_name(group[0], cfg))
+        if len(group) > 1:
+            self.stats.fused += len(group) - 1
+            rec = active_recorder()
+            if rec is not None:
+                rec.counter("chain.fused", len(group) - 1)
 
     # -- verification --------------------------------------------------
     def _flush_verified(self, pending: list[_Pending], cfg) -> None:

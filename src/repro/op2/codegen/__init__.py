@@ -6,7 +6,11 @@ argument is addressed and accessed), it emits specialized, human-readable
 Python source — a scalar gather/call loop for the sequential backend, or
 a numpy whole-array translation with gather/compute/scatter staging for
 the vectorized, coloring and atomics (CUDA-analogue) backends — then
-compiles and caches it on the kernel.
+compiles and caches it on the kernel. There is one generator per
+backend family and each is per *loop*; only the compiled C generator
+(:func:`~repro.op2.codegen.csource.generate_native`) takes a loop
+*group*, because only there does one wrapper for N loops buy anything
+(a single OpenMP region) — an eager loop is its N = 1 case.
 """
 
 from repro.op2.codegen.csource import generate_cuda, generate_openmp

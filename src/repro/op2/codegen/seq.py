@@ -75,49 +75,6 @@ def generate_sequential(kernel_name: str, signature: Sequence[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def flat_arg_count(signature: Sequence[tuple]) -> int:
-    """How many flat runtime arrays ``ParLoop.flatten_bindings`` yields."""
-    count = 0
-    for sig in signature:
-        count += 1
-        if sig[0] == "dat" and sig[2] != "direct":
-            count += 1  # the map column / rows array
-    return count
-
-
-def generate_fused_sequential(kernel_names: Sequence[str],
-                              signatures: Sequence[Sequence[tuple]]) -> str:
-    """Emit one module executing several loops' wrappers back to back.
-
-    Fusion by *section composition*: each constituent wrapper is
-    generated unchanged, renamed ``_f{j}_<name>``, and an entry point
-    ``_fused_seq_wrapper(_np, _kernels, _start, _end, *_flat)`` calls
-    the sections in program order on their slices of the concatenated
-    flat bindings. Execution is therefore bitwise-identical to running
-    the loops separately — the fusion win is one dispatch, one compiled
-    module, and no per-loop runtime re-entry.
-    """
-    sections: list[str] = []
-    calls: list[str] = []
-    offset = 0
-    for j, (name, sig) in enumerate(zip(kernel_names, signatures)):
-        sub = generate_sequential(name, sig)
-        renamed = sub.replace(f"def {name}_seq_wrapper(",
-                              f"def _f{j}_{name}(", 1)
-        sections.append(renamed)
-        n = flat_arg_count(sig)
-        calls.append(f"_f{j}_{name}(_np, _kernels[{j}], _start, _end, "
-                     f"*_flat[{offset}:{offset + n}])")
-        offset += n
-    entry = [
-        "def _fused_seq_wrapper(_np, _kernels, _start, _end, *_flat):",
-        f'    """Generated fused sequential wrapper: '
-        f'{" + ".join(kernel_names)}."""',
-    ]
-    entry.extend(f"    {c}" for c in calls)
-    return "\n".join(sections) + "\n" + "\n".join(entry) + "\n"
-
-
 def compile_wrapper(source: str, name: str):
     """Compile generated wrapper source and return the function object."""
     namespace: dict = {}
@@ -127,18 +84,3 @@ def compile_wrapper(source: str, name: str):
     if len(fns) != 1:  # pragma: no cover - generator always emits one def
         raise RuntimeError(f"generated module for {name} defined {len(fns)} functions")
     return fns[0]
-
-
-def compile_module(source: str, name: str, entry: str):
-    """Compile a multi-function generated module; return ``entry``.
-
-    Unlike :func:`compile_wrapper` this allows helper defs (the fused
-    wrappers' sections) alongside the entry point.
-    """
-    namespace: dict = {}
-    code = compile(source, filename=f"<op2-generated:{name}>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - our own generated source
-    fn = namespace.get(entry)
-    if not callable(fn):  # pragma: no cover - generator always emits entry
-        raise RuntimeError(f"generated module for {name} has no entry {entry!r}")
-    return fn

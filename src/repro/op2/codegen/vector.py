@@ -143,41 +143,6 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
     return "\n".join(lines) + "\n"
 
 
-def generate_fused_vectorized(kernels: Sequence[Kernel],
-                              signatures: Sequence[Sequence[tuple]],
-                              scatter: str) -> str:
-    """Emit one module executing several vectorized wrappers in order.
-
-    Section composition (see ``seq.generate_fused_sequential``): each
-    constituent wrapper keeps its exact generated body — renamed
-    ``_f{j}_<name>`` — and the entry
-    ``_fused_{scatter}_wrapper(_np, _rows, *_flat)`` runs the sections
-    in program order over slices of the concatenated flat bindings, so
-    results are bitwise-identical to separate execution.
-    """
-    from repro.op2.codegen.seq import flat_arg_count
-
-    sections: list[str] = []
-    calls: list[str] = []
-    offset = 0
-    for j, (kernel, sig) in enumerate(zip(kernels, signatures)):
-        sub = generate_vectorized(kernel, sig, scatter)
-        renamed = sub.replace(f"def {kernel.name}_{scatter}_wrapper(",
-                              f"def _f{j}_{kernel.name}(", 1)
-        sections.append(renamed)
-        n = flat_arg_count(sig)
-        calls.append(f"_f{j}_{kernel.name}(_np, _rows, "
-                     f"*_flat[{offset}:{offset + n}])")
-        offset += n
-    entry = [
-        f"def _fused_{scatter}_wrapper(_np, _rows, *_flat):",
-        f'    """Generated fused vectorized ({scatter}-scatter) wrapper: '
-        f'{" + ".join(k.name for k in kernels)}."""',
-    ]
-    entry.extend(f"    {c}" for c in calls)
-    return "\n".join(sections) + "\n" + "\n".join(entry) + "\n"
-
-
 def _transform_body(kernel: Kernel, elementwise: set[str]) -> str:
     """Rewrite the kernel body for whole-array execution."""
     fdef = copy.deepcopy(kernel.func_ast)

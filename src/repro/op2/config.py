@@ -28,9 +28,10 @@ class Config:
         ``"atomics"``).
     native_threads:
         OpenMP thread count of the native backends' compiled wrappers
-        (single-loop and fused-chain alike); ``0`` (default) lets the
-        OpenMP runtime decide (``omp_get_max_threads``, honouring
-        ``OMP_NUM_THREADS``). With more than one thread, global
+        (each runs one loop group, eager or chained, in one region);
+        ``0`` (default) lets the OpenMP runtime decide
+        (``omp_get_max_threads``, honouring ``OMP_NUM_THREADS``). With
+        more than one thread, global
         reductions fold thread partials in nondeterministic order —
         pin ``native_threads=1`` where bitwise-reproducible reductions
         matter.
@@ -72,9 +73,10 @@ class Config:
         redundant halo exchanges, batches the rest, and fuses adjacent
         compatible loops. Results are bitwise-identical to eager mode.
     chain_fuse:
-        Allow the chain flush to fuse adjacent compatible loops into a
-        single generated wrapper (on by default; elision and batching
-        are unaffected when off).
+        Allow the chain flush to hand adjacent compatible loops to the
+        backend as one group — one compiled wrapper on the native
+        backends (on by default; elision and batching are unaffected
+        when off).
     chain_verify:
         Debug mode: every chain flush replays the loops eagerly on a
         snapshot of the pre-flush state and bitwise-compares all

@@ -19,7 +19,6 @@ performs the paper's owner-compute protocol:
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 from repro.op2.access import Access, READING, WRITING
 from repro.op2.args import Arg
@@ -28,9 +27,6 @@ from repro.op2.config import current_config
 from repro.op2.halo import exchange_halos
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.backends.base import Backend
 
 
 def loop_read_scopes(loop: "ParLoop", cfg) -> dict[int, tuple]:
@@ -104,28 +100,23 @@ class ParLoop:
         )
 
     def signature(self) -> tuple:
-        """Hashable per-arg descriptor tuple driving code generation."""
-        sig = []
-        for arg in self.args:
-            if arg.is_global:
-                sig.append(("gbl", arg.access, arg.dim))
-            else:
-                addressing = ("direct" if arg.is_direct
-                              else "all" if arg.is_vector else "idx")
-                arity = arg.map.arity if arg.map is not None else 0
-                sig.append(("dat", arg.access, addressing, arg.dim, arity))
-        return tuple(sig)
+        """Hashable per-arg descriptor tuple driving numpy code generation.
+
+        The 5-column projection of :meth:`native_signature`: numpy
+        wrappers receive an indirect argument's map column as a
+        pre-sliced array, so the column index is not part of their key.
+        """
+        return tuple(sig if sig[0] == "gbl" else sig[:5]
+                     for sig in self.native_signature())
 
     def native_signature(self) -> tuple:
         """Signature extended with map indices, for compiled codegen.
 
-        :meth:`signature` deliberately omits which map *column* an
-        indirect argument uses — numpy wrappers receive the column as a
-        pre-sliced array. The compiled native wrapper instead indexes
-        the full contiguous map table in C (``m[n * arity + idx]``, the
-        strided column view has no zero-copy pointer), so its cache key
-        and codegen need the index: dat entries grow a sixth element
-        (``None`` for direct and vector arguments).
+        The compiled native wrapper indexes the full contiguous map
+        table in C (``m[n * arity + idx]``, the strided column view has
+        no zero-copy pointer), so its cache key and codegen need the
+        index: dat entries carry a sixth element (``None`` for direct
+        and vector arguments).
         """
         sig = []
         for arg in self.args:
@@ -202,82 +193,11 @@ class ParLoop:
 
     # -- execution --------------------------------------------------------
     def execute(self, backend_name: str | None = None) -> None:
+        """Run eagerly: refresh the halos this loop reads, then compute."""
         cfg = current_config()
         if cfg.sanitize:  # sanitize mode audits every loop, overrides all
             backend_name = "sanitizer"
-        backend = resolve_backend(backend_name or cfg.backend)
-        tracing = cfg.trace
-        profiling = cfg.profile or tracing
-        t0 = time.perf_counter() if profiling else 0.0
-        if self.iterset.is_distributed:
-            halo_seconds = self._execute_distributed(backend)
-        else:
-            halo_seconds = 0.0
-            reductions = ReductionBuffers(self.args)
-            backend.execute(self, 0, self.iterset.size, reductions)
-            reductions.finalize(None)
-            self._mark_written_stale()
-        if profiling:
-            from repro.telemetry.recorder import current_recorder
-
-            elapsed = time.perf_counter() - t0
-            current_recorder().record_loop(
-                self.kernel.name, compute=elapsed - halo_seconds,
-                halo=halo_seconds, elements=self.iterset.size,
-                t0=t0 if tracing else None)
-
-    def run_compute(self, backend: "Backend") -> None:
-        """Execute compute only; halo freshness is the *caller's* concern.
-
-        The loop-chain flush path: the chain analyzer has already
-        scheduled (or elided) this loop's exchanges, so this skips
-        ``_refresh_halos`` but otherwise mirrors :meth:`execute` —
-        owned range, redundant execution over the import-exec halo with
-        a discarded scratch buffer, staleness marking, and reduction
-        finalize (allreduce in distributed runs).
-        """
-        cfg = current_config()
-        tracing = cfg.trace
-        profiling = cfg.profile or tracing
-        t0 = time.perf_counter() if profiling else 0.0
-        halo = self.iterset.halo
-        comm = halo.comm if halo is not None else None
-        extent = (self.iterset.exec_size if self.has_indirect_writes
-                  else self.iterset.size)
-        reductions = ReductionBuffers(self.args)
-        backend.execute(self, 0, self.iterset.size, reductions)
-        if extent > self.iterset.size:
-            scratch = ReductionBuffers(self.args)
-            backend.execute(self, self.iterset.size, extent, scratch)
-        self._mark_written_stale()
-        reductions.finalize(comm)
-        if profiling:
-            from repro.telemetry.recorder import current_recorder
-
-            elapsed = time.perf_counter() - t0
-            current_recorder().record_loop(
-                self.kernel.name, compute=elapsed, halo=0.0,
-                elements=self.iterset.size, t0=t0 if tracing else None)
-
-    def _execute_distributed(self, backend: "Backend") -> float:
-        """Run distributed; returns seconds spent in halo exchanges."""
-        cfg = current_config()
-        assert self.iterset.halo is not None
-        comm = self.iterset.halo.comm
-        extent = (self.iterset.exec_size if self.has_indirect_writes
-                  else self.iterset.size)
-        t0 = time.perf_counter()
-        self._refresh_halos(cfg)
-        halo_seconds = time.perf_counter() - t0
-
-        reductions = ReductionBuffers(self.args)
-        backend.execute(self, 0, self.iterset.size, reductions)
-        if extent > self.iterset.size:
-            scratch = ReductionBuffers(self.args)
-            backend.execute(self, self.iterset.size, extent, scratch)
-        self._mark_written_stale()
-        reductions.finalize(comm)
-        return halo_seconds
+        execute_group([self], backend_name or cfg.backend, refresh_halos=True)
 
     def _refresh_halos(self, cfg) -> None:
         """Forward-exchange every stale dat the loop will read from halos."""
@@ -303,45 +223,51 @@ class ParLoop:
                 arg.data.mark_halo_stale()
 
 
-def execute_fused(loops: list[ParLoop], backend_name: str) -> None:
-    """Run a chain-validated group of loops as one fused wrapper.
+def execute_group(loops: list[ParLoop], backend_name: str,
+                  refresh_halos: bool = False) -> None:
+    """Run a group of loops — the one compute sequence of the runtime.
 
-    All loops share the iteration set and execution extent (the chain's
-    fusion legality check guarantees this); each keeps its own
-    reduction buffers, and redundant exec-halo execution uses discarded
-    scratch buffers exactly as in single-loop execution.
+    An eager ``par_loop`` is a group of one with ``refresh_halos`` set;
+    a chain flush passes each legality-proven group (singletons
+    included) with its exchanges already scheduled or elided by the
+    analyzer. All loops of a group share the iteration set and
+    execution extent; each keeps its own reduction buffers, and
+    redundant exec-halo execution folds into discarded scratch buffers
+    so global reductions count every element exactly once.
     """
-    from repro.op2.config import current_config as _cc
-
-    cfg = _cc()
+    cfg = current_config()
     backend = resolve_backend(backend_name)
-    iterset = loops[0].iterset
-    halo = iterset.halo
-    comm = halo.comm if halo is not None else None
-    extent = (iterset.exec_size
-              if any(l.has_indirect_writes for l in loops)
-              else iterset.size)
     tracing = cfg.trace
     profiling = cfg.profile or tracing
     t0 = time.perf_counter() if profiling else 0.0
+    iterset = loops[0].iterset
+    halo = iterset.halo
+    comm = halo.comm if halo is not None else None
+    halo_seconds = 0.0
+    if refresh_halos and halo is not None:
+        for loop in loops:
+            loop._refresh_halos(cfg)
+        if profiling:
+            halo_seconds = time.perf_counter() - t0
 
     reductions = [ReductionBuffers(l.args) for l in loops]
-    backend.execute_fused(loops, 0, iterset.size, reductions)
-    if extent > iterset.size:
+    backend.execute(loops, 0, iterset.size, reductions)
+    if (iterset.exec_size > iterset.size
+            and any(l.has_indirect_writes for l in loops)):
         scratch = [ReductionBuffers(l.args) for l in loops]
-        backend.execute_fused(loops, iterset.size, extent, scratch)
+        backend.execute(loops, iterset.size, iterset.exec_size, scratch)
     for loop in loops:
         loop._mark_written_stale()
-    for loop, red in zip(loops, reductions):
+    for red in reductions:
         red.finalize(comm)
     if profiling:
         from repro.telemetry.recorder import current_recorder
 
         elapsed = time.perf_counter() - t0
-        name = "+".join(l.kernel.name for l in loops)
         current_recorder().record_loop(
-            name, compute=elapsed, halo=0.0, elements=iterset.size,
-            t0=t0 if tracing else None)
+            "+".join(l.kernel.name for l in loops),
+            compute=elapsed - halo_seconds, halo=halo_seconds,
+            elements=iterset.size, t0=t0 if tracing else None)
 
 
 def par_loop(kernel: Kernel, iterset: Set, *args: Arg,

@@ -368,7 +368,15 @@ def nflux2(w, a, b, out, tot):
 """
 
 
-def _run_fused_pair(backend, lazy, nthreads=1):
+SCALE32 = """
+def nscale32(s):
+    s[0] = 2.0 * s[0] + 1.0
+"""
+
+
+def _run_fused_pair(backend, lazy, nthreads=1, mixed=False):
+    """The fusable pair; ``mixed`` appends a third same-set loop on a
+    float32 dat (outside the compiled ABI) and returns its data too."""
     rng = np.random.default_rng(11)
     nodes = op2.Set(9, "nodes")
     edges = op2.Set(14, "edges")
@@ -377,13 +385,20 @@ def _run_fused_pair(backend, lazy, nthreads=1):
     w = op2.Dat(edges, 1, rng.normal(size=(14, 1)), name="w")
     out = op2.Dat(nodes, 1, np.zeros((9, 1)), name="out")
     tot = op2.Global(1, 0.0, name="tot")
+    extra = []
     with op2.configure(backend=backend, lazy=lazy, native_threads=nthreads):
         with op2.loop_chain("pair", enabled=lazy):
             op2.par_loop(op2.Kernel(PREP), edges, w.arg(op2.RW))
             op2.par_loop(op2.Kernel(FLUX2), edges, w.arg(op2.READ),
                          a.arg(op2.READ, emap, 0), a.arg(op2.READ, emap, 1),
                          out.arg(op2.INC, emap, 0), tot.arg(op2.INC))
-    return out.data_ro.copy(), tot.value
+            if mixed:
+                s32 = op2.Dat(edges, 1, dtype=np.float32, name="s32",
+                              data=rng.normal(size=(14, 1)).astype(np.float32))
+                op2.par_loop(op2.Kernel(SCALE32), edges, s32.arg(op2.RW))
+                extra.append(s32)
+    return (out.data_ro.copy(), tot.value,
+            *(d.data_ro.copy() for d in extra))
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -404,12 +419,13 @@ def test_fused_chain_counters_and_single_wrapper():
         _run_fused_pair("native", lazy=True)
     assert rec.counters.get("op2.native.fused_groups", 0) >= 1
     assert rec.counters.get("op2.native.fused_loops", 0) >= 2
-    # the whole group compiles into ONE translation unit
-    fused_objs = list(cache_dir().glob("fused_*.so"))
-    assert len(fused_objs) == 1
-    fused_src = fused_objs[0].with_suffix(".c").read_text()
+    # the whole group compiles into ONE translation unit, named by the
+    # same stem rule as a group of one ("_"-joined kernel names)
+    objs = list(cache_dir().glob("*.so"))
+    assert len(objs) == 1 and objs[0].name.startswith("nprep_nflux2_")
+    fused_src = objs[0].with_suffix(".c").read_text()
     assert fused_src.count("#pragma omp parallel") == 1
-    assert "op_native_fused_nprep__nflux2" in fused_src
+    assert "void op_native_nprep__nflux2(" in fused_src
 
 
 def test_fused_chain_missing_compiler_degrades_bitwise(monkeypatch):
@@ -426,6 +442,31 @@ def test_fused_chain_missing_compiler_degrades_bitwise(monkeypatch):
         assert rec.counters.get("op2.native.fused_fallback", 0) >= 1
         assert np.array_equal(eager[0], lazy[0])
         assert eager[1] == lazy[1]
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+def test_mixed_capability_group_degrades_to_singletons():
+    """One float32 loop in a chain group: the group degrades to groups
+    of one, the float64 loops still run compiled, nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning fails the test
+        eager = _run_fused_pair("native", lazy=False, mixed=True)
+        op2.reset_chain_stats()
+        with telemetry.tracing() as rec:
+            lazy = _run_fused_pair("native", lazy=True, mixed=True)
+    assert op2.chain_stats().fused == 2, "all three loops form one group"
+    assert rec.counters.get("op2.native.fused_fallback", 0) >= 1
+    assert rec.counters.get("op2.native.unsupported", 0) >= 1
+    assert rec.counters.get("op2.native.fused_groups", 0) == 0
+    assert rec.counters.get("op2.native.fallback", 0) == 0
+    # fresh kernels, warm disk cache: both float64 singletons load their
+    # compiled wrapper and nothing is rebuilt
+    assert rec.counters.get("op2.native.cache_hit_disk", 0) == 2
+    assert rec.counters.get("op2.native.compile", 0) == 0
+    assert {p.name.rsplit("_", 1)[0] for p in cache_dir().glob("*.so")} \
+        == {"nprep", "nflux2"}
+    for e, l in zip(eager, lazy):
+        assert np.array_equal(e, l)
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")

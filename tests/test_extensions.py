@@ -243,6 +243,46 @@ class TestAccessChecking:
     def test_off_by_default(self):
         assert op2.current_config().check_access is False
 
+    @staticmethod
+    def _chained_pair(second, lazy):
+        """Two adjacent fusable loops; ``second`` is the last kernel."""
+        nodes = op2.Set(4, "nodes")
+        x = op2.Dat(nodes, 1, data=np.arange(4.0))
+        y = op2.Dat(nodes, 1)
+        z = op2.Dat(nodes, 1)
+
+        def double(xv, yv):
+            yv[0] = 2.0 * xv[0]
+
+        with op2.configure(check_access=True, lazy=lazy,
+                           backend="sequential"):
+            with op2.loop_chain("pair", enabled=lazy):
+                op2.par_loop(op2.Kernel(double), nodes,
+                             x.arg(op2.READ), y.arg(op2.WRITE))
+                op2.par_loop(op2.Kernel(second), nodes,
+                             x.arg(op2.READ), z.arg(op2.WRITE))
+        return x.data_ro.copy(), y.data_ro.copy(), z.data_ro.copy()
+
+    def test_cheating_kernel_caught_inside_a_chain_group(self):
+        """The group path goes through the same read-only views."""
+        def cheat(xv, zv):
+            xv[0] = 0.0  # violates the READ declaration
+            zv[0] = 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            self._chained_pair(cheat, lazy=True)
+
+    def test_honest_pair_groups_and_matches_eager(self):
+        def triple(xv, zv):
+            zv[0] = 3.0 * xv[0]
+
+        eager = self._chained_pair(triple, lazy=False)
+        op2.reset_chain_stats()
+        lazy = self._chained_pair(triple, lazy=True)
+        assert op2.chain_stats().fused >= 1
+        for e, l in zip(eager, lazy):
+            assert np.array_equal(e, l)
+
 
 class TestResidualSmoothing:
     def run(self, cfl, eps, iters=4):

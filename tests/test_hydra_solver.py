@@ -235,3 +235,49 @@ class TestTotalPressure:
         means = np.array([p0[xs == x].mean() for x in stations])
         assert (np.diff(means) > 0).all(), means
         assert means[-1] > means[0] + 0.02
+
+
+def test_lazy_step_drains_its_chain_inside_the_timer():
+    """``advance_physical`` must leave nothing pending under ``lazy``.
+
+    A step whose loops flush in the caller's next host read is booked to
+    the wrong timer: on a coupled lazy run ``timers["physical_step"]``
+    read 0.11 s of 2.45 s and the rest appeared as coupler wait. The
+    drain sits at the program point of the old first host read, so the
+    chain's accounting for the step — pinned here from the commit before
+    the fix — and the state are what they were.
+    """
+    from repro.hydra.problem import row_owners
+    from repro.op2.distribute import (build_local_problem, gather_dat,
+                                      plan_distribution)
+    from repro.smpi import run_ranks
+
+    cfg = RowConfig(name="duct", kind=RowKind.STATOR, nr=3, nt=12, nx=6,
+                    turning_velocity=0.0, work_coeff=0.0)
+    mesh = make_row_mesh(cfg)
+    inflow = FlowState(rho=1.0, ux=0.5, p=1.0)
+    gp = row_problem(mesh, inflow)
+    layouts = plan_distribution(
+        gp, 2, row_owners(mesh, gp, 2, scheme="strips"))
+
+    def run(lazy):
+        def rank_fn(comm):
+            op2.set_config(partial_halos=True, grouped_halos=True, lazy=lazy)
+            op2.reset_chain_stats()
+            local = build_local_problem(gp, layouts[comm.rank], comm)
+            s = HydraSolver(local, cfg, Numerics(), dt_outer=0.05,
+                            inlet=inflow, p_out=1.0)
+            s.advance_physical()
+            chain = op2.current_chain()
+            pending = len(chain.pending) if chain is not None else 0
+            st = op2.chain_stats().as_dict()
+            q = gather_dat(comm, s.q, layouts[comm.rank], mesh.n_nodes)
+            return q, pending, st
+
+        return run_ranks(2, rank_fn)
+
+    eager, lazy = run(False), run(True)
+    assert np.array_equal(eager[0][0], lazy[0][0])
+    for _q, pending, st in lazy:
+        assert pending == 0
+        assert (st["fused"], st["halo_elided"], st["flushes"]) == (71, 93, 3)

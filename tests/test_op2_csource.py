@@ -15,9 +15,7 @@ import pytest
 from repro import op2
 from repro.hydra.kernels import KERNELS
 from repro.op2.codegen.csource import (generate_cuda, generate_native,
-                                       generate_native_fused,
                                        generate_openmp, native_entry_name,
-                                       native_fused_entry_name,
                                        native_is_planned)
 from repro.op2.kernel import KernelParseError
 
@@ -249,6 +247,11 @@ GOLDEN_UPDATE_SIG = (
 )
 
 
+def _native1(kernel, sig, strategy="blockcolor") -> str:
+    """The one generator at N = 1: what an eager par_loop compiles."""
+    return generate_native([kernel], [sig], strategy)
+
+
 def _assert_matches_golden(got: str, golden_name: str) -> None:
     golden = (GOLDEN_DIR / golden_name).read_text()
     if got != golden:
@@ -262,26 +265,26 @@ class TestNativeGolden:
     """Byte-exact comparison against compile-verified golden sources."""
 
     def test_golden_flux_matches(self):
-        got = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        got = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
         _assert_matches_golden(got, "golden_flux.c")
 
     def test_golden_update_matches(self):
-        got = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
+        got = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         _assert_matches_golden(got, "golden_update.c")
 
     def test_golden_atomics_flux_matches(self):
-        got = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
+        got = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
                               strategy="atomics")
         _assert_matches_golden(got, "golden_atomics_flux.c")
 
     def test_golden_fused_pair_matches(self):
-        got = generate_native_fused(
+        got = generate_native(
             [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_FLUX)],
             [GOLDEN_UPDATE_SIG, GOLDEN_FLUX_SIG])
         _assert_matches_golden(got, "golden_fused_pair.c")
 
     def test_golden_fused_atomics_pair_matches(self):
-        got = generate_native_fused(
+        got = generate_native(
             [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_FLUX)],
             [GOLDEN_UPDATE_SIG, GOLDEN_FLUX_SIG], strategy="atomics")
         _assert_matches_golden(got, "golden_fused_atomics_pair.c")
@@ -290,42 +293,42 @@ class TestNativeGolden:
 class TestNativeStructure:
     def test_indirect_inc_uses_block_color_plan(self):
         assert native_is_planned(GOLDEN_FLUX_SIG)
-        src = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
-        assert f"void {native_entry_name(op2.Kernel(GOLDEN_FLUX))}(" in src
+        src = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        assert f"void {native_entry_name([op2.Kernel(GOLDEN_FLUX)])}(" in src
         # plan ABI: block ranges + per-color block offsets
         assert "const long long *_blk_lo" in src
         assert "const long long *_col_off" in src
         # colors are serial (plain for), blocks within a color are
         # team-parallel — the same shape as the blockcolor backend
-        assert "for (long long col = 0; col < _ncolors; col++)" in src
+        assert "for (long long col = 0; col < _ncolors_f0; col++)" in src
         omp_for = src.index("#pragma omp for schedule(static)")
-        assert src.index("col < _ncolors") < omp_for
+        assert src.index("col < _ncolors_f0") < omp_for
         # the plan guarantees conflict-freedom: no atomics anywhere
         assert "atomic" not in src
         # indirect args index the full map table with their column
-        assert "a0 + m0[n * 2 + 0] * 2" in src
-        assert "a4 + m4[n * 2 + 1] * 1" in src
+        assert "a0_f0 + m0_f0[n * 2 + 0] * 2" in src
+        assert "a4_f0 + m4_f0[n * 2 + 1] * 1" in src
 
     def test_direct_loop_is_flat_parallel(self):
         assert not native_is_planned(GOLDEN_UPDATE_SIG)
-        src = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
+        src = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         assert "long long _start" in src and "long long _end" in src
         assert "_blk_lo" not in src and "_ncolors" not in src
         assert "#pragma omp for schedule(static)" in src
         assert "for (long long n = _start; n < _end; n++)" in src
 
     def test_reduction_staging_and_critical_fold(self):
-        flux = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        flux = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
         # INC reduction: zero-initialized thread-private staging,
         # folded into the caller's partial buffer under a critical
-        assert "double rms_l[1];" in flux
-        assert "rms_l[d] = 0.0;" in flux
+        assert "double rms_l_f0[1];" in flux
+        assert "rms_l_f0[d] = 0.0;" in flux
         assert "#pragma omp critical" in flux
-        assert "g5[d] += rms_l[d];" in flux
-        upd = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
+        assert "g5_f0[d] += rms_l_f0[d];" in flux
+        upd = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         # MAX reduction: -INFINITY neutral, fmax fold
-        assert "change_l[d] = -INFINITY;" in upd
-        assert "g5[d] = fmax(g5[d], change_l[d]);" in upd
+        assert "change_l_f0[d] = -INFINITY;" in upd
+        assert "g5_f0[d] = fmax(g5_f0[d], change_l_f0[d]);" in upd
 
     def test_no_critical_without_reductions(self):
         def k(x, y):
@@ -333,13 +336,13 @@ class TestNativeStructure:
 
         sig = (("dat", op2.READ, "direct", 1, 0, None),
                ("dat", op2.WRITE, "direct", 1, 0, None))
-        src = generate_native(op2.Kernel(k, name="scale_k"), sig)
+        src = _native1(op2.Kernel(k, name="scale_k"), sig)
         assert "#pragma omp critical" not in src
         assert "#pragma omp parallel" in src
 
     def test_compiles_without_openmp(self):
         """The wrapper must be valid C without -fopenmp."""
-        src = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        src = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
         assert "#ifdef _OPENMP" in src
         assert "#define omp_get_max_threads() 1" in src
 
@@ -357,7 +360,7 @@ class TestNativeStructure:
                          ("gbl", op2.READ, 1), ("gbl", op2.MIN, 1)),
         }
         for name, sig in sigs.items():
-            src = generate_native(KERNELS[name], sig)
+            src = _native1(KERNELS[name], sig)
             assert f"op_native_{name}" in src
             assert src.count("{") == src.count("}")
 
@@ -378,7 +381,7 @@ def int_k(x, y):
            ("dat", op2.WRITE, "direct", 4, 0, None))
 
     def _src(self):
-        return generate_native(op2.Kernel(self.INT_K), self.SIG)
+        return _native1(op2.Kernel(self.INT_K), self.SIG)
 
     def test_int_local_declared_long_long(self):
         assert "long long j = " in self._src()
@@ -404,7 +407,7 @@ def int_k(x, y):
 
         sig = (("dat", op2.READ, "direct", 1, 0, None),
                ("dat", op2.WRITE, "direct", 1, 0, None))
-        src = generate_native(op2.Kernel(flt_k), sig)
+        src = _native1(op2.Kernel(flt_k), sig)
         assert "fmin(x[0], 0.5)" in src
         assert "fabs(x[0])" in src
         assert "?" not in src.split("static inline")[1].split("}")[0]
@@ -414,13 +417,13 @@ class TestNativeAtomicsStructure:
     """The compiled atomics strategy: chunked blocks, omp-atomic INCs."""
 
     def _src(self):
-        return generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
+        return _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
                                strategy="atomics")
 
     def test_entry_name_and_chunk_loop(self):
         src = self._src()
         kern = op2.Kernel(GOLDEN_FLUX)
-        assert f"void {native_entry_name(kern, 'atomics')}(" in src
+        assert f"void {native_entry_name([kern], 'atomics')}(" in src
         assert "op_native_atomics_golden_flux" in src
         # the iteration space is cut into _block-sized chunks — the
         # simulated CUDA grid the numpy atomics backend also uses
@@ -446,24 +449,24 @@ class TestNativeAtomicsStructure:
         assert "_blk_lo" not in src and "_ncolors" not in src
 
     def test_direct_loop_has_no_atomics(self):
-        src = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG,
+        src = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG,
                               strategy="atomics")
         assert "#pragma omp atomic" not in src  # no indirect INCs
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
+            _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
                             strategy="voodoo")
 
 
 class TestNativeFusedStructure:
-    """Fused-chain wrappers: one region, ordered sections, shared ABI."""
+    """Group wrappers: one region, ordered sections, shared ABI."""
 
     def _kernels(self):
         return [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_FLUX)]
 
     def _src(self, strategy="blockcolor"):
-        return generate_native_fused(
+        return generate_native(
             self._kernels(), [GOLDEN_UPDATE_SIG, GOLDEN_FLUX_SIG], strategy)
 
     def test_single_parallel_region_spans_sections(self):
@@ -476,14 +479,14 @@ class TestNativeFusedStructure:
 
     def test_entry_symbol(self):
         src = self._src()
-        name = native_fused_entry_name(self._kernels())
-        assert name == "op_native_fused_golden_update__golden_flux"
+        name = native_entry_name(self._kernels())
+        assert name == "op_native_golden_update__golden_flux"
         assert f"void {name}(" in src
 
     def test_elementals_renamed_per_section(self):
         # the same kernel may appear twice in one group: every section
         # gets its own renamed static copy
-        src = generate_native_fused(
+        src = generate_native(
             [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_UPDATE)],
             [GOLDEN_UPDATE_SIG, GOLDEN_UPDATE_SIG])
         assert "static inline void golden_update_f0(" in src
@@ -508,7 +511,7 @@ class TestNativeFusedStructure:
 
     def test_atomics_strategy_fused(self):
         src = self._src(strategy="atomics")
-        assert "op_native_fused_atomics_golden_update__golden_flux" in src
+        assert "op_native_atomics_golden_update__golden_flux" in src
         # no plans under atomics: both sections chunk over [start, end)
         assert "_blk_lo" not in src
         assert src.count(
@@ -525,3 +528,15 @@ class TestNativeFusedStructure:
         for strategy in ("blockcolor", "atomics"):
             src = self._src(strategy)
             assert src.count("{") == src.count("}")
+
+    def test_group_of_one_is_the_same_shape(self):
+        """N = 1 (an eager par_loop) is the N-section generator with one
+        section: one region, one section, the shared tail."""
+        for strategy in ("blockcolor", "atomics"):
+            src = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG, strategy)
+            assert src.count("#pragma omp parallel") == 1
+            assert src.count("// -- section") == 1
+            assert "// -- section 0: golden_flux" in src
+            assert "static inline void golden_flux_f0(" in src
+            assert "long long _start,\n    long long _end,\n"  \
+                "    long long _block,\n    long long _nthreads) {" in src

@@ -414,26 +414,23 @@ class TestCoupledTrace:
 
 
 def _seed_execute(self, backend_name=None):
-    """The pre-telemetry par_loop execute path, verbatim (seed replica)."""
+    """The pre-telemetry serial par_loop execute path (seed replica)."""
     cfg = current_config()
     if cfg.sanitize:
         backend_name = "sanitizer"
     backend = resolve_backend(backend_name or cfg.backend)
     profiling = cfg.profile
     t0 = time.perf_counter() if profiling else 0.0
-    if self.iterset.is_distributed:
-        halo_seconds = self._execute_distributed(backend)
-    else:
-        halo_seconds = 0.0
-        reductions = ReductionBuffers(self.args)
-        backend.execute(self, 0, self.iterset.size, reductions)
-        reductions.finalize(None)
-        self._mark_written_stale()
+    assert not self.iterset.is_distributed
+    reductions = ReductionBuffers(self.args)
+    backend.execute([self], 0, self.iterset.size, [reductions])
+    reductions.finalize(None)
+    self._mark_written_stale()
     if profiling:
         elapsed = time.perf_counter() - t0
         current_profile().record(
-            self.kernel.name, compute=elapsed - halo_seconds,
-            halo=halo_seconds, elements=self.iterset.size)
+            self.kernel.name, compute=elapsed, halo=0.0,
+            elements=self.iterset.size)
 
 
 class TestOverheadGuard:
