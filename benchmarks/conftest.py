@@ -41,23 +41,12 @@ def pytest_addoption(parser):
         "--smoke", action="store_true", default=False,
         help="shrink benchmark problem sizes/reps to a CI-friendly "
              "smoke run (artifacts still written, perf bars relaxed)")
-    parser.addoption(
-        "--transport", choices=["thread", "process"], default="thread",
-        help="smpi transport for the transport-aware benchmarks "
-             "(bench_resilience); process mode writes a separate "
-             "BENCH_<name>_process.json artifact")
 
 
 @pytest.fixture(scope="session")
 def smoke(request):
     """True when the run is a CI smoke (small sizes, no perf bars)."""
     return request.config.getoption("--smoke")
-
-
-@pytest.fixture(scope="session")
-def bench_transport(request):
-    """The smpi transport selected with --transport (default thread)."""
-    return request.config.getoption("--transport")
 
 
 def pytest_report_header(config):

@@ -37,40 +37,77 @@ Exposes the library's headline workflows without writing a script:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 
+def _case_args(p, *, p_out, rows=2, nt=12, steps_per_rev=64,
+               layout=True, search=True):
+    """Declare the engine-case flags with one subcommand's defaults
+    (the service subcommands take no execution-layout flags). Each
+    ``dest`` is the :class:`~repro.service.EngineCase` field it sets."""
+    p.add_argument("--rows", type=int, default=rows)
+    p.add_argument("--nr", type=int, default=3)
+    p.add_argument("--nt", type=int, default=nt)
+    p.add_argument("--nx", type=int, default=4)
+    p.add_argument("--steps-per-rev", type=int, default=steps_per_rev,
+                   dest="steps_per_revolution")
+    p.add_argument("--inner", type=int, default=4, dest="inner_iters")
+    p.add_argument("--p-out", type=float, default=p_out)
+    if layout:
+        p.add_argument("--ranks-per-row", type=int, default=1)
+        p.add_argument("--cus", type=int, default=1,
+                       dest="cus_per_interface")
+    if search:  # the subcommands that also choose the transfer
+        p.add_argument("--search", choices=["adt", "bruteforce"],
+                       default="adt")
+        p.add_argument("--interp", choices=["bilinear", "biquadratic"],
+                       default="bilinear",
+                       help="interface interpolation: bilinear (default) "
+                            "or biquadratic (conservative high-order)")
+        p.add_argument("--no-incremental", action="store_true",
+                       help="disable the cross-round donor cache (re-search "
+                            "every target every round)")
+
+
+def _engine_case(args: argparse.Namespace):
+    """The case a subcommand's flags describe; a field it declares no
+    flag for keeps the EngineCase default."""
+    from repro.service import EngineCase
+
+    given = vars(args)
+    return EngineCase(**{f.name: given[f.name]
+                         for f in dataclasses.fields(EngineCase)
+                         if f.name in given})
+
+
+def _run_config(args: argparse.Namespace, **run_time_overrides):
+    """The coupled-run config of any subcommand: its case flags through
+    :class:`~repro.service.EngineCase`, everything else as overrides."""
+    return _engine_case(args).run_config(**run_time_overrides)
+
+
 def _cmd_compressor(args: argparse.Namespace) -> int:
-    from repro.coupler import CoupledDriver, CoupledRunConfig
-    from repro.hydra import FlowState, Numerics
-    from repro.mesh import rig250_config
     from repro.resilience import resume_coupled
     from repro.util.ascii_plot import render_field
 
-    rig = rig250_config(nr=args.nr, nt=args.nt, nx=args.nx, rows=args.rows,
-                        steps_per_revolution=args.steps_per_rev)
-    if args.checkpoint_every and not args.checkpoint_dir:
-        print("--checkpoint-every requires --checkpoint-dir",
-              file=sys.stderr)
-        return 2
-    cfg = CoupledRunConfig(
-        rig=rig, ranks_per_row=args.ranks_per_row,
-        cus_per_interface=args.cus, search=args.search,
-        incremental=not args.no_incremental,
+    for flag, needs_dir in (("--checkpoint-every", args.checkpoint_every),
+                            ("--resume without a STEP_DIR",
+                             args.resume == "latest")):
+        if needs_dir and not args.checkpoint_dir:
+            print(f"{flag} requires --checkpoint-dir", file=sys.stderr)
+            return 2
+    cfg = _run_config(
+        args, incremental=not args.no_incremental,
         interp=args.interp, interp_native=args.interp_native,
-        numerics=Numerics(inner_iters=args.inner),
-        inlet=FlowState(ux=0.5), p_out=args.p_out,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
         transport=args.transport)
-    if args.resume is not None:
-        target = "latest" if args.resume == "latest" else args.resume
-        result = resume_coupled(cfg, args.steps, resume_from=target)
-    else:
-        result = CoupledDriver(cfg).run(args.steps)
-    print(f"rows: {rig.n_rows}, interfaces: {rig.n_interfaces}, "
+    # --resume absent = None = a cold start
+    result = resume_coupled(cfg, args.steps, resume_from=args.resume)
+    print(f"rows: {cfg.rig.n_rows}, interfaces: {cfg.rig.n_interfaces}, "
           f"steps: {args.steps}")
     if result.resumed_from:
         print(f"resumed from checkpoint step {result.resumed_from}")
@@ -94,27 +131,14 @@ def _cmd_compressor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resilience_monitors(result) -> list:
-    """The monitor history a recovered run must reproduce bitwise."""
-    return [
-        [(row["stations_p"], np.asarray(row["midcut_p"]).tolist(),
-          row["unsteadiness"], row["wiggle"],
-          row["plane_mdot_in"], row["plane_mdot_out"])
-         for row in result.rows],
-        [(cu["rounds"], cu["stats"].queries, cu["stats"].comparisons)
-         for cu in result.cus],
-    ]
-
-
 def _cmd_resilience(args: argparse.Namespace) -> int:
     """Fault-matrix smoke: inject faults, prove recovery is bitwise."""
     import json
     import pathlib
     import tempfile
 
-    from repro.coupler import CoupledDriver, CoupledRunConfig
-    from repro.hydra import FlowState, Numerics
-    from repro.mesh import rig250_config
+    from repro.coupler import CoupledDriver, build_driver_setup
+    from repro.hydra import Numerics
     from repro.resilience import (
         FaultPlan,
         RecoveryPolicy,
@@ -122,32 +146,25 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         run_resilient,
     )
 
-    rig = rig250_config(nr=args.nr, nt=args.nt, nx=args.nx, rows=args.rows,
-                        steps_per_revolution=args.steps_per_rev)
-
     say = (lambda *_a, **_k: None) if args.json else print
 
     def make_cfg(ckpt_dir, plan=None, transport=None):
-        return CoupledRunConfig(
-            rig=rig, ranks_per_row=args.ranks_per_row,
-            cus_per_interface=args.cus, search="adt",
-            numerics=Numerics(inner_iters=args.inner, guard=True),
-            inlet=FlowState(ux=0.5), p_out=args.p_out,
+        return _run_config(
+            args, numerics=Numerics(inner_iters=args.inner_iters, guard=True),
             checkpoint_every=args.checkpoint_every if ckpt_dir else 0,
             checkpoint_dir=ckpt_dir, fault_plan=plan,
             cu_request_timeout=10.0, transport=transport)
 
-    probe = CoupledDriver(make_cfg(None))
-    n_hs = sum(len(r) for r in probe.row_ranks)
-    cu_rank = probe.cu_ranks[0][0]
+    setup = build_driver_setup(make_cfg(None))
+    n_hs = sum(len(r) for r in setup.row_ranks)
+    cu_rank = setup.cu_ranks[0][0]
+    donor_tag = setup.directions[0].donor_tag
     mid = max(1, args.steps // 2)
-    donor_tag = 9000  # _TAG_DONOR of interface 0, direction 0
 
     # the truth every recovered run must reproduce — always the
     # thread transport: recovered process runs must match it bitwise
-    baseline = CoupledDriver(make_cfg(None, transport="thread")).run(
-        args.steps)
-    truth = _resilience_monitors(baseline)
+    truth = CoupledDriver(make_cfg(None, transport="thread"),
+                          shared=setup).run(args.steps).monitor_payload()
 
     scenarios = [
         ("crash-hs", lambda: FaultPlan(seed=7).crash(rank=0, step=mid)),
@@ -167,8 +184,8 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     # trajectory stays comparable to the fault-free baseline
     policy = RecoveryPolicy(max_retries=3, cfl_backoff=1.0)
 
-    report = {"world_ranks": probe.n_world, "hs_ranks": n_hs,
-              "cu_ranks": probe.n_world - n_hs, "steps": args.steps,
+    report = {"world_ranks": setup.n_world, "hs_ranks": n_hs,
+              "cu_ranks": setup.n_world - n_hs, "steps": args.steps,
               "checkpoint_every": args.checkpoint_every,
               "transport": args.transport or "thread",
               "scenarios": []}
@@ -186,7 +203,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                 failed = True
                 continue
             log = result.recovery
-            identical = _resilience_monitors(result) == truth
+            identical = result.monitor_payload() == truth
             # corruption may miss the serving CU's donor window — then
             # it is *harmless* (bitwise-equal with zero recoveries),
             # which is the same contract the hypothesis test enforces;
@@ -210,7 +227,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         fallback = latest_valid_checkpoint(d)
         resumed = CoupledDriver(make_cfg(d, transport=args.transport)).run(
             args.steps, resume_from=fallback)
-        identical = _resilience_monitors(resumed) == truth
+        identical = resumed.monitor_payload() == truth
         fell_back = fallback is not None and fallback.step < newest.step
         ok = identical and fell_back
         failed |= not ok
@@ -384,20 +401,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.coupler import CoupledDriver, CoupledRunConfig
-    from repro.hydra import FlowState, Numerics
-    from repro.mesh import rig250_config
+    from repro.coupler import CoupledDriver
     from repro.telemetry import (chrome_trace, metrics_summary,
                                  write_chrome_trace, write_metrics)
 
-    rig = rig250_config(nr=args.nr, nt=args.nt, nx=args.nx, rows=args.rows,
-                        steps_per_revolution=args.steps_per_rev)
-    cfg = CoupledRunConfig(
-        rig=rig, ranks_per_row=args.ranks_per_row,
-        cus_per_interface=args.cus, search=args.search,
-        incremental=not args.no_incremental, interp=args.interp,
-        numerics=Numerics(inner_iters=args.inner),
-        inlet=FlowState(ux=0.5), p_out=args.p_out,
+    cfg = _run_config(
+        args, incremental=not args.no_incremental, interp=args.interp,
         schedule_seed=args.seed, lazy=args.lazy, trace=True)
     driver = CoupledDriver(cfg)
     result = driver.run(args.steps)
@@ -409,7 +418,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace_path = out / "trace.json"
     metrics_path = out / "metrics.json"
     write_chrome_trace(trace_path, chrome_trace(timeline))
-    meta = {"case": "coupled-rig250", "rows": rig.n_rows,
+    meta = {"case": "coupled-rig250", "rows": cfg.rig.n_rows,
             "steps": args.steps, "world_ranks": driver.n_world,
             "search": args.search,
             "incremental": not args.no_incremental,
@@ -521,14 +530,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_case(args: argparse.Namespace):
-    from repro.service import EngineCase
-
-    return EngineCase(nr=args.nr, nt=args.nt, nx=args.nx, rows=args.rows,
-                      steps_per_revolution=args.steps_per_rev,
-                      inner_iters=args.inner, p_out=args.p_out)
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     """One-shot client: spin up an in-process service, submit, stream."""
     import asyncio
@@ -537,7 +538,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.service import JobRequest, JobScheduler
 
-    case = _service_case(args)
+    case = _engine_case(args)
 
     async def run() -> list:
         tenants = args.tenant.split(",")
@@ -608,7 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.telemetry import write_bench_summary
     from repro.util.tables import format_table
 
-    case = _service_case(args)
+    case = _engine_case(args)
     loads = tuple(float(x) for x in args.loads.split(","))
     root = args.checkpoint_root or tempfile.mkdtemp(prefix="repro-serve-")
     sweep = asyncio.run(run_load_sweep(
@@ -655,25 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compressor", help="run the coupled mini-Rig250")
-    p.add_argument("--rows", type=int, default=10)
+    _case_args(p, rows=10, nt=16, steps_per_rev=128, p_out=1.05)
     p.add_argument("--steps", type=int, default=24)
-    p.add_argument("--nr", type=int, default=3)
-    p.add_argument("--nt", type=int, default=16)
-    p.add_argument("--nx", type=int, default=4)
-    p.add_argument("--steps-per-rev", type=int, default=128)
-    p.add_argument("--ranks-per-row", type=int, default=1)
-    p.add_argument("--cus", type=int, default=1)
-    p.add_argument("--inner", type=int, default=4)
-    p.add_argument("--p-out", type=float, default=1.05)
-    p.add_argument("--search", choices=["adt", "bruteforce"], default="adt")
-    p.add_argument("--interp", choices=["bilinear", "biquadratic"],
-                   default="bilinear",
-                   help="interface interpolation: bilinear (default) or "
-                        "biquadratic (conservative high-order; reports "
-                        "the per-round flux error)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the cross-round donor cache (re-search "
-                        "every target every round)")
     p.add_argument("--interp-native", action="store_true",
                    help="route the interpolation gather-apply through "
                         "the compiled native kernel when available")
@@ -699,16 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault-matrix smoke: inject crashes and "
                             "message faults into a coupled run, prove "
                             "supervised recovery is bitwise-identical")
-    p.add_argument("--rows", type=int, default=2)
+    _case_args(p, p_out=1.02, search=False)
     p.add_argument("--steps", type=int, default=6)
-    p.add_argument("--nr", type=int, default=3)
-    p.add_argument("--nt", type=int, default=12)
-    p.add_argument("--nx", type=int, default=4)
-    p.add_argument("--steps-per-rev", type=int, default=64)
-    p.add_argument("--ranks-per-row", type=int, default=1)
-    p.add_argument("--cus", type=int, default=1)
-    p.add_argument("--inner", type=int, default=4)
-    p.add_argument("--p-out", type=float, default=1.02)
     p.add_argument("--checkpoint-every", type=int, default=2)
     p.add_argument("--transport", choices=["thread", "process"],
                    default=None,
@@ -746,26 +722,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace",
                        help="run a small coupled case with telemetry on; "
                             "write Chrome-trace + metrics JSON")
-    p.add_argument("--rows", type=int, default=2)
+    _case_args(p, p_out=1.02)
     p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--nr", type=int, default=3)
-    p.add_argument("--nt", type=int, default=12)
-    p.add_argument("--nx", type=int, default=4)
-    p.add_argument("--steps-per-rev", type=int, default=64)
-    p.add_argument("--ranks-per-row", type=int, default=1)
-    p.add_argument("--cus", type=int, default=1)
-    p.add_argument("--inner", type=int, default=4)
-    p.add_argument("--p-out", type=float, default=1.02)
-    p.add_argument("--search", choices=["adt", "bruteforce"], default="adt")
     p.add_argument("--seed", type=int, default=None,
                    help="deterministic schedule seed (replayable trace)")
     p.add_argument("--lazy", action="store_true",
                    help="lazy loop-chain execution in the Hydra Sessions "
                         "(bitwise-equal; breakdown gains elision columns)")
-    p.add_argument("--interp", choices=["bilinear", "biquadratic"],
-                   default="bilinear")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the cross-round donor cache")
     p.add_argument("--out", default="trace_out",
                    help="output directory for trace.json / metrics.json")
     p.set_defaults(fn=_cmd_trace)
@@ -776,19 +739,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="vectorized")
     p.set_defaults(fn=_cmd_codegen)
 
-    def _case_args(p):
-        p.add_argument("--rows", type=int, default=2)
-        p.add_argument("--nr", type=int, default=3)
-        p.add_argument("--nt", type=int, default=12)
-        p.add_argument("--nx", type=int, default=4)
-        p.add_argument("--steps-per-rev", type=int, default=64)
-        p.add_argument("--inner", type=int, default=4)
-        p.add_argument("--p-out", type=float, default=1.0)
-
     p = sub.add_parser("submit",
                        help="submit job(s) to an in-process simulation "
                             "service and stream progress")
-    _case_args(p)
+    _case_args(p, p_out=1.0, layout=False, search=False)
     p.add_argument("--tenant", default="cli",
                    help="tenant name, or comma-separated list to demo "
                         "cross-tenant setup dedup")
@@ -815,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="run the service under a seeded offered-load "
                             "sweep; print throughput + p50/p99 latency")
-    _case_args(p)
+    _case_args(p, p_out=1.0, layout=False, search=False)
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--slots", type=int, default=2)
     p.add_argument("--tenants", type=int, default=4)

@@ -32,15 +32,13 @@ from repro.coupler.fastpath import gather_apply, native_status
 from repro.coupler.interface import SideGeometry, SlidingInterface
 from repro.coupler.partitioning import segment_of, segment_targets
 from repro.coupler.unit import CUTransferEngine, TransferResult, cu_transfer
-from repro.coupler.driver import (
-    CoupledDriver,
-    CoupledRunConfig,
-    CoupledResult,
+from repro.coupler.setup import (
     DriverSetup,
     balanced_ranks,
     build_driver_setup,
     setup_fingerprint,
 )
+from repro.coupler.driver import CoupledDriver, CoupledRunConfig, CoupledResult
 from repro.coupler.monolithic import MonolithicDriver
 
 __all__ = [

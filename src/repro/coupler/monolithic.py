@@ -17,19 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import op2
-from repro.coupler.driver import (
-    CoupledResult,
-    CoupledRunConfig,
-    _Setup,
-    _hs_report,
-    _open_session,
-    _tag,
-    _TAG_DONOR,
-    CoupledDriver,
+from repro.coupler.driver import CoupledDriver, CoupledResult, CoupledRunConfig
+from repro.coupler.ranks import (
+    RunContext,
+    rank_main,
+    recv_donor_grid,
+    send_donors,
 )
 from repro.coupler.unit import cu_transfer
-from repro.smpi import Traffic, run_ranks
+from repro.hydra.session import HydraSession
 
 
 @dataclass
@@ -46,113 +42,76 @@ class MonolithicResult(CoupledResult):
 
 
 class MonolithicDriver(CoupledDriver):
-    """Same rows, same physics — interface work trapped on solver ranks."""
+    """Same rows, same physics — interface work trapped on solver ranks.
+
+    Launched, configured and stepped by the coupled driver's own code;
+    only the coupling round differs. There is no restart path, so a
+    config that asks for checkpoints is rejected, not ignored.
+    """
 
     def __init__(self, cfg: CoupledRunConfig) -> None:
-        if cfg.cus_per_interface != 1:
-            cfg = dataclasses.replace(cfg, cus_per_interface=1)
-        super().__init__(cfg)
+        if cfg.checkpoint_every > 0:
+            raise ValueError(
+                "the monolithic baseline cannot checkpoint; "
+                "set checkpoint_every=0")
+        super().__init__(dataclasses.replace(cfg, cus_per_interface=1))
         # strip the CU ranks: the monolithic world is solver ranks only
-        self.cu_ranks = [[] for _ in self.cu_ranks]
-        self.n_world = sum(len(r) for r in self.row_ranks)
+        self.setup = dataclasses.replace(
+            self.setup, cu_ranks=[[] for _ in self.setup.cu_ranks],
+            n_world=sum(len(r) for r in self.setup.row_ranks))
 
     def run(self, nsteps: int) -> MonolithicResult:
-        if nsteps < 0:
-            raise ValueError("nsteps must be >= 0")
-        setup = _Setup(
-            cfg=self.cfg, meshes=self.meshes, problems=self.problems,
-            layouts=self.layouts, row_ranks=self.row_ranks,
-            cu_ranks=self.cu_ranks, interfaces=self.interfaces,
-            directions=self.directions, nsteps=nsteps,
-            n_world=self.n_world,
-        )
-        traffic = Traffic()
-        results = run_ranks(self.n_world, _mono_rank_main, args=(setup,),
-                            timeout=self.cfg.timeout, traffic=traffic)
-        rows = [r for r in results if r["reporter"]]
-        rows.sort(key=lambda r: r["row"])
-        comps = [r["search_comparisons"] for r in results]
+        reports, merged = self._launch(_mono_rank_main, nsteps)
         return MonolithicResult(
-            rows=rows, cus=[], traffic=traffic, nsteps=nsteps,
-            dt=self.cfg.rig.dt_outer, rank_search_comparisons=comps,
-        )
+            **merged, rank_search_comparisons=[r["search_comparisons"]
+                                               for r in reports])
 
 
-def _mono_rank_main(world, setup: _Setup):
-    # every rank is a solver rank here
-    row_idx = None
-    for i, ranks in enumerate(setup.row_ranks):
-        if world.rank in ranks:
-            row_idx = i
-            break
-    assert row_idx is not None
-    sub = world.split(row_idx)
-    cfg = setup.cfg
-    op2.set_config(partial_halos=cfg.partial_halos,
-                   grouped_halos=cfg.grouped_halos)
+def _mono_rank_main(world, ctx: RunContext) -> dict:
+    inline = _InlineCoupling(ctx.setup.interfaces)
+    report = rank_main(world, ctx, couple=inline)
+    report["search_comparisons"] = inline.comparisons
+    return report
 
-    rig = cfg.rig
-    session = _open_session(sub, row_idx, setup)
-    solver = session.solver
-    quads = {k: {"up": iface.up.donor_quads(), "down": iface.down.donor_quads()}
-             for k, iface in enumerate(setup.interfaces)}
-    comparisons = 0
 
-    def couple(t: float) -> int:
-        """Inline transfer: donor owners broadcast to target owners, and
-        each target owner searches the full donor set itself."""
-        comps = 0
+class _InlineCoupling:
+    """One solver rank's coupling round without CUs: donor owners
+    broadcast to target owners, and each target owner searches the full
+    donor set itself. Counts the search effort trapped on this rank."""
+
+    def __init__(self, interfaces: list) -> None:
+        self.quads = [{"up": iface.up.donor_quads(),
+                       "down": iface.down.donor_quads()}
+                      for iface in interfaces]
+        self.comparisons = 0
+
+    def __call__(self, world, session: HydraSession, row_idx: int,
+                 ctx: RunContext, t: float) -> None:
+        setup = ctx.setup
         # send my donor pieces to every target-owning rank
         for d in setup.directions:
-            if d.src_row != row_idx:
-                continue
-            positions, values = session.donor_values(d.src_side)
-            world.set_phase(f"mono.donor:{d.k}:{d.direction}")
-            dst_ranks = sorted(d.expected_cus)  # ranks owning any target
-            for dst in dst_ranks:
-                world.send((positions, values), dest=dst,
-                           tag=_tag(_TAG_DONOR, d.k, d.direction))
+            if d.src_row == row_idx:
+                send_donors(world, session, ctx, d, sorted(d.expected_cus),
+                            "mono.donor")
         # receive donors and do the trapped search/interp locally
-        wait = solver.timers["coupler_inline"]
+        wait = session.solver.timers["coupler_inline"]
         for d in setup.directions:
             if d.dst_row != row_idx or world.rank not in d.expected_cus:
                 continue
             iface = setup.interfaces[d.k]
-            src = "up" if d.direction == 0 else "down"
-            dst = "down" if d.direction == 0 else "up"
-            geo = iface.side(src)
-            n_grid = geo.grid_shape[0] * geo.grid_shape[1]
-            donors = np.zeros((n_grid, 5))
-            for src_rank in setup.row_ranks[d.src_row]:
-                positions, values = world.recv(
-                    source=src_rank, tag=_tag(_TAG_DONOR, d.k, d.direction))
-                if positions.size:
-                    donors[positions] = values
-            # my targets: the ones this rank owns (routing table reused)
-            mine = d.cu_send[0].get(world.rank)
-            if mine is None or mine.size == 0:
-                continue
-            wait.start()
-            result = cu_transfer(
-                iface, src, dst, donors, t, subset=mine,
-                search_kind=cfg.search,
-                # no segmentation: the whole annulus is the window
-                margin_quads=float(geo.grid_shape[1]),
-                cached_quads=quads[d.k][src])
-            wait.stop()
-            comps += result.stats.comparisons + result.stats.build_ops
+            donors = recv_donor_grid(world, ctx, d)
+            # my targets: the ones this rank owns (routing table reused;
+            # a rank is in expected_cus iff it owns at least one)
+            mine = d.cu_send[0][world.rank]
+            with wait:
+                result = cu_transfer(
+                    iface, d.src_iface, d.dst_iface, donors, t, subset=mine,
+                    search_kind=ctx.cfg.search,
+                    # no segmentation: the whole annulus is the window
+                    margin_quads=float(
+                        iface.side(d.src_iface).grid_shape[1]),
+                    cached_quads=self.quads[d.k][d.src_iface])
+            self.comparisons += (result.stats.comparisons
+                                 + result.stats.build_ops)
             session.apply_halo_values(d.dst_side, result.positions,
                                       result.values)
-        if session.sides:
-            session.finish_coupling()
-        world.set_phase("compute")
-        return comps
-
-    comparisons += couple(0.0)
-    for step in range(1, setup.nsteps + 1):
-        solver.advance_physical()
-        comparisons += couple(step * rig.dt_outer)
-
-    report = _hs_report(world, sub, solver, session, row_idx, setup)
-    report["search_comparisons"] = comparisons
-    return report

@@ -235,10 +235,6 @@ class CUAccounting:
 
     rounds: int = 0
     stats: SearchStats = field(default_factory=SearchStats)
-    serve_seconds: float = 0.0
-    #: serve time excluding the donor-assembly receives (pure
-    #: search + interp + scatter)
-    serve_compute_seconds: float = 0.0
     #: per serve, per direction: (direction, flux_sum, n_targets,
     #: donor_flux_mean) — the driver aggregates these across a whole
     #: interface into the per-round conservation check

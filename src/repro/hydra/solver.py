@@ -363,7 +363,6 @@ class HydraSolver:
                     self.restore(ckpt_file)
                     self.num.cfl *= cfl_backoff
                     self.g_cfl.value = self.num.cfl
-                    self._pseudo_dt = None
                     rec = active_recorder()
                     if rec is not None:
                         rec.counter("resilience.rollbacks")
@@ -401,8 +400,37 @@ class HydraSolver:
         return history
 
     # -- checkpointing ------------------------------------------------
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """What a restart needs, as named arrays in archive order:
+        :meth:`checkpoint` writes exactly these and the coupled driver's
+        checkpoint members start with them. ``data_with_halos``
+        round-trips exactly; :meth:`load_state` marks halos stale, so
+        the re-exchange reproduces them bitwise anyway."""
+        return {
+            "q": self.q.data_with_halos,
+            "qn": self.qn.data_with_halos,
+            "qnm1": self.qnm1.data_with_halos,
+            "clock": np.array([self.time, float(self.step)]),
+        }
+
+    def load_state(self, archive) -> None:
+        """Adopt the state :meth:`state_arrays` saved (any mapping)."""
+        for name, dat in (("q", self.q), ("qn", self.qn),
+                          ("qnm1", self.qnm1)):
+            data = archive[name]
+            if data.shape != dat.data_with_halos.shape:
+                raise ValueError(
+                    f"checkpoint field {name!r} has shape {data.shape}, "
+                    f"solver expects {dat.data_with_halos.shape}"
+                )
+            dat.data_with_halos[:] = data
+            dat.mark_halo_stale()
+        self.time = float(archive["clock"][0])
+        self.step = int(archive["clock"][1])
+        self._pseudo_dt = None
+
     def checkpoint(self, path) -> str:
-        """Save the full time-stepping state (q, qn, qnm1, clock) to npz.
+        """Save the full time-stepping state to a compressed npz.
 
         Committed atomically (tmp + ``os.replace``): a crash mid-write
         leaves the previous checkpoint intact, never a torn archive.
@@ -411,28 +439,12 @@ class HydraSolver:
         """
         with _tspan("checkpoint", "resilience.checkpoint_write",
                     step=self.step):
-            return atomic_savez(
-                path, compressed=True,
-                q=self.q.data_with_halos, qn=self.qn.data_with_halos,
-                qnm1=self.qnm1.data_with_halos,
-                clock=np.array([self.time, float(self.step)]),
-            )
+            return atomic_savez(path, compressed=True, **self.state_arrays())
 
     def restore(self, path) -> None:
         """Load a checkpoint written by :meth:`checkpoint`."""
         with load_npz(path) as archive:
-            for name, dat in (("q", self.q), ("qn", self.qn),
-                              ("qnm1", self.qnm1)):
-                data = archive[name]
-                if data.shape != dat.data_with_halos.shape:
-                    raise ValueError(
-                        f"checkpoint field {name!r} has shape {data.shape}, "
-                        f"solver expects {dat.data_with_halos.shape}"
-                    )
-                dat.data_with_halos[:] = data
-                dat.mark_halo_stale()
-            self.time = float(archive["clock"][0])
-            self.step = int(archive["clock"][1])
+            self.load_state(archive)
 
     # -- monitors -------------------------------------------------------
     def residual_norm(self) -> float:

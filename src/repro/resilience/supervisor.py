@@ -32,11 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.hydra.solver import SolverDivergence
-from repro.resilience.checkpoint import (
-    CheckpointManifest,
-    latest_valid_checkpoint,
-    load_manifest,
-)
+from repro.resilience.checkpoint import latest_valid_checkpoint
 from repro.smpi.errors import DeadlockError, RankFailure, SimMPIError
 from repro.telemetry.recorder import active_recorder
 
@@ -136,7 +132,7 @@ def run_resilient(cfg, nsteps: int,
 
     ``driver_factory(cfg)`` overrides driver construction — the
     service layer passes a factory backed by its shared
-    :class:`~repro.coupler.driver.DriverSetup` cache so retries (and
+    :class:`~repro.coupler.setup.DriverSetup` cache so retries (and
     concurrent tenants) skip mesh/problem setup. The factory is called
     once per attempt with the attempt's config (which may differ from
     the original, e.g. after a CFL backoff).
@@ -194,7 +190,8 @@ def resume_coupled(cfg, nsteps: int, resume_from="latest",
     ``resume_from`` is ``"latest"`` (newest intact set under
     ``cfg.checkpoint_dir``), a path to a ``step-NNNNNN`` directory, or
     a :class:`~repro.resilience.checkpoint.CheckpointManifest`. With
-    ``"latest"`` and no surviving checkpoint the run restarts cold.
+    ``"latest"`` and no surviving checkpoint — or ``None`` — the run
+    starts cold.
     ``driver_factory`` is as in :func:`run_resilient`.
     """
     from repro.coupler.driver import CoupledDriver
@@ -205,10 +202,5 @@ def resume_coupled(cfg, nsteps: int, resume_from="latest",
         if cfg.checkpoint_dir is None:
             raise ValueError(
                 'resume_from="latest" requires cfg.checkpoint_dir')
-        manifest: CheckpointManifest | None = \
-            latest_valid_checkpoint(cfg.checkpoint_dir)
-    elif isinstance(resume_from, CheckpointManifest) or resume_from is None:
-        manifest = resume_from
-    else:
-        manifest = load_manifest(resume_from)
-    return driver_factory(cfg).run(nsteps, resume_from=manifest)
+        resume_from = latest_valid_checkpoint(cfg.checkpoint_dir)
+    return driver_factory(cfg).run(nsteps, resume_from=resume_from)

@@ -8,7 +8,7 @@ pressure), a metric dict plus telemetry summary comes out
 jobs share an admission quota and a checkpoint namespace, while the
 expensive problem-setup products (meshes, partition layouts, interface
 routing) are deduplicated *across* tenants by
-:func:`~repro.coupler.driver.setup_fingerprint` — the second tenant
+:func:`~repro.coupler.setup.setup_fingerprint` — the second tenant
 submitting an identical case pays ~zero setup.
 
 Determinism contract: ``JobResult.digest`` hashes the run's monitor
@@ -26,9 +26,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-from repro.coupler.driver import CoupledRunConfig, setup_fingerprint
+from repro.coupler.driver import CoupledRunConfig
+from repro.coupler.setup import setup_fingerprint
 from repro.hydra.gas import FlowState
 from repro.hydra.solver import Numerics
 from repro.mesh.rig250 import rig250_config
@@ -115,7 +114,7 @@ class EngineCase:
 
     def fingerprint(self) -> str:
         """The setup identity shared-cache key (see
-        :func:`~repro.coupler.driver.setup_fingerprint`)."""
+        :func:`~repro.coupler.setup.setup_fingerprint`)."""
         return setup_fingerprint(self.run_config())
 
 
@@ -225,18 +224,6 @@ class JobResult:
         return self.status is JobStatus.COMPLETED
 
 
-def _monitor_payload(result) -> list:
-    """The replay-sensitive monitor state of a CoupledResult."""
-    return [
-        [(row["stations_p"], np.asarray(row["midcut_p"]).tolist(),
-          row["unsteadiness"], row["wiggle"],
-          row["plane_mdot_in"], row["plane_mdot_out"])
-         for row in result.rows],
-        [(cu["rounds"], cu["stats"].queries, cu["stats"].comparisons)
-         for cu in result.cus],
-    ]
-
-
 def result_digest(result) -> str:
     """Bitwise digest of a coupled run's monitors.
 
@@ -244,7 +231,7 @@ def result_digest(result) -> str:
     so two digests agree iff every monitored float is bit-identical —
     the same payload the resilience CLI proves recovery against.
     """
-    blob = json.dumps(_monitor_payload(result), sort_keys=True)
+    blob = json.dumps(result.monitor_payload(), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

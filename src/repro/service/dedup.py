@@ -2,8 +2,8 @@
 
 Building a coupled case — meshes, initial problems, partition
 layouts, interface routing — is pure in the config fields hashed by
-:func:`~repro.coupler.driver.setup_fingerprint`, so the service keeps
-one :class:`~repro.coupler.driver.DriverSetup` per fingerprint and
+:func:`~repro.coupler.setup.setup_fingerprint`, so the service keeps
+one :class:`~repro.coupler.setup.DriverSetup` per fingerprint and
 hands it to every driver (first submission builds, every later
 identical case adopts). Combined with the existing process-wide plan
 cache and on-disk compiled-kernel cache this makes the second tenant's
@@ -22,10 +22,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.coupler.driver import (
-    CoupledDriver,
-    CoupledRunConfig,
+from repro.coupler.driver import CoupledDriver, CoupledRunConfig
+from repro.coupler.setup import (
     DriverSetup,
+    build_driver_setup,
     setup_fingerprint,
 )
 
@@ -95,7 +95,7 @@ class SetupCache:
                     self.stats.hit_seconds += time.perf_counter() - t0
                     self._count("service.setup.hit")
                     return entry
-            built = CoupledDriver(cfg).setup
+            built = build_driver_setup(cfg)
             dt = time.perf_counter() - t0
             with self._lock:
                 self._entries[key] = built

@@ -113,3 +113,64 @@ def test_bench_single_backend(capsys):
     out = capsys.readouterr().out
     assert "blockcolor ms" in out
     assert "speedup" not in out
+
+
+def test_resume_latest_needs_a_checkpoint_dir(capsys):
+    assert main(["compressor", "--rows", "2", "--steps", "2", "--nt", "12",
+                 "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "--resume without a STEP_DIR requires --checkpoint-dir"]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+_COMMON = {"nr": 3, "nx": 4, "inner_iters": 4}
+_LAYOUT = {"ranks_per_row": 1, "cus_per_interface": 1}
+
+
+@pytest.mark.parametrize("command, case_flags", [
+    ("compressor", {**_COMMON, **_LAYOUT, "rows": 10, "nt": 16,
+                    "steps_per_revolution": 128, "p_out": 1.05, "search": "adt",
+                    "steps": 24}),
+    ("resilience", {**_COMMON, **_LAYOUT, "rows": 2, "nt": 12,
+                    "steps_per_revolution": 64, "p_out": 1.02, "steps": 6,
+                    "checkpoint_every": 2}),
+    ("trace", {**_COMMON, **_LAYOUT, "rows": 2, "nt": 12,
+               "steps_per_revolution": 64, "p_out": 1.02, "search": "adt",
+               "steps": 3}),
+    ("submit", {**_COMMON, "rows": 2, "nt": 12, "steps_per_revolution": 64,
+                "p_out": 1.0, "steps": 6}),
+    ("serve", {**_COMMON, "rows": 2, "nt": 12, "steps_per_revolution": 64,
+               "p_out": 1.0, "steps": 4}),
+])
+def test_case_flags_and_defaults_per_subcommand(command, case_flags):
+    """Every subcommand declares its case through the one helper, with
+    the defaults it has always had; the service subcommands take no
+    execution-layout flags."""
+    import dataclasses
+
+    from repro.cli import build_parser
+    from repro.service import EngineCase
+
+    args = vars(build_parser().parse_args([command]))
+    assert {k: args[k] for k in case_flags} == case_flags
+    fields = {f.name for f in dataclasses.fields(EngineCase)}
+    assert fields & set(args) == fields & set(case_flags)
+    if command in ("submit", "serve"):
+        for flag in ("--ranks-per-row", "--cus"):
+            with pytest.raises(SystemExit):  # argparse: unknown flag
+                build_parser().parse_args([command, flag, "2"])
+
+
+def test_compressor_is_the_engine_case_run(capsys):
+    """The CLI's case -> config path is EngineCase.run_config."""
+    from repro.coupler import CoupledDriver
+    from repro.service import EngineCase
+
+    assert main(["compressor", "--rows", "2", "--steps", "2",
+                 "--nt", "12"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    case = EngineCase(rows=2, nt=12, steps_per_revolution=128, p_out=1.05)
+    result = CoupledDriver(case.run_config()).run(2)
+    assert f"pressure ratio: {result.pressure_ratio():.3f}" in out
+    assert f"interface wiggle: {result.interface_wiggle():.4f}" in out

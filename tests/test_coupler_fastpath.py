@@ -387,7 +387,7 @@ class TestCoupledEquivalence:
         the patch, so this covers the process transport too)."""
         from repro.coupler import CoupledDriver
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("repro.coupler.driver.CUTransferEngine",
+            mp.setattr("repro.coupler.ranks.CUTransferEngine",
                        _CuTransferEngine)
             return CoupledDriver(cfg).run(nsteps)
 

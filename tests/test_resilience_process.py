@@ -68,7 +68,7 @@ def truth_digest():
 
 
 def _cu_rank():
-    return CoupledDriver(run_config(transport="thread")).cu_ranks[0][0]
+    return CoupledDriver(run_config(transport="thread")).setup.cu_ranks[0][0]
 
 
 def _scenarios():

@@ -122,7 +122,7 @@ class TestCrashSweep:
             assert monitors(result) == truth, f"crash at step {step}"
 
     def test_crash_on_cu_rank_recovers(self, truth, tmp_path):
-        cu_rank = CoupledDriver(run_config()).cu_ranks[0][0]
+        cu_rank = CoupledDriver(run_config()).setup.cu_ranks[0][0]
         plan = FaultPlan().crash(rank=cu_rank, step=3)
         result = run_resilient(run_config(tmp_path, plan), NSTEPS)
         assert result.recovery.recoveries == 1

@@ -6,7 +6,7 @@ Synchronous layer only — scheduler behavior lives in
 
 import pytest
 
-from repro.coupler.driver import setup_fingerprint
+from repro.coupler.setup import setup_fingerprint
 from repro.service import (
     AdmissionController,
     AdmissionPolicy,
