@@ -36,9 +36,7 @@ from repro.resilience.checkpoint import (
     load_manifest,
 )
 from repro.smpi import DeterministicScheduler, FaultPlan, Traffic, run_ranks
-from repro.smpi.errors import TransportError
-from repro.smpi.transport import resolve_transport
-from repro.telemetry.timeline import Timeline, TraceSession
+from repro.telemetry.timeline import Timeline, merge_timelines
 
 
 @dataclass
@@ -82,8 +80,9 @@ class CoupledRunConfig:
     lazy: bool = False
     #: serialize ranks under a seeded deterministic schedule (None = off)
     schedule_seed: int | None = None
-    #: record telemetry spans on every rank; the merged
-    #: :class:`~repro.telemetry.timeline.Timeline` lands on the result
+    #: record telemetry spans on every rank (either transport); the
+    #: merged :class:`~repro.telemetry.timeline.Timeline` lands on the
+    #: result
     trace: bool = False
     #: write a coordinated checkpoint set every k physical steps
     #: (0 = off; requires ``checkpoint_dir``)
@@ -98,9 +97,9 @@ class CoupledRunConfig:
     cu_request_timeout: float | None = None
     #: smpi transport: "thread" (deterministic test mode), "process"
     #: (forked ranks, true multi-core), or None = the
-    #: ``REPRO_SMPI_TRANSPORT`` environment default. Tracing and
-    #: deterministic schedules are thread-only; fault plans work on
-    #: both transports (``crash_hard`` faults are process-only).
+    #: ``REPRO_SMPI_TRANSPORT`` environment default. Deterministic
+    #: schedules are thread-only; tracing and fault plans work on both
+    #: transports (``crash_hard`` faults are process-only).
     transport: str | None = None
 
     def ranks_of(self) -> list[int]:
@@ -313,7 +312,6 @@ class CoupledDriver:
         if nsteps < 0:
             raise ValueError("nsteps must be >= 0")
         cfg = self.cfg
-        _validate_transport(cfg)
         resume = self._resolve_resume(resume_from, nsteps)
         ckpt = None
         if cfg.checkpoint_every > 0:
@@ -321,10 +319,8 @@ class CoupledDriver:
                 raise ValueError(
                     "checkpoint_every > 0 requires checkpoint_dir")
             ckpt = CheckpointManager(cfg.checkpoint_dir, self.n_world)
-        ctx = RunContext(
-            setup=self.setup, cfg=cfg, nsteps=nsteps,
-            tracer=TraceSession() if cfg.trace else None,
-            resume=resume, ckpt=ckpt)
+        ctx = RunContext(setup=self.setup, cfg=cfg, nsteps=nsteps,
+                         resume=resume, ckpt=ckpt)
         traffic = Traffic()
         scheduler = (DeterministicScheduler(cfg.schedule_seed)
                      if cfg.schedule_seed is not None else None)
@@ -333,10 +329,12 @@ class CoupledDriver:
                             scheduler=scheduler, fault_plan=cfg.fault_plan,
                             transport=cfg.transport)
         timeline = None
-        if ctx.tracer is not None:
-            for rec in ctx.tracer.recorders():
+        if cfg.trace:
+            # every rank returned its own recorder (rank_main)
+            recorders = [r.pop("recorder") for r in results]
+            for rec in recorders:
                 rec.validate()
-            timeline = ctx.tracer.timeline()
+            timeline = merge_timelines(recorders)
         rows = [r for r in results if r["role"] == "hs" and r["reporter"]]
         rows.sort(key=lambda r: r["row"])
         cus = [r for r in results if r["role"] == "cu"]
@@ -357,24 +355,3 @@ class CoupledDriver:
         _reports, merged = self._launch(rank_main, nsteps, resume_from)
         return CoupledResult(**merged)
 
-
-def _validate_transport(cfg: CoupledRunConfig) -> None:
-    """Reject thread-only features on the process transport, by config
-    name, before any rank starts: tracing binds shared recorders across
-    rank threads and deterministic schedules hook the threaded
-    communicator — neither can cross a fork. (Fault plans do;
-    ``run_ranks`` checks them against the transport's own rules.)"""
-    if resolve_transport(cfg.transport) != "process":
-        return
-    unsupported = [
-        name for name, on in (
-            ("trace", cfg.trace),
-            ("schedule_seed", cfg.schedule_seed is not None))
-        if on
-    ]
-    if unsupported:
-        raise TransportError(
-            f"process transport does not support "
-            f"{', '.join(unsupported)}; these are threaded-"
-            f"transport features — drop them or set "
-            f"transport='thread'")

@@ -29,8 +29,8 @@ from repro.resilience.checkpoint import (
     CheckpointManager,
     CheckpointManifest,
 )
-from repro.telemetry.recorder import active_recorder, span as _tspan, use_recorder
-from repro.telemetry.timeline import TraceSession
+from repro.telemetry.recorder import (RankRecorder, active_recorder,
+                                      span as _tspan, use_recorder)
 from repro.util.atomicio import load_npz
 from repro.util.timing import TimerRegistry
 
@@ -46,7 +46,6 @@ class RunContext:
     setup: DriverSetup
     cfg: CoupledRunConfig
     nsteps: int
-    tracer: TraceSession | None = None
     #: committed checkpoint set to restart from (None = cold start)
     resume: CheckpointManifest | None = None
     #: checkpoint writer (None = checkpointing off)
@@ -64,23 +63,30 @@ def _role_of(rank: int, setup: DriverSetup) -> tuple[str, int, int]:
 def rank_main(world, ctx: RunContext, couple=None):
     """The prologue of every rank, then its role's program. ``couple``
     replaces the HS ranks' coupling round (the monolithic baseline's
-    inline transfer); None = exchange through the CUs."""
+    inline transfer); None = exchange through the CUs.
+
+    A traced run binds this rank's own recorder before any instrumented
+    call and returns it in the report under ``"recorder"`` — the same
+    path on a rank thread and on a forked rank process."""
     cfg = ctx.cfg
+    rec = RankRecorder(world.rank) if cfg.trace else None
+    if rec is not None:
+        use_recorder(rec)
     role, idx, sub_idx = _role_of(world.rank, ctx.setup)
-    if ctx.tracer is not None:
-        # bind this rank thread's recorder before any instrumented call
-        use_recorder(ctx.tracer.recorder_for(world.rank))
     color = (idx if role == "hs"
              else len(ctx.setup.row_ranks) + 100 + world.rank)
     sub = world.split(color)
     op2.set_config(partial_halos=cfg.partial_halos,
                    grouped_halos=cfg.grouped_halos,
                    sanitize=cfg.sanitize,
-                   lazy=cfg.lazy,
-                   trace=ctx.tracer is not None)
+                   lazy=cfg.lazy)
     if role == "hs":
-        return hs_main(world, sub, idx, ctx, couple or hs_couple)
-    return cu_main(world, idx, sub_idx, ctx)
+        report = hs_main(world, sub, idx, ctx, couple or hs_couple)
+    else:
+        report = cu_main(world, idx, sub_idx, ctx)
+    if rec is not None:
+        report["recorder"] = rec
+    return report
 
 
 def step_schedule(world, ctx: RunContext, couple, restore, member, timers):
@@ -106,6 +112,7 @@ def step_schedule(world, ctx: RunContext, couple, restore, member, timers):
         world.notify_step(step)
         yield step * cfg.rig.dt_outer if step % every == 0 else None
         if ctx.ckpt is not None and step % cfg.checkpoint_every == 0:
+            # the timer feeds the report; the span is the set's own
             with timers["checkpoint_write"]:
                 _coordinated_checkpoint(world, ctx, step, member())
 
@@ -264,7 +271,6 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
     timers = TimerRegistry(categories={
         "serve": "coupler.serve",
         "serve_compute": "coupler.serve_compute",
-        "checkpoint_write": "resilience.checkpoint_write",
     })
     serve, serve_compute = timers["serve"], timers["serve_compute"]
 

@@ -93,7 +93,6 @@ class HydraSolver:
         self.timers = TimerRegistry(categories={
             "coupler_wait": "coupler.wait",
             "physical_step": "hydra.step",
-            "checkpoint_write": "resilience.checkpoint_write",
         })
 
         s = local.sets

@@ -49,7 +49,10 @@ class Config:
         Block extent of the blockcolor (OpenMP-plan analogue) backend.
     profile:
         Record per-kernel compute/halo time into the thread's
-        :class:`~repro.op2.profiling.LoopProfile`.
+        :class:`~repro.op2.profiling.LoopProfile`. (Telemetry spans are
+        not a config switch: a thread traces exactly when a tracing
+        :class:`~repro.telemetry.recorder.RankRecorder` is bound to it,
+        which also implies per-kernel timing.)
     check_access:
         Debug mode: the sequential backend hands kernels *read-only*
         views for READ arguments, so a kernel violating its declared
@@ -60,11 +63,6 @@ class Config:
         per-loop overrides. A plan with a same-color conflict raises
         :class:`~repro.op2.backends.sanitizer.RaceError` instead of
         silently corrupting data.
-    trace:
-        Emit telemetry spans (compute/halo per par_loop, plan builds,
-        smpi messages and collectives) into this thread's
-        :class:`~repro.telemetry.recorder.RankRecorder`. Implies
-        per-kernel timing even when ``profile`` is off.
     lazy:
         Defer every par_loop into this thread's implicit
         :class:`~repro.op2.chain.LoopChain` instead of executing
@@ -93,7 +91,6 @@ class Config:
     profile: bool = False
     check_access: bool = False
     sanitize: bool = False
-    trace: bool = False
     lazy: bool = False
     chain_fuse: bool = True
     chain_verify: bool = False

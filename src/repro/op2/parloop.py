@@ -28,6 +28,7 @@ from repro.op2.dat import Dat
 from repro.op2.halo import exchange_halos, resolve_eager_scope
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
+from repro.telemetry.recorder import active_recorder, current_recorder
 
 
 def loop_halo_reads(loop: "ParLoop", cfg) -> dict[int, tuple]:
@@ -245,8 +246,8 @@ def execute_group(loops: list[ParLoop], backend_name: str,
     """
     cfg = current_config()
     backend = resolve_backend(backend_name)
-    tracing = cfg.trace
-    profiling = cfg.profile or tracing
+    rec = active_recorder()
+    profiling = cfg.profile or rec is not None
     t0 = time.perf_counter() if profiling else 0.0
     iterset = loops[0].iterset
     halo = iterset.halo
@@ -269,13 +270,11 @@ def execute_group(loops: list[ParLoop], backend_name: str,
     for red in reductions:
         red.finalize(comm)
     if profiling:
-        from repro.telemetry.recorder import current_recorder
-
         elapsed = time.perf_counter() - t0
         current_recorder().record_loop(
             "+".join(l.kernel.name for l in loops),
             compute=elapsed - halo_seconds, halo=halo_seconds,
-            elements=iterset.size, t0=t0 if tracing else None)
+            elements=iterset.size, t0=t0 if rec is not None else None)
 
 
 def par_loop(kernel: Kernel, iterset: Set, *args: Arg,

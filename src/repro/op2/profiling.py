@@ -2,9 +2,9 @@
 
 OP2's generated code is instrumented per loop; the paper's analysis
 (compute vs halo vs coupler) starts from exactly this breakdown. When
-``Config.profile`` (or ``Config.trace``) is on, every par_loop records
-its wall-clock under its kernel name, split into halo-exchange time and
-compute time.
+``Config.profile`` is on (or the thread is tracing), every par_loop
+records its wall-clock under its kernel name, split into halo-exchange
+time and compute time.
 
 Since the telemetry subsystem landed, the numbers live in the thread's
 :class:`~repro.telemetry.recorder.RankRecorder` (``loop_stats``) — one

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,19 +67,18 @@ class TrafficRecord:
 class Traffic:
     """Thread-safe ledger of point-to-point message traffic.
 
-    Counts are keyed by ``(phase, src, dst)``. The *phase* is a free
-    label (e.g. ``"halo"``, ``"halo.partial"``, ``"coupler.gather"``)
-    set per rank via :meth:`set_phase`; it travels with each recorded
-    send so benchmarks can attribute traffic to solver stages.
+    The one store is the ordered per-message log ``(phase, src, dst,
+    nbytes)``, in the order sends hit the ledger — the observable
+    message schedule; every aggregate is derived from it. The *phase*
+    is a free label (e.g. ``"halo"``, ``"halo.partial"``,
+    ``"coupler.gather"``) set per rank via :meth:`set_phase`; it travels
+    with each recorded send so benchmarks can attribute traffic to
+    solver stages.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._messages: dict[tuple[str, int, int], int] = defaultdict(int)
-        self._nbytes: dict[tuple[str, int, int], int] = defaultdict(int)
         self._phase: dict[int, str] = {}
-        #: ordered per-message log: (phase, src, dst, nbytes) in the
-        #: order sends hit the ledger — the observable message schedule
         self._log: list[tuple[str, int, int, int]] = []
 
     def set_phase(self, rank: int, phase: str) -> None:
@@ -93,43 +91,34 @@ class Traffic:
 
     def record(self, src: int, dst: int, nbytes: int) -> None:
         with self._lock:
-            phase = self._phase.get(src, "default")
-            key = (phase, src, dst)
-            self._messages[key] += 1
-            self._nbytes[key] += nbytes
-            self._log.append((phase, src, dst, nbytes))
+            self._log.append((self._phase.get(src, "default"), src, dst,
+                              nbytes))
 
     def records(self) -> list[TrafficRecord]:
-        with self._lock:
-            return [
-                TrafficRecord(phase=k[0], src=k[1], dst=k[2],
-                              messages=self._messages[k], nbytes=self._nbytes[k])
-                for k in sorted(self._messages)
-            ]
+        """Aggregate per ``(phase, src, dst)`` edge, sorted by edge."""
+        edges: dict[tuple[str, int, int], list[int]] = {}
+        for phase, src, dst, nbytes in self.message_log():
+            slot = edges.setdefault((phase, src, dst), [0, 0])
+            slot[0] += 1
+            slot[1] += nbytes
+        return [TrafficRecord(*k, messages=m, nbytes=b)
+                for k, (m, b) in sorted(edges.items())]
 
     def total_messages(self, phase: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                n for k, n in self._messages.items()
-                if phase is None or k[0] == phase
-            )
+        return sum(1 for p, *_ in self.message_log()
+                   if phase is None or p == phase)
 
     def total_nbytes(self, phase: str | None = None) -> int:
-        with self._lock:
-            return sum(
-                n for k, n in self._nbytes.items()
-                if phase is None or k[0] == phase
-            )
+        return sum(n for p, _src, _dst, n in self.message_log()
+                   if phase is None or p == phase)
 
     def by_phase(self) -> dict[str, dict[str, int]]:
         """Aggregate to ``{phase: {"messages": m, "nbytes": b}}``."""
         out: dict[str, dict[str, int]] = {}
-        with self._lock:
-            for (phase, _src, _dst), m in self._messages.items():
-                slot = out.setdefault(phase, {"messages": 0, "nbytes": 0})
-                slot["messages"] += m
-            for (phase, _src, _dst), b in self._nbytes.items():
-                out[phase]["nbytes"] += b
+        for phase, _src, _dst, nbytes in self.message_log():
+            slot = out.setdefault(phase, {"messages": 0, "nbytes": 0})
+            slot["messages"] += 1
+            slot["nbytes"] += nbytes
         return out
 
     def message_log(self) -> list[tuple[str, int, int, int]]:
@@ -154,11 +143,7 @@ class Traffic:
         interleaving.
         """
         with self._lock:
-            for phase, src, dst, nbytes in log:
-                key = (phase, src, dst)
-                self._messages[key] += 1
-                self._nbytes[key] += nbytes
-                self._log.append((phase, src, dst, nbytes))
+            self._log.extend(log)
 
     def fingerprint(self) -> str:
         """SHA-256 over the ordered message log (hex digest).
@@ -166,9 +151,7 @@ class Traffic:
         Two runs produced the byte-identical message schedule iff their
         fingerprints match.
         """
-        with self._lock:
-            blob = repr(self._log).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return hashlib.sha256(repr(self.message_log()).encode()).hexdigest()
 
     def sender_ordered_log(self) -> list[tuple[str, int, int, int]]:
         """The message log canonicalized by sending rank.
@@ -181,12 +164,8 @@ class Traffic:
         rank. Two transports running the same program therefore agree
         on this log even when their wall-clock interleavings differ.
         """
-        with self._lock:
-            log = list(self._log)
-        out: list[tuple[str, int, int, int]] = []
-        for src in sorted({rec[1] for rec in log}):
-            out.extend(rec for rec in log if rec[1] == src)
-        return out
+        # sorted() is stable: per-sender send order survives
+        return sorted(self.message_log(), key=lambda rec: rec[1])
 
     def structure_fingerprint(self) -> str:
         """SHA-256 over :meth:`sender_ordered_log` (hex digest).
@@ -200,6 +179,4 @@ class Traffic:
 
     def reset(self) -> None:
         with self._lock:
-            self._messages.clear()
-            self._nbytes.clear()
             self._log.clear()

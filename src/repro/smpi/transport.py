@@ -61,15 +61,16 @@ domain):
   sweeps from ``/dev/shm`` after teardown — a child SIGKILLed between
   segment creation and enqueue still leaks nothing.
 
-Deliberate non-parity (documented, enforced):
+Deliberate non-parity (documented, enforced): the deterministic
+scheduler and the wait-for-graph deadlock detector are thread-channel
+features — requesting a scheduler with ``transport="process"`` raises
+:class:`~repro.smpi.errors.TransportError`; a genuinely hung run is
+caught by the heartbeat (if enabled) or the watchdog.
 
-* the deterministic scheduler and the wait-for-graph deadlock detector
-  are thread-channel features — requesting a scheduler with
-  ``transport="process"`` raises
-  :class:`~repro.smpi.errors.TransportError`; a genuinely hung run is
-  caught by the heartbeat (if enabled) or the watchdog;
-* per-rank telemetry recorders are process-local and discarded — the
-  traffic ledger is the only cross-process observable.
+Telemetry is not a transport feature: a rank's recorder is bound on
+the rank itself, so a program that wants its spans returns the
+recorder with its result, the same on both transports (traced coupled
+runs do). A rank that dies without reporting takes its spans with it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 One observability layer replacing three fragmented mechanisms
 (``op2.profiling``, ad-hoc coupler timers, bespoke bench reports):
 
-* :mod:`~repro.telemetry.recorder` — per-rank span/counter recorder,
-  no-op when disabled (``Config.trace`` / ``CoupledRunConfig.trace``);
+* :mod:`~repro.telemetry.recorder` — per-rank span/counter recorder;
+  a thread traces exactly when a tracing recorder is bound to it
+  (:func:`tracing`, or every rank of a coupled run with ``trace=True``);
 * :mod:`~repro.telemetry.timeline` — cross-rank merge, aggregation
   views (per-category, per-rank, compute/halo/coupler breakdown),
   structural fingerprint for determinism regressions;
@@ -22,7 +23,8 @@ Quick serial use::
     telemetry.write_chrome_trace("trace.json", tl)
 
 Coupled runs: pass ``trace=True`` in ``CoupledRunConfig`` (or run
-``python -m repro.cli trace``) and read ``result.timeline``.
+``python -m repro.cli trace``) and read ``result.timeline``; each rank
+returns its own recorder, so this works on either smpi transport.
 """
 
 from repro.telemetry.chrometrace import (chrome_trace, validate_chrome_trace,
@@ -35,12 +37,11 @@ from repro.telemetry.metrics import (BENCH_SCHEMA, METRICS_SCHEMA,
 from repro.telemetry.recorder import (LoopStat, RankRecorder, SpanEvent,
                                       active_recorder, current_recorder,
                                       span, tracing, use_recorder)
-from repro.telemetry.timeline import (COUPLER_CATS, Timeline, TraceSession,
-                                      merge_timelines)
+from repro.telemetry.timeline import COUPLER_CATS, Timeline, merge_timelines
 
 __all__ = [
     "BENCH_SCHEMA", "METRICS_SCHEMA", "COUPLER_CATS",
-    "LoopStat", "RankRecorder", "SpanEvent", "Timeline", "TraceSession",
+    "LoopStat", "RankRecorder", "SpanEvent", "Timeline",
     "active_recorder", "bench_summary", "chrome_trace", "current_recorder",
     "cache_summary", "coupler_summary", "merge_timelines",
     "metrics_summary", "span",

@@ -15,10 +15,11 @@ keeps three things:
 
 Cost discipline: when tracing is off, instrumented call sites reduce to
 one thread-local attribute read returning ``None`` (``active_recorder``)
-— the overhead-guard test pins this. A recorder is *installed* on a
-thread either by the coupled driver (one per rank, collected into a
-:class:`~repro.telemetry.timeline.TraceSession`) or by the
-:func:`tracing` context manager for serial code.
+— the overhead-guard test pins this. The bound recorder is the only
+tracing state: a thread traces exactly when :func:`active_recorder`
+returns one. A tracing recorder is *bound* either by each rank of a
+traced coupled run (which returns it with its report, on either smpi
+transport) or by the :func:`tracing` context manager for serial code.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class RankRecorder:
 
     def record_loop(self, kernel_name: str, compute: float, halo: float,
                     elements: int, t0: float | None = None) -> None:
-        """One par_loop's cost: aggregates always, spans when tracing.
+        """One par_loop's cost: aggregates always, spans when given ``t0``.
 
         The span pair is synthesized from the same numbers the
         aggregates receive (halo ``[t0, t0+halo]``, compute
@@ -157,7 +158,7 @@ class RankRecorder:
         st.compute_seconds += compute
         st.halo_seconds += halo
         st.elements += elements
-        if t0 is not None and self.tracing:
+        if t0 is not None:
             if halo > 0.0:
                 self.spans.append(SpanEvent(kernel_name, "op2.halo",
                                             t0, t0 + halo, self.rank))
@@ -232,7 +233,7 @@ def span(name: str, cat: str, **args):
 
 @contextmanager
 def tracing(rank: int = 0):
-    """Trace the current thread: install a recorder + enable op2 tracing.
+    """Trace the current thread: bind a fresh tracing recorder.
 
     Serial convenience for tests, benchmarks and scripts::
 
@@ -241,15 +242,12 @@ def tracing(rank: int = 0):
         rec.validate()
         timeline = merge_timelines([rec])
 
-    The coupled driver does the multi-rank equivalent itself (one
-    recorder per rank via a :class:`~repro.telemetry.timeline.TraceSession`).
+    Traced coupled runs do the multi-rank equivalent themselves: every
+    rank binds its own recorder and returns it with its report.
     """
-    from repro.op2.config import configure  # runtime import: no cycle
-
-    rec = RankRecorder(rank=rank, tracing=True)
+    rec = RankRecorder(rank=rank)
     prev = use_recorder(rec)
     try:
-        with configure(trace=True):
-            yield rec
+        yield rec
     finally:
-        _tls.recorder = prev
+        use_recorder(prev)

@@ -1,9 +1,7 @@
 """Cross-rank merge: many :class:`RankRecorder`s → one :class:`Timeline`.
 
-A :class:`TraceSession` is the multi-rank collection point the coupled
-driver owns: each rank thread asks it for its own recorder, and after
-``run_ranks`` joins, :meth:`TraceSession.timeline` merges everything
-into a single, sorted event stream with aggregation views — the
+:func:`merge_timelines` folds the recorders every rank of a traced run
+returns into a single, sorted event stream with aggregation views — the
 per-category table, the paper's compute/halo/coupler breakdown, and a
 timestamp-free structural fingerprint for determinism regression tests.
 """
@@ -11,10 +9,9 @@ timestamp-free structural fingerprint for determinism regression tests.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 
-from repro.telemetry.recorder import LoopStat, RankRecorder, SpanEvent
+from repro.telemetry.recorder import LoopStat, SpanEvent
 
 #: Categories whose span time counts as "coupler" in the paper-style
 #: breakdown. Nested detail categories (coupler.search / coupler.interp,
@@ -23,29 +20,6 @@ from repro.telemetry.recorder import LoopStat, RankRecorder, SpanEvent
 COUPLER_CATS = frozenset({
     "coupler.wait", "coupler.gather", "coupler.apply", "coupler.serve",
 })
-
-
-class TraceSession:
-    """Hands out one tracing recorder per rank; merges them at the end."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._recorders: dict[int, RankRecorder] = {}
-
-    def recorder_for(self, rank: int) -> RankRecorder:
-        with self._lock:
-            rec = self._recorders.get(rank)
-            if rec is None:
-                rec = self._recorders[rank] = RankRecorder(rank=rank,
-                                                           tracing=True)
-            return rec
-
-    def recorders(self) -> list[RankRecorder]:
-        with self._lock:
-            return [self._recorders[r] for r in sorted(self._recorders)]
-
-    def timeline(self) -> "Timeline":
-        return merge_timelines(self.recorders())
 
 
 @dataclass

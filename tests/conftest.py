@@ -4,9 +4,9 @@
 transports by setting ``REPRO_SMPI_TRANSPORT`` — the default every
 ``run_ranks`` call (and the coupled driver) resolves when no explicit
 ``transport=`` is passed. Distributed suites opt in by taking the
-fixture; tests that need thread-only features (deterministic
-schedules, tracing) either skip on ``"process"`` or pass
-``transport="thread"`` explicitly. Fault plans run on both transports
+fixture; tests that need the thread-only deterministic scheduler
+either skip on ``"process"`` or pass ``transport="thread"`` explicitly.
+Fault plans and traced coupled runs work on both transports
 (``crash_hard`` faults are process-only).
 """
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.coupler.biquad import biquadratic_stencil, flux_error, grid_axes
@@ -165,9 +165,13 @@ class TestHypothesisProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 8))
+    @example(545, 2)  # every target leaves its cached quad: 0 hits
+    @example(92, 2)
     def test_incremental_matches_scratch_under_rotation(self, seed, rounds):
         """Random rotation sequences: cached-donor re-validation returns
-        the same donors and bitwise the same weights as from-scratch."""
+        the same donors and bitwise the same weights as from-scratch, and
+        hits the cache exactly for the targets still inside their
+        previous round's donor box."""
         rng = np.random.default_rng(seed)
         geo = make_side(nr=4, nt=12, L=12.0)
         dg = geo.donor_geometry()
@@ -175,6 +179,9 @@ class TestHypothesisProperties:
         y0 = rng.uniform(0, 12.0, 100)
         z0 = rng.uniform(2.0, 3.0, 100)
         shift = 0.0
+        prev = None
+        expected_hits = 0
+        eps = DEFAULT_EPS
         for _ in range(rounds):
             shift += rng.uniform(-1.0, 1.0)
             y = np.mod(y0 + shift, 12.0)
@@ -182,8 +189,15 @@ class TestHypothesisProperties:
             got = inc.query(y, z0)
             assert np.array_equal(got.quads, scratch.quads)
             assert np.array_equal(got.weights, scratch.weights)
-        if rounds > 1:
-            assert inc.stats.cache_hits > 0
+            if prev is not None:
+                have = prev >= 0
+                b = dg.boxes[prev[have]]
+                yy, zz = y[have], z0[have]
+                expected_hits += int(np.count_nonzero(
+                    (b[:, 0] - eps <= yy) & (yy <= b[:, 2] + eps)
+                    & (b[:, 1] - eps <= zz) & (zz <= b[:, 3] + eps)))
+            prev = scratch.quads
+        assert inc.stats.cache_hits == expected_hits
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

@@ -92,12 +92,11 @@ class TestMonolithicHonoursItsConfig:
         assert lazy.monitor_payload() == eager.monitor_payload()
         assert lazy.rank_search_comparisons == eager.rank_search_comparisons
 
-    @pytest.mark.parametrize("thread_only", [
-        {"trace": True}, {"schedule_seed": 3}])
+    @pytest.mark.parametrize("thread_only", [{"schedule_seed": 3}])
     def test_thread_only_features_rejected_on_process(self, thread_only):
         driver = MonolithicDriver(
             run_config(transport="process", **thread_only))
-        with pytest.raises(TransportError, match="process transport"):
+        with pytest.raises(TransportError, match="scheduler"):
             driver.run(1)
 
     def test_ranks_see_transport_lazy_and_sanitize(self, tmp_path,

@@ -21,8 +21,8 @@ from repro.op2.backends import ReductionBuffers, resolve_backend
 from repro.op2.config import current_config
 from repro.op2.parloop import ParLoop
 from repro.op2.profiling import current_profile, reset_profile
-from repro.telemetry import (RankRecorder, Timeline, TraceSession,
-                             chrome_trace, merge_timelines, metrics_summary,
+from repro.telemetry import (RankRecorder, Timeline, chrome_trace,
+                             merge_timelines, metrics_summary,
                              validate_bench, validate_chrome_trace,
                              validate_metrics, write_bench_summary,
                              write_chrome_trace, write_metrics)
@@ -117,9 +117,9 @@ class TestTracingContext:
         outer = telemetry.current_recorder()
         with telemetry.tracing():
             assert telemetry.current_recorder() is not outer
-            assert current_config().trace
+            assert telemetry.active_recorder() is not None
         assert telemetry.current_recorder() is outer
-        assert not current_config().trace
+        assert telemetry.active_recorder() is None
 
     def test_plan_build_traced(self):
         n = 12
