@@ -7,10 +7,10 @@ Measured layers:
   interpreted ``vectorized`` backend and the compiled ``native``
   backend — the same kernel AST, once executed by numpy and once
   emitted as C, built with the host toolchain and called through
-  ``ctypes``. Per-kernel numbers come from the loop profiler
-  (``Config.profile``), wall time is best-of-REPS over a warmed cache
-  (the one-time compile cost is reported separately as
-  ``compile_wall``).
+  ``ctypes``. Per-kernel numbers come from the par_loop spans of a
+  traced run (the telemetry ``tracing()`` context), wall time is
+  best-of-REPS over a warmed cache (the one-time compile cost is
+  reported separately as ``compile_wall``).
 * ``test_native_thread_scaling`` — a 1/2/4/8-thread scaling study of
   both compiled strategies (``native`` block-color plan and
   ``native-atomics`` chunked atomics), eager and fused-chain (lazy),
@@ -47,8 +47,7 @@ import pytest
 from repro import op2
 from repro.apps import AirfoilApp, make_airfoil_mesh
 from repro.op2.backends.native import toolchain
-from repro.op2.profiling import current_profile
-from repro.telemetry import write_bench_summary
+from repro.telemetry import tracing, write_bench_summary
 from repro.util.tables import format_table
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -67,7 +66,7 @@ SCALING_BACKENDS = ("native", "native-atomics")
 
 def run_airfoil(backend, mesh, niter=NITER, warm=2, native_threads=0,
                 lazy=False):
-    """One profiled airfoil run; also used by the CI bench smoke.
+    """One traced airfoil run; also used by the CI bench smoke.
 
     Returns ``{"wall", "compile_wall", "kernels": {name: seconds},
     "q"}`` — ``compile_wall`` is the first (cache-cold) iteration pair,
@@ -75,21 +74,20 @@ def run_airfoil(backend, mesh, niter=NITER, warm=2, native_threads=0,
     ``lazy`` routes every iteration through the loop chain, so fusable
     groups execute as single compiled fused wrappers.
     """
-    prof = current_profile()
-    with op2.configure(backend=backend, profile=True,
-                       native_threads=native_threads, lazy=lazy):
+    with op2.configure(backend=backend, native_threads=native_threads,
+                       lazy=lazy):
         app = AirfoilApp(mesh, mach=0.4)
         t0 = time.perf_counter()
         app.iterate(warm)  # warm wrapper/plan/compile caches
         op2.flush_chain()
         compile_wall = time.perf_counter() - t0
-        prof.reset()
-        t0 = time.perf_counter()
-        app.iterate(niter)
-        op2.flush_chain()
-        wall = time.perf_counter() - t0
-    kernels = {name: st.compute_seconds for name, st in prof.records.items()}
-    prof.reset()
+        with tracing() as rec:
+            t0 = time.perf_counter()
+            app.iterate(niter)
+            op2.flush_chain()
+            wall = time.perf_counter() - t0
+    kernels = {name: st.compute_seconds
+               for name, st in rec.loop_stats.items()}
     return {"wall": wall, "compile_wall": compile_wall, "kernels": kernels,
             "q": app.q.data_ro.copy()}
 

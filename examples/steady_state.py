@@ -1,25 +1,26 @@
-"""Steady RANS mode + profiling: Hydra's other operating point.
+"""Steady RANS mode + per-kernel timing: Hydra's other operating point.
 
 The paper notes Hydra solves "the compressible Reynolds Averaged
 Navier-Stokes equations in their steady or unsteady formulation". This
 example runs the *steady* mode on a single bladed row — pseudo-time
-marching the residual to convergence — with the OP2 per-loop profiler
-on, then prints the convergence history and the kernel cost breakdown
-(which shows the edge-flux loop dominating, as in any real FV solver).
+marching the residual to convergence — under telemetry tracing, then
+prints the convergence history and the per-kernel cost table computed
+from the par_loop spans (which shows the edge-flux loop dominating, as
+in any real FV solver).
 
 Run:  python examples/steady_state.py
 """
 
 import numpy as np
 
-from repro import op2
 from repro.hydra import FlowState, HydraSolver, Numerics, row_problem
 from repro.hydra.monitors import RunMonitor
 from repro.hydra.turbulence import TurbulenceModel
 from repro.mesh import RowConfig, RowKind, make_row_mesh
 from repro.op2.distribute import build_serial_problem
-from repro.op2.profiling import current_profile, reset_profile
+from repro.telemetry import tracing
 from repro.util.ascii_plot import render_series
+from repro.util.tables import format_table
 
 
 def main() -> None:
@@ -33,8 +34,7 @@ def main() -> None:
                          dt_outer=0.05, inlet=inflow, p_out=1.0)
     turb = TurbulenceModel(solver)
 
-    reset_profile()
-    with op2.configure(profile=True):
+    with tracing() as rec:
         history = solver.solve_steady(iters=300, check_every=20, tol=1e-6)
         turb.advance()
 
@@ -51,8 +51,16 @@ def main() -> None:
           f"Mach {prim['mach'].mean():.3f}")
     print(f"SA working variable norm: {turb.norm():.3e}")
 
-    print("\nwhere the time went (OP2 per-loop profile):")
-    print(current_profile().report(n=8))
+    print("\nwhere the time went (OP2 per-kernel spans):")
+    stats = sorted(rec.loop_stats.items(),
+                   key=lambda kv: kv[1].total_seconds, reverse=True)
+    total = sum(st.total_seconds for _name, st in stats)
+    print(format_table(
+        ["kernel", "calls", "elements", "compute ms", "halo ms", "%"],
+        [[name, st.calls, st.elements, st.compute_seconds * 1e3,
+          st.halo_seconds * 1e3, 100.0 * st.total_seconds / total]
+         for name, st in stats[:8]],
+        floatfmt=".2f"))
 
 
 if __name__ == "__main__":

@@ -449,32 +449,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro import op2
     from repro.apps import AirfoilApp, make_airfoil_mesh
-    from repro.op2.profiling import current_profile
-    from repro.telemetry import bench_summary, validate_bench
+    from repro.telemetry import bench_summary, tracing, validate_bench
     from repro.util.tables import format_table
 
     backends = args.backend or ["vectorized", "native"]
     mesh = make_airfoil_mesh(ni=args.ni, nj=args.nj)
-    prof = current_profile()
     runs: dict[str, dict] = {}
     ref = None
     for backend in backends:
-        with op2.configure(backend=backend, profile=True,
-                           native_threads=args.threads, lazy=args.lazy):
+        with op2.configure(backend=backend, native_threads=args.threads,
+                           lazy=args.lazy):
             app = AirfoilApp(mesh, mach=0.4)
             app.iterate(2)  # warm wrapper/plan/compile caches
             op2.flush_chain()
-            prof.reset()
-            t0 = time.perf_counter()
-            app.iterate(args.iters)
-            op2.flush_chain()
-            wall = time.perf_counter() - t0
+            with tracing() as rec:
+                t0 = time.perf_counter()
+                app.iterate(args.iters)
+                op2.flush_chain()
+                wall = time.perf_counter() - t0
         runs[backend] = {
             "wall": wall,
             "kernels": {k: st.compute_seconds
-                        for k, st in prof.records.items()},
+                        for k, st in rec.loop_stats.items()},
         }
-        prof.reset()
         if ref is None:
             ref = app.q.data_ro.copy()
         elif not np.allclose(app.q.data_ro, ref, rtol=1e-9, atol=1e-12):
@@ -484,7 +481,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     base = backends[0]
     rows = []
-    # under --lazy, fused groups profile under joined names ("a+b")
+    # under --lazy, fused groups trace under joined names ("a+b")
     # that can differ per backend (fusability differs) — only rows
     # present on every backend are tabulated; wall always is
     common = sorted(set(runs[base]["kernels"]).intersection(

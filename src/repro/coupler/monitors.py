@@ -75,7 +75,7 @@ def session_monitors(sub, session: HydraSession,
     return {
         "stations_x": xs.tolist(),
         "stations_p": ps.tolist(),
-        "timers": solver.timers.as_dict(),
+        "timers": dict(solver.timers),
         "wiggle": wiggle,
         "steps": solver.step,
         "midcut_p": mid_cut(sub, session),

@@ -26,6 +26,7 @@ from repro.coupler.ranks import (
 )
 from repro.coupler.unit import cu_transfer
 from repro.hydra.session import HydraSession
+from repro.telemetry.recorder import timed
 
 
 @dataclass
@@ -93,8 +94,10 @@ class _InlineCoupling:
             if d.src_row == row_idx:
                 send_donors(world, session, ctx, d, sorted(d.expected_cus),
                             "mono.donor")
-        # receive donors and do the trapped search/interp locally
-        wait = session.solver.timers["coupler_inline"]
+        # receive donors and do the trapped search/interp locally; on a
+        # trace it is coupler work, as a CU's serve is
+        timers = session.solver.timers
+        timers.setdefault("coupler_inline", 0.0)
         for d in setup.directions:
             if d.dst_row != row_idx or world.rank not in d.expected_cus:
                 continue
@@ -103,7 +106,7 @@ class _InlineCoupling:
             # my targets: the ones this rank owns (routing table reused;
             # a rank is in expected_cus iff it owns at least one)
             mine = d.cu_send[0][world.rank]
-            with wait:
+            with timed(timers, "coupler_inline", "coupler.serve"):
                 result = cu_transfer(
                     iface, d.src_iface, d.dst_iface, donors, t, subset=mine,
                     search_kind=ctx.cfg.search,

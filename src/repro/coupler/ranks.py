@@ -30,9 +30,8 @@ from repro.resilience.checkpoint import (
     CheckpointManifest,
 )
 from repro.telemetry.recorder import (RankRecorder, active_recorder,
-                                      span as _tspan, use_recorder)
+                                      span as _tspan, timed, use_recorder)
 from repro.util.atomicio import load_npz
-from repro.util.timing import TimerRegistry
 
 if TYPE_CHECKING:
     from repro.coupler.driver import CoupledRunConfig
@@ -89,7 +88,7 @@ def rank_main(world, ctx: RunContext, couple=None):
     return report
 
 
-def step_schedule(world, ctx: RunContext, couple, restore, member, timers):
+def step_schedule(world, ctx: RunContext, couple, restore, member, totals):
     """The collective cadence of a run, walked by every rank of any role.
 
     A cold start runs coupling round 0 (``couple(0.0)``), a restart
@@ -97,7 +96,8 @@ def step_schedule(world, ctx: RunContext, couple, restore, member, timers):
     per physical step: announce it (the fault-injection step mark),
     yield to the caller's step body the coupling time ``step * dt_outer``
     if the step couples (every ``couple_every``-th) else ``None``, and
-    stage ``member()`` into a coordinated checkpoint set when one is due.
+    stage ``member()`` into a coordinated checkpoint set when one is due,
+    adding its seconds to ``totals["checkpoint_write"]``.
     """
     cfg = ctx.cfg
     every = max(1, cfg.couple_every)
@@ -112,8 +112,8 @@ def step_schedule(world, ctx: RunContext, couple, restore, member, timers):
         world.notify_step(step)
         yield step * cfg.rig.dt_outer if step % every == 0 else None
         if ctx.ckpt is not None and step % cfg.checkpoint_every == 0:
-            # the timer feeds the report; the span is the set's own
-            with timers["checkpoint_write"]:
+            # the total feeds the report; the span is the set's own
+            with timed(totals, "checkpoint_write"):
                 _coordinated_checkpoint(world, ctx, step, member())
 
 
@@ -216,13 +216,15 @@ def hs_couple(world, session: HydraSession, row_idx: int, ctx: RunContext,
         if d.src_row == row_idx:
             send_donors(world, session, ctx, d, setup.cu_ranks[d.k],
                         "coupler.gather")
-    # 2. collect interpolated halo values
-    wait = session.solver.timers["coupler_wait"]
+    # 2. collect interpolated halo values (the total is reported even
+    # when this rank waits on nothing)
+    timers = session.solver.timers
+    timers.setdefault("coupler_wait", 0.0)
     for d in setup.directions:
         if d.dst_row != row_idx:
             continue
         for c in d.expected_cus.get(world.rank, []):
-            with wait:
+            with timed(timers, "coupler_wait", "coupler.wait"):
                 positions, values = world.recv(
                     source=setup.cu_ranks[d.k][c], tag=d.result_tag)
             if positions.size:
@@ -268,11 +270,7 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
     iface = setup.interfaces[k]
     acct = CUAccounting()
     my_dirs = [d for d in setup.directions if d.k == k]
-    timers = TimerRegistry(categories={
-        "serve": "coupler.serve",
-        "serve_compute": "coupler.serve_compute",
-    })
-    serve, serve_compute = timers["serve"], timers["serve_compute"]
+    totals: dict[str, float] = {}
 
     engines: dict[int, CUTransferEngine] = {}
     for d in my_dirs:
@@ -285,30 +283,28 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
         acct.stats.build_ops += engine.stats.build_ops
 
     def serve_round(t: float) -> None:
-        serve.start()
-        for d in my_dirs:
-            donors = recv_donor_grid(world, ctx, d)
-            serve_compute.start()
-            result = engines[d.direction].serve(donors, t)
-            acct.stats.merge(result.stats)
-            acct.flux_log.append((d.direction, result.flux_sum,
-                                  int(result.positions.size),
-                                  result.donor_flux_mean))
-            world.set_phase(f"coupler.scatter:{d.k}:{d.direction}")
-            # result.positions is ascending (np.nonzero order), so the
-            # per-target row lookup is one vectorized binary search
-            for dst_rank, positions in d.cu_send[cu_index].items():
-                rows = np.searchsorted(result.positions, positions)
-                world.send((positions, result.values[rows]), dest=dst_rank,
-                           tag=d.result_tag)
-            serve_compute.stop()
-        serve.stop()
+        with timed(totals, "serve", "coupler.serve"):
+            for d in my_dirs:
+                donors = recv_donor_grid(world, ctx, d)
+                with timed(totals, "serve_compute", "coupler.serve_compute"):
+                    result = engines[d.direction].serve(donors, t)
+                    acct.stats.merge(result.stats)
+                    acct.flux_log.append((d.direction, result.flux_sum,
+                                          int(result.positions.size),
+                                          result.donor_flux_mean))
+                    world.set_phase(f"coupler.scatter:{d.k}:{d.direction}")
+                    # result.positions is ascending (np.nonzero order), so
+                    # the per-target row lookup is one vectorized search
+                    for dst, positions in d.cu_send[cu_index].items():
+                        rows = np.searchsorted(result.positions, positions)
+                        world.send((positions, result.values[rows]),
+                                   dest=dst, tag=d.result_tag)
         acct.rounds += 1
 
     for t in step_schedule(
             world, ctx, serve_round,
             lambda archive: _cu_restore(archive, acct, engines),
-            lambda: _cu_member_payload(acct, engines), timers):
+            lambda: _cu_member_payload(acct, engines), totals):
         if t is not None:
             serve_round(t)
     return {
@@ -317,9 +313,9 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
         "cu_index": cu_index,
         "rounds": acct.rounds,
         "stats": acct.stats,
-        "serve_seconds": serve.elapsed,
-        "serve_compute_seconds": serve_compute.elapsed,
-        "checkpoint_seconds": timers.elapsed("checkpoint_write"),
+        "serve_seconds": totals.get("serve", 0.0),
+        "serve_compute_seconds": totals.get("serve_compute", 0.0),
+        "checkpoint_seconds": totals.get("checkpoint_write", 0.0),
         "interp": cfg.interp,
         "flux_log": list(acct.flux_log),
     }

@@ -47,12 +47,6 @@ class Config:
         wrappers so both accumulate in the same chunk order.
     block_size:
         Block extent of the blockcolor (OpenMP-plan analogue) backend.
-    profile:
-        Record per-kernel compute/halo time into the thread's
-        :class:`~repro.op2.profiling.LoopProfile`. (Telemetry spans are
-        not a config switch: a thread traces exactly when a tracing
-        :class:`~repro.telemetry.recorder.RankRecorder` is bound to it,
-        which also implies per-kernel timing.)
     check_access:
         Debug mode: the sequential backend hands kernels *read-only*
         views for READ arguments, so a kernel violating its declared
@@ -88,7 +82,6 @@ class Config:
     grouped_halos: bool = False
     atomics_block: int = 4096
     block_size: int = 256
-    profile: bool = False
     check_access: bool = False
     sanitize: bool = False
     lazy: bool = False

@@ -28,7 +28,7 @@ from repro.op2.dat import Dat
 from repro.op2.halo import exchange_halos, resolve_eager_scope
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
-from repro.telemetry.recorder import active_recorder, current_recorder
+from repro.telemetry.recorder import active_recorder
 
 
 def loop_halo_reads(loop: "ParLoop", cfg) -> dict[int, tuple]:
@@ -243,21 +243,24 @@ def execute_group(loops: list[ParLoop], backend_name: str,
     execution extent; each keeps its own reduction buffers, and
     redundant exec-halo execution folds into discarded scratch buffers
     so global reductions count every element exactly once.
+
+    When a recorder is bound the group records an ``op2.halo`` span over
+    its halo refresh (if it made one) and an ``op2.compute`` span over
+    the rest, both named after its kernels — the only record of
+    per-kernel time (:func:`~repro.telemetry.recorder.loop_stats`).
     """
     cfg = current_config()
     backend = resolve_backend(backend_name)
     rec = active_recorder()
-    profiling = cfg.profile or rec is not None
-    t0 = time.perf_counter() if profiling else 0.0
+    t0 = t_halo = time.perf_counter() if rec is not None else 0.0
     iterset = loops[0].iterset
     halo = iterset.halo
     comm = halo.comm if halo is not None else None
-    halo_seconds = 0.0
     if refresh_halos and halo is not None:
         for loop in loops:
             loop._refresh_halos(cfg)
-        if profiling:
-            halo_seconds = time.perf_counter() - t0
+        if rec is not None:
+            t_halo = time.perf_counter()
 
     reductions = [ReductionBuffers(l.args) for l in loops]
     backend.execute(loops, 0, iterset.size, reductions)
@@ -269,12 +272,12 @@ def execute_group(loops: list[ParLoop], backend_name: str,
         loop._mark_written_stale()
     for red in reductions:
         red.finalize(comm)
-    if profiling:
-        elapsed = time.perf_counter() - t0
-        current_recorder().record_loop(
-            "+".join(l.kernel.name for l in loops),
-            compute=elapsed - halo_seconds, halo=halo_seconds,
-            elements=iterset.size, t0=t0 if rec is not None else None)
+    if rec is not None:
+        t1 = time.perf_counter()
+        name = "+".join(l.kernel.name for l in loops)
+        if t_halo > t0:
+            rec.add_span(name, "op2.halo", t0, t_halo)
+        rec.add_span(name, "op2.compute", t_halo, t1, elements=iterset.size)
 
 
 def par_loop(kernel: Kernel, iterset: Set, *args: Arg,

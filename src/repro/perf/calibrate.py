@@ -200,7 +200,7 @@ def unit_seconds_from_metrics(doc: dict) -> float:
     elements = sum(k["elements"] for k in kernels.values())
     if elements <= 0:
         raise ValueError("metrics doc records no loop elements; was the "
-                         "run traced or profiled?")
+                         "run traced?")
     return compute / elements
 
 

@@ -99,7 +99,7 @@ from repro.smpi.errors import (
     TransportError,
 )
 from repro.smpi.traffic import Traffic
-from repro.telemetry.recorder import active_recorder
+from repro.telemetry.recorder import active_recorder, use_recorder
 
 #: Environment variable naming the default transport for
 #: :func:`repro.smpi.run_ranks` calls that do not pass one explicitly.
@@ -479,6 +479,9 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
     """
     if shm_prefix:
         _set_shm_prefix(f"{shm_prefix}r{rank}x")
+    # the fork copied the launching thread's recorder binding; a rank
+    # traces only when its program binds its own, as a rank thread does
+    use_recorder(None)
     reporter = _ChildReporter(conn, heartbeat)
     traffic = Traffic()
     if fault_plan is not None:

@@ -1,25 +1,27 @@
 """The per-rank span recorder — the telemetry subsystem's hot path.
 
 Every instrumented layer (op2 par_loops and plans, smpi messages and
-collectives, coupler phases, hydra steps, util timers) funnels into one
+collectives, coupler phases, hydra steps) funnels into one
 :class:`RankRecorder` per simulated-MPI rank (= thread). The recorder
-keeps three things:
+keeps two things:
 
 * **spans** — ``(name, cat, t0, t1, args)`` complete events on this
   rank's timeline (``perf_counter`` seconds; ranks share one process
   clock, so cross-rank merging needs no clock synchronization);
-* **counters** — monotonically accumulated named values;
-* **loop_stats** — per-kernel aggregates (calls / compute / halo /
-  elements), the single source of truth behind the legacy
-  :class:`~repro.op2.profiling.LoopProfile` facade.
+* **counters** — monotonically accumulated named values.
+
+Per-kernel cost is not stored: :func:`loop_stats` computes it from the
+``op2.compute`` / ``op2.halo`` spans every par_loop records. The phase
+totals a run reports (``HydraSolver.timers``, the CU serve seconds)
+are plain dicts fed by :func:`timed`, which also records the span.
 
 Cost discipline: when tracing is off, instrumented call sites reduce to
 one thread-local attribute read returning ``None`` (``active_recorder``)
 — the overhead-guard test pins this. The bound recorder is the only
-tracing state: a thread traces exactly when :func:`active_recorder`
-returns one. A tracing recorder is *bound* either by each rank of a
-traced coupled run (which returns it with its report, on either smpi
-transport) or by the :func:`tracing` context manager for serial code.
+tracing state: a thread traces exactly when one is bound to it, either
+by each rank of a traced coupled run (which returns it with its report,
+on either smpi transport) or by the :func:`tracing` context manager for
+serial code.
 """
 
 from __future__ import annotations
@@ -52,11 +54,7 @@ class SpanEvent:
 
 @dataclass
 class LoopStat:
-    """Accumulated cost of one kernel's par_loops on one rank.
-
-    This is the record type :class:`~repro.op2.profiling.LoopProfile`
-    exposes (its legacy name ``LoopRecord`` aliases it).
-    """
+    """Accumulated cost of one kernel's par_loops (see :func:`loop_stats`)."""
 
     calls: int = 0
     compute_seconds: float = 0.0
@@ -66,6 +64,28 @@ class LoopStat:
     @property
     def total_seconds(self) -> float:
         return self.compute_seconds + self.halo_seconds
+
+
+def loop_stats(spans) -> dict[str, LoopStat]:
+    """Per-kernel cost, computed from par_loop spans.
+
+    Every ``op2.compute`` span is one call of the kernel (or ``+``-joined
+    group) it names and carries its element count; an ``op2.halo`` span
+    of the same name adds that call's halo refresh. Span durations are
+    exact differences of clock readings, so these totals equal the
+    :meth:`~repro.telemetry.timeline.Timeline.breakdown` buckets
+    exactly, in any summation order.
+    """
+    out: dict[str, LoopStat] = {}
+    for s in spans:
+        if s.cat == "op2.compute":
+            st = out.setdefault(s.name, LoopStat())
+            st.calls += 1
+            st.compute_seconds += s.duration
+            st.elements += (s.args or {}).get("elements", 0)
+        elif s.cat == "op2.halo":
+            out.setdefault(s.name, LoopStat()).halo_seconds += s.duration
+    return out
 
 
 class _SpanHandle:
@@ -109,16 +129,12 @@ _NULL_SPAN = _NullSpan()
 
 
 class RankRecorder:
-    """Span/counter/loop-stat sink for one rank (one thread)."""
+    """Span/counter sink for one rank (one thread)."""
 
-    def __init__(self, rank: int = 0, tracing: bool = True) -> None:
+    def __init__(self, rank: int = 0) -> None:
         self.rank = rank
-        #: spans (and send instants) are only recorded when True;
-        #: loop_stats always accumulate (the profiling facade needs them)
-        self.tracing = tracing
         self.spans: list[SpanEvent] = []
         self.counters: dict[str, float] = {}
-        self.loop_stats: dict[str, LoopStat] = {}
         self._open = 0
 
     # -- recording -----------------------------------------------------
@@ -141,30 +157,11 @@ class RankRecorder:
     def counter(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
 
-    def record_loop(self, kernel_name: str, compute: float, halo: float,
-                    elements: int, t0: float | None = None) -> None:
-        """One par_loop's cost: aggregates always, spans when given ``t0``.
-
-        The span pair is synthesized from the same numbers the
-        aggregates receive (halo ``[t0, t0+halo]``, compute
-        ``[t0+halo, t0+halo+compute]``), so the metrics breakdown and
-        the :class:`~repro.op2.profiling.LoopProfile` facade agree
-        exactly, not just to measurement noise.
-        """
-        st = self.loop_stats.get(kernel_name)
-        if st is None:
-            st = self.loop_stats[kernel_name] = LoopStat()
-        st.calls += 1
-        st.compute_seconds += compute
-        st.halo_seconds += halo
-        st.elements += elements
-        if t0 is not None:
-            if halo > 0.0:
-                self.spans.append(SpanEvent(kernel_name, "op2.halo",
-                                            t0, t0 + halo, self.rank))
-            self.spans.append(SpanEvent(
-                kernel_name, "op2.compute", t0 + halo, t0 + halo + compute,
-                self.rank, {"elements": elements}))
+    # -- views ---------------------------------------------------------
+    @property
+    def loop_stats(self) -> dict[str, LoopStat]:
+        """Per-kernel cost on this rank (:func:`loop_stats` of the spans)."""
+        return loop_stats(self.spans)
 
     # -- health --------------------------------------------------------
     def validate(self) -> None:
@@ -184,7 +181,6 @@ class RankRecorder:
     def reset(self) -> None:
         self.spans.clear()
         self.counters.clear()
-        self.loop_stats.clear()
         self._open = 0
 
 
@@ -192,52 +188,66 @@ class RankRecorder:
 # thread-local binding
 # --------------------------------------------------------------------------
 
-_tls = threading.local()
+
+class _Binding(threading.local):
+    #: this thread's recorder; the class default makes the unbound read
+    #: a plain attribute lookup
+    recorder: RankRecorder | None = None
 
 
-def current_recorder() -> RankRecorder:
-    """This thread's recorder (auto-created, tracing off, on first use)."""
-    rec = getattr(_tls, "recorder", None)
-    if rec is None:
-        rec = RankRecorder(rank=0, tracing=False)
-        _tls.recorder = rec
-    return rec
+_tls = _Binding()
 
 
-def use_recorder(rec: RankRecorder) -> RankRecorder | None:
-    """Bind ``rec`` as this thread's recorder; returns the previous one."""
-    prev = getattr(_tls, "recorder", None)
+def use_recorder(rec: RankRecorder | None) -> RankRecorder | None:
+    """Bind ``rec`` (None = unbind) to this thread; returns the previous."""
+    prev = _tls.recorder
     _tls.recorder = rec
     return prev
 
 
 def active_recorder() -> RankRecorder | None:
-    """The thread's recorder iff tracing is enabled on it, else None.
+    """This thread's bound recorder, or None when it is not tracing.
 
-    This is the disabled-mode fast path: one attribute read and a flag
-    check, no allocation.
+    The disabled-mode fast path: one thread-local read, no allocation.
     """
-    rec = getattr(_tls, "recorder", None)
-    if rec is not None and rec.tracing:
-        return rec
-    return None
+    return _tls.recorder
 
 
 def span(name: str, cat: str, **args):
     """Module-level span helper: no-op context when tracing is off."""
-    rec = active_recorder()
+    rec = _tls.recorder
     if rec is None:
         return _NULL_SPAN
     return _SpanHandle(rec, name, cat, args)
 
 
 @contextmanager
+def timed(totals: dict[str, float], name: str, cat: str | None = None):
+    """Add the body's wall seconds to ``totals[name]``.
+
+    With a ``cat`` and a bound recorder the same interval is also
+    recorded as a ``name`` span under ``cat``, so a reported phase total
+    and its spans come from one pair of clock readings.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        t1 = time.perf_counter()
+        totals[name] = totals.get(name, 0.0) + (t1 - t0)
+        if cat is not None:
+            rec = _tls.recorder
+            if rec is not None:
+                rec.add_span(name, cat, t0, t1)
+
+
+@contextmanager
 def tracing(rank: int = 0):
-    """Trace the current thread: bind a fresh tracing recorder.
+    """Trace the current thread: bind a fresh recorder.
 
     Serial convenience for tests, benchmarks and scripts::
 
-        with telemetry.tracing() as rec:
+        with tracing() as rec:
             app.iterate(5)
         rec.validate()
         timeline = merge_timelines([rec])

@@ -2,8 +2,9 @@
 
 :func:`merge_timelines` folds the recorders every rank of a traced run
 returns into a single, sorted event stream with aggregation views — the
-per-category table, the paper's compute/halo/coupler breakdown, and a
-timestamp-free structural fingerprint for determinism regression tests.
+per-category table, the paper's compute/halo/coupler breakdown, the
+per-kernel table, and a timestamp-free structural fingerprint for
+determinism regression tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.telemetry.recorder import LoopStat, SpanEvent
+from repro.telemetry.recorder import LoopStat, SpanEvent, loop_stats
 
 #: Categories whose span time counts as "coupler" in the paper-style
 #: breakdown. Nested detail categories (coupler.search / coupler.interp,
@@ -28,7 +29,6 @@ class Timeline:
 
     spans: list[SpanEvent] = field(default_factory=list)
     counters: dict[str, float] = field(default_factory=dict)
-    loop_stats: dict[str, LoopStat] = field(default_factory=dict)
     ranks: tuple[int, ...] = ()
 
     # -- aggregation views --------------------------------------------
@@ -48,6 +48,11 @@ class Timeline:
             r = out.setdefault(s.rank, {})
             r[s.cat] = r.get(s.cat, 0.0) + s.duration
         return out
+
+    @property
+    def loop_stats(self) -> dict[str, LoopStat]:
+        """Per-kernel cost over all ranks (:func:`loop_stats` of the spans)."""
+        return loop_stats(self.spans)
 
     def breakdown(self) -> dict[str, float]:
         """The paper's compute / halo / coupler split, in seconds.
@@ -98,21 +103,12 @@ def merge_timelines(recorders) -> Timeline:
     """Merge per-rank recorders into one globally ordered timeline."""
     spans: list[SpanEvent] = []
     counters: dict[str, float] = {}
-    loop_stats: dict[str, LoopStat] = {}
     ranks = []
     for rec in recorders:
         ranks.append(rec.rank)
         spans.extend(rec.spans)
         for k, v in rec.counters.items():
             counters[k] = counters.get(k, 0.0) + v
-        for k, st in rec.loop_stats.items():
-            dst = loop_stats.get(k)
-            if dst is None:
-                dst = loop_stats[k] = LoopStat()
-            dst.calls += st.calls
-            dst.compute_seconds += st.compute_seconds
-            dst.halo_seconds += st.halo_seconds
-            dst.elements += st.elements
     spans.sort(key=lambda s: (s.t0, s.rank))
-    return Timeline(spans=spans, counters=counters, loop_stats=loop_stats,
+    return Timeline(spans=spans, counters=counters,
                     ranks=tuple(sorted(ranks)))

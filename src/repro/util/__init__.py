@@ -1,4 +1,4 @@
-"""Shared utilities: timing, deterministic RNG, tables, validation."""
+"""Shared utilities: atomic file writes, ASCII plots, tables, validation."""
 
 from repro.util.ascii_plot import render_field, render_series
 from repro.util.atomicio import (
@@ -7,7 +7,6 @@ from repro.util.atomicio import (
     atomic_write_text,
     sha256_file,
 )
-from repro.util.timing import Timer, TimerRegistry
 from repro.util.tables import format_table
 from repro.util.validation import check_index_array, check_positive, check_shape
 
@@ -18,8 +17,6 @@ __all__ = [
     "render_field",
     "render_series",
     "sha256_file",
-    "Timer",
-    "TimerRegistry",
     "format_table",
     "check_index_array",
     "check_positive",

@@ -77,7 +77,7 @@ def test_trace_writes_artifacts(tmp_path, capsys):
     assert metrics["breakdown"]["compute"] > 0
     assert metrics["breakdown"]["coupler"] > 0
     assert metrics["meta"]["case"] == "coupled-rig250"
-    # breakdown must reproduce the per-kernel (LoopProfile) totals
+    # breakdown must reproduce the per-kernel (loop_stats) totals
     assert metrics["breakdown"]["compute"] == pytest.approx(sum(
         k["compute_seconds"] for k in metrics["kernels"].values()))
     assert metrics["traffic"]  # per-phase message accounting included

@@ -1,21 +1,19 @@
-"""Extension features: profiling, block-color backend, steady mode,
-ASCII rendering, mid-radius cuts."""
+"""Extension features: per-kernel timing, block-color backend, steady
+mode, ASCII rendering, mid-radius cuts."""
 
 import numpy as np
 import pytest
 
-from repro import op2
+from repro import op2, telemetry
 from repro.coupler import CoupledDriver, CoupledRunConfig
 from repro.hydra import FlowState, HydraSolver, Numerics, row_problem
 from repro.mesh import RowConfig, RowKind, make_row_mesh, rig250_config
 from repro.op2.distribute import build_serial_problem
-from repro.op2.profiling import current_profile, reset_profile
 from repro.util.ascii_plot import render_field, render_series
 
 
 class TestProfiling:
-    def setup_method(self):
-        reset_profile()
+    """Per-kernel time is the traced par_loop spans' ``loop_stats`` view."""
 
     def test_loops_recorded_when_enabled(self):
         nodes = op2.Set(10, "nodes")
@@ -26,13 +24,13 @@ class TestProfiling:
             yv[0] = xv[0]
 
         kern = op2.Kernel(copy, name="copy_k")
-        with op2.configure(profile=True):
+        with telemetry.tracing() as rec:
             for _ in range(3):
                 op2.par_loop(kern, nodes, x.arg(op2.READ), y.arg(op2.WRITE))
-        prof = current_profile()
-        assert prof.records["copy_k"].calls == 3
-        assert prof.records["copy_k"].elements == 30
-        assert prof.total_seconds() > 0
+        st = rec.loop_stats["copy_k"]
+        assert st.calls == 3
+        assert st.elements == 30
+        assert st.total_seconds > 0
 
     def test_disabled_by_default(self):
         nodes = op2.Set(5, "nodes")
@@ -41,26 +39,13 @@ class TestProfiling:
         def z(xv):
             xv[0] = 0.0
 
-        op2.par_loop(op2.Kernel(z, name="zed"), nodes, x.arg(op2.WRITE))
-        assert "zed" not in current_profile().records
-
-    def test_report_formats(self):
-        nodes = op2.Set(4, "nodes")
-        x = op2.Dat(nodes, 1)
-
-        def z(xv):
-            xv[0] = 1.0
-
-        with op2.configure(profile=True):
-            op2.par_loop(op2.Kernel(z, name="fill"), nodes, x.arg(op2.WRITE))
-        text = current_profile().report()
-        assert "fill" in text and "compute ms" in text
-
-    def test_top_orders_by_cost(self):
-        prof = current_profile()
-        prof.record("cheap", 0.001, 0.0, 10)
-        prof.record("costly", 1.0, 0.5, 10)
-        assert prof.top(1)[0][0] == "costly"
+        assert telemetry.active_recorder() is None  # untraced by default
+        with telemetry.tracing() as rec:
+            prev = telemetry.use_recorder(None)
+            op2.par_loop(op2.Kernel(z, name="zed"), nodes, x.arg(op2.WRITE))
+            telemetry.use_recorder(prev)
+            op2.par_loop(op2.Kernel(z, name="one"), nodes, x.arg(op2.WRITE))
+        assert list(rec.loop_stats) == ["one"]
 
     def test_solver_profile_includes_flux(self):
         cfg = RowConfig(name="duct", kind=RowKind.STATOR, nr=3, nt=8, nx=4,
@@ -70,12 +55,12 @@ class TestProfiling:
         local = build_serial_problem(row_problem(mesh, inflow))
         solver = HydraSolver(local, cfg, Numerics(inner_iters=2),
                              dt_outer=0.05, inlet=inflow, p_out=1.0)
-        reset_profile()
-        with op2.configure(profile=True):
+        with telemetry.tracing() as rec:
             solver.advance_physical()
-        prof = current_profile()
-        assert "flux_edge" in prof.records
-        top_names = [n for n, _ in prof.top(3)]
+        stats = rec.loop_stats
+        assert "flux_edge" in stats
+        top_names = sorted(stats, key=lambda n: stats[n].total_seconds,
+                           reverse=True)[:3]
         assert "flux_edge" in top_names  # the hot loop
 
 
@@ -337,7 +322,8 @@ class TestResidualSmoothing:
 
 class TestDistributedProfiling:
     def test_halo_time_attributed(self):
-        """In distributed runs the profile splits halo vs compute time."""
+        """In distributed runs the per-kernel view splits halo vs compute
+        time."""
         from repro.op2.distribute import GlobalProblem, plan_distribution
         from repro.smpi import run_ranks
 
@@ -364,8 +350,8 @@ class TestDistributedProfiling:
         kg = op2.Kernel(gather, name="gather_prof")
 
         def rank_fn(comm):
-            reset_profile()
-            op2.set_config(profile=True)
+            rec = telemetry.RankRecorder(rank=comm.rank)
+            telemetry.use_recorder(rec)
             local = op2.build_local_problem(gp, layouts[comm.rank], comm)
             for _ in range(4):
                 op2.par_loop(kb, local.sets["nodes"],
@@ -375,9 +361,10 @@ class TestDistributedProfiling:
                              local.dats["q"].arg(op2.READ, local.maps["pedge"], 1),
                              local.dats["acc"].arg(op2.INC, local.maps["pedge"], 0),
                              local.dats["acc"].arg(op2.INC, local.maps["pedge"], 1))
-            prof = current_profile()
-            return (prof.records["gather_prof"].halo_seconds,
-                    prof.records["bump_prof"].halo_seconds)
+            telemetry.use_recorder(None)
+            stats = rec.loop_stats
+            return (stats["gather_prof"].halo_seconds,
+                    stats["bump_prof"].halo_seconds)
 
         for gather_halo, bump_halo in run_ranks(2, rank_fn):
             assert gather_halo > 0.0   # the reading loop pays for exchanges

@@ -30,14 +30,12 @@ def _with_counters(rank_fn):
     """Wrap a rank fn: bind a tracing recorder, return its counters too."""
 
     def wrapped(comm, *args):
-        rec = RankRecorder(rank=comm.rank, tracing=True)
+        rec = RankRecorder(rank=comm.rank)
         prev = use_recorder(rec)
         try:
             out = rank_fn(comm, *args)
         finally:
-            if prev is not None:
-                use_recorder(prev)
-            rec.tracing = False
+            use_recorder(prev)
         return out, dict(rec.counters)
 
     return wrapped

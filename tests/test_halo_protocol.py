@@ -232,14 +232,12 @@ def test_mixed_dtype_counters_match_ledger(lazy):
     gp, layouts, node_owner = ring_problem()
 
     def rank_fn(comm):
-        rec = RankRecorder(rank=comm.rank, tracing=True)
+        rec = RankRecorder(rank=comm.rank)
         prev = use_recorder(rec)
         try:
             _mixed_rank(comm, gp, layouts, node_owner, lazy, np.int32)
         finally:
-            if prev is not None:
-                use_recorder(prev)
-            rec.tracing = False
+            use_recorder(prev)
         return dict(rec.counters)
 
     traffic = Traffic()

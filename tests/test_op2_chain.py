@@ -477,7 +477,7 @@ class TestBreakdownColumns:
         from repro.telemetry.recorder import RankRecorder, use_recorder
         from repro.telemetry.timeline import merge_timelines
 
-        rec = RankRecorder(rank=0, tracing=True)
+        rec = RankRecorder(rank=0)
         prev = use_recorder(rec)
         try:
             run_ring(list("GS"), 1, lazy=True)  # serial: counters only

@@ -1,11 +1,11 @@
-"""The telemetry subsystem: recorder, merge, exporters, facades, overhead.
+"""The telemetry subsystem: recorder, merge, exporters, overhead.
 
 Covers the unified tracing layer end to end — span recording and
-balance validation, the LoopProfile/Timer facades sharing one source of
-truth with the trace, Chrome-trace and metrics export with schema
-validation, the coupled driver's compute/halo/coupler breakdown
-consistency, and the disabled-mode overhead guard against the seed
-par_loop path.
+balance validation, the per-kernel ``loop_stats`` view and ``timed``
+phase totals sharing one source of truth with the trace, Chrome-trace
+and metrics export with schema validation, the coupled driver's
+compute/halo/coupler breakdown consistency, and the disabled-mode
+overhead guard against the seed par_loop path.
 """
 
 import json
@@ -20,14 +20,13 @@ from repro.apps.airfoil import AirfoilApp
 from repro.op2.backends import ReductionBuffers, resolve_backend
 from repro.op2.config import current_config
 from repro.op2.parloop import ParLoop
-from repro.op2.profiling import current_profile, reset_profile
 from repro.telemetry import (RankRecorder, Timeline, chrome_trace,
                              merge_timelines, metrics_summary,
                              validate_bench, validate_chrome_trace,
                              validate_metrics, write_bench_summary,
                              write_chrome_trace, write_metrics)
-from repro.telemetry.recorder import active_recorder, span, use_recorder
-from repro.util.timing import Timer, TimerRegistry
+from repro.telemetry.recorder import (_NULL_SPAN, active_recorder, span,
+                                      timed, use_recorder)
 
 
 def _copy_loop(n=16, name="tele_copy"):
@@ -74,27 +73,29 @@ class TestRankRecorder:
             rec.validate()
 
     def test_record_loop_synthesizes_matching_spans(self):
+        """loop_stats is computed from a par_loop's halo/compute spans."""
         rec = RankRecorder()
-        rec.record_loop("k", compute=0.25, halo=0.125, elements=10, t0=100.0)
-        halo_s, comp_s = rec.spans
-        assert halo_s.cat == "op2.halo" and halo_s.duration == 0.125
-        assert comp_s.cat == "op2.compute" and comp_s.duration == 0.25
+        rec.add_span("k", "op2.halo", 100.0, 100.125)
+        rec.add_span("k", "op2.compute", 100.125, 100.375, elements=10)
+        rec.add_span("k", "op2.compute", 101.0, 101.5, elements=10)
+        rec.add_span("other", "op2.plan", 100.0, 101.0)
+        assert list(rec.loop_stats) == ["k"]
         st = rec.loop_stats["k"]
-        assert (st.compute_seconds, st.halo_seconds, st.elements) == \
-            (0.25, 0.125, 10)
+        assert (st.calls, st.compute_seconds, st.halo_seconds,
+                st.elements) == (2, 0.75, 0.125, 20)
+        assert st.total_seconds == 0.875
 
     def test_module_span_noop_without_tracing(self):
-        assert active_recorder() is None  # default recorder traces nothing
-        before = len(telemetry.current_recorder().spans)
-        with span("free", "test.cat"):
-            pass
-        assert len(telemetry.current_recorder().spans) == before
+        assert active_recorder() is None  # an unbound thread traces nothing
+        with span("free", "test.cat") as handle:
+            assert handle is _NULL_SPAN
+        assert active_recorder() is None
 
     def test_reset(self):
         rec = RankRecorder()
         rec.instant("x", "c")
         rec.counter("n")
-        rec.record_loop("k", 0.1, 0.0, 5)
+        rec.add_span("k", "op2.compute", 0.0, 0.1, elements=5)
         rec.reset()
         assert not rec.spans and not rec.counters and not rec.loop_stats
 
@@ -102,7 +103,6 @@ class TestRankRecorder:
 class TestTracingContext:
     def test_par_loop_emits_spans_matching_profile(self):
         kern, nodes, x, y = _copy_loop()
-        reset_profile()
         with telemetry.tracing() as rec:
             for _ in range(3):
                 op2.par_loop(kern, nodes, x.arg(op2.READ), y.arg(op2.WRITE))
@@ -114,11 +114,12 @@ class TestTracingContext:
             rec.loop_stats["tele_copy"].compute_seconds, abs=0.0)
 
     def test_tracing_restores_previous_recorder(self):
-        outer = telemetry.current_recorder()
-        with telemetry.tracing():
-            assert telemetry.current_recorder() is not outer
-            assert telemetry.active_recorder() is not None
-        assert telemetry.current_recorder() is outer
+        assert telemetry.active_recorder() is None
+        with telemetry.tracing() as outer:
+            assert telemetry.active_recorder() is outer
+            with telemetry.tracing() as inner:
+                assert telemetry.active_recorder() is inner
+            assert telemetry.active_recorder() is outer
         assert telemetry.active_recorder() is None
 
     def test_plan_build_traced(self):
@@ -146,49 +147,54 @@ class TestTracingContext:
 
 
 class TestLoopProfileFacade:
-    def setup_method(self):
-        reset_profile()
+    """The per-kernel table is a view of the spans, nothing stored."""
 
     def test_record_lands_in_recorder_loop_stats(self):
-        prof = current_profile()
-        prof.record("manual", 0.5, 0.25, 100)
-        assert telemetry.current_recorder().loop_stats["manual"].calls == 1
-        assert prof.records["manual"].total_seconds == 0.75
+        rec = RankRecorder()
+        rec.add_span("manual", "op2.halo", 1.0, 1.25)
+        rec.add_span("manual", "op2.compute", 1.25, 1.75, elements=100)
+        assert rec.loop_stats["manual"].calls == 1
+        assert rec.loop_stats["manual"].total_seconds == 0.75
+        tl = merge_timelines([rec])
+        assert tl.loop_stats["manual"].total_seconds == 0.75
 
     def test_view_binds_to_thread_recorder(self):
-        rec = RankRecorder(rank=0, tracing=False)
-        prev = use_recorder(rec)
-        try:
-            current_profile().record("bound", 1.0, 0.0, 1)
-            assert rec.loop_stats["bound"].calls == 1
-        finally:
-            use_recorder(prev)
-        assert "bound" not in current_profile().records
+        kern, nodes, x, y = _copy_loop(name="bound")
+        rec = RankRecorder(rank=0)
+        with telemetry.tracing() as outer:
+            prev = use_recorder(rec)
+            try:
+                op2.par_loop(kern, nodes, x.arg(op2.READ), y.arg(op2.WRITE))
+            finally:
+                use_recorder(prev)
+        assert rec.loop_stats["bound"].calls == 1
+        assert "bound" not in outer.loop_stats
 
 
 class TestTimerFacade:
+    """``timed``: one clock reading feeds a phase total and its span."""
+
     def test_timer_with_cat_emits_span_when_tracing(self):
+        totals = {}
         with telemetry.tracing() as rec:
-            t = Timer(name="serve", cat="coupler.serve")
-            with t:
+            with timed(totals, "serve", "coupler.serve"):
                 pass
-        (s,) = [s for s in rec.spans if s.cat == "coupler.serve"]
-        assert s.name == "serve"
-        assert s.duration == pytest.approx(t.elapsed)
+            with timed(totals, "serve", "coupler.serve"):
+                pass
+        spans = [s for s in rec.spans if s.cat == "coupler.serve"]
+        assert [s.name for s in spans] == ["serve", "serve"]
+        assert sum(s.duration for s in spans) == totals["serve"]
 
     def test_timer_without_cat_stays_off_traces(self):
+        totals = {}
         with telemetry.tracing() as rec:
-            with Timer(name="quiet"):
+            with timed(totals, "quiet"):
                 pass
         assert not [s for s in rec.spans if s.name == "quiet"]
-
-    def test_registry_assigns_categories(self):
-        reg = TimerRegistry(categories={"coupler_wait": "coupler.wait"},
-                            default_category=None)
-        assert reg["coupler_wait"].cat == "coupler.wait"
-        assert reg["physical_step"].cat is None
-        reg2 = TimerRegistry(default_category="timer")
-        assert reg2["anything"].cat == "timer"
+        assert totals["quiet"] > 0
+        with timed(totals, "loud", "coupler.serve"):  # untraced: total only
+            pass
+        assert totals["loud"] > 0
 
 
 class TestTimelineMerge:
@@ -196,12 +202,11 @@ class TestTimelineMerge:
         recs = []
         for rank in range(2):
             rec = RankRecorder(rank=rank)
-            rec.add_span("a", "op2.compute", 1.0 + shift + rank,
+            rec.add_span("k", "op2.compute", 1.0 + shift + rank,
                          2.0 + shift + rank, elements=5)
-            rec.add_span("h", "op2.halo", 2.0 + shift + rank,
+            rec.add_span("k", "op2.halo", 2.0 + shift + rank,
                          2.5 + shift + rank)
             rec.counter("smpi.messages", 2)
-            rec.record_loop("k", 1.0, 0.5, 5)
             recs.append(rec)
         return recs
 
@@ -276,7 +281,8 @@ class TestChromeTraceExport:
 class TestMetricsExport:
     def _timeline(self):
         rec = RankRecorder(rank=0)
-        rec.record_loop("k", 0.5, 0.25, 10, t0=1.0)
+        rec.add_span("k", "op2.halo", 1.0, 1.25)
+        rec.add_span("k", "op2.compute", 1.25, 1.75, elements=10)
         rec.counter("smpi.messages", 3)
         return merge_timelines([rec])
 
@@ -385,7 +391,7 @@ class TestCoupledTrace:
         assert tl is not None
         assert tl.ranks == (0, 1, 2)  # 2 HS + 1 CU
         bd = tl.breakdown()
-        # breakdown reproduces the LoopProfile facade's totals exactly
+        # breakdown reproduces the per-kernel view's totals exactly
         assert bd["compute"] == pytest.approx(sum(
             st.compute_seconds for st in tl.loop_stats.values()), abs=0.0)
         assert bd["halo"] == pytest.approx(sum(
@@ -419,18 +425,11 @@ def _seed_execute(self, backend_name=None):
     if cfg.sanitize:
         backend_name = "sanitizer"
     backend = resolve_backend(backend_name or cfg.backend)
-    profiling = cfg.profile
-    t0 = time.perf_counter() if profiling else 0.0
     assert not self.iterset.is_distributed
     reductions = ReductionBuffers(self.args)
     backend.execute([self], 0, self.iterset.size, [reductions])
     reductions.finalize(None)
     self._mark_written_stale()
-    if profiling:
-        elapsed = time.perf_counter() - t0
-        current_profile().record(
-            self.kernel.name, compute=elapsed, halo=0.0,
-            elements=self.iterset.size)
 
 
 class TestOverheadGuard:

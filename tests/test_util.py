@@ -1,13 +1,12 @@
-"""Utility modules: timers, tables, validation."""
+"""Utility modules: phase totals, tables, validation."""
 
 import time
 
 import numpy as np
 import pytest
 
+from repro.telemetry import timed
 from repro.util import (
-    Timer,
-    TimerRegistry,
     check_index_array,
     check_positive,
     check_shape,
@@ -18,65 +17,30 @@ from repro.util.validation import as_float_array, require
 
 class TestTimer:
     def test_accumulates_intervals(self):
-        t = Timer("t")
+        totals = {}
         for _ in range(3):
-            t.start()
-            time.sleep(0.005)
-            t.stop()
-        assert t.count == 3
-        assert t.elapsed >= 0.015
-        assert t.mean == pytest.approx(t.elapsed / 3)
+            with timed(totals, "t"):
+                time.sleep(0.005)
+        assert list(totals) == ["t"]
+        assert totals["t"] >= 0.015
 
     def test_context_manager(self):
-        t = Timer("t")
-        with t:
-            time.sleep(0.002)
-        assert t.count == 1 and t.elapsed > 0
-
-    def test_double_start_rejected(self):
-        t = Timer("t").start()
-        with pytest.raises(RuntimeError, match="already running"):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError, match="not running"):
-            Timer("t").stop()
-
-    def test_reset(self):
-        t = Timer("t")
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and t.count == 0
+        totals = {}
+        with pytest.raises(RuntimeError):
+            with timed(totals, "t"):
+                time.sleep(0.002)
+                raise RuntimeError("body failed")
+        assert totals["t"] > 0  # the interval counts even when it raises
 
 
 class TestTimerRegistry:
     def test_autocreates_timers(self):
-        reg = TimerRegistry()
-        with reg["phase"]:
+        totals = {"other": 1.0}
+        with timed(totals, "phase"):
             pass
-        assert "phase" in reg
-        assert reg.elapsed("phase") > 0
-        assert reg.elapsed("missing") == 0.0
-
-    def test_merge(self):
-        regs = []
-        for scale in (1, 3):
-            reg = TimerRegistry()
-            reg["a"].elapsed = 1.0 * scale
-            regs.append(reg)
-        merged = TimerRegistry.merge(regs)
-        assert merged["a"]["min"] == 1.0
-        assert merged["a"]["max"] == 3.0
-        assert merged["a"]["mean"] == 2.0
-        assert merged["a"]["sum"] == 4.0
-
-    def test_as_dict_and_reset(self):
-        reg = TimerRegistry()
-        reg["x"].elapsed = 2.0
-        assert reg.as_dict() == {"x": 2.0}
-        reg.reset()
-        assert reg.elapsed("x") == 0.0
+        assert totals["phase"] > 0
+        assert totals["other"] == 1.0
+        assert totals.get("missing", 0.0) == 0.0
 
 
 class TestFormatTable:
