@@ -48,8 +48,8 @@ class CoupledRunConfig:
     ranks_per_row: list[int] | int = 1
     cus_per_interface: int = 1
     search: str = "adt"
-    #: cache donors across coupling rounds and re-validate instead of
-    #: re-searching
+    #: cache donors across coupling rounds and predict each round's
+    #: donor from them instead of re-searching
     incremental: bool = True
     #: interface interpolation: "bilinear" (default, bitwise-stable
     #: baseline) or "biquadratic" (conservative high-order stencil)

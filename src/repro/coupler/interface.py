@@ -82,7 +82,8 @@ class SideGeometry:
         geo = getattr(self, "_donor_geo", None)
         if geo is None:
             boxes, corners = self.donor_quads()
-            geo = DonorGeometry(boxes=boxes, corners=corners)
+            geo = DonorGeometry(boxes=boxes, corners=corners,
+                                period=self.circumference)
             self._donor_geo = geo
         return geo
 

@@ -324,7 +324,7 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
 def _cu_member_payload(acct: CUAccounting,
                        engines: dict[int, CUTransferEngine]) -> dict:
     """A CU rank's checkpoint member: the counters of its report, plus
-    the per-direction donor caches so a resumed run's re-validation
+    the per-direction donor caches so a resumed run's donor-prediction
     trajectory — and therefore every comparison counter — replays
     bitwise."""
     payload = {

@@ -9,7 +9,9 @@ the ranks owning the target halo nodes.
 Every run serves its transfers through :class:`CUTransferEngine`, one
 persistent engine per (interface, direction, CU); each serve runs
 :meth:`SlidingInterface.interpolate`, the one place the transfer
-sequence is written.
+sequence is written. The engine's donor cache predicts each target's
+donor from the previous round's, so after round 0 a serve on a sliding
+interface runs no tree search: its cost is interpolation, not search.
 
 :func:`cu_transfer` is not a serve path: it is the from-scratch
 baseline — a windowed search rebuilt every round, interpolated point by
@@ -126,8 +128,9 @@ class CUTransferEngine:
     """Persistent transfer engine for one (direction, CU).
 
     Built once per run; every :meth:`serve` reuses the donor geometry
-    and search structure, optionally re-validating cached donors
-    instead of re-searching (``incremental=True``). ``interp`` selects
+    and search structure and, with ``incremental=True``, predicts each
+    target's donor from the previous round's instead of searching (see
+    :class:`~repro.coupler.search.IncrementalSearch`). ``interp`` selects
     the interpolation stencil; ``native=True`` opts the gather-apply
     into the compiled kernel when a C toolchain exists.
 
@@ -157,7 +160,7 @@ class CUTransferEngine:
         self.corners = geo.corners
         if incremental:
             self._inc: IncrementalSearch | None = IncrementalSearch(
-                search_kind, geo.boxes, geo.corners)
+                search_kind, geo)
             self._search = self._inc.search
             self._find = self._inc.query
         else:

@@ -36,9 +36,10 @@ from repro.coupler.unit import CUTransferEngine, cu_transfer
 GOLDEN_PATH = Path(__file__).parent / "golden" / "coupler_biquadratic.json"
 
 
-def make_side(nr=3, nt=8, L=8.0, v=0.0):
+def make_side(nr=3, nt=8, L=8.0, v=0.0, y0=0.0):
+    """Uniform (nr, nt) side; ``y0 > 0`` makes the seam quad duplicated."""
     dy = L / nt
-    y = np.tile(dy * np.arange(nt), nr)
+    y = np.tile(y0 + dy * np.arange(nt), nr)
     z = np.repeat(np.linspace(2.0, 3.0, nr), nt)
     return SideGeometry(grid_shape=(nr, nt), y=y, z=z, circumference=L,
                         frame_velocity=v)
@@ -165,23 +166,22 @@ class TestHypothesisProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 8))
-    @example(545, 2)  # every target leaves its cached quad: 0 hits
+    @example(545, 2)  # every target leaves its cached quad
     @example(92, 2)
     def test_incremental_matches_scratch_under_rotation(self, seed, rounds):
-        """Random rotation sequences: cached-donor re-validation returns
-        the same donors and bitwise the same weights as from-scratch, and
-        hits the cache exactly for the targets still inside their
-        previous round's donor box."""
+        """Random rotation sequences: predicted donors are the same
+        donors with bitwise the same weights as from-scratch, and on a
+        uniform grid the prediction resolves every target that had a
+        donor on the previous round."""
         rng = np.random.default_rng(seed)
         geo = make_side(nr=4, nt=12, L=12.0)
         dg = geo.donor_geometry()
-        inc = IncrementalSearch("adt", dg.boxes, dg.corners)
+        inc = IncrementalSearch("adt", dg)
         y0 = rng.uniform(0, 12.0, 100)
         z0 = rng.uniform(2.0, 3.0, 100)
         shift = 0.0
         prev = None
         expected_hits = 0
-        eps = DEFAULT_EPS
         for _ in range(rounds):
             shift += rng.uniform(-1.0, 1.0)
             y = np.mod(y0 + shift, 12.0)
@@ -190,14 +190,144 @@ class TestHypothesisProperties:
             assert np.array_equal(got.quads, scratch.quads)
             assert np.array_equal(got.weights, scratch.weights)
             if prev is not None:
-                have = prev >= 0
-                b = dg.boxes[prev[have]]
-                yy, zz = y[have], z0[have]
-                expected_hits += int(np.count_nonzero(
-                    (b[:, 0] - eps <= yy) & (yy <= b[:, 2] + eps)
-                    & (b[:, 1] - eps <= zz) & (zz <= b[:, 3] + eps)))
+                expected_hits += int(np.count_nonzero(prev >= 0))
             prev = scratch.quads
         assert inc.stats.cache_hits == expected_hits
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+               lambda node, off: float(np.mod(node + off, 12.0)),
+               st.integers(0, 11),
+               st.one_of(st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9,
+                                          1.5e-9, -1.5e-9]),
+                         st.floats(-0.5, 0.5))),
+               min_size=2, max_size=6),
+           st.one_of(st.sampled_from([2.0, 2.0 + 1 / 3, 2.5, 3.0]),
+                     st.floats(2.0, 3.0)))
+    @example(ys=[3.5, 3.0 - 5e-10], z=2.5)
+    def test_cached_donor_keeps_lowest_index_in_eps_band(self, ys, z):
+        """A target moving into the ε band of a lower-index quad gets
+        that quad, as from scratch: the cached quad also contains the
+        point, but it does not win."""
+        dg = make_side(nr=4, nt=12, L=12.0).donor_geometry()
+        inc = IncrementalSearch("adt", dg)
+        for yv in ys:
+            y, zz = np.array([yv]), np.array([z])
+            scratch = make_search("adt", dg.boxes).find_batch(y, zz)
+            got = inc.query(y, zz)
+            assert np.array_equal(got.quads, scratch.quads)
+            assert np.array_equal(got.weights, scratch.weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-40, 40), st.sampled_from([0.0, 0.25, 0.5, 0.37]),
+           st.sampled_from([12, 16, 9]), st.sampled_from([0.0, 0.3]),
+           st.integers(2, 5))
+    @example(6, 0.0, 12, 0.0, 4)     # targets on donor nodes, no seam copy
+    @example(-13, 0.0, 12, 0.3, 4)   # on donor nodes, seam copies crossed
+    def test_predicted_search_matches_find_batch(self, cells, frac, nt_dst,
+                                                 y0, rounds):
+        """Rigid rotor shifts of up to 40 donor cells a round, either
+        way: predicted donors and weights are bitwise ``find_batch``'s,
+        and every target after round 0 is a cache hit."""
+        L = 12.0
+        src = make_side(nr=4, nt=12, L=L, y0=y0)
+        dst = make_side(nr=4, nt=nt_dst, L=L, y0=y0)
+        dg = src.donor_geometry()
+        inc = IncrementalSearch("adt", dg)
+        n = dst.y.size
+        for r in range(rounds):
+            y = np.mod(dst.y + r * (cells + frac) * (L / 12), L)
+            scratch = make_search("adt", dg.boxes).find_batch(y, dst.z)
+            got = inc.query(y, dst.z)
+            assert np.array_equal(got.quads, scratch.quads)
+            assert np.array_equal(got.weights, scratch.weights)
+        assert inc.stats.cache_hits == n * (rounds - 1)
+        assert inc.stats.researched == n
+
+    def test_prediction_wraps_the_seam_on_a_stretched_grid(self):
+        """Columns of unequal width: a target crossing the seam is still
+        predicted (its offset from the cached column is taken modulo L,
+        not as a whole-circumference jump in units of one cell)."""
+        L, nt = 12.0, 12
+        k = np.arange(nt)
+        y = L * (k / nt + 0.4 * np.sin(2 * np.pi * k / nt) / (2 * np.pi))
+        side = SideGeometry(grid_shape=(3, nt), y=np.tile(y, 3),
+                            z=np.repeat([2.0, 2.5, 3.0], nt),
+                            circumference=L, frame_velocity=0.0)
+        dg = side.donor_geometry()
+        inc = IncrementalSearch("adt", dg)
+        y0 = np.tile(np.linspace(0.0, L, 40, endpoint=False), 5)
+        z = np.repeat(np.linspace(2.1, 2.9, 5), 40)
+        for r in range(6):
+            yy = np.mod(y0 + 0.2 * r, L)
+            scratch = make_search("adt", dg.boxes).find_batch(yy, z)
+            got = inc.query(yy, z)
+            assert np.array_equal(got.quads, scratch.quads)
+        assert inc.stats.cache_hits == 5 * y0.size
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(0.05, 0.9))
+    def test_predicted_search_with_overlapping_boxes(self, seed, overlap):
+        """Boxes that reach into the next column's interior: a point deep
+        inside a quad may still belong to a lower-index one, and the
+        prediction still returns ``find_batch``'s donor."""
+        side = make_side(nr=4, nt=12, L=12.0)
+        base = side.donor_geometry()
+        boxes = base.boxes.copy()
+        boxes[:, 2] += overlap
+        dg = DonorGeometry(boxes=boxes, corners=base.corners, period=12.0)
+        inc = IncrementalSearch("adt", dg)
+        rng = np.random.default_rng(seed)
+        y0 = rng.uniform(0, 12.0, 50)
+        z = rng.uniform(2.0, 3.0, 50)
+        for shift in np.cumsum(rng.uniform(-2.0, 2.0, 4)):
+            y = np.mod(y0 + shift, 12.0)
+            scratch = make_search("adt", boxes).find_batch(y, z)
+            got = inc.query(y, z)
+            assert np.array_equal(got.quads, scratch.quads)
+            assert np.array_equal(got.weights, scratch.weights)
+
+    @staticmethod
+    def _assert_neighbours_brute_force(dg):
+        """``dg.neighbours`` == ε-intersection over all box pairs."""
+        b = dg.boxes
+        eps = DEFAULT_EPS
+        A, B = b[:, None, :], b[None, :, :]
+        touch = ((A[..., 0] - eps <= B[..., 2] + eps)
+                 & (B[..., 0] - eps <= A[..., 2] + eps)
+                 & (A[..., 1] - eps <= B[..., 3] + eps)
+                 & (B[..., 1] - eps <= A[..., 3] + eps))
+        np.fill_diagonal(touch, False)
+        for k in range(b.shape[0]):
+            row = dg.neighbours[k]
+            assert row[row >= 0].tolist() == np.nonzero(touch[k])[0].tolist()
+
+    @pytest.mark.parametrize("y0", [0.0, 0.3])
+    def test_neighbours_are_complete(self, y0):
+        """N(k) is exactly the brute-force ε-intersection over all box
+        pairs, with and without seam duplicates."""
+        dg = make_side(nr=4, nt=7, L=7.0, y0=y0).donor_geometry()
+        self._assert_neighbours_brute_force(dg)
+        # every quad sits in its (row, column) slot; only the three
+        # seam cells hold a second quad, and only when y0 > 0
+        for k, (row, col) in enumerate(dg.cells):
+            assert k in dg.slots[row, col]
+        per_cell = (dg.slots >= 0).sum(axis=2)
+        assert (per_cell == 2).sum() == (3 if y0 else 0)
+        assert (per_cell >= 1).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_neighbours_complete_on_scattered_boxes(self, seed):
+        """Boxes of mixed sizes, touching and overlapping anywhere
+        (degenerate ones too): the bucketed build still finds every
+        ε-intersecting pair."""
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(0, 3, (60, 2)).round(1)
+        ext = rng.choice([0.0, 0.1, 0.3, 1.2], (60, 2))
+        boxes = np.concatenate([lo, lo + ext], axis=1)
+        self._assert_neighbours_brute_force(
+            DonorGeometry(boxes=boxes, corners=np.zeros((60, 4))))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -356,6 +486,21 @@ def _golden_cfg(interp):
         p_out=1.0, interp=interp)
 
 
+def _sliding_cfg(**overrides):
+    """The quick sliding rig: each step slides the rotor two donor
+    cells, so a cached donor is never this round's donor."""
+    from repro.coupler import CoupledRunConfig
+    from repro.hydra import FlowState, Numerics
+    from repro.mesh import rig250_config
+
+    return CoupledRunConfig(
+        rig=rig250_config(nr=4, nt=32, nx=3, rows=3,
+                          steps_per_revolution=16),
+        ranks_per_row=1, cus_per_interface=2,
+        numerics=Numerics(inner_iters=2), inlet=FlowState(ux=0.5),
+        p_out=1.0, **overrides)
+
+
 class TestBiquadraticGolden:
     def test_matches_golden(self):
         """The biquadratic coupled trajectory is pinned: pressure ratio
@@ -436,20 +581,49 @@ class TestCoupledEquivalence:
 
     def test_incremental_resume_replays_counters(self, tmp_path):
         """Checkpoint + resume restores the donor cache: the resumed
-        run's stats and flux log replay the uninterrupted run's."""
+        run's stats and flux log replay the uninterrupted run's, on a
+        slow rig (donors re-validated) and on the sliding rig (every
+        donor predicted from a cell it has left)."""
         from repro.coupler import CoupledDriver
 
-        cfg = dataclasses.replace(
-            _golden_cfg("bilinear"), checkpoint_every=2,
-            checkpoint_dir=tmp_path)
-        full = CoupledDriver(cfg).run(4)
-        resumed = CoupledDriver(cfg).run(
-            4, resume_from=tmp_path / "step-000002")
-        for a, b in zip(full.cus, resumed.cus):
-            assert dataclasses.astuple(a["stats"]) == \
-                dataclasses.astuple(b["stats"])
-            assert a["flux_log"] == b["flux_log"]
-        assert self._monitors(full) == self._monitors(resumed)
+        for name, base in (("slow", _golden_cfg("bilinear")),
+                           ("sliding", _sliding_cfg())):
+            cfg = dataclasses.replace(base, checkpoint_every=2,
+                                      checkpoint_dir=tmp_path / name)
+            full = CoupledDriver(cfg).run(4)
+            resumed = CoupledDriver(cfg).run(
+                4, resume_from=tmp_path / name / "step-000002")
+            assert full.total_search_stats().cache_hits > 0
+            for a, b in zip(full.cus, resumed.cus):
+                assert dataclasses.astuple(a["stats"]) == \
+                    dataclasses.astuple(b["stats"])
+                assert a["flux_log"] == b["flux_log"]
+            assert self._monitors(full) == self._monitors(resumed)
+
+    def test_sliding_rig_predicts_every_target(self):
+        """On the sliding rig every serve after round 0 resolves all of
+        its targets without a search, bitwise equal to ``cu_transfer``."""
+        from repro.coupler import CoupledDriver
+
+        cfg = _sliding_cfg()
+        driver = CoupledDriver(cfg)
+        rng = np.random.default_rng(4)
+        for d in driver.directions:
+            iface = driver.interfaces[d.k]
+            shape = iface.side(d.src_iface).grid_shape
+            donors = rng.uniform(0.5, 1.5, size=(shape[0] * shape[1], 5))
+            for subset in d.cu_targets:
+                engine = CUTransferEngine(iface, d.src_iface, d.dst_iface,
+                                          subset=subset)
+                for step in range(8):
+                    t = step * cfg.rig.dt_outer
+                    got = engine.serve(donors, t)
+                    ref = cu_transfer(iface, d.src_iface, d.dst_iface,
+                                      donors, t, subset=subset)
+                    assert np.array_equal(got.values, ref.values)
+                    if step:
+                        assert got.stats.cache_hits == subset.size
+                        assert got.stats.researched == 0
 
 
 class TestMetricsPromotion:
