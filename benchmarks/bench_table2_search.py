@@ -11,13 +11,14 @@ Two layers of reproduction:
    ADT, early gains from more CUs, eventual communication-driven rise).
 
 Both layers deliberately measure the *from-scratch* procedure
-(:func:`cu_transfer` rebuilds its windowed search every round), which
-is what Table II describes: the paper's 35% coupler win comes from
-swapping BF for ADT inside that procedure. The production default has
-since moved past it — the coupler transfer engine keeps one search per
-(interface, direction) alive across rounds and re-validates cached
-donors in O(1) per target, so steady-state rounds skip the tree
-descent entirely (``coupler.comparisons_per_query`` and
+(:func:`tests.oracles.transfer.cu_transfer` rebuilds its windowed search
+every round), which is what Table II describes: the paper's 35% coupler
+win comes from swapping BF for ADT inside that procedure. The production
+engine has since moved past it — both placements (CUs and the
+monolithic baseline) keep one search per (interface, direction) alive
+across rounds and predict each target's donor from the cached one by
+the rotor's shift, so after round 0 a sliding-plane serve runs no tree
+search at all (``coupler.comparisons_per_query`` and
 ``coupler.cache_hit_ratio`` in ``benchmarks/e2e``; cache on/off ablated
 in ``bench_ablation_coupler.py``). The sweep below is therefore the
 paper's baseline, not the shipped configuration.
@@ -28,10 +29,10 @@ import pytest
 
 from repro.coupler.interface import SideGeometry, SlidingInterface
 from repro.coupler.partitioning import segment_targets
-from repro.coupler.unit import cu_transfer
 from repro.hydra.gas import conserved
 from repro.perf.tables import table2_search
 from repro.util.tables import format_table
+from tests.oracles.transfer import cu_transfer
 
 NR, NT = 12, 256          # a scaled interface: 3072 donor points
 L = 16.0

@@ -31,7 +31,7 @@ from repro.coupler.biquad import biquadratic_stencil, flux_error, grid_axes
 from repro.coupler.fastpath import gather_apply, native_status
 from repro.coupler.interface import SideGeometry, SlidingInterface
 from repro.coupler.partitioning import segment_of, segment_targets
-from repro.coupler.unit import CUTransferEngine, TransferResult, cu_transfer
+from repro.coupler.unit import CUTransferEngine, TransferResult
 from repro.coupler.setup import (
     DriverSetup,
     balanced_ranks,
@@ -45,7 +45,7 @@ __all__ = [
     "ADTree", "ADTSearch", "BatchHits", "BruteForceSearch", "CUTransferEngine",
     "DEFAULT_EPS", "DonorGeometry", "IncrementalSearch", "SearchStats",
     "TransferResult", "bilinear_weights_batch", "biquadratic_stencil",
-    "cu_transfer", "flux_error", "gather_apply", "grid_axes", "make_search",
+    "flux_error", "gather_apply", "grid_axes", "make_search",
     "native_status", "SideGeometry", "SlidingInterface", "segment_of",
     "segment_targets", "CoupledDriver", "CoupledRunConfig", "CoupledResult",
     "DriverSetup", "MonolithicDriver", "balanced_ranks", "build_driver_setup",

@@ -218,33 +218,39 @@ class CoupledResult:
         marks = np.cumsum([p.shape[1] for p in pieces[:-1]]).tolist()
         return np.concatenate(pieces, axis=1), marks
 
+    def _servers(self) -> list[dict]:
+        """The transfer reports the accounting below reads — each with
+        ``interface``, ``stats`` and ``flux_log``: here the CUs'."""
+        return self.cus
+
     def total_search_stats(self) -> SearchStats:
         stats = SearchStats()
-        for cu in self.cus:
-            stats.merge(cu["stats"])
+        for server in self._servers():
+            stats.merge(server["stats"])
         return stats
 
     def interface_flux_error(self) -> float:
         """Worst per-round conservation error of any interface transfer.
 
-        Each CU logs, per serve and direction, the sum of its targets'
-        axial mass flux (``rho*u_x``, frame-invariant) plus the donor
-        grid's mean; summing the target sums across all CUs of one
-        (interface, direction) reconstructs the full target-side
-        average, whose relative mismatch against the donor average is
-        the transfer's conservation error for that round. Returns the
-        max over rounds, directions and interfaces (0.0 when no flux
-        logs were recorded).
+        Each server (a CU, or a monolithic target-owning rank) logs,
+        per serve and direction, the sum of its targets' axial mass flux
+        (``rho*u_x``, frame-invariant) plus the donor grid's mean;
+        summing the target sums across all servers of one (interface,
+        direction) reconstructs the full target-side average, whose
+        relative mismatch against the donor average is the transfer's
+        conservation error for that round. Returns the max over rounds,
+        directions and interfaces (0.0 when no flux logs were recorded).
         """
         worst = 0.0
-        for k in {cu["interface"] for cu in self.cus}:
-            members = [cu for cu in self.cus if cu["interface"] == k]
+        servers = self._servers()
+        for k in {s["interface"] for s in servers}:
+            members = [s for s in servers if s["interface"] == k]
             for direction in (0, 1):
-                per_cu = [[e for e in cu.get("flux_log", [])
-                           if e[0] == direction] for cu in members]
-                if not per_cu or not per_cu[0]:
-                    continue
-                for entries in zip(*per_cu):
+                # one list per server of this direction, one entry a round
+                per_server = [log for s in members
+                              if (log := [e for e in s["flux_log"]
+                                          if e[0] == direction])]
+                for entries in zip(*per_server):
                     total = sum(e[1] for e in entries)
                     count = sum(e[2] for e in entries)
                     donor_mean = entries[0][3]

@@ -3,9 +3,9 @@
 The paper reduces search time by partitioning each interface's mesh
 into circumferential segments and assigning a CU to each, so "multiple
 CUs work on separate parts of a single interface". Segment assignment
-is by *target* position in the target's own frame — static over the
-run — while each CU's donor window (the arc of donors its shifted
-targets can land in) moves with time.
+is by *target* position in the target's own frame, so it is static
+over the run while the donors each CU's targets land in move with the
+rotor.
 """
 
 from __future__ import annotations
@@ -29,19 +29,3 @@ def segment_targets(y: np.ndarray, circumference: float, n_segments: int
                      n_segments)
     return [np.nonzero(seg == s)[0] for s in range(n_segments)]
 
-
-def donor_window(boxes: np.ndarray, y_lo: float, y_hi: float,
-                 circumference: float, margin: float) -> np.ndarray:
-    """Donor quads whose y-extent intersects the arc [y_lo, y_hi]+margin.
-
-    The arc is treated periodically: quads are tested against the arc
-    and its ±L images, so a window that wraps the seam still selects
-    the right donors. Returns quad indices.
-    """
-    lo = y_lo - margin
-    hi = y_hi + margin
-    L = circumference
-    hit = np.zeros(boxes.shape[0], dtype=bool)
-    for shift in (-L, 0.0, L):
-        hit |= (boxes[:, 2] + shift >= lo) & (boxes[:, 0] + shift <= hi)
-    return np.nonzero(hit)[0]

@@ -7,23 +7,21 @@ interpolates, applies the frame transformation, and routes results to
 the ranks owning the target halo nodes.
 
 Every run serves its transfers through :class:`CUTransferEngine`, one
-persistent engine per (interface, direction, CU); each serve runs
-:meth:`SlidingInterface.interpolate`, the one place the transfer
-sequence is written. The engine's donor cache predicts each target's
-donor from the previous round's, so after round 0 a serve on a sliding
-interface runs no tree search: its cost is interpolation, not search.
-
-:func:`cu_transfer` is not a serve path: it is the from-scratch
-baseline — a windowed search rebuilt every round, interpolated point by
-point — that the monolithic comparison (:mod:`repro.coupler.monolithic`)
-and the Table II benchmark measure, and the per-point reference the test
-suite holds the engine bitwise equal to. No run configuration reaches it.
+persistent engine per (interface, direction, server). The server is a
+CU rank in the coupled driver, and a target-owning solver rank in the
+monolithic baseline (:mod:`repro.coupler.monolithic`): the two
+placements differ in where the engine runs, never in what it runs. Each
+serve runs :meth:`SlidingInterface.interpolate`, the one place the
+transfer sequence is written. The engine's donor cache predicts each
+target's donor from the previous round's, so after round 0 a serve on a
+sliding interface runs no tree search: its cost is interpolation, not
+search.
 
 Every serve also reports the axial mass-flux sums needed for the
 interface conservation check: ``values[:, 1]`` (``rho*u_x``) is
 invariant under the sliding frame shift, so the target-side average
 must reproduce the donor-side average; the driver aggregates this
-across the CUs of an interface per round.
+across the servers of an interface per round.
 """
 
 from __future__ import annotations
@@ -34,10 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.coupler.interface import SlidingInterface
-from repro.coupler.partitioning import donor_window
 from repro.coupler.search import IncrementalSearch, SearchStats, make_search
-from repro.hydra.gas import shift_frame
-from repro.telemetry.recorder import active_recorder, span as _tspan
+from repro.telemetry.recorder import active_recorder
 
 
 @dataclass
@@ -53,79 +49,9 @@ class TransferResult:
     donor_flux_mean: float = 0.0
 
 
-def _flux_fields(values: np.ndarray, donor_values: np.ndarray
-                 ) -> tuple[float, float]:
-    return (float(np.sum(values[:, 1])) if values.size else 0.0,
-            float(np.mean(donor_values[:, 1])))
-
-
-def cu_transfer(iface: SlidingInterface, src: str, dst: str,
-                donor_values: np.ndarray, t: float,
-                subset: np.ndarray, search_kind: str = "adt",
-                margin_quads: float = 2.0,
-                cached_quads: tuple[np.ndarray, np.ndarray] | None = None
-                ) -> TransferResult:
-    """Perform one direction's transfer for the targets in ``subset``.
-
-    ``donor_values`` covers the *full* donor grid of ``src`` (the CU
-    receives every rank's piece); the search however runs only over the
-    donor window of the shifted subset.
-    """
-    geo_src = iface.side(src)
-    if cached_quads is None:
-        cached_quads = geo_src.donor_quads()
-    boxes, corners = cached_quads
-    stats = SearchStats()
-    if subset.size == 0:
-        return TransferResult(positions=subset,
-                              values=np.empty((0, donor_values.shape[1])),
-                              stats=stats,
-                              donor_flux_mean=float(
-                                  np.mean(donor_values[:, 1])))
-
-    y_q, z_q = iface.shifted_targets(src, dst, t, subset)
-    L = geo_src.circumference
-    nt = geo_src.grid_shape[1]
-    pitch = L / nt
-    # donor window: arc spanned by the shifted targets (+margin). The
-    # targets of one segment stay contiguous modulo L, so span them in
-    # an unwrapped frame anchored at the first target.
-    rel = np.mod(y_q - y_q[0], L)
-    lo = y_q[0] + rel.min()
-    hi = y_q[0] + rel.max()
-    with _tspan("search_build", "coupler.search", kind=search_kind,
-                interface=iface.name):
-        window = donor_window(boxes, lo, hi, L, margin=margin_quads * pitch)
-        search = make_search(search_kind, boxes[window])
-    stats.build_ops += getattr(getattr(search, "tree", None), "build_ops", 0)
-
-    out = np.empty((subset.size, donor_values.shape[1]))
-    with _tspan("interpolate", "coupler.interp", targets=int(subset.size),
-                interface=iface.name):
-        for i, (yy, zz) in enumerate(zip(y_q, z_q)):
-            hit = search.find(float(yy), float(zz))
-            if hit.quad < 0:
-                raise RuntimeError(
-                    f"interface {iface.name!r} ({src}->{dst}): no donor for "
-                    f"target ({yy:.6f}, {zz:.6f}) at t={t} (window of "
-                    f"{len(window)} quads)"
-                )
-            pts = corners[window[hit.quad]]
-            w = hit.weights
-            v = donor_values
-            out[i] = ((w[0] * v[pts[0]] + w[1] * v[pts[1]])
-                      + w[2] * v[pts[2]]) + w[3] * v[pts[3]]
-    stats.merge(search.stats)
-
-    du = iface.side(dst).frame_velocity - iface.side(src).frame_velocity
-    values = shift_frame(out, du)
-    flux_sum, donor_mean = _flux_fields(values, donor_values)
-    return TransferResult(positions=subset, values=values, stats=stats,
-                          flux_sum=flux_sum, donor_flux_mean=donor_mean)
-
-
 class CUTransferEngine:
-    """Persistent transfer engine for one (direction, CU).
+    """Persistent transfer engine for one (direction, server) — a CU's
+    segment of targets, or a monolithic rank's own targets.
 
     Built once per run; every :meth:`serve` reuses the donor geometry
     and search structure and, with ``incremental=True``, predicts each
@@ -134,9 +60,9 @@ class CUTransferEngine:
     the interpolation stencil; ``native=True`` opts the gather-apply
     into the compiled kernel when a C toolchain exists.
 
-    ``serve`` returns per-round *delta* statistics (so caller-side
-    accumulation matches the from-scratch procedure's contract); the
-    engine-lifetime totals stay on ``self.stats``. The incremental
+    ``serve`` returns per-round *delta* statistics, which callers
+    accumulate; the engine-lifetime totals, construction ``build_ops``
+    included, stay on ``self.stats``. The incremental
     donor cache is exposed via :meth:`cache_state` /
     :meth:`restore_cache_state` so checkpointed runs resume with the
     exact counter trajectory of an uninterrupted run.
@@ -208,9 +134,10 @@ class CUTransferEngine:
             self.stats.queries += subset.size   # stencil lookups, no search
         delta = self._delta_since(before)
         self._emit_counters(delta, int(subset.size))
-        flux_sum, donor_mean = _flux_fields(values, donor_values)
-        return TransferResult(positions=subset, values=values, stats=delta,
-                              flux_sum=flux_sum, donor_flux_mean=donor_mean)
+        return TransferResult(
+            positions=subset, values=values, stats=delta,
+            flux_sum=float(np.sum(values[:, 1])),
+            donor_flux_mean=float(np.mean(donor_values[:, 1])))
 
     def _delta_since(self, before: SearchStats) -> SearchStats:
         now = self.stats
@@ -234,7 +161,8 @@ class CUTransferEngine:
 
 @dataclass
 class CUAccounting:
-    """Per-CU effort accumulated over a run."""
+    """One server's transfer effort over a run: a CU's, or a monolithic
+    rank's share of one interface."""
 
     rounds: int = 0
     stats: SearchStats = field(default_factory=SearchStats)

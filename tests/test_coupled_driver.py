@@ -116,16 +116,43 @@ class TestMultiRowMultiCU:
 
 
 class TestMonolithicBaseline:
-    def test_monolithic_matches_coupled_physics(self, smpi_transport):
+    @pytest.mark.parametrize("incremental", [True, False],
+                             ids=["incremental", "scratch"])
+    @pytest.mark.parametrize("interp", ["bilinear", "biquadratic"])
+    def test_monolithic_matches_coupled_physics(self, interp, incremental,
+                                                smpi_transport):
         """The paper's baseline runs the identical physics — only the
-        execution layout differs."""
-        cfg_c = run_config()
-        cfg_m = run_config()
-        coupled = CoupledDriver(cfg_c).run(4)
-        mono = MonolithicDriver(cfg_m).run(4)
+        execution layout differs: both placements serve through the
+        same engine, so every transfer option reaches both, bitwise."""
+        cfg = run_config(interp=interp, incremental=incremental)
+        coupled = CoupledDriver(cfg).run(4)
+        mono = MonolithicDriver(cfg).run(4)
         _xc, pc = coupled.pressure_profile()
         _xm, pm = mono.pressure_profile()
+        assert np.array_equal(pm, pc)
+
+    def test_native_interp_matches_coupled(self):
+        cfg = run_config(interp_native=True, transport="thread")
+        _xc, pc = CoupledDriver(cfg).run(4).pressure_profile()
+        _xm, pm = MonolithicDriver(cfg).run(4).pressure_profile()
         np.testing.assert_allclose(pm, pc, rtol=1e-10)
+
+    @pytest.mark.parametrize("ranks", [1, 3])
+    def test_monolithic_accounting_matches_coupled(self, ranks):
+        """Search and conservation accounting are read from the inline
+        servers' reports: measured, not zero, and equal to the CUs'."""
+        cfg = run_config(ranks_per_row=ranks, partition_scheme="slabs")
+        coupled = CoupledDriver(cfg).run(4)
+        mono = MonolithicDriver(cfg).run(4)
+        assert mono.cus == []
+        stats = mono.total_search_stats()
+        assert stats.queries == coupled.total_search_stats().queries > 0
+        assert sum(mono.rank_search_comparisons) == (stats.comparisons
+                                                     + stats.build_ops)
+        err = mono.interface_flux_error()
+        assert err > 0.0
+        assert err == pytest.approx(coupled.interface_flux_error(),
+                                    abs=1e-12)
 
     def test_monolithic_search_trapped_on_interface_ranks(self):
         """With multiple ranks per row, only interface-node owners do

@@ -4,7 +4,8 @@ modes.
 The equivalence contract under test: the engine's batched vectorized
 query + gather-apply and its incremental donor cache produce **bitwise**
 the same values, donors and effort counters as the per-point
-from-scratch reference (``cu_transfer``); the biquadratic option
+from-scratch reference (``tests.oracles.transfer.cu_transfer``), under
+both placements (CUs and the monolithic baseline); the biquadratic option
 conserves the interface-mean axial mass flux and matches its pinned
 golden trajectory.
 """
@@ -31,7 +32,8 @@ from repro.coupler.search import (
     bilinear_weights_batch,
     make_search,
 )
-from repro.coupler.unit import CUTransferEngine, cu_transfer
+from repro.coupler.unit import CUTransferEngine
+from tests.oracles.transfer import ReferenceEngine, cu_transfer
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "coupler_biquadratic.json"
 
@@ -519,36 +521,19 @@ class TestBiquadraticGolden:
         assert err < 1e-10
 
 
-class _CuTransferEngine:
-    """``cu_transfer`` behind the engine's surface: the from-scratch,
-    per-point reference a whole coupled run is compared against."""
-
-    def __init__(self, iface, src, dst, subset, search_kind="adt", **_):
-        self._where = (iface, src, dst)
-        self._how = dict(subset=subset, search_kind=search_kind)
-        self.stats = SearchStats()   # build cost arrives with each serve
-
-    def serve(self, donor_values, t):
-        return cu_transfer(*self._where, donor_values, t, **self._how)
-
-    def cache_state(self):
-        return np.empty(0, dtype=np.int64), -1.0
-
-    def restore_cache_state(self, cached, baseline_cpq):
-        pass
-
-
 class TestCoupledEquivalence:
     """Driver-level: the engine bitwise-identical to ``cu_transfer``."""
 
-    def _legacy_run(self, cfg, nsteps):
-        """The same run served by ``cu_transfer`` (forked ranks inherit
-        the patch, so this covers the process transport too)."""
-        from repro.coupler import CoupledDriver
+    def _legacy_run(self, cfg, nsteps, mono=False):
+        """The same run served by ``cu_transfer`` in place of the CUs'
+        engine (``mono=True``: the inline baseline's). Forked ranks
+        inherit the patch, so this covers the process transport too."""
+        from repro.coupler import CoupledDriver, MonolithicDriver
+        driver, module = ((MonolithicDriver, "repro.coupler.monolithic")
+                          if mono else (CoupledDriver, "repro.coupler.ranks"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("repro.coupler.ranks.CUTransferEngine",
-                       _CuTransferEngine)
-            return CoupledDriver(cfg).run(nsteps)
+            mp.setattr(f"{module}.CUTransferEngine", ReferenceEngine)
+            return driver(cfg).run(nsteps)
 
     def _monitors(self, result):
         return [
@@ -570,6 +555,16 @@ class TestCoupledEquivalence:
         assert stats.cache_hits > 0
         assert stats.comparisons_saved > 0
         assert stats.comparisons < legacy.total_search_stats().comparisons
+
+    def test_monolithic_fastpath_bitwise_vs_legacy(self):
+        """The inline baseline's engine is the CUs' engine: served by
+        ``cu_transfer`` instead, the monitors do not move."""
+        from repro.coupler import MonolithicDriver
+        cfg = _golden_cfg("bilinear")
+        fast = MonolithicDriver(cfg).run(3)
+        legacy = self._legacy_run(cfg, 3, mono=True)
+        assert self._monitors(fast) == self._monitors(legacy)
+        assert fast.total_search_stats().cache_hits > 0
 
     def test_fastpath_bitwise_on_process_transport(self):
         from repro.coupler import CoupledDriver

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coupler.interface import SideGeometry, SlidingInterface
-from repro.coupler.partitioning import donor_window, segment_of, segment_targets
+from repro.coupler.partitioning import segment_of, segment_targets
 from repro.hydra.gas import conserved, primitives
+from tests.oracles.transfer import donor_window
 
 
 def make_side(nr=3, nt=8, L=8.0, v=0.0):

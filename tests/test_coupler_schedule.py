@@ -105,15 +105,14 @@ class TestMonolithicHonoursItsConfig:
         config's op2 switches applied (a fork inherits the patch)."""
         import repro.coupler.monolithic as mono
 
-        real = mono.cu_transfer
+        class Spy(mono.CUTransferEngine):
+            def serve(self, *args, **kw):
+                conf = op2.current_config()
+                with open(tmp_path / f"rank-{os.getpid()}", "w") as fh:
+                    fh.write(f"{conf.lazy} {conf.sanitize}")
+                return super().serve(*args, **kw)
 
-        def spy(*args, **kw):
-            conf = op2.current_config()
-            with open(tmp_path / f"rank-{os.getpid()}", "w") as fh:
-                fh.write(f"{conf.lazy} {conf.sanitize}")
-            return real(*args, **kw)
-
-        monkeypatch.setattr(mono, "cu_transfer", spy)
+        monkeypatch.setattr(mono, "CUTransferEngine", Spy)
         MonolithicDriver(run_config(
             transport="process", lazy=True, sanitize=True)).run(1)
         seen = list(tmp_path.iterdir())
