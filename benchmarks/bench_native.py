@@ -13,8 +13,9 @@ Measured layers:
   reported separately as ``compile_wall``).
 * ``test_native_thread_scaling`` — a 1/2/4/8-thread scaling study of
   both compiled strategies (``native`` block-color plan and
-  ``native-atomics`` chunked atomics), eager and fused-chain (lazy),
-  writing ``benchmarks/out/BENCH_native_scaling.json``. Thread counts
+  ``native-atomics`` chunked atomics), eager and lazy loop chain,
+  writing ``benchmarks/out/BENCH_native_scaling.json`` (the lazy
+  walls keep their ``wall_fused_*`` JSON keys). Thread counts
   beyond the visible cores are still measured (they document the
   oversubscription penalty) but carry no perf bar; the
   res_calc >= 1.8x @ 4 threads acceptance bar is asserted ONLY when
@@ -71,8 +72,8 @@ def run_airfoil(backend, mesh, niter=NITER, warm=2, native_threads=0,
     Returns ``{"wall", "compile_wall", "kernels": {name: seconds},
     "q"}`` — ``compile_wall`` is the first (cache-cold) iteration pair,
     which for the native backends includes codegen + cc + dlopen.
-    ``lazy`` routes every iteration through the loop chain, so fusable
-    groups execute as single compiled fused wrappers.
+    ``lazy`` routes every iteration through the loop chain (halo
+    exchanges elided and batched; loops still run one wrapper each).
     """
     with op2.configure(backend=backend, native_threads=native_threads,
                        lazy=lazy):
@@ -163,7 +164,7 @@ def test_native_vs_vectorized(report, smoke):
 @pytest.mark.skipif(toolchain() is None, reason="no C toolchain")
 def test_native_thread_scaling(report, smoke):
     """1/2/4/8-thread scaling of both compiled strategies, eager and
-    fused-chain, on the airfoil hot loops.
+    lazy loop chain, on the airfoil hot loops.
 
     The res_calc >= 1.8x @ 4 threads bar only holds where 4 cores
     exist; elsewhere (this repo's reference container is single-core)
@@ -189,7 +190,7 @@ def test_native_thread_scaling(report, smoke):
                 backend, mesh, niter=niter, native_threads=nt, lazy=True),
                 reps)
             walls_lazy[(backend, nt)] = lz["wall"]
-            # physics is thread-count- and fusion-invariant to
+            # physics is thread-count- and chain-invariant to
             # reassociation; single-thread runs of one strategy are
             # bitwise-identical to each other
             if base_q is None:
@@ -212,7 +213,7 @@ def test_native_thread_scaling(report, smoke):
                 t1["kernels"]["res_calc"] / r["kernels"]["res_calc"],
             ])
     report(format_table(
-        ["backend", "threads", "wall ms", "speedup", "fused wall ms",
+        ["backend", "threads", "wall ms", "speedup", "lazy wall ms",
          "res_calc ms", "res_calc speedup"], rows,
         title=f"native thread scaling, airfoil {mesh.ncell} cells / "
               f"{mesh.nedge} edges, {niter} iterations, best of {reps} "

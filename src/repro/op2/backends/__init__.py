@@ -27,12 +27,8 @@ strategies for indirect increments:
 ==============  ========================================================
 
 Every backend has one entry point, :meth:`Backend.execute`, which runs
-a *group* of N >= 1 loops over a range — an eager ``par_loop`` is the
-group of one, larger groups come from a lazy loop chain. The numpy
-backends run a group's members back to back; ``native`` and
-``native-atomics`` compile the whole group into one wrapper spanning a
-single OpenMP region (see
-:func:`~repro.op2.codegen.csource.generate_native`).
+one loop over a range of its iteration set — eagerly, or as a lazy
+loop chain flushes it.
 
 All backends must produce results identical to ``sequential`` up to
 floating-point reassociation; the test suite enforces this.

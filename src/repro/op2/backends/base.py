@@ -45,20 +45,15 @@ class ReductionBuffers:
 
 
 class Backend(Protocol):
-    """A compute strategy executing a range of a loop group's elements."""
+    """A compute strategy executing a range of one loop's elements."""
 
     name: str
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
-        """Run elements [start, end) of every loop in ``loops``, in order.
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        """Run elements [start, end) of ``loop``.
 
-        ``loops`` is a group of N >= 1 loops over one iteration set (an
-        eager ``par_loop`` is the group of one; larger groups are the
-        chain analyzer's, whose legality check admits only element-local
-        cross-loop dependencies). Must fold each loop's reduction
-        contributions into its entry of ``reductions`` and apply all dat
-        writes in place, with results bitwise-equal to running the loops
-        one at a time.
+        Must fold the loop's reduction contributions into
+        ``reductions`` and apply all dat writes in place.
         """
         ...  # pragma: no cover

@@ -4,9 +4,8 @@ This closes the paper's Fig. 4 pipeline for real: the same validated
 kernel AST every numpy backend interprets is emitted as a
 self-contained C translation unit (:func:`~repro.op2.codegen.csource.
 generate_native`), built with the host toolchain into one shared
-object per loop *group* — an eager ``par_loop`` is the group of one —
-and invoked through ``ctypes`` with raw numpy data pointers: zero
-copies on either side of the call.
+object per loop and invoked through ``ctypes`` with raw numpy data
+pointers: zero copies on either side of the call.
 
 Execution strategies mirror the Python backends exactly:
 
@@ -18,11 +17,6 @@ Execution strategies mirror the Python backends exactly:
   ``Config.atomics_block``-sized chunks and resolves indirect
   increments with ``#pragma omp atomic`` — the compiled form of the
   CUDA strategy the numpy ``atomics`` backend simulates;
-* under a lazy loop chain both native backends are *fusable*: a
-  legality-proven group of N > 1 loops goes through the very same
-  path and compiles into one wrapper whose single OpenMP region spans
-  every section, with per-section plan arrays concatenated onto the
-  ABI tail; a group that cannot be built degrades to N groups of one;
 * global reductions accumulate into thread-private staging folded
   under ``#pragma omp critical``, into the caller's
   :class:`~repro.op2.backends.base.ReductionBuffers` partials — so
@@ -144,26 +138,26 @@ def compiled_path(kernel, nsig: tuple,
     if tc is None:
         return None
     cc, cflags = tc
-    return _so_path(kernel.name,
-                    generate_native([kernel], [nsig], strategy), cc, cflags)
+    return _so_path(kernel.name, generate_native(kernel, nsig, strategy),
+                    cc, cflags)
 
 
 class _NativeEntry:
-    """A loaded compiled group wrapper plus its per-section plan layout."""
+    """A loaded compiled loop wrapper."""
 
-    __slots__ = ("fn", "planned_idx", "source", "path", "_lib")
+    __slots__ = ("fn", "planned", "source", "path", "_lib")
 
-    def __init__(self, fn, planned_idx: tuple[int, ...], source: str,
+    def __init__(self, fn, planned: bool, source: str,
                  path: Path, lib) -> None:
         self.fn = fn
-        self.planned_idx = planned_idx  #: sections needing plan arrays
+        self.planned = planned  #: takes the block-color plan arrays
         self.source = source
         self.path = path
         self._lib = lib  # keeps the dlopen handle alive
 
 
 class _Fallback:
-    """Sentinel cached for a loop group that cannot compile."""
+    """Sentinel cached for a loop that cannot compile."""
 
     __slots__ = ("reason", "warn")
 
@@ -244,23 +238,20 @@ def _load_compiled(source: str, stem: str, entry_name: str
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _build_entry(kernels, nsigs: list[tuple],
+def _build_entry(kernel, nsig: tuple,
                  strategy: str) -> "_NativeEntry | _Fallback":
-    names = "+".join(k.name for k in kernels)
     try:
-        with span("native.generate", "op2.native", kernel=names):
-            source = generate_native(kernels, nsigs, strategy)
+        with span("native.generate", "op2.native", kernel=kernel.name):
+            source = generate_native(kernel, nsig, strategy)
     except KernelParseError as exc:
-        return _Fallback(f"C generation failed for {names!r}: {exc}")
-    loaded = _load_compiled(source, "_".join(k.name for k in kernels),
-                            native_entry_name(kernels, strategy))
+        return _Fallback(f"C generation failed for {kernel.name!r}: {exc}")
+    loaded = _load_compiled(source, kernel.name,
+                            native_entry_name(kernel, strategy))
     if isinstance(loaded, _Fallback):
         return loaded
     fn, so_path, lib = loaded
-    planned_idx = tuple(
-        j for j, nsig in enumerate(nsigs)
-        if strategy == "blockcolor" and native_is_planned(nsig))
-    return _NativeEntry(fn, planned_idx, source, so_path, lib)
+    planned = strategy == "blockcolor" and native_is_planned(nsig)
+    return _NativeEntry(fn, planned, source, so_path, lib)
 
 
 class NativeBackend:
@@ -270,40 +261,24 @@ class NativeBackend:
     strategy = "blockcolor"
     _fallback = VectorizedBackend()
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
-        """Run a group through its one compiled wrapper.
-
-        A group of N > 1 that cannot be built (no toolchain, an
-        unsupported dtype, generation or compile failure) degrades to N
-        groups of one over the same range — bitwise-identical to the
-        group wrapper, so lazy-vs-eager equivalence holds on every
-        degradation path; a group of one falls back to the numpy twin.
-        """
-        entry = self._entry_for(loops)
-        rec = active_recorder()
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        """Run ``loop`` through its compiled wrapper, or its numpy twin
+        when the wrapper cannot be built."""
+        entry = self._entry_for(loop)
         if isinstance(entry, _Fallback):
-            if len(loops) > 1:
-                if rec is not None:
-                    rec.counter("op2.native.fused_fallback")
-                for loop, red in zip(loops, reductions):
-                    self.execute([loop], start, end, [red])
-                return
             if entry.warn:
                 self._warn_and_count(entry.reason)
-            self._fallback.execute(loops, start, end, reductions)
+            self._fallback.execute(loop, start, end, reductions)
             return
         cfg = current_config()
         c_void_p, c_ll = ctypes.c_void_p, ctypes.c_longlong
-        argv: list = []
-        for loop, red in zip(loops, reductions):
-            argv.extend(self._loop_argv(loop, red))
-        keepalive = []  # plan arrays must outlive the call
-        for j in entry.planned_idx:
-            plan = build_block_plan(loops[j].args, end,
+        argv = self._loop_argv(loop, reductions)
+        if entry.planned:
+            plan = build_block_plan(loop.args, end,
                                     block_size=cfg.block_size)
+            # the plan arrays must outlive the call
             blk_lo, blk_hi, col_off = plan.native_arrays(start, end)
-            keepalive.append((blk_lo, blk_hi, col_off))
             argv += [c_void_p(blk_lo.ctypes.data),
                      c_void_p(blk_hi.ctypes.data),
                      c_void_p(col_off.ctypes.data),
@@ -312,18 +287,15 @@ class NativeBackend:
         argv += [c_ll(start), c_ll(end), c_ll(block),
                  c_ll(cfg.native_threads)]
         entry.fn(*argv)
-        if rec is not None:
-            if len(loops) > 1:
-                rec.counter("op2.native.fused_groups")
-                rec.counter("op2.native.fused_loops", len(loops))
-            if self.strategy == "atomics":
-                rec.counter("op2.native.atomics_loops", len(loops))
-                rec.counter("op2.native.atomics_blocks",
-                            len(loops) * max(0, -(-(end - start) // block)))
+        rec = active_recorder()
+        if rec is not None and self.strategy == "atomics":
+            rec.counter("op2.native.atomics_loops")
+            rec.counter("op2.native.atomics_blocks",
+                        max(0, -(-(end - start) // block)))
 
     @staticmethod
     def _loop_argv(loop: "ParLoop", reductions: ReductionBuffers) -> list:
-        """The per-argument ctypes pointers of one loop's ABI slice."""
+        """The per-argument ctypes pointers of the wrapper ABI."""
         c_void_p = ctypes.c_void_p
         argv: list = []
         for i, arg in enumerate(loop.args):
@@ -337,24 +309,21 @@ class NativeBackend:
                 argv.append(c_void_p(arg.map.values.ctypes.data))
         return argv
 
-    def _entry_for(self, loops: "list[ParLoop]"
-                   ) -> "_NativeEntry | _Fallback":
-        for loop in loops:
-            unsupported = self._unsupported(loop)
-            if unsupported is not None:
-                return unsupported
-        key = (self.name,
-               tuple([(id(l.kernel), l.native_signature()) for l in loops]))
-        entry = loops[0].kernel.cached(key)
+    def _entry_for(self, loop: "ParLoop") -> "_NativeEntry | _Fallback":
+        unsupported = self._unsupported(loop)
+        if unsupported is not None:
+            return unsupported
+        nsig = loop.native_signature()
+        key = (self.name, nsig)
+        entry = loop.kernel.cached(key)
         if entry is not None:
             rec = active_recorder()
             if rec is not None:
                 rec.counter("op2.native.cache_hit_mem")
             return entry
-        entry = _build_entry([l.kernel for l in loops],
-                             [nsig for _, nsig in key[1]], self.strategy)
+        entry = _build_entry(loop.kernel, nsig, self.strategy)
         source = entry.source if isinstance(entry, _NativeEntry) else ""
-        loops[0].kernel.store(key, entry, source)
+        loop.kernel.store(key, entry, source)
         return entry
 
     def _unsupported(self, loop: "ParLoop") -> "_Fallback | None":

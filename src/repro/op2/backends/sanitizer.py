@@ -169,28 +169,27 @@ class SanitizerBackend:
 
     name = "sanitizer"
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
-        for loop, red in zip(loops, reductions):
-            plan = build_plan(loop.args, end)
-            flat = loop.flatten_bindings(red)
-            if plan is None:  # no indirect writes: nothing can race
-                wrapper = _get_wrapper(loop, "atomic")
-                wrapper(np, np.arange(start, end, dtype=np.int64), *flat)
-                continue
-            _verify_partition(plan, loop.kernel.name, start, end)
-            findings = check_plan(loop.args, plan, start=start)
-            if findings:
-                lines = [f"sanitizer: race detected in par_loop"
-                         f"({loop.kernel.name}): {len(findings)} same-color "
-                         f"write conflict(s)"]
-                lines += [f"  {f.describe()}" for f in findings[:20]]
-                if len(findings) > 20:
-                    lines.append(f"  ... and {len(findings) - 20} more")
-                raise RaceError("\n".join(lines), findings)
-            wrapper = _get_wrapper(loop, "colored")
-            for group in plan.color_groups:
-                if start > 0:
-                    group = group[group >= start]
-                if group.size:
-                    wrapper(np, group, *flat)
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        plan = build_plan(loop.args, end)
+        flat = loop.flatten_bindings(reductions)
+        if plan is None:  # no indirect writes: nothing can race
+            wrapper = _get_wrapper(loop, "atomic")
+            wrapper(np, np.arange(start, end, dtype=np.int64), *flat)
+            return
+        _verify_partition(plan, loop.kernel.name, start, end)
+        findings = check_plan(loop.args, plan, start=start)
+        if findings:
+            lines = [f"sanitizer: race detected in par_loop"
+                     f"({loop.kernel.name}): {len(findings)} same-color "
+                     f"write conflict(s)"]
+            lines += [f"  {f.describe()}" for f in findings[:20]]
+            if len(findings) > 20:
+                lines.append(f"  ... and {len(findings) - 20} more")
+            raise RaceError("\n".join(lines), findings)
+        wrapper = _get_wrapper(loop, "colored")
+        for group in plan.color_groups:
+            if start > 0:
+                group = group[group >= start]
+            if group.size:
+                wrapper(np, group, *flat)

@@ -26,21 +26,19 @@ class SequentialBackend:
 
     name = "sequential"
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
-        check_access = current_config().check_access
-        for loop, red in zip(loops, reductions):
-            signature = loop.signature()
-            key = ("seq", signature)
-            wrapper = loop.kernel.cached(key)
-            if wrapper is None:
-                source = generate_sequential(loop.kernel.name, signature)
-                wrapper = compile_wrapper(source, loop.kernel.name)
-                loop.kernel.store(key, wrapper, source)
-            flat = loop.flatten_bindings(red)
-            if check_access:
-                flat = _readonly_read_args(loop, flat)
-            wrapper(np, loop.kernel.scalar_fn, start, end, *flat)
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        signature = loop.signature()
+        key = ("seq", signature)
+        wrapper = loop.kernel.cached(key)
+        if wrapper is None:
+            source = generate_sequential(loop.kernel.name, signature)
+            wrapper = compile_wrapper(source, loop.kernel.name)
+            loop.kernel.store(key, wrapper, source)
+        flat = loop.flatten_bindings(reductions)
+        if current_config().check_access:
+            flat = _readonly_read_args(loop, flat)
+        wrapper(np, loop.kernel.scalar_fn, start, end, *flat)
 
 
 def _readonly_read_args(loop: "ParLoop", flat: list) -> list:

@@ -82,12 +82,11 @@ class VectorizedBackend:
 
     name = "vectorized"
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
-        for loop, red in zip(loops, reductions):
-            wrapper = _get_wrapper(loop, "atomic")
-            flat = loop.flatten_bindings(red)
-            wrapper(np, _get_rows(loop.kernel, start, end), *flat)
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        wrapper = _get_wrapper(loop, "atomic")
+        flat = loop.flatten_bindings(reductions)
+        wrapper(np, _get_rows(loop.kernel, start, end), *flat)
 
 
 class ColoringBackend:
@@ -100,21 +99,20 @@ class ColoringBackend:
 
     name = "coloring"
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
-        for loop, red in zip(loops, reductions):
-            plan = build_plan(loop.args, end)
-            flat = loop.flatten_bindings(red)
-            if plan is None:
-                wrapper = _get_wrapper(loop, "atomic")
-                wrapper(np, _get_rows(loop.kernel, start, end), *flat)
-                continue
-            wrapper = _get_wrapper(loop, "colored")
-            for group in plan.color_groups:
-                if start > 0:
-                    group = group[group >= start]
-                if group.size:
-                    wrapper(np, group, *flat)
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        plan = build_plan(loop.args, end)
+        flat = loop.flatten_bindings(reductions)
+        if plan is None:
+            wrapper = _get_wrapper(loop, "atomic")
+            wrapper(np, _get_rows(loop.kernel, start, end), *flat)
+            return
+        wrapper = _get_wrapper(loop, "colored")
+        for group in plan.color_groups:
+            if start > 0:
+                group = group[group >= start]
+            if group.size:
+                wrapper(np, group, *flat)
 
 
 class AtomicsBackend:
@@ -127,11 +125,10 @@ class AtomicsBackend:
 
     name = "atomics"
 
-    def execute(self, loops: "list[ParLoop]", start: int, end: int,
-                reductions: list[ReductionBuffers]) -> None:
+    def execute(self, loop: "ParLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
         block = current_config().atomics_block
-        for loop, red in zip(loops, reductions):
-            wrapper = _get_wrapper(loop, "atomic")
-            flat = loop.flatten_bindings(red)
-            for lo, hi in atomics_chunks(start, end, block):
-                wrapper(np, _get_rows(loop.kernel, lo, hi), *flat)
+        wrapper = _get_wrapper(loop, "atomic")
+        flat = loop.flatten_bindings(reductions)
+        for lo, hi in atomics_chunks(start, end, block):
+            wrapper(np, _get_rows(loop.kernel, lo, hi), *flat)

@@ -1,4 +1,4 @@
-"""Lazy par_loop execution: loop chains, halo elision and loop fusion.
+"""Lazy par_loop execution: loop chains and halo elision.
 
 Eager ``par_loop`` executes each loop the moment it is declared, so
 every loop must conservatively refresh whatever halos it reads. The
@@ -16,26 +16,24 @@ analysis that the eager path cannot perform:
 * **forward batching** — every exchange a chain segment needs is
   hoisted to the earliest point its data is ready and packed into one
   grouped multi-dat message per neighbour (the grouped-halo
-  optimization applied *across* loops instead of within one);
-* **loop fusion** — adjacent loops over the same iteration set with
-  no reordering-sensitive dependency are handed to the backend as one
-  *group* (:func:`~repro.op2.parloop.execute_group`, of which an eager
-  loop is the group of one): the numpy backends run its members back
-  to back, the native backends compile the group into a single wrapper
-  spanning one OpenMP region
-  (:func:`~repro.op2.codegen.csource.generate_native`).
+  optimization applied *across* loops instead of within one), posted
+  split-phase so the loops in between hide its latency.
+
+The loops themselves run one at a time, in program order, through the
+same one-loop entry point an eager ``par_loop`` uses
+(:func:`~repro.op2.parloop.execute_loop`): the chain changes *when*
+halos move, never how a loop computes.
 
 Equivalence guarantee
 ---------------------
-Chained execution is *bitwise identical* to eager execution: fused
-wrappers preserve full loop-before-loop ordering, fusion is refused
-whenever a cross-loop dependency could reorder floating-point work,
-READ Globals are snapshotted at enqueue time (call-site semantics),
-and host access to dat/global data transparently flushes the chain.
-``Config.chain_verify`` makes the runtime enforce this on every flush
-by replaying the chain eagerly and comparing bitwise
-(:class:`ChainEquivalenceError` on any mismatch); the regression suite
-pins it with fingerprints on the airfoil and mini-Rig250 runs.
+Chained execution is *bitwise identical* to eager execution: loops
+keep their program order, READ Globals are snapshotted at enqueue time
+(call-site semantics), and host access to dat/global data
+transparently flushes the chain. ``Config.chain_verify`` makes the
+runtime enforce this on every flush by replaying the chain eagerly and
+comparing bitwise (:class:`ChainEquivalenceError` on any mismatch);
+the regression suite pins it with fingerprints on the airfoil and
+mini-Rig250 runs.
 """
 
 from __future__ import annotations
@@ -50,18 +48,9 @@ from repro.op2.access import Access, READING, WRITING
 from repro.op2.config import current_config
 from repro.op2.halo import (exchange_begin, exchange_end, exchange_messages,
                             marker_covers, message_streams, normalize_scopes)
-from repro.op2.parloop import (ParLoop, eager_exchanges, execute_group,
+from repro.op2.parloop import (ParLoop, eager_exchanges, execute_loop,
                                loop_halo_reads)
 from repro.telemetry.recorder import active_recorder, span as _tspan
-
-#: backends the analyzer forms multi-loop groups for — the native ones
-#: compile a group into one OpenMP region, the numpy ones run its
-#: members back to back
-FUSABLE_BACKENDS = frozenset({"sequential", "vectorized", "atomics",
-                              "native", "native-atomics"})
-
-#: bound on fused-group size, to keep generated modules small
-MAX_FUSE = 8
 
 
 class ChainEquivalenceError(RuntimeError):
@@ -74,7 +63,6 @@ class ChainStats:
 
     loops: int = 0            #: par_loops enqueued
     flushes: int = 0          #: flush calls that executed work
-    fused: int = 0            #: loops absorbed into fused wrappers
     exchanges: int = 0        #: batched exchange rounds performed
     eager_exchanges: int = 0  #: exchange calls eager mode would have made
     halo_elided: int = 0      #: eager exchange calls avoided
@@ -85,7 +73,8 @@ class ChainStats:
     def as_dict(self) -> dict:
         return {
             "loops": self.loops, "flushes": self.flushes,
-            "fused": self.fused, "exchanges": self.exchanges,
+            # always 0, no loop fusion: benchmarks/e2e/probes.py reads it
+            "fused": 0, "exchanges": self.exchanges,
             "eager_exchanges": self.eager_exchanges,
             "halo_elided": self.halo_elided,
             "messages": self.messages,
@@ -102,11 +91,6 @@ class _Pending:
     backend: str | None
     #: (arg index, snapshot) for every READ Global — call-site semantics
     gbl_reads: list[tuple[int, np.ndarray]] = field(default_factory=list)
-
-    @property
-    def extent(self) -> int:
-        s = self.loop.iterset
-        return s.exec_size if self.loop.has_indirect_writes else s.size
 
 
 # --------------------------------------------------------------------------
@@ -214,111 +198,6 @@ def _analyze(pending: list[_Pending], scopes_list: list, cfg
 
 
 # --------------------------------------------------------------------------
-# fusion
-# --------------------------------------------------------------------------
-
-def _resolved_backend_name(p: _Pending, cfg) -> str:
-    return p.backend or cfg.backend
-
-
-def _dep_blocks_fusion(group: list[_Pending], cand: _Pending) -> bool:
-    """True if a data dependency forbids fusing ``cand`` onto ``group``.
-
-    Shared dats where either side writes must be accessed *directly* by
-    both (element-local), so section order inside the fused wrapper and
-    chunked execution reproduce eager results bitwise. Distributed
-    loops executing over the exec halo additionally refuse any such
-    dependency: eager would re-exchange the written dat between them.
-    """
-    cand_access: dict[int, list] = {}
-    for a in cand.loop.args:
-        if a.is_dat:
-            cand_access.setdefault(id(a.data), []).append(a)
-    distributed = cand.loop.iterset.halo is not None
-    over_halo = cand.extent > cand.loop.iterset.size
-    for p in group:
-        for a in p.loop.args:
-            if not a.is_dat or id(a.data) not in cand_access:
-                continue
-            for b in cand_access[id(a.data)]:
-                writes = (a.access in WRITING) or (b.access in WRITING)
-                if not writes:
-                    continue
-                if a.is_indirect or b.is_indirect:
-                    return True
-                if distributed and over_halo:
-                    return True
-    return False
-
-
-def _gbl_conflict(group: list[_Pending], cand: _Pending) -> bool:
-    """Same Global READ with different call-site snapshots can't fuse."""
-    snaps: dict[int, np.ndarray] = {}
-    for p in group:
-        for i, snap in p.gbl_reads:
-            snaps[id(p.loop.args[i].data)] = snap
-    for i, snap in cand.gbl_reads:
-        prev = snaps.get(id(cand.loop.args[i].data))
-        if prev is not None and not np.array_equal(prev, snap):
-            return True
-    return False
-
-
-def _fuse_groups(pending: list[_Pending],
-                 schedule: dict[int, list[_Exchange]],
-                 cfg) -> list[list[int]]:
-    """Partition chain positions into fusable runs (singletons included).
-
-    Purely structural — Global-snapshot conflicts are *not* checked here
-    (they vary run to run), so callers must post-process the groups with
-    :func:`_resplit_gbl` before executing. That split lets the result be
-    cached across flushes of the same chain shape.
-    """
-    groups: list[list[int]] = []
-    for pos, p in enumerate(pending):
-        name = _resolved_backend_name(p, cfg)
-        can_extend = (
-            groups
-            and not schedule.get(pos)          # exchange must run in between
-            and cfg.chain_fuse
-            and name in FUSABLE_BACKENDS
-            and len(groups[-1]) < MAX_FUSE
-        )
-        if can_extend:
-            head = pending[groups[-1][0]]
-            can_extend = (
-                head.loop.iterset is p.loop.iterset
-                and _resolved_backend_name(head, cfg) == name
-                and head.extent == p.extent
-                and not _dep_blocks_fusion([pending[i] for i in groups[-1]], p)
-            )
-        if can_extend:
-            groups[-1].append(pos)
-        else:
-            groups.append([pos])
-    return groups
-
-
-def _resplit_gbl(pending: list[_Pending],
-                 groups: list[list[int]]) -> list[list[int]]:
-    """Split fused groups wherever Global snapshots conflict this flush."""
-    out: list[list[int]] = []
-    for group in groups:
-        if len(group) == 1 or not any(pending[i].gbl_reads for i in group):
-            out.append(group)
-            continue
-        cur = [group[0]]
-        for pos in group[1:]:
-            if _gbl_conflict([pending[i] for i in cur], pending[pos]):
-                out.append(cur)
-                cur = [pos]
-            else:
-                cur.append(pos)
-        out.append(cur)
-    return out
-
-
-# --------------------------------------------------------------------------
 # flush-plan cache (the inspector/executor split)
 # --------------------------------------------------------------------------
 
@@ -363,7 +242,7 @@ def _build_units(schedule: dict[int, list[_Exchange]]) -> list[_ExchangeUnit]:
 
 @dataclass
 class _FlushPlan:
-    """One inspected chain shape: schedule, fusion groups, eager baseline.
+    """One inspected chain shape: exchange schedule and eager baseline.
 
     Iterative solvers flush the *same* chain every iteration; inspecting
     it once and replaying the plan (OP2's inspector/executor idiom) is
@@ -375,9 +254,7 @@ class _FlushPlan:
     that keep every probed ``id()`` from being recycled.
     """
 
-    schedule: dict[int, list[_Exchange]]
     units: list[_ExchangeUnit]
-    groups: list[list[int]]
     eager_calls: int
     eager_msgs: int
     #: per loop: (kernel, iterset, backend, ((data|None, map, access)...))
@@ -404,8 +281,7 @@ def _probe_key(pending: list[_Pending], cfg) -> tuple:
     so a matching id proves it is the same live object.
     """
     return (tuple(id(p.loop.kernel) for p in pending),
-            cfg.partial_halos, cfg.grouped_halos, cfg.chain_fuse,
-            cfg.backend)
+            cfg.partial_halos, cfg.grouped_halos)
 
 
 def _capture_bindings(pending: list[_Pending]) -> tuple[list, list]:
@@ -510,49 +386,44 @@ class LoopChain:
                     break
         if plan is None:
             scopes_list = [loop_halo_reads(p.loop, cfg) for p in pending]
-            schedule = _analyze(pending, scopes_list, cfg)
             eager_calls, eager_msgs = _eager_exchange_count(
                 pending, scopes_list, cfg)
             bindings, entry_marks = _capture_bindings(pending)
             if sum(len(b) for b in cache.values()) >= _PLAN_CACHE_MAX:
                 cache.clear()
             plan = _FlushPlan(
-                schedule=schedule, units=_build_units(schedule),
-                groups=_fuse_groups(pending, schedule, cfg),
+                units=_build_units(_analyze(pending, scopes_list, cfg)),
                 eager_calls=eager_calls, eager_msgs=eager_msgs,
                 bindings=bindings, entry_marks=entry_marks,
                 templates=[p.loop.binding_template() for p in pending])
             cache.setdefault(key, []).append(plan)
         for p, tmpl in zip(pending, plan.templates):
             p.loop._flat_template = tmpl
-        groups = _resplit_gbl(pending, plan.groups)
         eager_calls, eager_msgs = plan.eager_calls, plan.eager_msgs
 
-        # map each unit to fusion-group indices: sends post after the
-        # group that completes the last write, receives complete before
-        # the group whose head consumes the data
-        pos_group = {pos: gi for gi, g in enumerate(groups) for pos in g}
+        # sends post right after the loop that completes the last write,
+        # receives complete just before the first loop that reads
         begins: dict[int, list[_ExchangeUnit]] = {}
         ends: dict[int, list[_ExchangeUnit]] = {}
         for u in plan.units:
-            gb = 0 if u.ready == 0 else pos_group[u.ready - 1] + 1
-            begins.setdefault(gb, []).append(u)
-            ends.setdefault(pos_group[u.at], []).append(u)
+            begins.setdefault(u.ready, []).append(u)
+            ends.setdefault(u.at, []).append(u)
 
         sent = 0
         rounds = 0
         in_flight: dict[int, object] = {}
-        for gi, group in enumerate(groups):
+        for pos, p in enumerate(pending):
             # begins strictly before ends: when both land on the same
-            # group, every rank must post its sends before any blocks
-            # on a receive
-            for u in begins.get(gi, ()):
+            # loop, every rank must post its sends before any blocks on
+            # a receive
+            for u in begins.get(pos, ()):
                 in_flight[id(u)] = exchange_begin(u.sset, u.dat_scopes, u.tag,
                                                   True, "halo:chain")
                 rounds += 1
-            for u in ends.get(gi, ()):
+            for u in ends.get(pos, ()):
                 sent += exchange_end(in_flight.pop(id(u)))
-            self._execute([pending[i] for i in group], cfg)
+            with _swapped_globals(p):
+                execute_loop(p.loop, p.backend or cfg.backend)
 
         st = self.stats
         st.flushes += 1
@@ -574,17 +445,6 @@ class LoopChain:
                             exchanges=eager_calls - rounds,
                             messages=max(0, eager_msgs - sent))
 
-    # -- execution -----------------------------------------------------
-    def _execute(self, group: list[_Pending], cfg) -> None:
-        with _swapped_globals(group):
-            execute_group([p.loop for p in group],
-                          _resolved_backend_name(group[0], cfg))
-        if len(group) > 1:
-            self.stats.fused += len(group) - 1
-            rec = active_recorder()
-            if rec is not None:
-                rec.counter("chain.fused", len(group) - 1)
-
     # -- verification --------------------------------------------------
     def _flush_verified(self, pending: list[_Pending], cfg) -> None:
         """Run chained, replay eagerly on restored state, compare bitwise."""
@@ -602,7 +462,7 @@ class LoopChain:
         for g in gbls:
             g._data[:] = saved_gbls[id(g)]
         for p in pending:
-            with _swapped_globals([p]):
+            with _swapped_globals(p):
                 p.loop.execute(p.backend)
 
         for d in dats:
@@ -635,14 +495,13 @@ def _touched(pending: list[_Pending]) -> tuple[list, list]:
 
 
 @contextmanager
-def _swapped_globals(group: list[_Pending]):
+def _swapped_globals(p: _Pending):
     """Bind each READ Global to its call-site snapshot for the duration."""
     saved: list[tuple[np.ndarray, np.ndarray]] = []
-    for p in group:
-        for i, snap in p.gbl_reads:
-            g = p.loop.args[i].data
-            saved.append((g._data, g._data.copy()))
-            g._data[:] = snap
+    for i, snap in p.gbl_reads:
+        g = p.loop.args[i].data
+        saved.append((g._data, g._data.copy()))
+        g._data[:] = snap
     try:
         yield
     finally:

@@ -7,10 +7,8 @@ Python source — a scalar gather/call loop for the sequential backend, or
 a numpy whole-array translation with gather/compute/scatter staging for
 the vectorized, coloring and atomics (CUDA-analogue) backends — then
 compiles and caches it on the kernel. There is one generator per
-backend family and each is per *loop*; only the compiled C generator
-(:func:`~repro.op2.codegen.csource.generate_native`) takes a loop
-*group*, because only there does one wrapper for N loops buy anything
-(a single OpenMP region) — an eager loop is its N = 1 case.
+backend family and each is per *loop*, the compiled C generator
+(:func:`~repro.op2.codegen.csource.generate_native`) included.
 """
 
 from repro.op2.codegen.csource import generate_cuda, generate_openmp

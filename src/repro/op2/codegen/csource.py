@@ -15,10 +15,9 @@ as faithful source *text*, and additionally — via
 :func:`generate_native` — *self-contained, compilable* C translation
 units that the :mod:`repro.op2.backends.native` backend builds with
 the host toolchain (``cc -O2 -fopenmp -shared -fPIC``) and invokes
-through ``ctypes``: one wrapper per loop *group* (an eager loop is the
-group of one, a legality-proven chain group has up to ``MAX_FUSE``
-sections) running inside a single OpenMP region, in either the
-block-color-plan or the chunked-``#pragma omp atomic`` strategy. The
+through ``ctypes``: one wrapper per ``par_loop``, running inside a
+single OpenMP region, in either the block-color-plan or the
+chunked-``#pragma omp atomic`` strategy. The
 ``atomics`` and ``blockcolor`` Python backends remain the executable
 simulations of the CUDA/OpenMP strategies, and the tests pin the
 structural correspondence between all the forms.
@@ -163,11 +162,10 @@ def generate_openmp(kernel: Kernel, signature: Sequence[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def native_entry_name(kernels: Sequence[Kernel],
-                      strategy: str = "blockcolor") -> str:
-    """Exported symbol of the compiled wrapper for a group of kernels."""
+def native_entry_name(kernel: Kernel, strategy: str = "blockcolor") -> str:
+    """Exported symbol of the compiled wrapper for ``kernel``."""
     tag = "atomics_" if strategy == "atomics" else ""
-    return "op_native_" + tag + "__".join(k.name for k in kernels)
+    return "op_native_" + tag + kernel.name
 
 
 def native_is_planned(signature: Sequence[tuple]) -> bool:
@@ -189,14 +187,14 @@ _NATIVE_PREAMBLE = [
 ]
 
 
-def _native_args(kernel: Kernel, signature: Sequence[tuple], tag: str
-                 ) -> tuple[list[str], list[str], list[str], list[str]]:
-    """Wrapper-level formals, call args, and reduction staging for one loop.
+#: suffix of every wrapper-scope name (formals, plan arrays, reduction
+#: staging, the renamed elemental) — part of the compiled ABI's names
+_TAG = "_f0"
 
-    ``tag`` suffixes every wrapper-scope name (formal parameters and
-    reduction staging locals) so a wrapper can concatenate several
-    sections in one translation unit without collisions.
-    """
+
+def _native_args(kernel: Kernel, signature: Sequence[tuple]
+                 ) -> tuple[list[str], list[str], list[str], list[str]]:
+    """Wrapper-level formals, call args, and reduction staging for a loop."""
     params = kernel.params
     if len(params) != len(signature):
         raise KernelParseError(
@@ -211,18 +209,18 @@ def _native_args(kernel: Kernel, signature: Sequence[tuple], tag: str
         if sig[0] == "gbl":
             _, access, dim = sig
             if access is Access.READ:
-                formals.append(f"const double *g{i}{tag}")
-                call.append(f"g{i}{tag}")
+                formals.append(f"const double *g{i}{_TAG}")
+                call.append(f"g{i}{_TAG}")
                 continue
-            formals.append(f"double *g{i}{tag}")
-            staged = f"{pname}_l{tag}"
+            formals.append(f"double *g{i}{_TAG}")
+            staged = f"{pname}_l{_TAG}"
             neutral = {Access.INC: "0.0", Access.MIN: "INFINITY",
                        Access.MAX: "-INFINITY"}[access]
-            fold = {Access.INC: f"g{i}{tag}[d] += {staged}[d];",
+            fold = {Access.INC: f"g{i}{_TAG}[d] += {staged}[d];",
                     Access.MIN:
-                        f"g{i}{tag}[d] = fmin(g{i}{tag}[d], {staged}[d]);",
+                        f"g{i}{_TAG}[d] = fmin(g{i}{_TAG}[d], {staged}[d]);",
                     Access.MAX:
-                        f"g{i}{tag}[d] = fmax(g{i}{tag}[d], {staged}[d]);",
+                        f"g{i}{_TAG}[d] = fmax(g{i}{_TAG}[d], {staged}[d]);",
                     }[access]
             red_decl.append(f"double {staged}[{dim}];")
             red_decl.append(
@@ -232,30 +230,31 @@ def _native_args(kernel: Kernel, signature: Sequence[tuple], tag: str
             continue
         _, access, addressing, dim, arity, idx = sig
         const = "const " if access is Access.READ else ""
-        formals.append(f"{const}double *a{i}{tag}")
+        formals.append(f"{const}double *a{i}{_TAG}")
         if addressing == "direct":
-            call.append(f"a{i}{tag} + n * {dim}")
+            call.append(f"a{i}{_TAG} + n * {dim}")
         elif addressing == "idx":
-            formals.append(f"const long long *m{i}{tag}")
-            call.append(f"a{i}{tag} + m{i}{tag}[n * {arity} + {idx}] * {dim}")
+            formals.append(f"const long long *m{i}{_TAG}")
+            call.append(
+                f"a{i}{_TAG} + m{i}{_TAG}[n * {arity} + {idx}] * {dim}")
         else:  # vector arg: pass the map row, the elemental fn indexes it
-            formals.append(f"const long long *m{i}{tag}")
-            call.append(f"a{i}{tag}")
-            call.append(f"m{i}{tag} + n * {arity}")
+            formals.append(f"const long long *m{i}{_TAG}")
+            call.append(f"a{i}{_TAG}")
+            call.append(f"m{i}{_TAG} + n * {arity}")
     return formals, call, red_decl, red_fold
 
 
-def _native_element_loop(call_expr: str, *, planned: bool, atomics: bool,
-                         tag: str) -> list[str]:
-    """The wrapper's element loop for one section (inside the region)."""
+def _native_element_loop(call_expr: str, *, planned: bool,
+                         atomics: bool) -> list[str]:
+    """The wrapper's element loop (inside the parallel region)."""
     if planned:
         return [
-            f"    for (long long col = 0; col < _ncolors{tag}; col++) {{",
+            f"    for (long long col = 0; col < _ncolors{_TAG}; col++) {{",
             "      #pragma omp for schedule(static)",
-            f"      for (long long b = _col_off{tag}[col]; "
-            f"b < _col_off{tag}[col + 1]; b++) {{",
-            f"        for (long long n = _blk_lo{tag}[b]; "
-            f"n < _blk_hi{tag}[b]; n++) {{",
+            f"      for (long long b = _col_off{_TAG}[col]; "
+            f"b < _col_off{_TAG}[col + 1]; b++) {{",
+            f"        for (long long n = _blk_lo{_TAG}[b]; "
+            f"n < _blk_hi{_TAG}[b]; n++) {{",
             f"          {call_expr};",
             "        }",
             "      }",
@@ -279,41 +278,27 @@ def _native_element_loop(call_expr: str, *, planned: bool, atomics: bool,
     ]
 
 
-def _plan_tail(tag: str) -> list[str]:
-    return [f"const long long *_blk_lo{tag}", f"const long long *_blk_hi{tag}",
-            f"const long long *_col_off{tag}", f"long long _ncolors{tag}"]
-
-
-def generate_native(kernels: Sequence[Kernel],
-                    signatures: Sequence[Sequence[tuple]],
+def generate_native(kernel: Kernel, signature: Sequence[tuple],
                     strategy: str = "blockcolor") -> str:
-    """Emit one self-contained compilable C wrapper for a group of loops.
+    """Emit one self-contained compilable C wrapper for a loop.
 
     Unlike :func:`generate_openmp` (faithful *text* against OP2's
     ``op_plan`` struct), this produces a translation unit the native
-    backend actually builds and ``dlopen``\\ s. The group is what
-    :func:`~repro.op2.parloop.execute_group` runs: one section per
-    loop, N = 1 for an eager ``par_loop``. ``signatures`` holds each
-    loop's :meth:`~repro.op2.parloop.ParLoop.native_signature`: dat
-    entries carry a sixth element, the map index, so indirect accesses
-    index the *full contiguous* map table (``m[n * arity + idx]``) —
-    the strided per-column views Python backends use have no zero-copy
-    C equivalent.
-
-    For N > 1 the chain analyzer has already proven legality (same
-    iteration set and extent, only element-local cross-loop deps, no
-    two loops incrementing the same indirect dat), so the wrapper
-    simply runs the sections back to back inside a **single**
-    ``#pragma omp parallel`` region: the implicit barrier closing each
-    section's last ``#pragma omp for`` orders sections, making a group
-    bitwise-identical to calling its loops' own wrappers one at a time
-    — while paying one region fork/join for the whole group.
+    backend actually builds and ``dlopen``\\ s: one wrapper per
+    ``par_loop``, as OP2 generates one per ``op_par_loop``.
+    ``signature`` is the loop's
+    :meth:`~repro.op2.parloop.ParLoop.native_signature`: dat entries
+    carry a sixth element, the map index, so indirect accesses index
+    the *full contiguous* map table (``m[n * arity + idx]``) — the
+    strided per-column views Python backends use have no zero-copy C
+    equivalent. The wrapper runs its element loop inside one
+    ``#pragma omp parallel`` region.
 
     ``strategy`` selects the data-race-resolution scheme:
 
-    * ``"blockcolor"`` (default) — OP2's OpenMP plan. Direct sections
-      run a flat ``#pragma omp for`` over ``[start, end)``; sections
-      with indirect writes execute the flattened block-color plan
+    * ``"blockcolor"`` (default) — OP2's OpenMP plan. Direct loops run
+      a flat ``#pragma omp for`` over ``[start, end)``; loops with
+      indirect writes execute the flattened block-color plan
       ``blk_lo, blk_hi, col_off, ncolors`` — blocks of one color share
       no write target, so each color is an ``#pragma omp for`` with a
       barrier between colors.
@@ -324,71 +309,47 @@ def generate_native(kernels: Sequence[Kernel],
       accumulation order of the numpy-simulated ``atomics`` backend.
 
     ABI (all pointers are raw numpy data pointers, indices are
-    ``long long``): per section ``j``, one ``double*`` per argument
-    (reductions receive the caller's neutral-initialised partial
-    buffer) plus a ``const long long*`` map table after each indirect
-    argument, names suffixed ``_f{j}``; then — blockcolor strategy
-    only — each planned section's flattened plan
-    ``_blk_lo_f{j}, _blk_hi_f{j}, _col_off_f{j}, _ncolors_f{j}`` in
-    section order; then the shared tail
-    ``_start, _end, _block, _nthreads`` (``_block`` is the atomics
-    chunk extent, ignored by blockcolor sections). Reduction staging
-    is thread-private per section and folded under
-    ``#pragma omp critical`` right after its section's element loop.
+    ``long long``): one ``double*`` per argument (reductions receive
+    the caller's neutral-initialised partial buffer) plus a
+    ``const long long*`` map table after each indirect argument, names
+    suffixed ``_f0``; then — planned blockcolor loops only — the
+    flattened plan ``_blk_lo_f0, _blk_hi_f0, _col_off_f0,
+    _ncolors_f0``; then the tail ``_start, _end, _block, _nthreads``
+    (``_block`` is the atomics chunk extent, ignored under
+    blockcolor). Reduction staging is thread-private and folded under
+    ``#pragma omp critical`` right after the element loop.
 
     Compiled with ``-ffp-contract=off`` the elemental arithmetic is
     bitwise-identical to the numpy backends for correctly-rounded
     operations; reductions reassociate across threads.
     """
-    if not kernels or len(kernels) != len(signatures):
-        raise KernelParseError(
-            "a loop group needs one signature per kernel (and at least one)")
     if strategy not in ("blockcolor", "atomics"):
         raise ValueError(f"unknown native strategy {strategy!r}")
     atomics = strategy == "atomics"
 
-    elementals: list[str] = []
-    formals: list[str] = []
-    plan_tail: list[str] = []
-    sections: list[list[str]] = []
-    for j, (kernel, signature) in enumerate(zip(kernels, signatures)):
-        tag = f"_f{j}"
-        base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
-        fn_name = f"{kernel.name}{tag}"
-        elementals.append(_elemental_c(kernel, base_sig, device=False,
-                                       index_type="long long",
-                                       omp_atomic=atomics, fn_name=fn_name))
-        sec_formals, call, red_decl, red_fold = _native_args(
-            kernel, signature, tag)
-        formals.extend(sec_formals)
-        planned = not atomics and native_is_planned(signature)
-        if planned:
-            plan_tail.extend(_plan_tail(tag))
-        body = [f"    // -- section {j}: {kernel.name}"]
-        body.extend(f"    {d}" for d in red_decl)
-        body.extend(_native_element_loop(
-            f"{fn_name}({', '.join(call)})", planned=planned,
-            atomics=atomics, tag=tag))
-        if red_fold:
-            body.append("    #pragma omp critical")
-            body.append("    {")
-            body.extend(f"      {f}" for f in red_fold)
-            body.append("    }")
-        sections.append(body)
-
-    tail = plan_tail + ["long long _start", "long long _end",
-                        "long long _block", "long long _nthreads"]
+    base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
+    fn_name = f"{kernel.name}{_TAG}"
+    elemental = _elemental_c(kernel, base_sig, device=False,
+                             index_type="long long", omp_atomic=atomics,
+                             fn_name=fn_name)
+    formals, call, red_decl, red_fold = _native_args(kernel, signature)
+    planned = not atomics and native_is_planned(signature)
+    if planned:
+        formals += [f"const long long *_blk_lo{_TAG}",
+                    f"const long long *_blk_hi{_TAG}",
+                    f"const long long *_col_off{_TAG}",
+                    f"long long _ncolors{_TAG}"]
+    tail = ["long long _start", "long long _end",
+            "long long _block", "long long _nthreads"]
     variant = "atomic chunks" if atomics else "block-color plan"
     lines = [
         f"// generated by repro.op2 — native {variant} wrapper for "
-        + " + ".join(k.name for k in kernels),
+        + kernel.name,
         *_NATIVE_PREAMBLE,
         "",
-    ]
-    for elem in elementals:
-        lines.extend([elem, ""])
-    lines.extend([
-        f"void {native_entry_name(kernels, strategy)}(",
+        elemental,
+        "",
+        f"void {native_entry_name(kernel, strategy)}(",
         "    " + ",\n    ".join(formals + tail) + ") {",
         "  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();",
         "  (void)_nt;",
@@ -397,9 +358,16 @@ def generate_native(kernels: Sequence[Kernel],
         "  (void)_end;",
         "  #pragma omp parallel num_threads(_nt)",
         "  {",
-    ])
-    for body in sections:
-        lines.extend(body)
+        f"    // -- section 0: {kernel.name}",
+    ]
+    lines.extend(f"    {d}" for d in red_decl)
+    lines.extend(_native_element_loop(
+        f"{fn_name}({', '.join(call)})", planned=planned, atomics=atomics))
+    if red_fold:
+        lines.append("    #pragma omp critical")
+        lines.append("    {")
+        lines.extend(f"      {f}" for f in red_fold)
+        lines.append("    }")
     lines.extend(["  }", "}"])
     return "\n".join(lines) + "\n"
 

@@ -28,7 +28,7 @@ class Config:
         ``"atomics"``).
     native_threads:
         OpenMP thread count of the native backends' compiled wrappers
-        (each runs one loop group, eager or chained, in one region);
+        (each runs one loop, eager or chained, in one region);
         ``0`` (default) lets the OpenMP runtime decide
         (``omp_get_max_threads``, honouring ``OMP_NUM_THREADS``). With
         more than one thread, global
@@ -46,7 +46,9 @@ class Config:
         ``atomics`` simulation and the compiled ``native-atomics``
         wrappers so both accumulate in the same chunk order.
     block_size:
-        Block extent of the blockcolor (OpenMP-plan analogue) backend.
+        Block extent of the block-color plan: the ``blockcolor``
+        (OpenMP-plan analogue) backend's blocks and the plan the
+        ``native`` backend's compiled wrappers execute.
     check_access:
         Debug mode: the sequential backend hands kernels *read-only*
         views for READ arguments, so a kernel violating its declared
@@ -62,13 +64,9 @@ class Config:
         :class:`~repro.op2.chain.LoopChain` instead of executing
         immediately. The chain flushes on host data access or an
         explicit :func:`~repro.op2.chain.flush_chain`; flushing elides
-        redundant halo exchanges, batches the rest, and fuses adjacent
-        compatible loops. Results are bitwise-identical to eager mode.
-    chain_fuse:
-        Allow the chain flush to hand adjacent compatible loops to the
-        backend as one group — one compiled wrapper on the native
-        backends (on by default; elision and batching are unaffected
-        when off).
+        redundant halo exchanges and batches the rest, then runs the
+        loops one at a time in program order. Results are
+        bitwise-identical to eager mode.
     chain_verify:
         Debug mode: every chain flush replays the loops eagerly on a
         snapshot of the pre-flush state and bitwise-compares all
@@ -85,7 +83,6 @@ class Config:
     check_access: bool = False
     sanitize: bool = False
     lazy: bool = False
-    chain_fuse: bool = True
     chain_verify: bool = False
 
 

@@ -218,7 +218,7 @@ class ParLoop:
         cfg = current_config()
         if cfg.sanitize:  # sanitize mode audits every loop, overrides all
             backend_name = "sanitizer"
-        execute_group([self], backend_name or cfg.backend, refresh_halos=True)
+        execute_loop(self, backend_name or cfg.backend, refresh_halos=True)
 
     def _refresh_halos(self, cfg) -> None:
         """Forward-exchange every stale dat the loop will read from halos."""
@@ -232,49 +232,43 @@ class ParLoop:
                 arg.data.mark_halo_stale()
 
 
-def execute_group(loops: list[ParLoop], backend_name: str,
-                  refresh_halos: bool = False) -> None:
-    """Run a group of loops — the one compute sequence of the runtime.
+def execute_loop(loop: ParLoop, backend_name: str,
+                 refresh_halos: bool = False) -> None:
+    """Run one loop — the one compute sequence of the runtime.
 
-    An eager ``par_loop`` is a group of one with ``refresh_halos`` set;
-    a chain flush passes each legality-proven group (singletons
-    included) with its exchanges already scheduled or elided by the
-    analyzer. All loops of a group share the iteration set and
-    execution extent; each keeps its own reduction buffers, and
-    redundant exec-halo execution folds into discarded scratch buffers
-    so global reductions count every element exactly once.
+    An eager ``par_loop`` calls this with ``refresh_halos`` set; a chain
+    flush calls it for each pending loop in program order, with the
+    loop's exchanges already scheduled or elided by the analyzer.
+    Redundant exec-halo execution folds into a discarded scratch
+    reduction buffer so global reductions count every element exactly
+    once.
 
-    When a recorder is bound the group records an ``op2.halo`` span over
+    When a recorder is bound the loop records an ``op2.halo`` span over
     its halo refresh (if it made one) and an ``op2.compute`` span over
-    the rest, both named after its kernels — the only record of
+    the rest, both named after its kernel — the only record of
     per-kernel time (:func:`~repro.telemetry.recorder.loop_stats`).
     """
     cfg = current_config()
     backend = resolve_backend(backend_name)
     rec = active_recorder()
     t0 = t_halo = time.perf_counter() if rec is not None else 0.0
-    iterset = loops[0].iterset
+    iterset = loop.iterset
     halo = iterset.halo
-    comm = halo.comm if halo is not None else None
     if refresh_halos and halo is not None:
-        for loop in loops:
-            loop._refresh_halos(cfg)
+        loop._refresh_halos(cfg)
         if rec is not None:
             t_halo = time.perf_counter()
 
-    reductions = [ReductionBuffers(l.args) for l in loops]
-    backend.execute(loops, 0, iterset.size, reductions)
-    if (iterset.exec_size > iterset.size
-            and any(l.has_indirect_writes for l in loops)):
-        scratch = [ReductionBuffers(l.args) for l in loops]
-        backend.execute(loops, iterset.size, iterset.exec_size, scratch)
-    for loop in loops:
-        loop._mark_written_stale()
-    for red in reductions:
-        red.finalize(comm)
+    reductions = ReductionBuffers(loop.args)
+    backend.execute(loop, 0, iterset.size, reductions)
+    if iterset.exec_size > iterset.size and loop.has_indirect_writes:
+        backend.execute(loop, iterset.size, iterset.exec_size,
+                        ReductionBuffers(loop.args))
+    loop._mark_written_stale()
+    reductions.finalize(halo.comm if halo is not None else None)
     if rec is not None:
         t1 = time.perf_counter()
-        name = "+".join(l.kernel.name for l in loops)
+        name = loop.kernel.name
         if t_halo > t0:
             rec.add_span(name, "op2.halo", t0, t_halo)
         rec.add_span(name, "op2.compute", t_halo, t1, elements=iterset.size)
@@ -286,8 +280,9 @@ def par_loop(kernel: Kernel, iterset: Set, *args: Arg,
 
     Executes immediately in eager mode; under ``Config.lazy`` or an
     open :func:`~repro.op2.chain.loop_chain` the validated loop is
-    enqueued instead and runs (elided/batched/fused, but bitwise
-    equivalent) when the chain flushes.
+    enqueued instead and runs when the chain flushes — with its halo
+    exchanges elided or batched across loops, its results bitwise
+    equal to eager execution.
 
     Parameters
     ----------

@@ -353,7 +353,7 @@ def test_native_atomics_missing_compiler_falls_back_to_atomics(monkeypatch):
     assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
 
-# -- fused chain execution -----------------------------------------------
+# -- chained execution ---------------------------------------------------
 
 PREP = """
 def nprep(w):
@@ -374,9 +374,10 @@ def nscale32(s):
 """
 
 
-def _run_fused_pair(backend, lazy, nthreads=1, mixed=False):
-    """The fusable pair; ``mixed`` appends a third same-set loop on a
-    float32 dat (outside the compiled ABI) and returns its data too."""
+def _run_pair(backend, lazy, nthreads=1, mixed=False):
+    """A direct prep loop feeding an indirect one on the same set;
+    ``mixed`` appends a third same-set loop on a float32 dat (outside
+    the compiled ABI) and returns its data too."""
     rng = np.random.default_rng(11)
     nodes = op2.Set(9, "nodes")
     edges = op2.Set(14, "edges")
@@ -404,60 +405,42 @@ def _run_fused_pair(backend, lazy, nthreads=1, mixed=False):
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 @pytest.mark.parametrize("backend", ["native", "native-atomics"])
 def test_fused_chain_bitwise_equals_eager(backend):
-    eager = _run_fused_pair(backend, lazy=False)
+    eager = _run_pair(backend, lazy=False)
     op2.reset_chain_stats()
-    lazy = _run_fused_pair(backend, lazy=True)
-    st = op2.chain_stats().as_dict()
-    assert st["fused"] >= 1, "the pair must actually fuse"
+    lazy = _run_pair(backend, lazy=True)
+    assert op2.chain_stats().as_dict()["flushes"] == 1
     assert np.array_equal(eager[0], lazy[0])
     assert eager[1] == lazy[1]
 
 
-@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
-def test_fused_chain_counters_and_single_wrapper():
-    with telemetry.tracing() as rec:
-        _run_fused_pair("native", lazy=True)
-    assert rec.counters.get("op2.native.fused_groups", 0) >= 1
-    assert rec.counters.get("op2.native.fused_loops", 0) >= 2
-    # the whole group compiles into ONE translation unit, named by the
-    # same stem rule as a group of one ("_"-joined kernel names)
-    objs = list(cache_dir().glob("*.so"))
-    assert len(objs) == 1 and objs[0].name.startswith("nprep_nflux2_")
-    fused_src = objs[0].with_suffix(".c").read_text()
-    assert fused_src.count("#pragma omp parallel") == 1
-    assert "void op_native_nprep__nflux2(" in fused_src
-
-
 def test_fused_chain_missing_compiler_degrades_bitwise(monkeypatch):
-    """With no toolchain the fused group must degrade per-loop through
-    the same backend's fallback — lazy stays bitwise-equal to eager."""
+    """With no toolchain every chained loop runs the same backend's
+    fallback, warned and counted — lazy stays bitwise-equal to eager."""
     monkeypatch.setenv("REPRO_CC", "/nonexistent/compiler-xyz")
     for backend in ("native", "native-atomics"):
         reset_native_state()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with telemetry.tracing() as rec:
-                eager = _run_fused_pair(backend, lazy=False)
-                lazy = _run_fused_pair(backend, lazy=True)
-        assert rec.counters.get("op2.native.fused_fallback", 0) >= 1
+                eager = _run_pair(backend, lazy=False)
+                lazy = _run_pair(backend, lazy=True)
+        assert rec.counters.get("op2.native.fallback", 0) >= 1
         assert np.array_equal(eager[0], lazy[0])
         assert eager[1] == lazy[1]
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_mixed_capability_group_degrades_to_singletons():
-    """One float32 loop in a chain group: the group degrades to groups
-    of one, the float64 loops still run compiled, nothing warns."""
+    """One float32 loop in a chain: it runs the numpy twin, the float64
+    loops still run compiled, nothing warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any warning fails the test
-        eager = _run_fused_pair("native", lazy=False, mixed=True)
+        eager = _run_pair("native", lazy=False, mixed=True)
         op2.reset_chain_stats()
         with telemetry.tracing() as rec:
-            lazy = _run_fused_pair("native", lazy=True, mixed=True)
-    assert op2.chain_stats().fused == 2, "all three loops form one group"
-    assert rec.counters.get("op2.native.fused_fallback", 0) >= 1
+            lazy = _run_pair("native", lazy=True, mixed=True)
+    assert op2.chain_stats().loops == 3
     assert rec.counters.get("op2.native.unsupported", 0) >= 1
-    assert rec.counters.get("op2.native.fused_groups", 0) == 0
     assert rec.counters.get("op2.native.fallback", 0) == 0
     # fresh kernels, warm disk cache: both float64 singletons load their
     # compiled wrapper and nothing is rebuilt
@@ -472,9 +455,9 @@ def test_mixed_capability_group_degrades_to_singletons():
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_fused_wrapper_reuses_disk_cache():
     with telemetry.tracing() as rec:
-        _run_fused_pair("native", lazy=True)
+        _run_pair("native", lazy=True)
         before = rec.counters.get("op2.native.compile", 0)
-        _run_fused_pair("native", lazy=True)  # fresh kernels: memo misses
+        _run_pair("native", lazy=True)  # fresh kernels: memo misses
         assert rec.counters.get("op2.native.compile", 0) == before, \
-            "second flush must reuse the compiled fused wrapper from disk"
+            "second flush must reuse the compiled wrappers from disk"
         assert rec.counters.get("op2.native.cache_hit_disk", 0) >= 1

@@ -75,8 +75,7 @@ def run_case(case, nranks, *, lazy, partial, grouped, transport="thread"):
 
     def rank_fn(comm):
         op2.set_config(backend="vectorized", lazy=lazy, partial_halos=partial,
-                       grouped_halos=grouped, chain_fuse=True,
-                       chain_verify=False)
+                       grouped_halos=grouped, chain_verify=False)
         op2.reset_chain_stats()
         local = op2.build_local_problem(gp, layouts[comm.rank], comm)
         if case == "airfoil":

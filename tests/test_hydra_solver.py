@@ -280,4 +280,28 @@ def test_lazy_step_drains_its_chain_inside_the_timer():
     assert np.array_equal(eager[0][0], lazy[0][0])
     for _q, pending, st in lazy:
         assert pending == 0
-        assert (st["fused"], st["halo_elided"], st["flushes"]) == (71, 93, 3)
+        assert (st["halo_elided"], st["flushes"]) == (93, 3)
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "native"])
+def test_lazy_loop_stats_name_every_kernel(backend):
+    """A chained inner iteration records one ``op2.compute`` span per
+    kernel call, as eager does: same kernel names, same call counts."""
+    from repro import telemetry
+
+    solver, _mesh, _inflow = make_solver(
+        row_kw=dict(kind=RowKind.ROTOR, work_coeff=0.2),
+        num_kw=dict(backend=backend))
+
+    def calls(lazy):
+        with op2.configure(lazy=lazy, native_threads=1):
+            solver.advance_physical()
+            with telemetry.tracing() as rec:
+                solver.inner_iteration()
+                op2.flush_chain()
+        op2.flush_chain()  # retire the implicit chain
+        return {name: st.calls for name, st in rec.loop_stats.items()}
+
+    eager = calls(False)
+    assert len(eager) > 1
+    assert calls(True) == eager

@@ -1,8 +1,8 @@
-"""Lazy loop chains: bitwise equivalence, halo elision, and fusion.
+"""Lazy loop chains: bitwise equivalence and halo elision.
 
 The chain runtime's contract is *bitwise equivalence* with eager
 execution, so every test here compares full eager and lazy runs bit
-for bit — serially across all fusable backends, distributed across
+for bit — serially across the numpy backends, distributed across
 rank counts and halo-optimization configs, on the Hydra solver's
 chained inner iteration, and under hypothesis-generated random loop
 programs that stress the staleness analysis (an elision that drops a
@@ -22,8 +22,7 @@ from repro.smpi import Traffic, run_ranks
 def _clean_chain_state():
     """Leave the main thread's config and chain exactly as found."""
     yield
-    op2.set_config(lazy=False, chain_verify=False, chain_fuse=True,
-                   partial_halos=False, grouped_halos=False,
+    op2.set_config(lazy=False, chain_verify=False, partial_halos=False, grouped_halos=False,
                    backend="vectorized", check_access=False)
     op2.flush_chain()  # lazy is off: this also retires an implicit chain
     op2.reset_chain_stats()
@@ -93,7 +92,7 @@ def _issue(op, sets, maps, dats):
 
 
 def run_ring(program, nranks, *, lazy, partial=True, grouped=True,
-             fuse=True, verify=False, n=16):
+             verify=False, n=16):
     gp, table = make_ring(n)
     node_owner = np.minimum(np.arange(n) * nranks // n, nranks - 1)
     owners = {"nodes": node_owner, "edges": node_owner[table[:, 0]]}
@@ -102,8 +101,7 @@ def run_ring(program, nranks, *, lazy, partial=True, grouped=True,
 
     def rank_fn(comm):
         op2.set_config(lazy=lazy, partial_halos=partial,
-                       grouped_halos=grouped, chain_fuse=fuse,
-                       chain_verify=verify)
+                       grouped_halos=grouped, chain_verify=verify)
         op2.reset_chain_stats()
         local = op2.build_local_problem(gp, layouts[comm.rank], comm)
         sets = (local.sets["nodes"], local.sets["edges"])
@@ -146,20 +144,6 @@ class TestSerialEquivalence:
         q_l, h_l = run(lazy=True)
         assert np.array_equal(q_e, q_l)
         assert np.array_equal(h_e, h_l)
-
-    def test_fusion_happens_and_preserves_results(self):
-        from repro.apps import AirfoilApp, make_airfoil_mesh
-
-        mesh = make_airfoil_mesh(ni=12, nj=4)
-        op2.set_config(backend="vectorized", lazy=True)
-        op2.reset_chain_stats()
-        app = AirfoilApp(mesh, mach=0.35)
-        app.iterate(2)
-        op2.flush_chain()
-        st = op2.chain_stats()
-        assert st.loops > 0
-        assert st.flushes > 0
-        assert st.fused > 0  # adjacent same-set loops actually fused
 
     def test_chain_verify_mode_passes(self):
         from repro.apps import AirfoilApp, make_airfoil_mesh
@@ -210,13 +194,6 @@ class TestDistributed:
         out, _, _ = run_ring(PROGRAM, 2, lazy=True, verify=True)
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
-
-    def test_unfused_matches(self):
-        ref, _, _ = run_ring(PROGRAM, 2, lazy=False)
-        out, stats, _ = run_ring(PROGRAM, 2, lazy=True, fuse=False)
-        for a, b in zip(ref, out):
-            assert np.array_equal(a, b)
-        assert stats[0]["fused"] == 0
 
 
 class TestAirfoilDistributed:
@@ -301,7 +278,6 @@ class TestHydraDistributed:
         # the solver's boundary maps are ownership-aligned (empty
         # plans), so eager's per-boundary-loop exchange calls all elide
         assert st["halo_elided"] > 0
-        assert st["fused"] > 0
         assert st["messages"] <= st["eager_messages"]
 
 
@@ -511,19 +487,18 @@ class TestAnalyzerProperties:
     @settings(max_examples=12, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(program=_programs, partial=hst.booleans(),
-           grouped=hst.booleans(), fuse=hst.booleans())
-    @example(program=list("GSGSGS"), partial=True, grouped=True, fuse=True)
-    @example(program=list("GUGUGU"), partial=True, grouped=False, fuse=True)
-    @example(program=list("CCCC"), partial=True, grouped=True, fuse=False)
-    def test_lazy_bitwise_equals_eager(self, program, partial, grouped,
-                                       fuse):
+           grouped=hst.booleans())
+    @example(program=list("GSGSGS"), partial=True, grouped=True)
+    @example(program=list("GUGUGU"), partial=True, grouped=False)
+    @example(program=list("CCCC"), partial=True, grouped=True)
+    def test_lazy_bitwise_equals_eager(self, program, partial, grouped):
         """Elision never drops a required exchange: any dropped or
         mis-scoped exchange leaves stale halo entries, and the bitwise
         comparison against the eager run catches it."""
         ref, _, m_e = run_ring(program, 2, lazy=False, partial=partial,
                                grouped=grouped)
         out, stats, m_l = run_ring(program, 2, lazy=True, partial=partial,
-                                   grouped=grouped, fuse=fuse)
+                                   grouped=grouped)
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
         # ...and batching never *increases* traffic or exchange rounds

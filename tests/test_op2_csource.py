@@ -247,11 +247,6 @@ GOLDEN_UPDATE_SIG = (
 )
 
 
-def _native1(kernel, sig, strategy="blockcolor") -> str:
-    """The one generator at N = 1: what an eager par_loop compiles."""
-    return generate_native([kernel], [sig], strategy)
-
-
 def _assert_matches_golden(got: str, golden_name: str) -> None:
     golden = (GOLDEN_DIR / golden_name).read_text()
     if got != golden:
@@ -265,36 +260,24 @@ class TestNativeGolden:
     """Byte-exact comparison against compile-verified golden sources."""
 
     def test_golden_flux_matches(self):
-        got = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        got = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
         _assert_matches_golden(got, "golden_flux.c")
 
     def test_golden_update_matches(self):
-        got = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
+        got = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         _assert_matches_golden(got, "golden_update.c")
 
     def test_golden_atomics_flux_matches(self):
-        got = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
+        got = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
                               strategy="atomics")
         _assert_matches_golden(got, "golden_atomics_flux.c")
-
-    def test_golden_fused_pair_matches(self):
-        got = generate_native(
-            [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_FLUX)],
-            [GOLDEN_UPDATE_SIG, GOLDEN_FLUX_SIG])
-        _assert_matches_golden(got, "golden_fused_pair.c")
-
-    def test_golden_fused_atomics_pair_matches(self):
-        got = generate_native(
-            [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_FLUX)],
-            [GOLDEN_UPDATE_SIG, GOLDEN_FLUX_SIG], strategy="atomics")
-        _assert_matches_golden(got, "golden_fused_atomics_pair.c")
 
 
 class TestNativeStructure:
     def test_indirect_inc_uses_block_color_plan(self):
         assert native_is_planned(GOLDEN_FLUX_SIG)
-        src = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
-        assert f"void {native_entry_name([op2.Kernel(GOLDEN_FLUX)])}(" in src
+        src = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        assert f"void {native_entry_name(op2.Kernel(GOLDEN_FLUX))}(" in src
         # plan ABI: block ranges + per-color block offsets
         assert "const long long *_blk_lo" in src
         assert "const long long *_col_off" in src
@@ -311,21 +294,21 @@ class TestNativeStructure:
 
     def test_direct_loop_is_flat_parallel(self):
         assert not native_is_planned(GOLDEN_UPDATE_SIG)
-        src = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
+        src = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         assert "long long _start" in src and "long long _end" in src
         assert "_blk_lo" not in src and "_ncolors" not in src
         assert "#pragma omp for schedule(static)" in src
         assert "for (long long n = _start; n < _end; n++)" in src
 
     def test_reduction_staging_and_critical_fold(self):
-        flux = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        flux = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
         # INC reduction: zero-initialized thread-private staging,
         # folded into the caller's partial buffer under a critical
         assert "double rms_l_f0[1];" in flux
         assert "rms_l_f0[d] = 0.0;" in flux
         assert "#pragma omp critical" in flux
         assert "g5_f0[d] += rms_l_f0[d];" in flux
-        upd = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
+        upd = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         # MAX reduction: -INFINITY neutral, fmax fold
         assert "change_l_f0[d] = -INFINITY;" in upd
         assert "g5_f0[d] = fmax(g5_f0[d], change_l_f0[d]);" in upd
@@ -336,13 +319,13 @@ class TestNativeStructure:
 
         sig = (("dat", op2.READ, "direct", 1, 0, None),
                ("dat", op2.WRITE, "direct", 1, 0, None))
-        src = _native1(op2.Kernel(k, name="scale_k"), sig)
+        src = generate_native(op2.Kernel(k, name="scale_k"), sig)
         assert "#pragma omp critical" not in src
         assert "#pragma omp parallel" in src
 
     def test_compiles_without_openmp(self):
         """The wrapper must be valid C without -fopenmp."""
-        src = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        src = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
         assert "#ifdef _OPENMP" in src
         assert "#define omp_get_max_threads() 1" in src
 
@@ -360,7 +343,7 @@ class TestNativeStructure:
                          ("gbl", op2.READ, 1), ("gbl", op2.MIN, 1)),
         }
         for name, sig in sigs.items():
-            src = _native1(KERNELS[name], sig)
+            src = generate_native(KERNELS[name], sig)
             assert f"op_native_{name}" in src
             assert src.count("{") == src.count("}")
 
@@ -381,7 +364,7 @@ def int_k(x, y):
            ("dat", op2.WRITE, "direct", 4, 0, None))
 
     def _src(self):
-        return _native1(op2.Kernel(self.INT_K), self.SIG)
+        return generate_native(op2.Kernel(self.INT_K), self.SIG)
 
     def test_int_local_declared_long_long(self):
         assert "long long j = " in self._src()
@@ -407,7 +390,7 @@ def int_k(x, y):
 
         sig = (("dat", op2.READ, "direct", 1, 0, None),
                ("dat", op2.WRITE, "direct", 1, 0, None))
-        src = _native1(op2.Kernel(flt_k), sig)
+        src = generate_native(op2.Kernel(flt_k), sig)
         assert "fmin(x[0], 0.5)" in src
         assert "fabs(x[0])" in src
         assert "?" not in src.split("static inline")[1].split("}")[0]
@@ -417,13 +400,13 @@ class TestNativeAtomicsStructure:
     """The compiled atomics strategy: chunked blocks, omp-atomic INCs."""
 
     def _src(self):
-        return _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
+        return generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
                                strategy="atomics")
 
     def test_entry_name_and_chunk_loop(self):
         src = self._src()
         kern = op2.Kernel(GOLDEN_FLUX)
-        assert f"void {native_entry_name([kern], 'atomics')}(" in src
+        assert f"void {native_entry_name(kern, 'atomics')}(" in src
         assert "op_native_atomics_golden_flux" in src
         # the iteration space is cut into _block-sized chunks — the
         # simulated CUDA grid the numpy atomics backend also uses
@@ -449,73 +432,60 @@ class TestNativeAtomicsStructure:
         assert "_blk_lo" not in src and "_ncolors" not in src
 
     def test_direct_loop_has_no_atomics(self):
-        src = _native1(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG,
+        src = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG,
                               strategy="atomics")
         assert "#pragma omp atomic" not in src  # no indirect INCs
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
+            generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
                             strategy="voodoo")
 
 
 class TestNativeFusedStructure:
-    """Group wrappers: one region, ordered sections, shared ABI."""
+    """The one-loop wrapper: one region, one ``_f0`` section, shared tail."""
 
-    def _kernels(self):
-        return [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_FLUX)]
-
-    def _src(self, strategy="blockcolor"):
-        return generate_native(
-            self._kernels(), [GOLDEN_UPDATE_SIG, GOLDEN_FLUX_SIG], strategy)
+    def _src(self, strategy="blockcolor", kernel=GOLDEN_FLUX,
+             sig=GOLDEN_FLUX_SIG):
+        return generate_native(op2.Kernel(kernel), sig, strategy)
 
     def test_single_parallel_region_spans_sections(self):
         src = self._src()
         assert src.count("#pragma omp parallel") == 1
-        assert "// -- section 0: golden_update" in src
-        assert "// -- section 1: golden_flux" in src
-        # section order is source order: the direct update runs first
-        assert src.index("section 0") < src.index("section 1")
+        assert src.count("// -- section") == 1
+        assert "// -- section 0: golden_flux" in src
 
     def test_entry_symbol(self):
-        src = self._src()
-        name = native_entry_name(self._kernels())
-        assert name == "op_native_golden_update__golden_flux"
-        assert f"void {name}(" in src
-
-    def test_elementals_renamed_per_section(self):
-        # the same kernel may appear twice in one group: every section
-        # gets its own renamed static copy
-        src = generate_native(
-            [op2.Kernel(GOLDEN_UPDATE), op2.Kernel(GOLDEN_UPDATE)],
-            [GOLDEN_UPDATE_SIG, GOLDEN_UPDATE_SIG])
-        assert "static inline void golden_update_f0(" in src
-        assert "static inline void golden_update_f1(" in src
-        assert src.count("{") == src.count("}")
+        name = native_entry_name(op2.Kernel(GOLDEN_FLUX))
+        assert name == "op_native_golden_flux"
+        assert f"void {name}(" in self._src()
 
     def test_per_section_plan_arrays_only_for_planned(self):
+        # the direct update needs no plan; the indirect flux carries
+        # its suffixed plan arrays on the tail
+        upd = self._src(kernel=GOLDEN_UPDATE, sig=GOLDEN_UPDATE_SIG)
+        assert "_blk_lo" not in upd
         src = self._src()
-        # section 0 (direct update) needs no plan; section 1 (indirect
-        # flux) carries its own suffixed plan arrays on the tail
-        assert "_blk_lo_f0" not in src
-        assert "const long long *_blk_lo_f1" in src
-        assert "long long _ncolors_f1" in src
+        assert "const long long *_blk_lo_f0" in src
+        assert "long long _ncolors_f0" in src
 
     def test_formals_suffixed_per_section(self):
         src = self._src()
-        assert "double *a0_f0" in src
-        assert "const long long *m0_f1" in src
-        # reduction staging is private per section too
-        assert "change_l_f0[1];" in src
-        assert "rms_l_f1[1];" in src
+        assert "static inline void golden_flux_f0(" in src
+        assert "const long long *m0_f0" in src
+        # reduction staging is suffixed too
+        assert "rms_l_f0[1];" in src
+        upd = self._src(kernel=GOLDEN_UPDATE, sig=GOLDEN_UPDATE_SIG)
+        assert "double *a0_f0" in upd
+        assert "change_l_f0[1];" in upd
 
     def test_atomics_strategy_fused(self):
         src = self._src(strategy="atomics")
-        assert "op_native_atomics_golden_update__golden_flux" in src
-        # no plans under atomics: both sections chunk over [start, end)
+        assert "op_native_atomics_golden_flux" in src
+        # no plans under atomics: the loop chunks over [start, end)
         assert "_blk_lo" not in src
         assert src.count(
-            "for (long long _lo = _start; _lo < _end; _lo += _block)") == 2
+            "for (long long _lo = _start; _lo < _end; _lo += _block)") == 1
         assert "#pragma omp atomic" in src
 
     def test_shared_tail(self):
@@ -530,13 +500,9 @@ class TestNativeFusedStructure:
             assert src.count("{") == src.count("}")
 
     def test_group_of_one_is_the_same_shape(self):
-        """N = 1 (an eager par_loop) is the N-section generator with one
-        section: one region, one section, the shared tail."""
+        """Both strategies emit the same one-region, one-section shape."""
         for strategy in ("blockcolor", "atomics"):
-            src = _native1(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG, strategy)
+            src = self._src(strategy)
             assert src.count("#pragma omp parallel") == 1
             assert src.count("// -- section") == 1
-            assert "// -- section 0: golden_flux" in src
             assert "static inline void golden_flux_f0(" in src
-            assert "long long _start,\n    long long _end,\n"  \
-                "    long long _block,\n    long long _nthreads) {" in src

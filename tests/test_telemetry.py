@@ -427,7 +427,7 @@ def _seed_execute(self, backend_name=None):
     backend = resolve_backend(backend_name or cfg.backend)
     assert not self.iterset.is_distributed
     reductions = ReductionBuffers(self.args)
-    backend.execute([self], 0, self.iterset.size, [reductions])
+    backend.execute(self, 0, self.iterset.size, reductions)
     reductions.finalize(None)
     self._mark_written_stale()
 
