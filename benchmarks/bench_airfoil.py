@@ -17,8 +17,8 @@ def mesh():
     return make_airfoil_mesh(ni=96, nj=24)
 
 
-@pytest.mark.parametrize("backend", ["sequential", "vectorized", "coloring",
-                                     "atomics", "blockcolor"])
+@pytest.mark.parametrize("backend", ["sequential", "vectorized", "native",
+                                     "native-atomics"])
 def test_airfoil_iteration(benchmark, mesh, backend):
     app = AirfoilApp(mesh, backend=backend)
     app.iterate(1)  # warm codegen/plan caches
@@ -33,8 +33,7 @@ def test_report_airfoil_portability(report, mesh, benchmark):
 
     rows = []
     ref = None
-    for backend in ["sequential", "vectorized", "coloring", "atomics",
-                    "blockcolor"]:
+    for backend in ["sequential", "vectorized", "native", "native-atomics"]:
         app = AirfoilApp(mesh, backend=backend)
         app.iterate(1)
         t0 = time.perf_counter()

@@ -298,21 +298,26 @@ def _cmd_tables(_args: argparse.Namespace) -> int:
 def _cmd_codegen(args: argparse.Namespace) -> int:
     from repro import op2
     from repro.hydra.kernels import KERNELS
-    from repro.op2.codegen.seq import generate_sequential
-    from repro.op2.codegen.vector import generate_vectorized
+    from repro.op2.codegen import (generate_native, generate_sequential,
+                                   generate_vectorized)
 
     kernel = KERNELS["flux_edge"]
-    signature = (
-        ("dat", op2.READ, "idx", 5, 2), ("dat", op2.READ, "idx", 5, 2),
-        ("dat", op2.READ, "direct", 3, 0),
-        ("dat", op2.INC, "idx", 5, 2), ("dat", op2.INC, "idx", 5, 2),
+    # the compiled wrappers' signature: dats also name their map column
+    native_signature = (
+        ("dat", op2.READ, "idx", 5, 2, 0), ("dat", op2.READ, "idx", 5, 2, 1),
+        ("dat", op2.READ, "direct", 3, 0, None),
+        ("dat", op2.INC, "idx", 5, 2, 0), ("dat", op2.INC, "idx", 5, 2, 1),
         ("gbl", op2.READ, 1),
     )
+    signature = tuple(sig if sig[0] == "gbl" else sig[:5]
+                      for sig in native_signature)
     if args.backend == "sequential":
         print(generate_sequential(kernel.name, signature))
+    elif args.backend == "vectorized":
+        print(generate_vectorized(kernel, signature, "atomic"))
     else:
-        scatter = "colored" if args.backend == "coloring" else "atomic"
-        print(generate_vectorized(kernel, signature, scatter))
+        strategy = op2.resolve_backend(args.backend).strategy
+        print(generate_native(kernel, native_signature, strategy))
     return 0
 
 
@@ -644,6 +649,8 @@ def _cmd_report(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.op2.backends import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -729,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codegen", help="show generated kernel source")
     p.add_argument("--backend",
-                   choices=["sequential", "vectorized", "coloring"],
+                   choices=["sequential", "vectorized", "native",
+                            "native-atomics"],
                    default="vectorized")
     p.set_defaults(fn=_cmd_codegen)
 
@@ -780,12 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-kernel airfoil timings under one or "
                             "more backends")
     p.add_argument("--backend", action="append", default=None,
-                   metavar="NAME",
-                   help="repeatable; any of sequential, vectorized, "
-                        "atomics, blockcolor, native, native-atomics; "
-                        "default: vectorized + native (the native "
-                        "backends fall back to their numpy twins "
-                        "without a C toolchain)")
+                   choices=sorted(BACKENDS), metavar="NAME",
+                   help="repeatable; one of %(choices)s; default: "
+                        "vectorized + native (the native backends fall "
+                        "back to vectorized without a C toolchain)")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--ni", type=int, default=64)
     p.add_argument("--nj", type=int, default=16)

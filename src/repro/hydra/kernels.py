@@ -2,8 +2,9 @@
 
 Each function below is a restricted-language OP2 kernel describing the
 computation for one mesh element. The code generator turns these into
-sequential, vectorized, colored, and atomics parallelizations; nothing
-here knows about parallelism — exactly the paper's Fig. 3 discipline.
+sequential, vectorized and compiled block-color-plan and atomics
+parallelizations; nothing here knows about parallelism — exactly the
+paper's Fig. 3 discipline.
 
 Conserved state layout: ``q = [rho, rho*ux, rho*uy, rho*uz, E]``.
 Residual convention: ``res`` accumulates the net *outflow* plus dual

@@ -4,10 +4,11 @@ Declares a problem as sets, maps (connectivity), dats (data on sets)
 and Globals, and executes computation as parallel loops over sets with
 per-argument access descriptors. A real code-generation layer turns
 each scalar elemental kernel into specialized source per backend
-(sequential reference, vectorized/SIMD, coloring/OpenMP-analogue,
-atomics/CUDA-analogue), and the distribution machinery runs the same
-loops over simulated-MPI ranks with owner-compute redundant execution
-and halo exchanges.
+(sequential reference, vectorized/SIMD numpy, and compiled C in the
+paper's two race strategies: the OpenMP block-color plan and CUDA-style
+atomics), and the distribution machinery runs the same loops over
+simulated-MPI ranks with owner-compute redundant execution and halo
+exchanges.
 
 Quick example::
 
@@ -64,7 +65,6 @@ from repro.op2.plan import (
     build_block_plan,
     build_plan,
     clear_plan_cache,
-    validate_coloring,
 )
 from repro.op2.set import Set
 
@@ -77,7 +77,7 @@ __all__ = [
     "Kernel", "KernelParseError", "ParLoop", "par_loop",
     # plans
     "Plan", "BlockPlan", "build_plan", "build_block_plan",
-    "clear_plan_cache", "validate_coloring",
+    "clear_plan_cache",
     # backends & config
     "BACKENDS", "resolve_backend", "Config", "configure",
     "current_config", "set_config", "set_default_config",

@@ -15,8 +15,8 @@ Execution strategies mirror the Python backends exactly:
   run team-parallel, colors are separated by barriers;
 * the ``native-atomics`` backend instead cuts the range into
   ``Config.atomics_block``-sized chunks and resolves indirect
-  increments with ``#pragma omp atomic`` — the compiled form of the
-  CUDA strategy the numpy ``atomics`` backend simulates;
+  increments with ``#pragma omp atomic`` — the paper's CUDA strategy,
+  compiled for the host;
 * global reductions accumulate into thread-private staging folded
   under ``#pragma omp critical``, into the caller's
   :class:`~repro.op2.backends.base.ReductionBuffers` partials — so
@@ -35,7 +35,12 @@ Degradation is graceful by design: a missing toolchain, a compile
 failure, or an unusable cached object warns **once** per process,
 bumps the ``op2.native.fallback`` telemetry counter, and routes the
 loop through the vectorized backend — every entry point keeps working
-on a machine with no compiler at all.
+on a machine with no compiler at all. Both strategies degrade to
+``vectorized``, so a degraded ``native-atomics`` loop scatters its
+whole extent at once: bitwise-equal to chunk-by-chunk numpy
+accumulation while the extent fits in one ``atomics_block`` chunk,
+within 1e-12 beyond that (several INC statements aliasing one dat
+reassociate per chunk).
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 
 from repro.op2.access import Access
 from repro.op2.backends.base import ReductionBuffers
-from repro.op2.backends.vectorized import AtomicsBackend, VectorizedBackend
+from repro.op2.backends.vectorized import VectorizedBackend
 from repro.op2.codegen.csource import (generate_native, native_entry_name,
                                        native_is_planned)
 from repro.op2.config import current_config
@@ -359,19 +364,15 @@ class NativeBackend:
 class NativeAtomicsBackend(NativeBackend):
     """Compiled-C execution with chunked ``#pragma omp atomic`` scatter.
 
-    The compiled analogue of the numpy :class:`~repro.op2.backends.
-    vectorized.AtomicsBackend` (itself the CUDA-grid simulation): the
-    iteration space is cut into :func:`~repro.op2.backends.vectorized.
-    atomics_chunks` of ``Config.atomics_block`` elements, every
-    indirect increment is an ``#pragma omp atomic``, and no
-    block-color plan is ever built. Falls back to the numpy atomics
-    backend — not vectorized — so degraded runs keep the same
-    chunk-serial accumulation semantics.
+    The paper's CUDA strategy on the host: the iteration space is cut
+    into chunks ("thread blocks") of ``Config.atomics_block``
+    elements, every indirect increment is an ``#pragma omp atomic``,
+    and no block-color plan is ever built. Degrades to ``vectorized``
+    like :class:`NativeBackend`.
     """
 
     name = "native-atomics"
     strategy = "atomics"
-    _fallback = AtomicsBackend()
 
     def _unsupported(self, loop: "ParLoop") -> "_Fallback | None":
         base = super()._unsupported(loop)
@@ -379,8 +380,7 @@ class NativeAtomicsBackend(NativeBackend):
             return base
         # atomics only resolve increment races: an indirect WRITE/RW
         # would be a plain multi-thread data race in the compiled
-        # wrapper, while the numpy simulation stays deterministic —
-        # route such loops to the simulation
+        # wrapper, while the numpy fallback stays deterministic
         for arg in loop.args:
             if (arg.is_indirect
                     and arg.access not in (Access.READ, Access.INC)):

@@ -1,11 +1,11 @@
 """Race-sanitizer backend: executes coloring plans while verifying them.
 
-The ``coloring``/``blockcolor`` backends *trust* their plan: a color
-group is scattered with plain fancy ``+=``, which silently drops
-increments if two elements of the group alias one dat entry. On real
-shared-memory hardware the same bug is a data race — wrong answers,
-no diagnostics. The sanitizer runs the identical colored execution but
-first replays every scatter statement symbolically, recording the
+A colored execution *trusts* its plan: a color group is scattered with
+plain fancy ``+=``, which silently drops increments if the group
+writes one dat entry twice in one statement. On real shared-memory
+hardware the same bug is a data race — wrong answers, no
+diagnostics. The sanitizer runs the colored execution but first
+replays every scatter statement symbolically, recording the
 per-element write-set (which dat entries each element touches), and
 fails loudly with a :class:`RaceError` naming the kernel, the color,
 the conflicting elements and the shared target. It also checks that
@@ -38,7 +38,11 @@ __all__ = ["RaceError", "RaceFinding", "SanitizerBackend",
 
 @dataclass(frozen=True)
 class RaceFinding:
-    """Two or more same-color elements writing one dat entry."""
+    """One dat entry written twice by a single same-color scatter.
+
+    Either two or more same-color elements (or blocks) write it, or —
+    through a vector map row that repeats a target — one element does.
+    """
 
     unit: str                 #: scatter statement, e.g. "res via edge2cell[*]"
     color: int
@@ -46,6 +50,10 @@ class RaceFinding:
     elements: tuple[int, ...]  #: the conflicting elements (or blocks)
 
     def describe(self) -> str:
+        if len(self.elements) == 1:
+            return (f"color {self.color}: element {self.elements[0]} "
+                    f"scatters into {self.unit} row {self.target} more "
+                    f"than once")
         elems = ", ".join(str(e) for e in self.elements)
         return (f"color {self.color}: elements [{elems}] all scatter into "
                 f"{self.unit} row {self.target}")
@@ -64,8 +72,14 @@ class RaceError(RuntimeError):
 
 
 def _duplicate_targets(targets: np.ndarray, owners: np.ndarray,
-                       unit_label: str, color: int) -> list[RaceFinding]:
-    """Findings for every target hit by more than one distinct owner."""
+                       unit_label: str, color: int,
+                       distinct_owners: bool) -> list[RaceFinding]:
+    """Findings for every target hit more than once.
+
+    With ``distinct_owners`` a target only counts when more than one
+    distinct owner hits it — for owners that apply their own writes
+    serially (blocks); one fancy ``+=`` loses any repeat at all.
+    """
     if targets.size < 2:
         return []
     order = np.argsort(targets, kind="stable")
@@ -78,7 +92,7 @@ def _duplicate_targets(targets: np.ndarray, owners: np.ndarray,
             j += 1
         if j - i > 1:
             who = np.unique(o[i:j])
-            if who.size > 1:
+            if who.size > 1 or not distinct_owners:
                 findings.append(RaceFinding(
                     unit=unit_label, color=color, target=int(t[i]),
                     elements=tuple(int(x) for x in who)))
@@ -91,9 +105,10 @@ def check_plan(args, plan: Plan, start: int = 0) -> list[RaceFinding]:
 
     For every scatter statement (conflict unit) and every color group,
     records which dat rows each element writes and reports every row
-    touched by two distinct elements of the group — exactly the pairs
-    the colored backend would race on. ``start`` restricts the audit
-    to the executed segment (the redundant-halo phase runs
+    the statement's one fancy ``+=`` would write twice: touched by two
+    elements of the group or, for a vector unit (all map columns in
+    one statement), twice by the same element. ``start`` restricts the
+    audit to the executed segment (the redundant-halo phase runs
     ``[size, exec_size)`` separately from ``[0, size)``).
     """
     findings: list[RaceFinding] = []
@@ -101,12 +116,10 @@ def check_plan(args, plan: Plan, start: int = 0) -> list[RaceFinding]:
         for color, group in enumerate(plan.color_groups):
             if start > 0:
                 group = group[group >= start]
-            if group.size < 2:
-                continue
             targets = np.concatenate([col[group] for col in unit.columns])
             owners = np.concatenate([group] * len(unit.columns))
-            findings.extend(
-                _duplicate_targets(targets, owners, unit.label, color))
+            findings.extend(_duplicate_targets(
+                targets, owners, unit.label, color, distinct_owners=False))
     return findings
 
 
@@ -139,7 +152,8 @@ def check_block_plan(args, plan: BlockPlan) -> list[RaceFinding]:
                 continue
             targets = np.concatenate([col[rows] for col in unit.columns])
             owners = np.concatenate([block_of[rows]] * len(unit.columns))
-            findings.extend(_duplicate_targets(targets, owners, label, color))
+            findings.extend(_duplicate_targets(targets, owners, label, color,
+                                               distinct_owners=True))
     return findings
 
 
@@ -160,11 +174,11 @@ def _verify_partition(plan: Plan, kernel_name: str, start: int,
 class SanitizerBackend:
     """Colored execution with per-element write-set verification.
 
-    Numerically identical to the ``coloring`` backend (same generated
-    wrapper, same group order) but every plan is audited first; a racy
-    or non-partitioning plan raises :class:`RaceError` before any data
-    is touched. Slower — run it in tests and debugging sessions, not
-    production sweeps.
+    Runs the plan's color groups in order through the colored
+    (plain ``+=``) vectorized wrapper, but every plan is audited first;
+    a racy or non-partitioning plan raises :class:`RaceError` before
+    any data is touched. Slower — run it in tests and debugging
+    sessions, not production sweeps.
     """
 
     name = "sanitizer"

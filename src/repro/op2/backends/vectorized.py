@@ -1,14 +1,10 @@
-"""Vectorized backends: whole-array execution of the transformed kernel.
+"""Vectorized backend: whole-array execution of the transformed kernel.
 
-Three backends share the vector code generator and differ only in how
-they slice the iteration space and resolve scatter conflicts:
-
-* :class:`VectorizedBackend` — one shot over the whole range with
-  ``np.add.at`` scatter (single-source SIMD analogue);
-* :class:`ColoringBackend` — per conflict-free color group with plain
-  fancy ``+=`` scatter (OpenMP coloring analogue);
-* :class:`AtomicsBackend` — fixed-size chunks with ``np.add.at``
-  scatter, modelling a GPU grid of thread blocks (CUDA analogue).
+:class:`VectorizedBackend` runs the generated numpy wrapper once over
+the whole range with ``np.add.at`` scatter (the single-source SIMD
+analogue); it is also what both compiled backends degrade to. The
+sanitizer backend shares :func:`_get_wrapper` for its colored
+(plain ``+=``) scatter.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ import numpy as np
 from repro.op2.backends.base import ReductionBuffers
 from repro.op2.codegen.seq import compile_wrapper
 from repro.op2.codegen.vector import generate_vectorized
-from repro.op2.config import current_config
-from repro.op2.plan import build_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.parloop import ParLoop
@@ -37,20 +31,6 @@ def _get_wrapper(loop: "ParLoop", scatter: str):
         wrapper = compile_wrapper(source, loop.kernel.name)
         loop.kernel.store(key, wrapper, source)
     return wrapper
-
-
-def atomics_chunks(start: int, end: int, block: int):
-    """Yield the ``(lo, hi)`` simulated thread-block ranges of [start, end).
-
-    Shared by the numpy ``atomics`` backend and the compiled
-    ``native-atomics`` backend so both slice the iteration space into
-    the *same* chunks (``Config.atomics_block`` elements each) — the
-    accumulation semantics the differential tests pin are defined in
-    terms of these ranges.
-    """
-    block = max(1, block)
-    for lo in range(start, end, block):
-        yield lo, min(lo + block, end)
 
 
 #: per-kernel row-index arrays, keyed (start, end); lives beside the
@@ -87,48 +67,3 @@ class VectorizedBackend:
         wrapper = _get_wrapper(loop, "atomic")
         flat = loop.flatten_bindings(reductions)
         wrapper(np, _get_rows(loop.kernel, start, end), *flat)
-
-
-class ColoringBackend:
-    """Conflict-free color groups with plain ``+=`` scatter.
-
-    The plan colors the whole range [0, end); each group is filtered
-    to the executed segment so redundant-halo segments stay separable.
-    Loops without indirect writes need no coloring and run in one shot.
-    """
-
-    name = "coloring"
-
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        plan = build_plan(loop.args, end)
-        flat = loop.flatten_bindings(reductions)
-        if plan is None:
-            wrapper = _get_wrapper(loop, "atomic")
-            wrapper(np, _get_rows(loop.kernel, start, end), *flat)
-            return
-        wrapper = _get_wrapper(loop, "colored")
-        for group in plan.color_groups:
-            if start > 0:
-                group = group[group >= start]
-            if group.size:
-                wrapper(np, group, *flat)
-
-
-class AtomicsBackend:
-    """Chunked execution with atomic-add scatter (CUDA grid analogue).
-
-    The chunk size (``Config.atomics_block``) is the simulated
-    thread-block extent; the performance model uses the resulting
-    block counts when projecting GPU runtimes.
-    """
-
-    name = "atomics"
-
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        block = current_config().atomics_block
-        wrapper = _get_wrapper(loop, "atomic")
-        flat = loop.flatten_bindings(reductions)
-        for lo, hi in atomics_chunks(start, end, block):
-            wrapper(np, _get_rows(loop.kernel, lo, hi), *flat)

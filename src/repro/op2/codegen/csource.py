@@ -1,26 +1,15 @@
-"""C-family source generation: the CUDA and OpenMP text OP2 would emit.
+"""Compiled C generation: one self-contained wrapper per ``par_loop``.
 
-The executable backends in this reproduction are numpy programs, but
-the paper's tool-chain emits *C/CUDA source files* that a conventional
+The paper's tool-chain emits C source files that a conventional
 compiler builds (Fig. 4: "generated code is human readable and can be
-compiled using a conventional compiler"). This module closes that
-loop: from the same validated kernel AST, it emits
-
-* a ``__global__`` CUDA kernel using ``atomicAdd`` for indirect
-  increments (the data-race strategy the paper uses on V100s), and
-* an OpenMP wrapper executing the block-color plan (the strategy the
-  paper's CPU backend uses),
-
-as faithful source *text*, and additionally — via
-:func:`generate_native` — *self-contained, compilable* C translation
-units that the :mod:`repro.op2.backends.native` backend builds with
-the host toolchain (``cc -O2 -fopenmp -shared -fPIC``) and invokes
-through ``ctypes``: one wrapper per ``par_loop``, running inside a
-single OpenMP region, in either the block-color-plan or the
-chunked-``#pragma omp atomic`` strategy. The
-``atomics`` and ``blockcolor`` Python backends remain the executable
-simulations of the CUDA/OpenMP strategies, and the tests pin the
-structural correspondence between all the forms.
+compiled using a conventional compiler"). From the same validated
+kernel AST the numpy generators consume, :func:`generate_native`
+emits a translation unit the :mod:`repro.op2.backends.native` backend
+builds with the host toolchain (``cc -O2 -fopenmp -shared -fPIC``) and
+invokes through ``ctypes``: one wrapper per ``par_loop``, running
+inside a single OpenMP region, in one of the paper's two data-race
+strategies — the block-color plan (its OpenMP backend) or chunked
+``#pragma omp atomic`` increments (its CUDA backend's atomics).
 """
 
 from __future__ import annotations
@@ -30,7 +19,7 @@ import copy
 from typing import Sequence
 
 from repro.op2.access import Access
-from repro.op2.kernel import Kernel, KernelParseError, MATH_WHITELIST
+from repro.op2.kernel import Kernel, KernelParseError
 
 #: kernel math names -> C math spellings (floating-point operands; the
 #: integer-typed forms of ``abs``/``min``/``max`` are special-cased in
@@ -42,124 +31,6 @@ _C_MATH = {
     "atan2": "atan2", "min": "fmin", "max": "fmax", "pow": "pow",
     "copysign": "copysign",
 }
-
-
-def generate_cuda(kernel: Kernel, signature: Sequence[tuple]) -> str:
-    """Emit the CUDA kernel + device elemental function for this loop."""
-    params = kernel.params
-    if len(params) != len(signature):
-        raise KernelParseError(
-            f"kernel {kernel.name!r} takes {len(params)} parameters but the "
-            f"loop supplies {len(signature)} arguments"
-        )
-    device_fn = _elemental_c(kernel, signature, device=True)
-
-    formals: list[str] = []
-    prologue: list[str] = []
-    call: list[str] = []
-    epilogue: list[str] = []
-    for i, (pname, sig) in enumerate(zip(params, signature)):
-        if sig[0] == "gbl":
-            _, access, dim = sig
-            if access is Access.READ:
-                formals.append(f"const double *g{i}")
-                call.append(f"g{i}")
-            else:
-                # per-thread reduction staging + atomic fold; MIN/MAX use
-                # the CAS-based double atomics of the OP2 runtime library
-                formals.append(f"double *g{i}")
-                neutral = {Access.INC: "0.0", Access.MIN: "INFINITY",
-                           Access.MAX: "-INFINITY"}[access]
-                fold = {Access.INC: "atomicAdd",
-                        Access.MIN: "op_atomic_min_double",
-                        Access.MAX: "op_atomic_max_double"}[access]
-                prologue.append(f"double {pname}_l[{dim}] = {{{neutral}}};")
-                call.append(f"{pname}_l")
-                epilogue.append(
-                    f"for (int d = 0; d < {dim}; d++) "
-                    f"{fold}(&g{i}[d], {pname}_l[d]);"
-                )
-            continue
-        _, access, addressing, dim, arity = sig
-        formals.append(f"double *a{i}")
-        if addressing == "direct":
-            call.append(f"a{i} + n * {dim}")
-        elif addressing == "idx":
-            formals.append(f"const int *m{i}")
-            call.append(f"a{i} + m{i}[n] * {dim}")
-        else:  # vector arg: pass the map row, the device fn indexes it
-            formals.append(f"const int *m{i}")
-            call.append(f"a{i}")
-            call.append(f"m{i} + n * {arity}")
-
-    lines = [
-        f"// generated by repro.op2 — CUDA (atomics) variant of "
-        f"{kernel.name}",
-        device_fn,
-        "",
-        f"__global__ void op_cuda_{kernel.name}(",
-        "    " + ",\n    ".join(formals + ["int set_size"]) + ") {",
-        "  int n = blockIdx.x * blockDim.x + threadIdx.x;",
-        "  if (n < set_size) {",
-    ]
-    lines.extend(f"    {p}" for p in prologue)
-    lines.append(f"    {kernel.name}_gpu({', '.join(call)});")
-    lines.extend(f"    {e}" for e in epilogue)
-    lines.extend(["  }", "}"])
-    return "\n".join(lines) + "\n"
-
-
-def generate_openmp(kernel: Kernel, signature: Sequence[tuple]) -> str:
-    """Emit the OpenMP block-color wrapper for this loop."""
-    params = kernel.params
-    if len(params) != len(signature):
-        raise KernelParseError(
-            f"kernel {kernel.name!r} takes {len(params)} parameters but the "
-            f"loop supplies {len(signature)} arguments"
-        )
-    elemental = _elemental_c(kernel, signature, device=False)
-    formals: list[str] = []
-    call: list[str] = []
-    for i, (pname, sig) in enumerate(zip(params, signature)):
-        if sig[0] == "gbl":
-            _, access, dim = sig
-            formals.append(f"double *g{i}")
-            call.append(f"g{i}")
-            continue
-        _, access, addressing, dim, arity = sig
-        formals.append(f"double *a{i}")
-        if addressing == "direct":
-            call.append(f"a{i} + n * {dim}")
-        elif addressing == "idx":
-            formals.append(f"const int *m{i}")
-            call.append(f"a{i} + m{i}[n] * {dim}")
-        else:
-            formals.append(f"const int *m{i}")
-            call.append(f"a{i}")
-            call.append(f"m{i} + n * {arity}")
-
-    lines = [
-        f"// generated by repro.op2 — OpenMP (block-color plan) variant of "
-        f"{kernel.name}",
-        elemental,
-        "",
-        f"void op_omp_{kernel.name}(",
-        "    " + ",\n    ".join(
-            formals + ["const op_plan *plan", "int set_size"]) + ") {",
-        "  for (int col = 0; col < plan->ncolors; col++) {",
-        "    #pragma omp parallel for",
-        "    for (int b = 0; b < plan->ncolblk[col]; b++) {",
-        "      int blockId = plan->blkmap[plan->color_offset[col] + b];",
-        "      int start = plan->blk_start[blockId];",
-        "      int end   = plan->blk_end[blockId];",
-        "      for (int n = start; n < end; n++) {",
-        f"        {kernel.name}({', '.join(call)});",
-        "      }",
-        "    }",
-        "  }",
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def native_entry_name(kernel: Kernel, strategy: str = "blockcolor") -> str:
@@ -282,10 +153,9 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
                     strategy: str = "blockcolor") -> str:
     """Emit one self-contained compilable C wrapper for a loop.
 
-    Unlike :func:`generate_openmp` (faithful *text* against OP2's
-    ``op_plan`` struct), this produces a translation unit the native
-    backend actually builds and ``dlopen``\\ s: one wrapper per
-    ``par_loop``, as OP2 generates one per ``op_par_loop``.
+    The translation unit is what the native backend builds and
+    ``dlopen``\\ s: one wrapper per ``par_loop``, as OP2 generates one
+    per ``op_par_loop``.
     ``signature`` is the loop's
     :meth:`~repro.op2.parloop.ParLoop.native_signature`: dat entries
     carry a sixth element, the map index, so indirect accesses index
@@ -305,8 +175,8 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
     * ``"atomics"`` — the compiled GPU analogue: fixed-size chunks
       ("thread blocks", extent ``_block``) with ``#pragma omp atomic``
       on every indirect increment, never planned. Chunk boundaries
-      carry an implicit barrier, matching the chunk-serial
-      accumulation order of the numpy-simulated ``atomics`` backend.
+      carry an implicit barrier, so chunks accumulate one after
+      another.
 
     ABI (all pointers are raw numpy data pointers, indices are
     ``long long``): one ``double*`` per argument (reductions receive
@@ -329,9 +199,8 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
 
     base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
     fn_name = f"{kernel.name}{_TAG}"
-    elemental = _elemental_c(kernel, base_sig, device=False,
-                             index_type="long long", omp_atomic=atomics,
-                             fn_name=fn_name)
+    elemental = _elemental_c(kernel, base_sig, index_type="long long",
+                             omp_atomic=atomics, fn_name=fn_name)
     formals, call, red_decl, red_fold = _native_args(kernel, signature)
     planned = not atomics and native_is_planned(signature)
     if planned:
@@ -373,14 +242,13 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
 
 
 def _elemental_c(kernel: Kernel, signature: Sequence[tuple],
-                 device: bool, index_type: str = "int",
-                 omp_atomic: bool = False, fn_name: str | None = None) -> str:
-    """Translate the elemental kernel body to C.
+                 index_type: str = "int", omp_atomic: bool = False,
+                 fn_name: str | None = None) -> str:
+    """Translate the elemental kernel body to a ``static inline`` C function.
 
     ``omp_atomic`` emits ``#pragma omp atomic`` before every indirect
-    increment (the compiled analogue of the CUDA ``atomicAdd`` path);
-    ``fn_name`` overrides the emitted function name so a group wrapper
-    can hold several renamed copies in one translation unit.
+    increment; ``fn_name`` overrides the emitted function name (the
+    kernel's name by default).
     """
     params = kernel.params
     formals = []
@@ -398,15 +266,12 @@ def _elemental_c(kernel: Kernel, signature: Sequence[tuple],
             formals.append(f"const {index_type} *{pname}_map")
         else:
             formals.append(f"{const}double *{pname}")
-        if ((device or omp_atomic) and access is Access.INC
+        if (omp_atomic and access is Access.INC
                 and addressing in ("idx", "all")):
             inc_params.add(pname)
 
-    body = _CBody(kernel, signature, device, inc_params,
-                  omp_atomic=omp_atomic).translate()
-    qual = "__device__ inline" if device else "static inline"
-    suffix = "_gpu" if device else ""
-    head = (f"{qual} void {fn_name or kernel.name + suffix}("
+    body = _CBody(kernel, signature, inc_params).translate()
+    head = (f"static inline void {fn_name or kernel.name}("
             + ", ".join(formals) + ") {")
     return "\n".join([head] + [f"  {line}" for line in body] + ["}"])
 
@@ -415,12 +280,9 @@ class _CBody:
     """Statement-by-statement C translation of a validated kernel body."""
 
     def __init__(self, kernel: Kernel, signature: Sequence[tuple],
-                 device: bool, inc_params: set[str],
-                 omp_atomic: bool = False) -> None:
+                 inc_params: set[str]) -> None:
         self.kernel = kernel
-        self.device = device
-        self.omp_atomic = omp_atomic
-        self.inc_params = inc_params
+        self.inc_params = inc_params  #: written through ``#pragma omp atomic``
         self.vector_params = {
             p for p, sig in zip(kernel.params, signature)
             if sig[0] == "dat" and sig[2] == "all"
@@ -524,21 +386,14 @@ class _CBody:
                   ast.Div: "/="}[type(stmt.op)]
             target = stmt.target
             value = self._expr(stmt.value)
-            # indirect INC becomes an atomic: CUDA atomicAdd on the
-            # device, ``#pragma omp atomic`` in the compiled atomics
-            # strategy (same data-race resolution, host toolchain)
-            if ((self.device or self.omp_atomic)
-                    and isinstance(target, ast.Subscript)):
+            # indirect INC under the atomics strategy
+            if isinstance(target, ast.Subscript):
                 base = target
                 while isinstance(base, ast.Subscript):
                     base = base.value
                 if isinstance(base, ast.Name) and base.id in self.inc_params:
-                    loc = self._expr(target)
-                    if self.device:
-                        signed = value if op == "+=" else f"-({value})"
-                        return [f"atomicAdd(&{loc}, {signed});"]
                     return ["#pragma omp atomic",
-                            f"{loc} {op} {value};"]
+                            f"{self._expr(target)} {op} {value};"]
             return [f"{self._expr(target)} {op} {value};"]
         if isinstance(stmt, ast.For):
             var = stmt.target.id  # validated: Name

@@ -10,11 +10,11 @@ gather / compute / scatter staging.
 
 Two scatter policies share the generated compute body:
 
-* ``"atomic"`` — ``np.add.at`` unbuffered scatter-add, the analogue of
-  the paper's CUDA atomics strategy (correct under any conflicts);
+* ``"atomic"`` — ``np.add.at`` unbuffered scatter-add, correct under
+  any conflicts (the vectorized backend);
 * ``"colored"`` — plain fancy-indexed ``+=``, valid only for
-  conflict-free element groups, the analogue of the OpenMP coloring
-  execution (the caller supplies one color group at a time).
+  conflict-free element groups (the sanitizer backend, which supplies
+  one audited color group at a time).
 
 Wrapper calling convention::
 

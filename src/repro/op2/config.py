@@ -19,13 +19,13 @@ class Config:
     Attributes
     ----------
     backend:
-        Default compute backend: ``"sequential"``, ``"vectorized"``,
-        ``"coloring"``, ``"atomics"``, ``"blockcolor"``, ``"native"``
-        (compiled C via the host toolchain, block-color plan; falls
-        back to ``"vectorized"`` when no compiler is available) or
+        Default compute backend (a name in
+        :data:`~repro.op2.backends.BACKENDS`): ``"sequential"``,
+        ``"vectorized"``, ``"sanitizer"``, ``"native"`` (compiled C
+        via the host toolchain, block-color plan) or
         ``"native-atomics"`` (compiled C with chunked
-        ``#pragma omp atomic`` increments; falls back to
-        ``"atomics"``).
+        ``#pragma omp atomic`` increments). Both compiled backends
+        fall back to ``"vectorized"`` when no compiler is available.
     native_threads:
         OpenMP thread count of the native backends' compiled wrappers
         (each runs one loop, eager or chained, in one region);
@@ -41,14 +41,12 @@ class Config:
         Pack all of a loop's halo messages to one neighbour into a
         single message (paper's GH).
     atomics_block:
-        Chunk size of the atomics (CUDA-analogue) backends — the
-        simulated thread-block extent, shared by the numpy
-        ``atomics`` simulation and the compiled ``native-atomics``
-        wrappers so both accumulate in the same chunk order.
+        Chunk size of the ``native-atomics`` compiled wrappers — the
+        thread-block extent of the CUDA strategy; chunks accumulate
+        one after another.
     block_size:
-        Block extent of the block-color plan: the ``blockcolor``
-        (OpenMP-plan analogue) backend's blocks and the plan the
-        ``native`` backend's compiled wrappers execute.
+        Block extent of the block-color plan the ``native`` backend's
+        compiled wrappers execute (OP2's OpenMP plan shape).
     check_access:
         Debug mode: the sequential backend hands kernels *read-only*
         views for READ arguments, so a kernel violating its declared

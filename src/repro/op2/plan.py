@@ -4,12 +4,13 @@ When a par_loop increments data through a map, two elements that share
 a target must not execute concurrently. OP2's plan construction
 resolves this by coloring; we reproduce both granularities:
 
-* **element coloring** — used by the ``coloring`` backend: elements of
-  one color share no indirect-write target, so a whole color can be
-  executed as one conflict-free vectorized scatter;
+* **element coloring** — executed by the ``sanitizer`` backend, which
+  audits it first (:func:`~repro.op2.backends.sanitizer.check_plan`):
+  elements of one color share no indirect-write target, so a whole
+  color can be executed as one conflict-free vectorized scatter;
 * **block coloring** — OP2's OpenMP plan shape (contiguous blocks
-  colored by shared targets), exposed for the plan-quality ablation
-  benchmark and the performance model's block statistics.
+  colored by shared targets), executed by the compiled ``native``
+  backend and reported by the plan-quality ablation benchmark.
 
 Conflict granularity follows the generated scatter code: each scalar
 indirect-write argument scatters in its own serial statement, so two
@@ -286,12 +287,3 @@ def clear_native_plan_arrays() -> None:
         if cache:
             cache.clear()
 
-
-def validate_coloring(args, plan: Plan) -> bool:
-    """Check no color group has an intra-unit duplicate scatter target."""
-    for unit in conflict_units(args, plan.extent):
-        for group in plan.color_groups:
-            targets = np.concatenate([col[group] for col in unit.columns])
-            if np.unique(targets).size != targets.size:
-                return False
-    return True

@@ -18,8 +18,9 @@ correctness invariants:
 * **Race sanitizing** — the
   :class:`~repro.op2.backends.sanitizer.SanitizerBackend` OP2 backend
   executes coloring plans while auditing per-element write-sets,
-  raising :class:`~repro.op2.backends.sanitizer.RaceError` if two
-  same-color elements touch one dat entry.
+  raising :class:`~repro.op2.backends.sanitizer.RaceError` if one
+  color's scatter statement writes a dat entry twice — from two
+  same-color elements, or from one element's repeating vector map row.
 
 This package is a pure façade: the implementations live in
 ``repro.smpi`` and ``repro.op2.backends`` (which must not depend on

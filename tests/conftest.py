@@ -8,9 +8,18 @@ fixture; tests that need the thread-only deterministic scheduler
 either skip on ``"process"`` or pass ``transport="thread"`` explicitly.
 Fault plans and traced coupled runs work on both transports
 (``crash_hard`` faults are process-only).
+
+The numpy race-strategy simulations ``coloring``, ``atomics`` and
+``blockcolor`` live in ``tests/oracles/backends.py``; importing this
+file registers them into ``repro.op2.BACKENDS`` so every test can
+select them by name, as it selects ``src/`` backends.
 """
 
 import pytest
+
+from tests.oracles.backends import register_oracle_backends
+
+register_oracle_backends()
 
 
 @pytest.fixture(params=["thread", "process"])

@@ -30,9 +30,12 @@ Tolerance model (see ``backends/native.py``):
   comparisons against sequential, whose scatter order differs
   legitimately.
 
-When no C toolchain is present the native entries transparently run
-their numpy fallbacks (vectorized / atomics); every assertion still
-holds, so this whole suite doubles as the no-compiler fallback proof.
+``atomics`` and ``blockcolor`` are the numpy simulations of the two
+compiled strategies, kept as oracles in ``tests/oracles/backends.py``
+(``tests/conftest.py`` registers them). When no C toolchain is present
+both native entries transparently run ``vectorized`` and the bitwise
+pins are skipped; every other assertion still holds, so this whole
+suite doubles as the no-compiler fallback proof.
 A derandomized seed corpus of hand-written kernels is checked in
 below; the hypothesis runs are derandomized too, keeping CI stable.
 """

@@ -39,7 +39,8 @@ def test_tables(capsys):
 def test_codegen_variants(capsys):
     for backend, marker in [("sequential", "_seq_wrapper"),
                             ("vectorized", "add.at"),
-                            ("coloring", "+= r1")]:
+                            ("native", "#pragma omp for"),
+                            ("native-atomics", "#pragma omp atomic")]:
         assert main(["codegen", "--backend", backend]) == 0
         assert marker in capsys.readouterr().out
 
@@ -113,6 +114,14 @@ def test_bench_single_backend(capsys):
     out = capsys.readouterr().out
     assert "blockcolor ms" in out
     assert "speedup" not in out
+
+
+def test_bench_rejects_unknown_backend(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--backend", "bogus"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and "usage:" in err
 
 
 def test_resume_latest_needs_a_checkpoint_dir(capsys):

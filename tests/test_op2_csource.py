@@ -1,5 +1,6 @@
-"""CUDA/OpenMP/native C source generation: structural correspondence
-with the executable Python backends (the paper's Fig. 4 outputs).
+"""C source generation: the compiled native wrappers, and the CUDA/OpenMP
+display text (``tests/oracles/csource_text.py``) built on the same
+elemental translation — the paper's Fig. 4 outputs.
 
 The native generator additionally has *golden* tests: its output is
 compared verbatim against checked-in ``tests/golden/native/*.c`` files
@@ -14,10 +15,10 @@ import pytest
 
 from repro import op2
 from repro.hydra.kernels import KERNELS
-from repro.op2.codegen.csource import (generate_cuda, generate_native,
-                                       generate_openmp, native_entry_name,
+from repro.op2.codegen.csource import (generate_native, native_entry_name,
                                        native_is_planned)
 from repro.op2.kernel import KernelParseError
+from tests.oracles.csource_text import generate_cuda, generate_openmp
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "native"
 

@@ -11,8 +11,8 @@ from repro.op2.plan import (
     build_plan,
     clear_plan_cache,
     conflict_units,
-    validate_coloring,
 )
+from repro.sanitize import check_plan
 
 
 @pytest.fixture(autouse=True)
@@ -120,7 +120,7 @@ def test_vector_arg_unit_groups_columns():
     acc = op2.Dat(nodes, 1)
     args = [acc.arg(op2.INC, pedge, op2.ALL)]
     plan = build_plan(args, 4)
-    assert validate_coloring(args, plan)
+    assert check_plan(args, plan) == []
     for group in plan.color_groups:
         targets = table[group].ravel()
         assert np.unique(targets).size == targets.size
@@ -137,7 +137,7 @@ def test_separate_scalar_args_may_share_across_columns():
     args = [acc.arg(op2.INC, pedge, 0), acc.arg(op2.INC, pedge, 1)]
     plan = build_plan(args, 2)
     assert plan.ncolors == 1
-    assert validate_coloring(args, plan)
+    assert check_plan(args, plan) == []
 
 
 def test_chain_mesh_color_counts():

@@ -183,3 +183,46 @@ class TestBlockPlanAudit:
         pairs = {f.elements for f in findings}
         assert (0, 1) in pairs and (1, 2) in pairs
         assert {f.target for f in findings} == {4, 8}
+
+
+class TestDegenerateVectorRow:
+    """A vector map row that repeats a target, e.g. ``[2, 3, 3]``: the
+    element's one fancy ``+=`` would drop the repeated increment."""
+
+    def make_cells(self):
+        nodes = op2.Set(5, "nodes")
+        cells = op2.Set(2, "cells")
+        cell2node = op2.Map(cells, nodes, 3, [[0, 1, 2], [2, 3, 3]],
+                            "cell2node")
+        return nodes, cells, cell2node
+
+    def spread(self):
+        def spread(a):
+            for i in range(3):
+                a[i, 0] += 1.0
+
+        return op2.Kernel(spread)
+
+    def test_check_plan_reports_same_element_repeat(self):
+        nodes, cells, cell2node = self.make_cells()
+        acc = op2.Dat(nodes, 1, name="acc")
+        arg = acc.arg(op2.INC, cell2node, op2.ALL)
+        plan = op2.build_plan([arg], cells.size)
+        findings = check_plan([arg], plan)
+        assert [(f.target, f.elements) for f in findings] == [(3, (1,))]
+
+    def test_sanitizer_raises_instead_of_losing_an_increment(self):
+        nodes, cells, cell2node = self.make_cells()
+        ref = op2.Dat(nodes, 1, name="ref")
+        op2.par_loop(self.spread(), cells,
+                     ref.arg(op2.INC, cell2node, op2.ALL),
+                     backend="sequential")
+        assert ref.data_ro[3, 0] == 2.0
+        acc = op2.Dat(nodes, 1, name="acc")
+        with pytest.raises(RaceError) as excinfo:
+            op2.par_loop(self.spread(), cells,
+                         acc.arg(op2.INC, cell2node, op2.ALL),
+                         backend="sanitizer")
+        message = str(excinfo.value)
+        assert "element 1 scatters into acc via cell2node[*] row 3" in message
+        np.testing.assert_array_equal(acc.data_ro, 0.0)  # nothing applied

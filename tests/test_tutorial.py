@@ -88,13 +88,16 @@ class TestTutorial:
         nodes, edges, pedge, x, u, du, _ = build_serial()
         diffuse(nodes, edges, pedge, x, u, du, steps=1)
         k = op2.Kernel(flux)
-        from repro.op2.codegen import generate_cuda
+        from repro.op2.codegen import generate_native
 
-        sig = (("dat", op2.READ, "idx", 1, 2), ("dat", op2.READ, "idx", 1, 2),
-               ("dat", op2.READ, "idx", 1, 2), ("dat", op2.READ, "idx", 1, 2),
-               ("dat", op2.INC, "idx", 1, 2), ("dat", op2.INC, "idx", 1, 2))
-        src = generate_cuda(k, sig)
-        assert "__global__" in src
+        sig = (("dat", op2.READ, "idx", 1, 2, 0),
+               ("dat", op2.READ, "idx", 1, 2, 1),
+               ("dat", op2.READ, "idx", 1, 2, 0),
+               ("dat", op2.READ, "idx", 1, 2, 1),
+               ("dat", op2.INC, "idx", 1, 2, 0),
+               ("dat", op2.INC, "idx", 1, 2, 1))
+        src = generate_native(k, sig, "atomics")
+        assert "#pragma omp atomic" in src
 
     def test_distributed_matches_serial(self):
         nodes, edges, pedge, x, u, du, table = build_serial()
