@@ -52,30 +52,28 @@ class SideGeometry:
 
         Quads span circumferentially adjacent grid columns (periodic
         wrap included: the seam quad is emitted twice, once shifted by
-        -L, so queries normalized to [0, L) always find a donor).
+        -L, so queries normalized to [0, L) always find a donor). Quads
+        are ordered by cell (row-major over the (nr-1, nt) cells), each
+        seam duplicate directly after its original.
         """
         nr, nt = self.grid_shape
-        y2 = self.y.reshape(nr, nt)
+        y2 = self.y.reshape(nr, nt)[:-1]
         z2 = self.z.reshape(nr, nt)
         L = self.circumference
-        boxes: list[list[float]] = []
-        corners: list[list[int]] = []
-        for iz in range(nr - 1):
-            for it in range(nt):
-                itp = (it + 1) % nt
-                y0 = y2[iz, it]
-                y1 = y2[iz, itp] if itp > it else y2[iz, it] + (L - y2[iz, it]
-                                                               + y2[iz, 0])
-                z0 = z2[iz, it]
-                z1 = z2[iz + 1, it]
-                pos = [iz * nt + it, iz * nt + itp,
-                       (iz + 1) * nt + itp, (iz + 1) * nt + it]
-                boxes.append([y0, z0, y1, z1])
-                corners.append(pos)
-                if y1 > L:  # seam quad: duplicate shifted into [-dy, 0]
-                    boxes.append([y0 - L, z0, y1 - L, z1])
-                    corners.append(pos)
-        return np.array(boxes), np.array(corners, dtype=np.int64)
+        y1 = np.roll(y2, -1, axis=1)
+        y1[:, -1] = y2[:, -1] + (L - y2[:, -1] + y2[:, 0])
+        boxes = np.stack([y2, z2[:-1], y1, z2[1:]], axis=-1).reshape(-1, 4)
+        pos = np.arange((nr - 1) * nt).reshape(nr - 1, nt)
+        nxt = np.roll(pos, -1, axis=1)
+        corners = np.stack([pos, nxt, nxt + nt, pos + nt],
+                           axis=-1).reshape(-1, 4)
+        # seam quad: duplicate shifted into [-dy, 0]
+        seam = boxes[:, 2] > L
+        cell = np.repeat(np.arange(seam.size), 1 + seam)
+        boxes, corners = boxes[cell], corners[cell]
+        dup = np.flatnonzero(seam) + np.arange(1, int(seam.sum()) + 1)
+        boxes[dup[:, None], [0, 2]] -= L
+        return boxes, corners
 
     def donor_geometry(self) -> DonorGeometry:
         """Cached :class:`DonorGeometry` of this side's donor grid."""

@@ -273,14 +273,17 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
     totals: dict[str, float] = {}
 
     engines: dict[int, CUTransferEngine] = {}
-    for d in my_dirs:
-        engines[d.direction] = engine = CUTransferEngine(
-            iface, d.src_iface, d.dst_iface, subset=d.cu_targets[cu_index],
-            search_kind=cfg.search, incremental=cfg.incremental,
-            interp=cfg.interp, native=cfg.interp_native)
-        # search-structure construction cost, reported once per run (a
-        # restart replaces the stats with the member's, which hold it)
-        acct.stats.build_ops += engine.stats.build_ops
+    with timed(totals, "setup", "coupler.setup"):
+        for d in my_dirs:
+            engines[d.direction] = engine = CUTransferEngine(
+                iface, d.src_iface, d.dst_iface,
+                subset=d.cu_targets[cu_index], search_kind=cfg.search,
+                incremental=cfg.incremental, interp=cfg.interp,
+                native=cfg.interp_native)
+            # search-structure construction cost, reported once per run
+            # (a restart replaces the stats with the member's, which
+            # hold it)
+            acct.stats.build_ops += engine.stats.build_ops
 
     def serve_round(t: float) -> None:
         with timed(totals, "serve", "coupler.serve"):
@@ -313,6 +316,7 @@ def cu_main(world, k: int, cu_index: int, ctx: RunContext) -> dict:
         "cu_index": cu_index,
         "rounds": acct.rounds,
         "stats": acct.stats,
+        "setup_seconds": totals["setup"],
         "serve_seconds": totals.get("serve", 0.0),
         "serve_compute_seconds": totals.get("serve_compute", 0.0),
         "checkpoint_seconds": totals.get("checkpoint_write", 0.0),

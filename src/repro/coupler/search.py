@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.coupler.adt import ADTree
+from repro.coupler.adt import ADTree, _inside, check_finite
 
 #: unified containment tolerance of both search strategies, threaded
 #: through ``find`` and ``find_batch``
@@ -262,13 +262,6 @@ def _touching_pairs(boxes: np.ndarray, eps: float
     return np.concatenate(pa), np.concatenate(pb)
 
 
-def _inside(b: np.ndarray, y, z, eps: float) -> np.ndarray:
-    """The containment predicate: (y, z) in box ``b`` inflated by
-    ``eps`` (``b``'s last axis is [ymin, zmin, ymax, zmax]; broadcasts)."""
-    return ((b[..., 0] - eps <= y) & (y <= b[..., 2] + eps)
-            & (b[..., 1] - eps <= z) & (z <= b[..., 3] + eps))
-
-
 def _bilinear_weights(box: np.ndarray, y: float, z: float) -> np.ndarray:
     """Corner weights of point (y, z) in rectangle ``box``.
 
@@ -322,6 +315,7 @@ class BruteForceSearch:
     def __init__(self, boxes: np.ndarray,
                  corners: np.ndarray | None = None) -> None:
         self.boxes = np.ascontiguousarray(boxes, dtype=np.float64)
+        check_finite(self.boxes)
         self.corners = corners
         self.stats = SearchStats()
 

@@ -11,7 +11,12 @@ gather / compute / scatter staging.
 Two scatter policies share the generated compute body:
 
 * ``"atomic"`` — ``np.add.at`` unbuffered scatter-add, correct under
-  any conflicts (the vectorized backend);
+  any conflicts (the vectorized backend). It gathers with ``np.take``
+  and scatters into the flat 1-D view of the dat, one index per
+  (element, component): numpy's fast 1-D paths, with the per-target
+  accumulation order — and so the sums, bitwise — of the 2-D
+  ``np.add.at(a, m, p)``. A dat that is not C-contiguous has no flat
+  view, so the wrapper raises rather than scatter into a copy;
 * ``"colored"`` — plain fancy-indexed ``+=``, valid only for
   conflict-free element groups (the sanitizer backend, which supplies
   one audited color group at a time).
@@ -49,11 +54,29 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
             f"loop supplies {len(signature)} arguments"
         )
 
+    atomic = scatter == "atomic"
     wrapper_params: list[str] = []
     gather: list[str] = []
     scatter_lines: list[str] = []
     reduce_lines: list[str] = []
     elementwise: set[str] = set()
+
+    def take(array: str, rows: str) -> str:
+        return f"_np.take({array}, {rows}, axis=0)" if atomic \
+            else f"{array}[{rows}]"
+
+    def add_at(i: int, pname: str, dim: int, cols: str) -> None:
+        """Scatter-add ``pname`` into dat ``i`` through its map rows
+        (``cols`` appends the component axis to them)."""
+        if not atomic:
+            scatter_lines.append(f"_a{i}[_m{i}[_rows]] += {pname}")
+            return
+        gather.append(
+            f"if not _a{i}.flags.c_contiguous: raise ValueError("
+            f"'{pname}: INC dat is not C-contiguous')")
+        scatter_lines.append(
+            f"_np.add.at(_a{i}.reshape(-1), (_m{i}[_rows]{cols} * {dim} "
+            f"+ _np.arange({dim})).reshape(-1), {pname}.reshape(-1))")
 
     for i, (pname, sig) in enumerate(zip(params, signature)):
         kind = sig[0]
@@ -85,7 +108,7 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
         elementwise.add(pname)
         wrapper_params.append(f"_a{i}")
         if addressing == "direct":
-            gather.append(f"{pname} = _a{i}[_rows]")
+            gather.append(f"{pname} = {take(f'_a{i}', '_rows')}")
             if access in (Access.WRITE, Access.RW, Access.INC):
                 scatter_lines.append(f"_a{i}[_rows] = {pname}")
         elif addressing == "idx":
@@ -94,12 +117,9 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
                 gather.append(
                     f"{pname} = _np.zeros((_n, {dim}), dtype=_a{i}.dtype)"
                 )
-                if scatter == "atomic":
-                    scatter_lines.append(f"_np.add.at(_a{i}, _m{i}[_rows], {pname})")
-                else:
-                    scatter_lines.append(f"_a{i}[_m{i}[_rows]] += {pname}")
+                add_at(i, pname, dim, "[:, None]")
             else:
-                gather.append(f"{pname} = _a{i}[_m{i}[_rows]]")
+                gather.append(f"{pname} = {take(f'_a{i}', f'_m{i}[_rows]')}")
                 if access is Access.WRITE:
                     scatter_lines.append(f"_a{i}[_m{i}[_rows]] = {pname}")
         elif addressing == "all":
@@ -108,12 +128,9 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
                 gather.append(
                     f"{pname} = _np.zeros((_n, {arity}, {dim}), dtype=_a{i}.dtype)"
                 )
-                if scatter == "atomic":
-                    scatter_lines.append(f"_np.add.at(_a{i}, _m{i}[_rows], {pname})")
-                else:
-                    scatter_lines.append(f"_a{i}[_m{i}[_rows]] += {pname}")
+                add_at(i, pname, dim, "[:, :, None]")
             else:
-                gather.append(f"{pname} = _a{i}[_m{i}[_rows]]")
+                gather.append(f"{pname} = {take(f'_a{i}', f'_m{i}[_rows]')}")
                 if access is Access.WRITE:
                     scatter_lines.append(f"_a{i}[_m{i}[_rows]] = {pname}")
         else:  # pragma: no cover

@@ -22,7 +22,11 @@ Coloring is the sequential first-fit greedy OP2's plan construction
 uses: walk the elements in order, give each the lowest color not yet
 present on any of its conflict targets (tracked as per-target color
 bitmasks). On a chain mesh this yields the classic 2 colors; color
-count is bounded by the maximum conflict degree plus one.
+count is bounded by the maximum conflict degree plus one. Block
+coloring keeps the masks in one int64 array per target set, so each
+block reads and marks all its targets in two array operations; a plan
+that needs more colors than an int64 mask holds is recolored with
+arbitrary-precision masks.
 """
 
 from __future__ import annotations
@@ -162,7 +166,8 @@ def _first_fit_colors(units: list[_Unit], n: int,
     used on any of its conflict targets, tracked as per-target color
     bitmasks (as in OP2's plan construction). ``row_of`` maps an item
     to the map rows it covers (identity for element coloring; the rows
-    of a block for block coloring) via ``row_of[item] == item_index``.
+    of a block when :func:`_first_fit_block_colors` runs out of int64
+    mask bits) via ``row_of[item] == item_index``.
     """
     colors = np.full(n, -1, dtype=np.int32)
     # Python ints as bitmasks: arbitrary color counts (a target shared by
@@ -194,12 +199,44 @@ def _first_fit_colors(units: list[_Unit], n: int,
     return colors, ncolors
 
 
+#: colors an int64 mask holds without touching the sign bit
+_MASK_COLORS = 62
+
+
+def _first_fit_block_colors(units: list[_Unit], extent: int,
+                            block_size: int) -> tuple[np.ndarray, int]:
+    """:func:`_first_fit_colors` over contiguous blocks of ``block_size``
+    rows, with one int64 color mask per target: each block ORs and then
+    marks all its units' targets at once. The same colors; past
+    ``_MASK_COLORS`` colors the plan is rebuilt with Python-int masks.
+    """
+    nblocks = max(1, -(-extent // block_size))
+    targets = [np.stack(u.columns, axis=1) for u in units]
+    masks = [np.zeros(u.target_size, dtype=np.int64) for u in units]
+    colors = np.full(nblocks, -1, dtype=np.int32)
+    for b in range(nblocks):
+        rows = slice(b * block_size, (b + 1) * block_size)
+        used = 0
+        for mask, tgt in zip(masks, targets):
+            used |= int(np.bitwise_or.reduce(mask[tgt[rows]], axis=None))
+        c = (~used & (used + 1)).bit_length() - 1   # lowest clear bit
+        if c >= _MASK_COLORS:
+            row_of = [np.arange(i * block_size,
+                                min((i + 1) * block_size, extent))
+                      for i in range(nblocks)]
+            return _first_fit_colors(units, nblocks, row_of=row_of)
+        colors[b] = c
+        for mask, tgt in zip(masks, targets):
+            mask[tgt[rows]] |= 1 << c
+    return colors, int(colors.max()) + 1
+
+
 def build_plan(args, extent: int) -> Plan | None:
     """Element-coloring plan for a loop, or None if it needs no coloring."""
-    units = conflict_units(args, extent)
-    if not units:
+    sig = _signature(args, extent)
+    if len(sig) == 1:   # no indirect writes
         return None
-    key = ("elem",) + _signature(args, extent)
+    key = ("elem",) + sig
     cached = _plan_cache.get(key)
     rec = active_recorder()
     if cached is not None:
@@ -208,7 +245,7 @@ def build_plan(args, extent: int) -> Plan | None:
         return cached  # type: ignore[return-value]
 
     t0 = time.perf_counter()
-    colors, ncolors = _first_fit_colors(units, extent)
+    colors, ncolors = _first_fit_colors(conflict_units(args, extent), extent)
     groups = [np.nonzero(colors == c)[0] for c in range(ncolors)]
     plan = Plan(extent=extent, colors=colors, ncolors=ncolors,
                 color_groups=groups, _maps=_maps_of(args))
@@ -229,17 +266,10 @@ def build_block_plan(args, extent: int, block_size: int = 256) -> BlockPlan | No
     therefore a conflict, so all writing columns per target set merge
     into a single conflict unit here.
     """
-    units = conflict_units(args, extent)
-    if not units:
+    sig = _signature(args, extent)
+    if len(sig) == 1:   # no indirect writes
         return None
-    merged: dict[int, _Unit] = {}
-    for u in units:
-        slot = merged.setdefault(
-            u.target_id, _Unit(u.target_size, [], u.target_id)
-        )
-        slot.columns.extend(u.columns)
-    units = list(merged.values())
-    key = ("block", block_size) + _signature(args, extent)
+    key = ("block", block_size) + sig
     cached = _plan_cache.get(key)
     rec = active_recorder()
     if cached is not None:
@@ -248,15 +278,17 @@ def build_block_plan(args, extent: int, block_size: int = 256) -> BlockPlan | No
         return cached  # type: ignore[return-value]
 
     t0 = time.perf_counter()
-    nblocks = max(1, -(-extent // block_size))
-    row_of = [
-        np.arange(b * block_size, min((b + 1) * block_size, extent),
-                  dtype=np.int64)
-        for b in range(nblocks)
-    ]
-    block_colors, ncolors = _first_fit_colors(units, nblocks, row_of=row_of)
+    merged: dict[int, _Unit] = {}
+    for u in conflict_units(args, extent):
+        slot = merged.setdefault(
+            u.target_id, _Unit(u.target_size, [], u.target_id)
+        )
+        slot.columns.extend(u.columns)
+    block_colors, ncolors = _first_fit_block_colors(
+        list(merged.values()), extent, block_size)
 
-    plan = BlockPlan(extent=extent, block_size=block_size, nblocks=nblocks,
+    plan = BlockPlan(extent=extent, block_size=block_size,
+                     nblocks=block_colors.size,
                      block_colors=block_colors, ncolors=ncolors,
                      _maps=_maps_of(args))
     if rec is not None:

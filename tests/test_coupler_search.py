@@ -34,6 +34,17 @@ class TestADTree:
         with pytest.raises(ValueError, match=r"\(K, 4\)"):
             ADTree(np.zeros((3, 3)))
 
+    def test_non_finite_box_rejected_by_both_search_kinds(self):
+        """One NaN box made the root bbox NaN, so the tree found nothing
+        for any point while brute force still found the other boxes."""
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 2.0, 1.0],
+                          [np.nan, 0.0, 3.0, 1.0]])
+        for build in (ADTree, ADTSearch, BruteForceSearch):
+            with pytest.raises(ValueError, match="box 2 is not finite"):
+                build(boxes)
+        with pytest.raises(ValueError, match="box 0 is not finite"):
+            BruteForceSearch(np.array([[0.0, 0.0, np.inf, 1.0]]))
+
     def test_point_inside_single_box(self):
         tree = ADTree(np.array([[0.0, 0.0, 1.0, 1.0]]))
         hits, _ = tree.candidates(0.5, 0.5)

@@ -39,10 +39,65 @@ def test_sequential_source_shape():
 def test_vectorized_source_atomic():
     kern = op2.Kernel(res_calc)
     src = generate_vectorized(kern, SIG, "atomic")
-    assert "_np.add.at(_a4, _m4[_rows], r1)" in src
-    assert "x1 = _a0[_m0[_rows]]" in src
+    assert ("_np.add.at(_a4.reshape(-1), (_m4[_rows][:, None] * 1 "
+            "+ _np.arange(1)).reshape(-1), r1.reshape(-1))") in src
+    assert "x1 = _np.take(_a0, _m0[_rows], axis=0)" in src
     assert "rms" in src and ".sum(axis=0)" in src
     compile_wrapper(src, "res_calc")
+
+
+def scatter_all(xs, acc):
+    for j in range(3):
+        for d in range(2):
+            acc[j][d] += xs[0] * (j + 1) + d
+
+
+ALL_SIG = (("dat", op2.READ, "direct", 1, 0),
+           ("dat", op2.INC, "all", 2, 3))
+
+
+@pytest.mark.parametrize("addressing", ["idx", "all"])
+def test_flat_scatter_is_bitwise_the_2d_add_at(addressing):
+    """The atomic wrapper's flat 1-D ``add.at`` sums every target's
+    contributions in the order of the 2-D ``np.add.at(a, m, p)``."""
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((400, 1))
+    table = rng.integers(0, 7, size=(400, 3))
+    acc = rng.standard_normal((7, 2))
+    if addressing == "all":
+        wrapper = compile_wrapper(
+            generate_vectorized(op2.Kernel(scatter_all), ALL_SIG, "atomic"),
+            "scatter_all")
+        p = np.stack([xs * (j + 1) + np.arange(2) for j in range(3)], axis=1)
+        m = table
+        flat = (table,)
+    else:
+        def one(xv, av):
+            av[0] += xv[0]
+            av[1] += 2.0 * xv[0]
+
+        sig = (("dat", op2.READ, "direct", 1, 0),
+               ("dat", op2.INC, "idx", 2, 3))
+        wrapper = compile_wrapper(
+            generate_vectorized(op2.Kernel(one), sig, "atomic"), "one")
+        p = np.concatenate([xs, 2.0 * xs], axis=1)
+        m = table[:, 1]
+        flat = (m,)
+    want = acc.copy()
+    np.add.at(want, m, p)
+    got = acc.copy()
+    wrapper(np, np.arange(400), xs, got, *flat)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_flat_scatter_rejects_a_non_contiguous_dat():
+    wrapper = compile_wrapper(
+        generate_vectorized(op2.Kernel(scatter_all), ALL_SIG, "atomic"),
+        "scatter_all")
+    acc = np.zeros((7, 4))[:, ::2]
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        wrapper(np, np.arange(2), np.ones((2, 1)), acc,
+                np.zeros((2, 3), dtype=np.int64))
 
 
 def test_vectorized_source_colored():

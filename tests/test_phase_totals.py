@@ -48,6 +48,27 @@ def test_reported_timing_fields_on_both_transports(tmp_path):
     assert len(keys) == 1, keys
 
 
+@pytest.mark.parametrize("transport", ["thread", "process"])
+def test_one_coupler_setup_span_per_cu_rank(transport):
+    """Shaped like the sliding_coupler workload (three rows, one rank
+    each, two CUs per interface): every CU rank's engine construction is
+    one ``coupler.setup`` span, and its reported ``setup_seconds`` is
+    that span."""
+    cfg = EngineCase(rows=3, ranks_per_row=1, cus_per_interface=2,
+                     inner_iters=2).run_config(
+        transport=transport, trace=True, timeout=60.0)
+    driver = CoupledDriver(cfg)
+    result = driver.run(1)
+    cu_ranks = [r for group in driver.setup.cu_ranks for r in group]
+    assert len(cu_ranks) == 4
+    spans = [s for s in result.timeline.spans if s.cat == "coupler.setup"]
+    assert sorted(s.rank for s in spans) == sorted(cu_ranks)
+    by_rank = {s.rank: s.duration for s in spans}
+    assert sorted(by_rank.values()) == \
+        sorted(cu["setup_seconds"] for cu in result.cus)
+    assert all(cu["setup_seconds"] > 0 for cu in result.cus)
+
+
 def test_monolithic_coupling_round_is_coupler_work_on_the_trace():
     cfg = EngineCase(rows=2, ranks_per_row=2).run_config(
         trace=True, transport="thread")
