@@ -224,8 +224,9 @@ class HydraSolver:
         The whole cycle is declared as one loop chain: under
         ``Config.lazy`` (``enabled=None`` keeps eager mode untouched
         otherwise) the chain analyzer elides the per-map re-exchanges
-        of ``q`` across the residual loops, batches what remains, and
-        fuses adjacent node loops — bitwise-identically to eager.
+        of ``q`` across the residual loops and batches what remains;
+        each loop still runs on its own, in program order —
+        bitwise-identically to eager.
         """
         with _tspan("inner_iteration", "hydra.inner", step=self.step):
             with op2.loop_chain("hydra.inner", enabled=None):

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.op2.backends.base import ReductionBuffers
-from repro.op2.backends.vectorized import _get_wrapper
+from repro.op2.backends.vectorized import _get_wrapper, run_atomic
 from repro.op2.plan import BlockPlan, Plan, _Unit, build_plan, conflict_units
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -188,8 +188,7 @@ class SanitizerBackend:
         plan = build_plan(loop.args, end)
         flat = loop.flatten_bindings(reductions)
         if plan is None:  # no indirect writes: nothing can race
-            wrapper = _get_wrapper(loop, "atomic")
-            wrapper(np, np.arange(start, end, dtype=np.int64), *flat)
+            run_atomic(loop, start, end, flat)
             return
         _verify_partition(plan, loop.kernel.name, start, end)
         findings = check_plan(loop.args, plan, start=start)

@@ -16,7 +16,9 @@ Restricted kernel language
 * calls to the whitelisted math functions (``sqrt``, ``fabs``/``abs``,
   ``exp``, ``log``, ``sin``, ``cos``, ``atan2``, ``min``, ``max``,
   ``pow``, ``copysign``);
-* ``for i in range(<literal>)`` loops (kept as scalar-index loops);
+* ``for i in range(<literal>)`` loops (scalar-index loops; the
+  vectorized generator turns a component loop into row operations
+  where that is exact);
 * no ``if`` statements, ``while``, attribute access, or other calls —
   the parser rejects them with a pointed error, because they cannot be
   mapped onto every backend.

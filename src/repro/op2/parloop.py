@@ -91,6 +91,24 @@ def eager_exchanges(needs: dict[int, tuple], is_fresh) -> list[tuple]:
     return list(groups.values())
 
 
+def _check_direct_writes_unaliased(kernel: Kernel, args: list[Arg]) -> None:
+    """Reject a dat written through a direct argument and bound again.
+
+    Whether the other binding sees that write would depend on the
+    backend: the sequential one interleaves elements, the vectorized
+    one writes direct arguments in place through views while it stages
+    every other argument.
+    """
+    for arg in args:
+        if arg.is_direct and arg.access in WRITING \
+                and sum(other.data is arg.data for other in args) > 1:
+            raise ValueError(
+                f"dat {arg.data.name!r} is written through a direct argument "
+                f"of kernel {kernel.name!r} and bound to another of its "
+                f"arguments; pass it once, with RW access if it is also read"
+            )
+
+
 class ParLoop:
     """A validated parallel loop over ``iterset``."""
 
@@ -108,6 +126,7 @@ class ParLoop:
             if not isinstance(arg, Arg):
                 raise TypeError(f"loop arguments must be Args, got {arg!r}")
             arg.validate_for(iterset)
+        _check_direct_writes_unaliased(kernel, args)
         self.kernel = kernel
         self.iterset = iterset
         self.args = args

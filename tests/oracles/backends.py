@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.op2.backends import BACKENDS
-from repro.op2.backends.vectorized import _get_rows, _get_wrapper
+from repro.op2.backends.vectorized import _get_wrapper, run_atomic
 from repro.op2.config import current_config
 from repro.op2.plan import build_block_plan, build_plan
 
@@ -55,8 +55,7 @@ class ColoringBackend:
         plan = build_plan(loop.args, end)
         flat = loop.flatten_bindings(reductions)
         if plan is None:
-            wrapper = _get_wrapper(loop, "atomic")
-            wrapper(np, _get_rows(loop.kernel, start, end), *flat)
+            run_atomic(loop, start, end, flat)
             return
         wrapper = _get_wrapper(loop, "colored")
         for group in plan.color_groups:
@@ -77,10 +76,9 @@ class AtomicsBackend:
 
     def execute(self, loop, start: int, end: int, reductions) -> None:
         block = current_config().atomics_block
-        wrapper = _get_wrapper(loop, "atomic")
         flat = loop.flatten_bindings(reductions)
         for lo, hi in atomics_chunks(start, end, block):
-            wrapper(np, _get_rows(loop.kernel, lo, hi), *flat)
+            run_atomic(loop, lo, hi, flat)
 
 
 class BlockColorBackend:
@@ -101,16 +99,15 @@ class BlockColorBackend:
         block_size = max(1, current_config().block_size)
         plan = build_block_plan(loop.args, end, block_size=block_size)
         flat = loop.flatten_bindings(reductions)
-        wrapper = _get_wrapper(loop, "atomic")
         if plan is None:
-            wrapper(np, np.arange(start, end, dtype=np.int64), *flat)
+            run_atomic(loop, start, end, flat)
             return
         for color in range(plan.ncolors):
             for lo, hi in plan.blocks_of_color(color):
                 lo = max(lo, start)
                 hi = min(hi, end)
                 if lo < hi:
-                    wrapper(np, np.arange(lo, hi, dtype=np.int64), *flat)
+                    run_atomic(loop, lo, hi, flat)
 
 
 ORACLE_BACKENDS = {b.name: b for b in

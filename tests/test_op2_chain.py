@@ -412,24 +412,8 @@ class TestChainSemantics:
 
 
 # --------------------------------------------------------------------------
-# satellites: rows cache, breakdown columns
+# satellites: breakdown columns
 # --------------------------------------------------------------------------
-
-class TestRowsCache:
-    def test_cached_per_kernel_and_range(self):
-        from repro.op2.backends.vectorized import _get_rows
-
-        kern = op2.Kernel(k_update)
-        r1 = _get_rows(kern, 0, 10)
-        assert _get_rows(kern, 0, 10) is r1
-        assert not r1.flags.writeable
-        assert np.array_equal(r1, np.arange(10))
-        r2 = _get_rows(kern, 2, 10)
-        assert r2 is not r1
-        assert np.array_equal(r2, np.arange(2, 10))
-        other = op2.Kernel(k_scale)
-        assert _get_rows(other, 0, 10) is not r1
-
 
 class TestBreakdownColumns:
     def test_chain_columns_present_when_chained(self):
