@@ -4,7 +4,8 @@ One :class:`HydraSolver` advances one blade row (one Hydra Session's
 flow domain). All computation goes through OP2 par_loops, so the same
 solver runs serially or distributed, under any compute backend, purely
 by how its :class:`~repro.op2.distribute.LocalProblem` was built and
-what the OP2 config says.
+what the OP2 config says. The solver binds each of its loops once, on
+its first run (:func:`repro.op2.bind`), and runs it many times.
 """
 
 from __future__ import annotations
@@ -75,7 +76,19 @@ class Numerics:
 
 
 class HydraSolver:
-    """Dual time-stepping URANS-style solver for one blade row."""
+    """Dual time-stepping URANS-style solver for one blade row.
+
+    The constructor builds the ``Arg`` objects of every loop the
+    solver runs (:meth:`_loop_sites`: one per call site, the mass-flow
+    site once per boundary); each site is bound (:func:`repro.op2.bind`)
+    on its first run, with ``Numerics.backend`` as the backend override
+    (read then only), and kept. The reduction targets (``dtmin`` and
+    the monitor sums) are solver-owned Globals reset before each loop.
+    A loop runs through ``op2.par_loop`` with its bound ``Arg``
+    objects, which finds the binding (:func:`repro.op2.par_loop`): a
+    run validates nothing and builds nothing, and code that interposes
+    on ``op2.par_loop`` still sees every loop.
+    """
 
     def __init__(self, local: LocalProblem, config: RowConfig,
                  numerics: Numerics | None = None,
@@ -144,48 +157,107 @@ class HydraSolver:
             self._smooth_acc = op2.Dat(self.nodes, 5, name="smooth_acc")
         else:
             self.g_smooth = None
+        # reduction targets, reset before each loop that reduces into them
+        self.g_dtmin = op2.Global(1, np.inf, "dtmin")
+        self.g_resnorm = op2.Global(1, 0.0, "resnorm")
+        self.g_mdot = op2.Global(1, 0.0, "mdot")
+        self.g_p0acc = op2.Global(2, [0.0, 0.0], "p0acc")
+        self._sites = self._loop_sites()
+        #: call-site name -> its loop, bound on the site's first run
+        self._loops: dict[str, op2.BoundLoop] = {}
+
+    def _loop_sites(self) -> dict[str, tuple]:
+        """``(kernel, set, *args)`` of every loop the solver runs, by
+        call-site name."""
+        lp = self.local
+        q, res = self.q, self.res
+        vol, mask = lp.dats["vol"], lp.dats["mask"]
+        pedge = lp.maps["pedge"]
+        R, W, RW, INC = op2.READ, op2.WRITE, op2.RW, op2.INC
+        gam = self.g_gam.arg(R)
+        sites: dict[str, tuple] = {
+            "zero_res": (self.nodes, res.arg(W)),
+            "flux_edge": (self.edges, q.arg(R, pedge, 0), q.arg(R, pedge, 1),
+                          lp.dats["edgew"].arg(R), res.arg(INC, pedge, 0),
+                          res.arg(INC, pedge, 1), gam),
+            "wall_flux": (lp.sets["wall"], q.arg(R, lp.maps["pwall"], 0),
+                          lp.dats["wall_nz"].arg(R),
+                          res.arg(INC, lp.maps["pwall"], 0), gam),
+            "local_dt": (self.nodes, q.arg(R), self.g_hmin.arg(R), gam,
+                         self.g_cfl.arg(R), self.g_dtmin.arg(op2.MIN)),
+            "save_state": (self.nodes, q.arg(R), self.qk.arg(W)),
+            "dual_source": (self.nodes, q.arg(R), self.qn.arg(R),
+                            self.qnm1.arg(R), res.arg(INC), vol.arg(R),
+                            self.g_wdual.arg(R)),
+            "rk_stage": (self.nodes, self.qk.arg(R), res.arg(R), vol.arg(R),
+                         mask.arg(R), q.arg(W), self.g_coef.arg(R)),
+            "shift_history": (self.nodes, q.arg(R), self.qn.arg(RW),
+                              self.qnm1.arg(W)),
+            "residual_norm": (self.nodes, res.arg(R), mask.arg(R),
+                              vol.arg(R), self.g_resnorm.arg(INC)),
+            "total_pressure_sum": (self.nodes, q.arg(R), mask.arg(R), gam,
+                                   self.g_p0acc.arg(INC)),
+        }
+        for side in ("inlet", "outlet"):
+            if side in lp.sets:
+                sites[f"{side}_mass_flow"] = (
+                    lp.sets[side], q.arg(R, lp.maps[f"p{side}"], 0),
+                    lp.dats[f"{side}_area"].arg(R), self.g_mdot.arg(INC))
+        if self.has_inlet:
+            sites["inlet_flux"] = (
+                lp.sets["inlet"], q.arg(R, lp.maps["pinlet"], 0),
+                lp.dats["inlet_area"].arg(R),
+                res.arg(INC, lp.maps["pinlet"], 0), gam, self.g_qin.arg(R))
+        if self.has_outlet:
+            sites["outlet_flux"] = (
+                lp.sets["outlet"], q.arg(R, lp.maps["poutlet"], 0),
+                lp.dats["outlet_area"].arg(R),
+                res.arg(INC, lp.maps["poutlet"], 0), gam,
+                self.g_pout.arg(R))
+        if self.blades_active:
+            sites["blade_force"] = (
+                self.nodes, q.arg(R), lp.dats["xyz"].arg(R), vol.arg(R),
+                res.arg(INC), self.g_blade.arg(R))
+        if self.g_smooth is not None:
+            sites["smooth_gather"] = (
+                self.edges, self._res_s.arg(R, pedge, 0),
+                self._res_s.arg(R, pedge, 1),
+                self._smooth_acc.arg(INC, pedge, 0),
+                self._smooth_acc.arg(INC, pedge, 1))
+            sites["smooth_update"] = (
+                self.nodes, res.arg(R), self._smooth_acc.arg(RW),
+                lp.dats["deg"].arg(R), self.g_smooth.arg(R),
+                self._res_s.arg(W))
+        # both mass-flow sites run face_mass_flow
+        return {name: (KERNELS.get(name, KERNELS["face_mass_flow"]), *site)
+                for name, site in sites.items()}
+
+    def _par_loop(self, name: str) -> None:
+        """Run call site ``name``'s loop through ``op2.par_loop``.
+
+        The site is bound on its first run, not at construction:
+        binding parses the kernel, which a solver that never steps
+        (set-up, a zero-step run) must not pay for.
+        """
+        loop = self._loops.get(name)
+        if loop is None:
+            loop = self._loops[name] = op2.bind(*self._sites[name],
+                                                backend=self.num.backend)
+        op2.par_loop(loop.kernel, loop.iterset, *loop.args,
+                     backend=loop.backend)
 
     # -- residual -------------------------------------------------------
     def spatial_residual(self) -> None:
         """Assemble the spatial residual: fluxes, walls, BCs, blade force."""
-        b = self.num.backend
-        lp = self.local
-        op2.par_loop(KERNELS["zero_res"], self.nodes,
-                     self.res.arg(op2.WRITE), backend=b)
-        pedge = lp.maps["pedge"]
-        op2.par_loop(KERNELS["flux_edge"], self.edges,
-                     self.q.arg(op2.READ, pedge, 0),
-                     self.q.arg(op2.READ, pedge, 1),
-                     lp.dats["edgew"].arg(op2.READ),
-                     self.res.arg(op2.INC, pedge, 0),
-                     self.res.arg(op2.INC, pedge, 1),
-                     self.g_gam.arg(op2.READ), backend=b)
-        op2.par_loop(KERNELS["wall_flux"], lp.sets["wall"],
-                     self.q.arg(op2.READ, lp.maps["pwall"], 0),
-                     lp.dats["wall_nz"].arg(op2.READ),
-                     self.res.arg(op2.INC, lp.maps["pwall"], 0),
-                     self.g_gam.arg(op2.READ), backend=b)
+        self._par_loop("zero_res")
+        self._par_loop("flux_edge")
+        self._par_loop("wall_flux")
         if self.has_inlet:
-            op2.par_loop(KERNELS["inlet_flux"], lp.sets["inlet"],
-                         self.q.arg(op2.READ, lp.maps["pinlet"], 0),
-                         lp.dats["inlet_area"].arg(op2.READ),
-                         self.res.arg(op2.INC, lp.maps["pinlet"], 0),
-                         self.g_gam.arg(op2.READ), self.g_qin.arg(op2.READ),
-                         backend=b)
+            self._par_loop("inlet_flux")
         if self.has_outlet:
-            op2.par_loop(KERNELS["outlet_flux"], lp.sets["outlet"],
-                         self.q.arg(op2.READ, lp.maps["poutlet"], 0),
-                         lp.dats["outlet_area"].arg(op2.READ),
-                         self.res.arg(op2.INC, lp.maps["poutlet"], 0),
-                         self.g_gam.arg(op2.READ), self.g_pout.arg(op2.READ),
-                         backend=b)
+            self._par_loop("outlet_flux")
         if self.blades_active:
-            op2.par_loop(KERNELS["blade_force"], self.nodes,
-                         self.q.arg(op2.READ),
-                         lp.dats["xyz"].arg(op2.READ),
-                         lp.dats["vol"].arg(op2.READ),
-                         self.res.arg(op2.INC),
-                         self.g_blade.arg(op2.READ), backend=b)
+            self._par_loop("blade_force")
 
     # -- time stepping -----------------------------------------------------
     def pseudo_dt(self) -> float:
@@ -196,13 +268,9 @@ class HydraSolver:
         blade-force relaxation scale 1/rate — either cap, if violated,
         would push the explicit RK outside its stability region.
         """
-        dtmin = op2.Global(1, np.inf, "dtmin")
-        op2.par_loop(KERNELS["local_dt"], self.nodes,
-                     self.q.arg(op2.READ),
-                     self.g_hmin.arg(op2.READ),
-                     self.g_gam.arg(op2.READ), self.g_cfl.arg(op2.READ),
-                     dtmin.arg(op2.MIN), backend=self.num.backend)
-        dtau = dtmin.value
+        self.g_dtmin.value = np.inf
+        self._par_loop("local_dt")
+        dtau = self.g_dtmin.value
         if not self._steady:
             dtau = min(dtau, 0.5 * self.dt_outer)
         rate = float(self.g_blade.data[0])
@@ -233,56 +301,30 @@ class HydraSolver:
                 self._inner_iteration()
 
     def _inner_iteration(self) -> None:
-        b = self.num.backend
-        lp = self.local
-        op2.par_loop(KERNELS["save_state"], self.nodes,
-                     self.q.arg(op2.READ), self.qk.arg(op2.WRITE), backend=b)
+        self._par_loop("save_state")
         if self._pseudo_dt is None:
             self._pseudo_dt = self.pseudo_dt()
         for alpha in self.num.rk_coeffs:
             self.spatial_residual()
-            op2.par_loop(KERNELS["dual_source"], self.nodes,
-                         self.q.arg(op2.READ), self.qn.arg(op2.READ),
-                         self.qnm1.arg(op2.READ), self.res.arg(op2.INC),
-                         lp.dats["vol"].arg(op2.READ),
-                         self.g_wdual.arg(op2.READ), backend=b)
+            self._par_loop("dual_source")
             if self.g_smooth is not None:
                 self._smooth_residual()
             self.g_coef.value = alpha * self._pseudo_dt
-            op2.par_loop(KERNELS["rk_stage"], self.nodes,
-                         self.qk.arg(op2.READ), self.res.arg(op2.READ),
-                         lp.dats["vol"].arg(op2.READ),
-                         lp.dats["mask"].arg(op2.READ),
-                         self.q.arg(op2.WRITE), self.g_coef.arg(op2.READ),
-                         backend=b)
+            self._par_loop("rk_stage")
 
     def _smooth_residual(self) -> None:
         """Implicit residual smoothing by Jacobi iteration (in place)."""
-        b = self.num.backend
-        lp = self.local
-        pedge = lp.maps["pedge"]
         self._res_s.copy_from(self.res)
         self._smooth_acc.zero()
         for _ in range(self.num.smooth_iters):
-            op2.par_loop(KERNELS["smooth_gather"], self.edges,
-                         self._res_s.arg(op2.READ, pedge, 0),
-                         self._res_s.arg(op2.READ, pedge, 1),
-                         self._smooth_acc.arg(op2.INC, pedge, 0),
-                         self._smooth_acc.arg(op2.INC, pedge, 1), backend=b)
-            op2.par_loop(KERNELS["smooth_update"], self.nodes,
-                         self.res.arg(op2.READ),
-                         self._smooth_acc.arg(op2.RW),
-                         lp.dats["deg"].arg(op2.READ),
-                         self.g_smooth.arg(op2.READ),
-                         self._res_s.arg(op2.WRITE), backend=b)
+            self._par_loop("smooth_gather")
+            self._par_loop("smooth_update")
         self.res.copy_from(self._res_s)
 
     def advance_physical(self) -> None:
         """One outer (physical) time step: shift history, converge inner."""
         with timed(self.timers, "physical_step", "hydra.step"):
-            op2.par_loop(KERNELS["shift_history"], self.nodes,
-                         self.q.arg(op2.READ), self.qn.arg(op2.RW),
-                         self.qnm1.arg(op2.WRITE), backend=self.num.backend)
+            self._par_loop("shift_history")
             self._dual_weights()
             self._pseudo_dt = None
             for _ in range(self.num.inner_iters):
@@ -447,41 +489,27 @@ class HydraSolver:
     def residual_norm(self) -> float:
         """Volume-weighted L2 norm of the current spatial residual."""
         self.spatial_residual()
-        norm = op2.Global(1, 0.0, "resnorm")
-        op2.par_loop(KERNELS["residual_norm"], self.nodes,
-                     self.res.arg(op2.READ),
-                     self.local.dats["mask"].arg(op2.READ),
-                     self.local.dats["vol"].arg(op2.READ),
-                     norm.arg(op2.INC), backend=self.num.backend)
-        return float(np.sqrt(norm.value))
+        self.g_resnorm.value = 0.0
+        self._par_loop("residual_norm")
+        return float(np.sqrt(self.g_resnorm.value))
 
     def mass_flow(self, side: str) -> float:
         """Mass flow through the inlet/outlet BC faces (collective)."""
-        if side == "inlet" and self.has_inlet:
-            faces, mapname, area = "inlet", "pinlet", "inlet_area"
-        elif side == "outlet" and self.has_outlet:
-            faces, mapname, area = "outlet", "poutlet", "outlet_area"
-        else:
+        name = f"{side}_mass_flow"
+        if name not in self._sites:
             raise ValueError(
                 f"row {self.config.name!r} has no {side} boundary faces"
             )
-        lp = self.local
-        mdot = op2.Global(1, 0.0, "mdot")
-        op2.par_loop(KERNELS["face_mass_flow"], lp.sets[faces],
-                     self.q.arg(op2.READ, lp.maps[mapname], 0),
-                     lp.dats[area].arg(op2.READ),
-                     mdot.arg(op2.INC), backend=self.num.backend)
-        return mdot.value
+        self.g_mdot.value = 0.0
+        self._par_loop(name)
+        return self.g_mdot.value
 
     def mean_total_pressure(self) -> float:
         """Mean isentropic stagnation pressure of core nodes (collective)."""
-        acc = op2.Global(2, [0.0, 0.0], "p0acc")
-        op2.par_loop(KERNELS["total_pressure_sum"], self.nodes,
-                     self.q.arg(op2.READ),
-                     self.local.dats["mask"].arg(op2.READ),
-                     self.g_gam.arg(op2.READ), acc.arg(op2.INC),
-                     backend=self.num.backend)
-        return float(acc.data[0] / max(acc.data[1], 1.0))
+        self.g_p0acc.data = np.zeros(2)
+        self._par_loop("total_pressure_sum")
+        acc = self.g_p0acc.data
+        return float(acc[0] / max(acc[1], 1.0))
 
     def primitives(self) -> dict[str, np.ndarray]:
         """Primitive fields on this rank's owned nodes."""

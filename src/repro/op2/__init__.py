@@ -58,7 +58,7 @@ from repro.op2.globals import Global
 from repro.op2.halo import ExchangePlan, SetHalo, exchange_halos
 from repro.op2.kernel import Kernel, KernelParseError
 from repro.op2.map import ALL, Map
-from repro.op2.parloop import ParLoop, par_loop
+from repro.op2.parloop import BoundLoop, bind, par_loop
 from repro.op2.plan import (
     BlockPlan,
     Plan,
@@ -74,7 +74,7 @@ __all__ = [
     # data model
     "Set", "Map", "ALL", "Dat", "Global", "Arg",
     # kernels & loops
-    "Kernel", "KernelParseError", "ParLoop", "par_loop",
+    "Kernel", "KernelParseError", "BoundLoop", "bind", "par_loop",
     # plans
     "Plan", "BlockPlan", "build_plan", "build_block_plan",
     "clear_plan_cache",

@@ -70,7 +70,7 @@ from repro.telemetry.recorder import active_recorder, span
 from repro.util.atomicio import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.parloop import ParLoop
+    from repro.op2.parloop import BoundLoop
 
 #: default compile flags (overridable via ``REPRO_CFLAGS``); the link
 #: flags are always appended — the backend only builds shared objects
@@ -134,7 +134,7 @@ def compiled_path(kernel, nsig: tuple,
     """Cache location of the compiled wrapper for ``(kernel, nsig)``.
 
     ``nsig`` is the loop's
-    :meth:`~repro.op2.parloop.ParLoop.native_signature`. Returns None
+    :meth:`~repro.op2.parloop.BoundLoop.native_signature`. Returns None
     without a toolchain. The object need not exist yet — this is where
     the backend will look for (or build) it, which is what cache tests
     and cache-management tooling need.
@@ -259,6 +259,22 @@ def _build_entry(kernel, nsig: tuple,
     return _NativeEntry(fn, planned, source, so_path, lib)
 
 
+def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
+    """``arr``'s data pointer; the pointer object keeps ``arr`` alive."""
+    return arr.ctypes.data_as(ctypes.c_void_p)
+
+
+def _counting_atomics(fn, nblocks: int):
+    """``fn`` that also counts its chunks when a recorder is bound."""
+    def run(*argv) -> None:
+        fn(*argv)
+        rec = active_recorder()
+        if rec is not None:
+            rec.counter("op2.native.atomics_loops")
+            rec.counter("op2.native.atomics_blocks", nblocks)
+    return run
+
+
 class NativeBackend:
     """Compiled-C execution through the block-color plan (OpenMP)."""
 
@@ -266,55 +282,62 @@ class NativeBackend:
     strategy = "blockcolor"
     _fallback = VectorizedBackend()
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
-                reductions: ReductionBuffers) -> None:
-        """Run ``loop`` through its compiled wrapper, or its numpy twin
-        when the wrapper cannot be built."""
+    def prepare(self, loop: "BoundLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> tuple:
+        """``(fn, argv)`` running ``loop`` over [start, end) through its
+        compiled wrapper, or through its numpy twin when the wrapper
+        cannot be built.
+
+        ``argv`` is the whole ctypes argument list: a pointer per dat,
+        map, READ Global and reduction buffer, then the block plan's
+        arrays (planned wrappers), the range, the atomics chunk and the
+        thread count. Each pointer keeps its array alive.
+        """
         entry = self._entry_for(loop)
         if isinstance(entry, _Fallback):
             if entry.warn:
                 self._warn_and_count(entry.reason)
-            self._fallback.execute(loop, start, end, reductions)
-            return
+            return self._fallback.prepare(loop, start, end, reductions)
         cfg = current_config()
-        c_void_p, c_ll = ctypes.c_void_p, ctypes.c_longlong
+        c_ll = ctypes.c_longlong
         argv = self._loop_argv(loop, reductions)
         if entry.planned:
             plan = build_block_plan(loop.args, end,
                                     block_size=cfg.block_size)
-            # the plan arrays must outlive the call
             blk_lo, blk_hi, col_off = plan.native_arrays(start, end)
-            argv += [c_void_p(blk_lo.ctypes.data),
-                     c_void_p(blk_hi.ctypes.data),
-                     c_void_p(col_off.ctypes.data),
+            argv += [_pointer(blk_lo), _pointer(blk_hi), _pointer(col_off),
                      c_ll(col_off.size - 1)]
         block = max(1, cfg.atomics_block)
         argv += [c_ll(start), c_ll(end), c_ll(block),
                  c_ll(cfg.native_threads)]
-        entry.fn(*argv)
-        rec = active_recorder()
-        if rec is not None and self.strategy == "atomics":
-            rec.counter("op2.native.atomics_loops")
-            rec.counter("op2.native.atomics_blocks",
-                        max(0, -(-(end - start) // block)))
+        fn = entry.fn
+        if self.strategy == "atomics":
+            fn = _counting_atomics(fn, max(0, -(-(end - start) // block)))
+        return fn, argv
+
+    def execute(self, loop: "BoundLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> None:
+        """Run ``loop`` through its compiled wrapper, or its numpy twin
+        when the wrapper cannot be built."""
+        fn, argv = self.prepare(loop, start, end, reductions)
+        fn(*argv)
 
     @staticmethod
-    def _loop_argv(loop: "ParLoop", reductions: ReductionBuffers) -> list:
+    def _loop_argv(loop: "BoundLoop", reductions: ReductionBuffers) -> list:
         """The per-argument ctypes pointers of the wrapper ABI."""
-        c_void_p = ctypes.c_void_p
         argv: list = []
         for i, arg in enumerate(loop.args):
             if arg.is_global:
                 buf = (reductions.buffer_for(i) if arg.is_reduction
                        else arg.data._data)
-                argv.append(c_void_p(buf.ctypes.data))
+                argv.append(_pointer(buf))
                 continue
-            argv.append(c_void_p(arg.data._data.ctypes.data))
+            argv.append(_pointer(arg.data._data))
             if arg.is_indirect:
-                argv.append(c_void_p(arg.map.values.ctypes.data))
+                argv.append(_pointer(arg.map.values))
         return argv
 
-    def _entry_for(self, loop: "ParLoop") -> "_NativeEntry | _Fallback":
+    def _entry_for(self, loop: "BoundLoop") -> "_NativeEntry | _Fallback":
         unsupported = self._unsupported(loop)
         if unsupported is not None:
             return unsupported
@@ -331,7 +354,7 @@ class NativeBackend:
         loop.kernel.store(key, entry, source)
         return entry
 
-    def _unsupported(self, loop: "ParLoop") -> "_Fallback | None":
+    def _unsupported(self, loop: "BoundLoop") -> "_Fallback | None":
         """The compiled ABI is float64/contiguous only; anything else
         routes to the fallback backend (counted, but not warned — it
         is a capability gap, not an environment failure)."""
@@ -374,7 +397,7 @@ class NativeAtomicsBackend(NativeBackend):
     name = "native-atomics"
     strategy = "atomics"
 
-    def _unsupported(self, loop: "ParLoop") -> "_Fallback | None":
+    def _unsupported(self, loop: "BoundLoop") -> "_Fallback | None":
         base = super()._unsupported(loop)
         if base is not None:
             return base

@@ -30,7 +30,7 @@ from repro.op2.backends.vectorized import _get_wrapper, run_atomic
 from repro.op2.plan import BlockPlan, Plan, _Unit, build_plan, conflict_units
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.parloop import ParLoop
+    from repro.op2.parloop import BoundLoop
 
 __all__ = ["RaceError", "RaceFinding", "SanitizerBackend",
            "check_block_plan", "check_plan"]
@@ -183,7 +183,7 @@ class SanitizerBackend:
 
     name = "sanitizer"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
+    def execute(self, loop: "BoundLoop", start: int, end: int,
                 reductions: ReductionBuffers) -> None:
         plan = build_plan(loop.args, end)
         flat = loop.flatten_bindings(reductions)

@@ -12,7 +12,7 @@ from repro.op2.codegen.seq import compile_wrapper, generate_sequential
 from repro.op2.config import current_config
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.parloop import ParLoop
+    from repro.op2.parloop import BoundLoop
 
 
 class SequentialBackend:
@@ -26,7 +26,7 @@ class SequentialBackend:
 
     name = "sequential"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
+    def execute(self, loop: "BoundLoop", start: int, end: int,
                 reductions: ReductionBuffers) -> None:
         signature = loop.signature()
         key = ("seq", signature)
@@ -41,7 +41,7 @@ class SequentialBackend:
         wrapper(np, loop.kernel.scalar_fn, start, end, *flat)
 
 
-def _readonly_read_args(loop: "ParLoop", flat: list) -> list:
+def _readonly_read_args(loop: "BoundLoop", flat: list) -> list:
     """Replace READ dat storage with read-only views (debug mode).
 
     A kernel that writes through a READ argument then raises

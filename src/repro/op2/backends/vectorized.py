@@ -9,7 +9,9 @@ sanitizer backend shares :func:`_get_wrapper` for its colored
 A steady-state call allocates no staging array: direct arguments are
 views, indirect blocks and reduction partials are slots of a per-rank
 :class:`StagingArena`, and each increment's flat scatter index is
-built once per map column and range (:func:`scatter_index`).
+built once per map column and range (:func:`scatter_index`). A bound
+loop keeps the ``(wrapper, argv)`` pair of :func:`atomic_call` and
+makes one wrapper call per run.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from repro.op2.codegen.vector import generate_vectorized
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.args import Arg
-    from repro.op2.parloop import ParLoop
+    from repro.op2.parloop import BoundLoop
 
 
-def _get_wrapper(loop: "ParLoop", scatter: str):
+def _get_wrapper(loop: "BoundLoop", scatter: str):
     signature = loop.signature()
     key = ("vec", scatter, signature)
     wrapper = loop.kernel.cached(key)
@@ -113,12 +115,24 @@ def _cached_scatter_index(arg: "Arg", start: int, end: int) -> np.ndarray:
     return flat
 
 
-def run_atomic(loop: "ParLoop", start: int, end: int, flat: list) -> None:
-    """Run elements [start, end) of ``loop`` through its atomic wrapper."""
-    wrapper = _get_wrapper(loop, "atomic")
+def atomic_call(loop: "BoundLoop", start: int, end: int,
+                flat: list) -> tuple:
+    """``(wrapper, argv)`` running elements [start, end) of ``loop``
+    through its atomic wrapper as ``wrapper(*argv)``.
+
+    ``ARENA.slot`` resolves the calling thread's arena on every call,
+    so the pair may be kept and called from any rank thread.
+    """
     scatter = [_cached_scatter_index(arg, start, end) for arg in loop.args
                if arg.is_indirect and arg.access is Access.INC]
-    wrapper(np, ARENA.slot, start, end, *flat, *scatter)
+    return (_get_wrapper(loop, "atomic"),
+            [np, ARENA.slot, start, end, *flat, *scatter])
+
+
+def run_atomic(loop: "BoundLoop", start: int, end: int, flat: list) -> None:
+    """Run elements [start, end) of ``loop`` through its atomic wrapper."""
+    wrapper, argv = atomic_call(loop, start, end, flat)
+    wrapper(*argv)
 
 
 class VectorizedBackend:
@@ -126,6 +140,11 @@ class VectorizedBackend:
 
     name = "vectorized"
 
-    def execute(self, loop: "ParLoop", start: int, end: int,
+    def prepare(self, loop: "BoundLoop", start: int, end: int,
+                reductions: ReductionBuffers) -> tuple:
+        return atomic_call(loop, start, end,
+                           loop.flatten_bindings(reductions))
+
+    def execute(self, loop: "BoundLoop", start: int, end: int,
                 reductions: ReductionBuffers) -> None:
         run_atomic(loop, start, end, loop.flatten_bindings(reductions))

@@ -4,10 +4,10 @@ Eager ``par_loop`` executes each loop the moment it is declared, so
 every loop must conservatively refresh whatever halos it reads. The
 Hydra inner iteration issues dozens of back-to-back loops per
 Runge-Kutta stage; seen *as a chain*, most of those refreshes are
-redundant. This module defers validated :class:`ParLoop` objects into a
-per-thread :class:`LoopChain` (under ``Config.lazy`` or an explicit
-:func:`loop_chain` context) and flushes them through a dataflow
-analysis that the eager path cannot perform:
+redundant. This module defers :class:`~repro.op2.parloop.BoundLoop`
+objects into a per-thread :class:`LoopChain` (under ``Config.lazy`` or
+an explicit :func:`loop_chain` context) and flushes them through a
+dataflow analysis that the eager path cannot perform:
 
 * **cross-loop halo elision** — a dat read through several maps with no
   intervening write gets *one* union-scope exchange instead of one
@@ -44,12 +44,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.op2.access import Access, READING, WRITING
+from repro.op2.access import WRITING
 from repro.op2.config import current_config
 from repro.op2.halo import (exchange_begin, exchange_end, exchange_messages,
                             marker_covers, message_streams, normalize_scopes)
-from repro.op2.parloop import (ParLoop, eager_exchanges, execute_loop,
-                               loop_halo_reads)
+from repro.op2.parloop import (BoundLoop, eager_exchanges, eager_reads,
+                               execute_loop, loop_halo_reads)
 from repro.telemetry.recorder import active_recorder, span as _tspan
 
 
@@ -87,7 +87,7 @@ class ChainStats:
 class _Pending:
     """One enqueued loop plus its call-site context."""
 
-    loop: "ParLoop"
+    loop: BoundLoop
     backend: str | None
     #: (arg index, snapshot) for every READ Global — call-site semantics
     gbl_reads: list[tuple[int, np.ndarray]] = field(default_factory=list)
@@ -108,7 +108,7 @@ class _Exchange:
     at: int         #: position of the first loop that needs it
 
 
-def _written_dats(loop: "ParLoop"):
+def _written_dats(loop: BoundLoop):
     for arg in loop.args:
         if arg.is_dat and arg.access in WRITING and arg.data.set.halo is not None:
             yield arg.data
@@ -125,7 +125,8 @@ def _eager_exchange_count(pending: list[_Pending], scopes_list: list, cfg
 
     calls = messages = 0
     for p, needs in zip(pending, scopes_list):
-        for sset, scope, dats in eager_exchanges(needs, is_fresh):
+        for sset, scope, dats in eager_exchanges(eager_reads(needs),
+                                                 is_fresh):
             plan = sset.halo.plan_for(scope)
             calls += 1
             messages += sum(exchange_messages(plan, len(s), grouped)
@@ -248,23 +249,23 @@ class _FlushPlan:
     it once and replaying the plan (OP2's inspector/executor idiom) is
     what keeps lazy dispatch overhead below eager's. ``bindings`` and
     ``entry_marks`` record exactly what the analysis depended on — the
-    per-loop (kernel, iterset, backend, dat/map/access bindings) and
-    each halo-bearing dat's entry freshness marker — both for the cheap
-    identity re-validation on later flushes and as strong references
-    that keep every probed ``id()`` from being recycled.
+    per-loop (loop, kernel, iterset, backend, dat/map/access bindings)
+    and each halo-bearing dat's entry freshness marker — both for the
+    cheap identity re-validation on later flushes and as strong
+    references that keep every probed ``id()`` from being recycled.
+    Each loop keeps its own argument layout and prepared backend calls
+    (:class:`~repro.op2.parloop.BoundLoop`), so a replay passes the
+    loops to :func:`~repro.op2.parloop.execute_loop` as they are.
     """
 
     units: list[_ExchangeUnit]
     eager_calls: int
     eager_msgs: int
-    #: per loop: (kernel, iterset, backend, ((data|None, map, access)...))
-    #: — ``None`` stands for any Global, which never influences the plan
+    #: per loop: (loop, kernel, iterset, backend, ((data|None, map,
+    #: access)...)) — ``None`` stands for any Global, which never
+    #: influences the plan
     bindings: list
     entry_marks: list   #: [(dat, freshness marker at inspection time)]
-    #: per loop: precomputed ``flatten_bindings`` (template, patches) —
-    #: valid whenever ``bindings`` re-validates, saving the per-loop
-    #: array-gathering walk on every executor replay
-    templates: list
 
 
 #: plan-cache size bound; one plan per distinct (chain shape, config,
@@ -292,7 +293,7 @@ def _capture_bindings(pending: list[_Pending]) -> tuple[list, list]:
         loop = p.loop
         args = tuple((a.data if a.is_dat else None, a.map, a.access)
                      for a in loop.args)
-        bindings.append((loop.kernel, loop.iterset, p.backend, args))
+        bindings.append((loop, loop.kernel, loop.iterset, p.backend, args))
         for a in loop.args:
             if a.is_dat and a.data.set.halo is not None:
                 d = a.data
@@ -302,13 +303,21 @@ def _capture_bindings(pending: list[_Pending]) -> tuple[list, list]:
 
 
 def _plan_matches(plan: _FlushPlan, pending: list[_Pending]) -> bool:
-    """Identity-compare a cached plan's inputs against this flush."""
+    """Identity-compare a cached plan's inputs against this flush.
+
+    The same bound loop with the same backend matches at once; another
+    loop matches when its kernel, set and argument bindings do.
+    """
     if len(plan.bindings) != len(pending):
         return False
-    for (kern, iset, bk, bargs), p in zip(plan.bindings, pending):
+    for (bloop, kern, iset, bk, bargs), p in zip(plan.bindings, pending):
         loop = p.loop
+        if p.backend != bk:
+            return False
+        if loop is bloop:
+            continue
         if loop.kernel is not kern or loop.iterset is not iset \
-                or p.backend != bk or len(loop.args) != len(bargs):
+                or len(loop.args) != len(bargs):
             return False
         for a, (d, m, acc) in zip(loop.args, bargs):
             if (a.data if a.is_dat else None) is not d \
@@ -336,9 +345,8 @@ class LoopChain:
         self._gbl_reductions: set[int] = set()
 
     # -- queueing ------------------------------------------------------
-    def enqueue(self, loop: "ParLoop", backend: str | None) -> None:
-        read_idx = [i for i, arg in enumerate(loop.args)
-                    if arg.is_global and arg.access is Access.READ]
+    def enqueue(self, loop: BoundLoop, backend: str | None) -> None:
+        read_idx = loop.global_reads
         # a pending reduction into a Global this loop READs must land
         # first — snapshots taken below must see the reduced value
         if self._gbl_reductions and read_idx:
@@ -348,9 +356,8 @@ class LoopChain:
         gbl_reads = [(i, loop.args[i].data._data.copy()) for i in read_idx]
         self.pending.append(_Pending(loop=loop, backend=backend,
                                      gbl_reads=gbl_reads))
-        for arg in loop.args:
-            if arg.is_global and arg.is_reduction:
-                self._gbl_reductions.add(id(arg.data))
+        for g in loop.reduced_globals:
+            self._gbl_reductions.add(id(g))
         self.stats.loops += 1
 
     # -- flushing ------------------------------------------------------
@@ -394,11 +401,8 @@ class LoopChain:
             plan = _FlushPlan(
                 units=_build_units(_analyze(pending, scopes_list, cfg)),
                 eager_calls=eager_calls, eager_msgs=eager_msgs,
-                bindings=bindings, entry_marks=entry_marks,
-                templates=[p.loop.binding_template() for p in pending])
+                bindings=bindings, entry_marks=entry_marks)
             cache.setdefault(key, []).append(plan)
-        for p, tmpl in zip(pending, plan.templates):
-            p.loop._flat_template = tmpl
         eager_calls, eager_msgs = plan.eager_calls, plan.eager_msgs
 
         # sends post right after the loop that completes the last write,
@@ -546,7 +550,7 @@ def reset_chain_stats() -> None:
         chain.stats = stats
 
 
-def submit(loop: "ParLoop", backend: str | None) -> bool:
+def submit(loop: BoundLoop, backend: str | None) -> bool:
     """Offer a loop to the lazy runtime; True iff it was enqueued.
 
     Loops enqueue when a :func:`loop_chain` context is open or

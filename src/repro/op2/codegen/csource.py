@@ -157,7 +157,7 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
     ``dlopen``\\ s: one wrapper per ``par_loop``, as OP2 generates one
     per ``op_par_loop``.
     ``signature`` is the loop's
-    :meth:`~repro.op2.parloop.ParLoop.native_signature`: dat entries
+    :meth:`~repro.op2.parloop.BoundLoop.native_signature`: dat entries
     carry a sixth element, the map index, so indirect accesses index
     the *full contiguous* map table (``m[n * arity + idx]``) — the
     strided per-column views Python backends use have no zero-copy C

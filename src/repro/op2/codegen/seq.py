@@ -11,7 +11,7 @@ Wrapper calling convention (shared with the vectorized generators)::
     wrapper(_np, _kernel, _start, _end, *flat)
 
 where ``flat`` contains, per argument, the arrays listed by
-``ParLoop.flatten_bindings``: the dat storage array (plus its map
+``BoundLoop.flatten_bindings``: the dat storage array (plus its map
 column/rows for indirect args), the Global data array (READ), or a
 neutral-initialized partial reduction buffer.
 """

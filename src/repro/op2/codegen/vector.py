@@ -31,7 +31,7 @@ Two scatter policies share the generated compute body:
 
   Since direct arguments are views, a dat written through a direct
   argument must be bound to no other argument of the loop
-  (:class:`~repro.op2.parloop.ParLoop` rejects it);
+  (:class:`~repro.op2.parloop.BoundLoop` rejects it);
 * ``"colored"`` — fancy-indexed copies in and out and plain ``+=``
   scatter, valid only for conflict-free element groups (the sanitizer
   backend, which supplies one audited color group at a time).
@@ -41,7 +41,7 @@ Wrapper calling conventions::
     wrapper(_np, _slot, _start, _end, *flat, *scatter)   # "atomic"
     wrapper(_np, _rows, *flat)                           # "colored"
 
-``flat`` is as produced by ``ParLoop.flatten_bindings``.
+``flat`` is as produced by ``BoundLoop.flatten_bindings``.
 ``_slot(k, shape, dtype)`` returns staging slot ``k`` of the arena; no
 staged array outlives its call. ``scatter`` holds, per indirect INC
 argument in argument order, the flat index of rows ``[_start, _end)``.

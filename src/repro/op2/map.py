@@ -58,6 +58,9 @@ class Map:
         self.values = values
         self.values.flags.writeable = False
         self.name = name if name is not None else f"map{next(_map_ids)}"
+        #: coloring plans over this map's columns
+        #: (:mod:`repro.op2.plan`), dying with the map
+        self._plans: dict = {}
 
     def column(self, idx: int) -> np.ndarray:
         """The ``idx``-th target of every row (read-only view)."""

@@ -1,10 +1,15 @@
-"""The par_loop frontend: validation, dispatch, and MPI orchestration.
+"""The par_loop frontend: binding, dispatch, and MPI orchestration.
 
 ``par_loop(kernel, iterset, *args)`` is the single entry point of the
-DSL (the paper's ``op_par_loop``). It validates the argument list,
-derives the loop *signature* that drives code generation, and executes
-through the configured backend. For distributed sets it additionally
-performs the paper's owner-compute protocol:
+DSL (the paper's ``op_par_loop``); ``bind(kernel, iterset, *args)``
+splits it in two. Binding validates the argument list once and keeps
+everything that depends only on it — the loop *signature* that drives
+code generation, the flat argument layout, the halo reads, the dats a
+run leaves stale — and, on the first run under each backend, the
+prepared backend call (compiled entry with its ctypes argv and block
+plan, or numpy wrapper with its scatter indices). ``par_loop(...)`` is
+``bind(...).run()``. For distributed sets a run performs the paper's
+owner-compute protocol:
 
 1. forward halo exchanges for every stale dat the loop will read
    (full, or partial per-map/exec-region when ``Config.partial_halos``
@@ -19,6 +24,7 @@ performs the paper's owner-compute protocol:
 from __future__ import annotations
 
 import time
+import weakref
 
 from repro.op2.access import Access, READING, WRITING
 from repro.op2.args import Arg
@@ -31,7 +37,7 @@ from repro.op2.set import Set
 from repro.telemetry.recorder import active_recorder
 
 
-def loop_halo_reads(loop: "ParLoop", cfg) -> dict[int, tuple]:
+def loop_halo_reads(loop: "BoundLoop", cfg) -> dict[int, tuple]:
     """Per-dat halo scopes ``loop`` reads: ``id(dat) -> (dat, {scopes})``.
 
     The single scope-selection rule shared by eager execution and the
@@ -43,7 +49,7 @@ def loop_halo_reads(loop: "ParLoop", cfg) -> dict[int, tuple]:
     otherwise. Direct reads need the exec region exactly when the loop
     executes it.
 
-    Scope choices key off :attr:`ParLoop.has_indirect_writes` — a
+    Scope choices key off :attr:`BoundLoop.has_indirect_writes` — a
     property of the loop's argument list, identical on every rank —
     never off this rank's execution extent: a rank whose exec halo
     happens to be empty (``exec_size == size``) must still pick the
@@ -72,19 +78,25 @@ def loop_halo_reads(loop: "ParLoop", cfg) -> dict[int, tuple]:
     return needs
 
 
-def eager_exchanges(needs: dict[int, tuple], is_fresh) -> list[tuple]:
+def eager_reads(needs: dict[int, tuple]) -> list[tuple]:
+    """``(dat, scope)`` per dat of :func:`loop_halo_reads`: the one
+    scope an eager loop refreshes it for
+    (:func:`~repro.op2.halo.resolve_eager_scope`)."""
+    return [(dat, resolve_eager_scope(scopes))
+            for dat, scopes in needs.values()]
+
+
+def eager_exchanges(reads: list[tuple], is_fresh) -> list[tuple]:
     """The ``(set, scope, stale dats)`` exchanges an eager loop makes.
 
-    ``needs`` is :func:`loop_halo_reads` of the loop and
+    ``reads`` is :func:`eager_reads` of the loop and
     ``is_fresh(dat, scope)`` the freshness predicate — the live
     :meth:`Dat.is_fresh_for` when executing, a simulated marker when
-    the chain predicts its eager baseline. Each dat needs one scope
-    (:func:`~repro.op2.halo.resolve_eager_scope`); stale dats sharing
-    a set and scope travel in one exchange.
+    the chain predicts its eager baseline. Stale dats sharing a set
+    and scope travel in one exchange.
     """
     groups: dict[tuple[int, str], tuple] = {}
-    for dat, scopes in needs.values():
-        scope = resolve_eager_scope(scopes)
+    for dat, scope in reads:
         if not is_fresh(dat, scope):
             groups.setdefault((id(dat.set), scope),
                               (dat.set, scope, []))[2].append(dat)
@@ -109,10 +121,28 @@ def _check_direct_writes_unaliased(kernel: Kernel, args: list[Arg]) -> None:
             )
 
 
-class ParLoop:
-    """A validated parallel loop over ``iterset``."""
+#: repro.op2.chain, imported on first use (it imports this module)
+_chain = None
 
-    def __init__(self, kernel: Kernel, iterset: Set, args: list[Arg]) -> None:
+
+class BoundLoop:
+    """A validated parallel loop over ``iterset``, bound to its arguments.
+
+    Frozen at bind: the kernel, the iteration set, the :class:`Arg`
+    objects (a bound ``Arg`` must not be mutated), the backend
+    override, the signatures and the flat argument layout. Built per
+    configuration (:attr:`_fingerprint` of ``partial_halos``,
+    ``block_size``, ``atomics_block``, ``native_threads``; a change
+    rebinds on the next run): the halo reads, one scope per dat. Built
+    on the first run under each backend: the prepared backend calls
+    over the owned range and the exec halo, with the loop's two
+    reusable reduction buffers bound in. Read per run: halo
+    freshness, the config, and the storage of every READ ``Global``
+    (``Global.data = ...`` may rebind it; the next run re-prepares).
+    """
+
+    def __init__(self, kernel: Kernel, iterset: Set, args: list[Arg],
+                 backend: str | None = None) -> None:
         if not isinstance(kernel, Kernel):
             raise TypeError(f"kernel must be a Kernel, got {type(kernel).__name__}")
         if not isinstance(iterset, Set):
@@ -130,15 +160,59 @@ class ParLoop:
         self.kernel = kernel
         self.iterset = iterset
         self.args = args
+        self.backend = backend
+        self.has_indirect_writes = any(
+            a.is_indirect and a.access in (Access.INC, Access.WRITE)
+            for a in args)
+
+        native: list[tuple] = []
+        #: flat argument layout (see :meth:`flatten_bindings`): dat and
+        #: map arrays in place, None at each Global's slot
+        self._flat: list = []
+        #: ``(flat slot, arg index, is_reduction)`` of every Global
+        self._global_slots: list[tuple[int, int, bool]] = []
+        for i, arg in enumerate(args):
+            if arg.is_global:
+                native.append(("gbl", arg.access, arg.dim))
+                self._global_slots.append((len(self._flat), i,
+                                           arg.is_reduction))
+                self._flat.append(None)
+                continue
+            addressing = ("direct" if arg.is_direct
+                          else "all" if arg.is_vector else "idx")
+            arity = arg.map.arity if arg.map is not None else 0
+            idx = arg.idx if (arg.is_indirect and not arg.is_vector) else None
+            native.append(("dat", arg.access, addressing, arg.dim, arity, idx))
+            self._flat.append(arg.data._data)
+            if arg.is_indirect:
+                self._flat.append(arg.map.values if arg.is_vector
+                                  else arg.map.column(arg.idx))
+        self._native_signature = tuple(native)
+        self._signature = tuple(sig if sig[0] == "gbl" else sig[:5]
+                                for sig in native)
+        #: indices of READ Globals (snapshotted by a chain at enqueue)
+        self.global_reads = tuple(i for i, a in enumerate(args)
+                                  if a.is_global and a.access is Access.READ)
+        #: Globals the loop reduces into
+        self.reduced_globals = tuple(a.data for a in args if a.is_reduction)
+        #: dats with halo entries a run leaves stale
+        self._stale_after = tuple(
+            a.data for a in args
+            if a.is_dat and a.access in WRITING
+            and a.data.set.total_size != a.data.set.size)
+
+        self._fingerprint: tuple | None = None
+        #: eager halo reads, ``(dat, scope)`` (:func:`eager_reads`)
+        self._reads: list[tuple] = []
+        #: backend name -> (owned-range call, exec-halo call or None),
+        #: each ``(fn, argv)``
+        self._launches: dict[str, tuple] = {}
+        #: ``(Global, storage)`` of each READ Global the launches bound
+        self._bound_reads: list[tuple] = []
+        self._reductions: ReductionBuffers | None = None
+        self._discarded: ReductionBuffers | None = None
 
     # -- loop characterization ------------------------------------------
-    @property
-    def has_indirect_writes(self) -> bool:
-        return any(
-            a.is_indirect and a.access in (Access.INC, Access.WRITE)
-            for a in self.args
-        )
-
     def signature(self) -> tuple:
         """Hashable per-arg descriptor tuple driving numpy code generation.
 
@@ -146,8 +220,7 @@ class ParLoop:
         wrappers receive an indirect argument's map column as a
         pre-sliced array, so the column index is not part of their key.
         """
-        return tuple(sig if sig[0] == "gbl" else sig[:5]
-                     for sig in self.native_signature())
+        return self._signature
 
     def native_signature(self) -> tuple:
         """Signature extended with map indices, for compiled codegen.
@@ -158,109 +231,101 @@ class ParLoop:
         index: dat entries carry a sixth element (``None`` for direct
         and vector arguments).
         """
-        sig = []
-        for arg in self.args:
-            if arg.is_global:
-                sig.append(("gbl", arg.access, arg.dim))
-            else:
-                addressing = ("direct" if arg.is_direct
-                              else "all" if arg.is_vector else "idx")
-                arity = arg.map.arity if arg.map is not None else 0
-                idx = arg.idx if (arg.is_indirect
-                                  and not arg.is_vector) else None
-                sig.append(("dat", arg.access, addressing, arg.dim, arity,
-                            idx))
-        return tuple(sig)
-
-    #: plan-cached (template, patches) installed by the chain executor
-    _flat_template = None
+        return self._native_signature
 
     def flatten_bindings(self, reductions: ReductionBuffers) -> list:
-        """Runtime arrays in the order generated wrappers expect."""
-        tmpl = self._flat_template
-        if tmpl is not None:
-            # executor fast path: dat arrays and map columns come from the
-            # flush plan (identity-validated there); only Global slots are
-            # dynamic — reduction buffers are per-call and Global._data may
-            # be rebound by host writes between flushes
-            flat, patches = tmpl
-            flat = flat.copy()
-            for slot, i, is_red in patches:
-                flat[slot] = (reductions.buffer_for(i) if is_red
-                              else self.args[i].data._data)
-            return flat
-        flat = []
-        for i, arg in enumerate(self.args):
-            if arg.is_global:
-                if arg.is_reduction:
-                    flat.append(reductions.buffer_for(i))
-                else:
-                    flat.append(arg.data.data)
-            else:
-                flat.append(arg.data.data_with_halos)
-                if arg.is_indirect:
-                    if arg.is_vector:
-                        flat.append(arg.map.values)
-                    else:
-                        flat.append(arg.map.column(arg.idx))
+        """Runtime arrays in the order generated wrappers expect.
+
+        Dat storage (``Dat._data`` is assigned only at construction)
+        and map columns come from the bind-time layout; each Global
+        slot is filled per call — a reduction's partial buffer from
+        ``reductions``, a READ Global's current storage.
+        """
+        flat = self._flat.copy()
+        args = self.args
+        for slot, i, is_reduction in self._global_slots:
+            flat[slot] = (reductions.buffer_for(i) if is_reduction
+                          else args[i].data._data)
         return flat
 
-    def binding_template(self) -> tuple[list, list]:
-        """Precompute :meth:`flatten_bindings` for repeated execution.
+    # -- running ---------------------------------------------------------
+    def run(self) -> None:
+        """Run the loop: enqueue it on this thread's open chain (under
+        ``Config.lazy`` or :func:`~repro.op2.chain.loop_chain`), else
+        execute it now."""
+        cfg = current_config()
+        chain = _chain or _import_chain()
+        if (cfg.lazy or getattr(chain._tls, "chain", None) is not None) \
+                and chain.submit(self, self.backend):
+            return
+        self.execute()
 
-        Returns ``(template, patches)``: the flat list with every
-        statically-bound array filled in (``Dat._data`` is assigned only
-        at construction; ``Map.values`` is immutable) and a patch list
-        ``(slot, arg index, is_reduction)`` for the Global slots that
-        must be rebound on every call. Valid exactly as long as the
-        loop's dat/map bindings are — which is what the chain's flush
-        plan re-validates by identity before reusing one.
-        """
-        flat: list = []
-        patches: list = []
-        for i, arg in enumerate(self.args):
-            if arg.is_global:
-                patches.append((len(flat), i, arg.is_reduction))
-                flat.append(None)
-            else:
-                flat.append(arg.data._data)
-                if arg.is_indirect:
-                    if arg.is_vector:
-                        flat.append(arg.map.values)
-                    else:
-                        flat.append(arg.map.column(arg.idx))
-        return flat, patches
-
-    # -- execution --------------------------------------------------------
     def execute(self, backend_name: str | None = None) -> None:
         """Run eagerly: refresh the halos this loop reads, then compute."""
         cfg = current_config()
         if cfg.sanitize:  # sanitize mode audits every loop, overrides all
             backend_name = "sanitizer"
-        execute_loop(self, backend_name or cfg.backend, refresh_halos=True)
+        execute_loop(self, backend_name or self.backend or cfg.backend,
+                     refresh_halos=True)
+
+    def _rebind(self, cfg, fingerprint: tuple) -> None:
+        """Adopt a configuration: resolve the halo reads, drop the
+        prepared backend calls."""
+        self._fingerprint = fingerprint
+        self._launches.clear()
+        self._reads = eager_reads(loop_halo_reads(self, cfg))
+
+    def _prepare(self, backend_name: str) -> tuple:
+        """Prepare the backend calls of one backend (first run under it,
+        or after a rebind or a READ Global's storage changed)."""
+        backend = resolve_backend(backend_name)
+        if self._reductions is None:
+            self._reductions = ReductionBuffers(self.args)
+            self._discarded = ReductionBuffers(self.args)
+        if not self._launches:
+            self._bound_reads = [(self.args[i].data, self.args[i].data._data)
+                                 for i in self.global_reads]
+        prepare = getattr(backend, "prepare", None)
+        if prepare is None:  # any backend: its per-call entry point
+            def prepare(loop, start, end, reductions):
+                return backend.execute, [loop, start, end, reductions]
+        iterset = self.iterset
+        owned = prepare(self, 0, iterset.size, self._reductions)
+        halo = None
+        if iterset.exec_size > iterset.size and self.has_indirect_writes:
+            halo = prepare(self, iterset.size, iterset.exec_size,
+                           self._discarded)
+        launches = self._launches[backend_name] = (owned, halo)
+        return launches
 
     def _refresh_halos(self, cfg) -> None:
         """Forward-exchange every stale dat the loop will read from halos."""
-        for sset, scope, dats in eager_exchanges(loop_halo_reads(self, cfg),
+        for sset, scope, dats in eager_exchanges(self._reads,
                                                  Dat.is_fresh_for):
             exchange_halos(sset, dats, scope=scope, grouped=cfg.grouped_halos)
 
     def _mark_written_stale(self) -> None:
-        for arg in self.args:
-            if arg.is_dat and arg.access in WRITING:
-                arg.data.mark_halo_stale()
+        for dat in self._stale_after:
+            dat.fresh_for = None
 
 
-def execute_loop(loop: ParLoop, backend_name: str,
+def _import_chain():
+    global _chain
+    from repro.op2 import chain
+
+    _chain = chain
+    return chain
+
+
+def execute_loop(loop: BoundLoop, backend_name: str,
                  refresh_halos: bool = False) -> None:
     """Run one loop — the one compute sequence of the runtime.
 
-    An eager ``par_loop`` calls this with ``refresh_halos`` set; a chain
-    flush calls it for each pending loop in program order, with the
-    loop's exchanges already scheduled or elided by the analyzer.
-    Redundant exec-halo execution folds into a discarded scratch
-    reduction buffer so global reductions count every element exactly
-    once.
+    An eager run calls this with ``refresh_halos`` set; a chain flush
+    calls it for each pending loop in program order, with the loop's
+    exchanges already scheduled or elided by the analyzer. Redundant
+    exec-halo execution folds into the loop's discarded reduction
+    buffer so global reductions count every element exactly once.
 
     When a recorder is bound the loop records an ``op2.halo`` span over
     its halo refresh (if it made one) and an ``op2.compute`` span over
@@ -268,9 +333,12 @@ def execute_loop(loop: ParLoop, backend_name: str,
     per-kernel time (:func:`~repro.telemetry.recorder.loop_stats`).
     """
     cfg = current_config()
-    backend = resolve_backend(backend_name)
     rec = active_recorder()
     t0 = t_halo = time.perf_counter() if rec is not None else 0.0
+    fingerprint = (cfg.partial_halos, cfg.block_size, cfg.atomics_block,
+                   cfg.native_threads)
+    if fingerprint != loop._fingerprint:
+        loop._rebind(cfg, fingerprint)
     iterset = loop.iterset
     halo = iterset.halo
     if refresh_halos and halo is not None:
@@ -278,13 +346,22 @@ def execute_loop(loop: ParLoop, backend_name: str,
         if rec is not None:
             t_halo = time.perf_counter()
 
-    reductions = ReductionBuffers(loop.args)
-    backend.execute(loop, 0, iterset.size, reductions)
-    if iterset.exec_size > iterset.size and loop.has_indirect_writes:
-        backend.execute(loop, iterset.size, iterset.exec_size,
-                        ReductionBuffers(loop.args))
+    for g, storage in loop._bound_reads:
+        if g._data is not storage:  # Global.data = ... rebound it
+            loop._launches.clear()
+            break
+    launches = loop._launches.get(backend_name) or loop._prepare(backend_name)
+    reductions = loop._reductions
+    if reductions.buffers:
+        reductions.reset()
+    fn, argv = launches[0]
+    fn(*argv)
+    if launches[1] is not None:
+        fn, argv = launches[1]
+        fn(*argv)
     loop._mark_written_stale()
-    reductions.finalize(halo.comm if halo is not None else None)
+    if reductions.buffers:
+        reductions.finalize(halo.comm if halo is not None else None)
     if rec is not None:
         t1 = time.perf_counter()
         name = loop.kernel.name
@@ -293,15 +370,46 @@ def execute_loop(loop: ParLoop, backend_name: str,
         rec.add_span(name, "op2.compute", t_halo, t1, elements=iterset.size)
 
 
+#: bind() registry: ``(id(kernel), id(iterset), backend, *ids of args)``
+#: -> BoundLoop. Weak: an entry lives as long as its caller keeps the
+#: loop, which also keeps every object whose id is in the key alive.
+_bound: "weakref.WeakValueDictionary[tuple, BoundLoop]" = \
+    weakref.WeakValueDictionary()
+
+
+def bind(kernel: Kernel, iterset: Set, *args: Arg,
+         backend: str | None = None) -> BoundLoop:
+    """Bind a parallel loop once, to run it many times.
+
+    Validates the loop and returns a :class:`BoundLoop` whose
+    :meth:`~BoundLoop.run` executes (or, lazily, enqueues) it with no
+    re-validation: the per-run cost is a halo freshness check and one
+    backend call per executed range. Binding the same kernel, set,
+    backend and :class:`Arg` *objects* again returns the same loop, and
+    :func:`par_loop` called with those objects runs it — so a caller
+    that keeps its ``Arg`` objects and its bound loop gets bind-once
+    behaviour through either entry point. The binding is dropped with
+    the last reference to the loop.
+    """
+    key = (id(kernel), id(iterset), backend, *map(id, args))
+    loop = _bound.get(key)
+    if loop is None:
+        loop = BoundLoop(kernel, iterset, list(args), backend)
+        _bound[key] = loop
+    return loop
+
+
 def par_loop(kernel: Kernel, iterset: Set, *args: Arg,
              backend: str | None = None) -> None:
-    """Declare a parallel loop (OP2's ``op_par_loop``).
+    """Declare a parallel loop (OP2's ``op_par_loop``): ``bind(...).run()``.
 
     Executes immediately in eager mode; under ``Config.lazy`` or an
-    open :func:`~repro.op2.chain.loop_chain` the validated loop is
+    open :func:`~repro.op2.chain.loop_chain` the bound loop is
     enqueued instead and runs when the chain flushes — with its halo
     exchanges elided or batched across loops, its results bitwise
-    equal to eager execution.
+    equal to eager execution. Arguments that a live :func:`bind` bound
+    run through that binding; any others are bound for this one call
+    and leave nothing behind.
 
     Parameters
     ----------
@@ -316,9 +424,7 @@ def par_loop(kernel: Kernel, iterset: Set, *args: Arg,
     backend:
         Override the configured compute backend for this loop.
     """
-    from repro.op2 import chain
-
-    loop = ParLoop(kernel, iterset, list(args))
-    if chain.submit(loop, backend):
-        return
-    loop.execute(backend)
+    loop = _bound.get((id(kernel), id(iterset), backend, *map(id, args)))
+    if loop is None:
+        loop = BoundLoop(kernel, iterset, list(args), backend)
+    loop.run()

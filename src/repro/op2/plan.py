@@ -32,6 +32,7 @@ arbitrary-precision masks.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,9 @@ from repro.op2.access import Access
 from repro.op2.map import Map
 from repro.telemetry.recorder import active_recorder
 
-#: plan cache: signature tuple -> Plan (maps held strongly so ids stay valid)
-_plan_cache: dict[tuple, "Plan | BlockPlan"] = {}
+#: maps whose ``_plans`` hold at least one plan, for the cache resets;
+#: weak, so a plan never outlives the map that stores it
+_planned_maps: "weakref.WeakSet[Map]" = weakref.WeakSet()
 
 
 @dataclass
@@ -52,7 +54,7 @@ class Plan:
     colors: np.ndarray              #: per-element color, shape (extent,)
     ncolors: int
     color_groups: list[np.ndarray]  #: element indices per color
-    _maps: tuple[Map, ...]          #: strong refs keeping cache keys valid
+    _maps: tuple[Map, ...]          #: keeps the maps named by the key alive
 
     @property
     def max_group(self) -> int:
@@ -88,8 +90,8 @@ class BlockPlan:
         block ``b`` covers elements ``[blk_lo[b], blk_hi[b])`` clamped
         to ``[start, end)`` (empty blocks dropped), and color ``c``
         owns blocks ``[col_off[c], col_off[c + 1])``. Cached per
-        ``(start, end)`` — the plan itself is already cached by loop
-        signature, so repeated loop executions reuse the arrays.
+        ``(start, end)`` — the plan itself is cached on its map, so
+        every loop over the same columns reuses the arrays.
         """
         key = (start, end)
         cached = self._native_cache.get(key)
@@ -142,19 +144,36 @@ def conflict_units(args, extent: int) -> list[_Unit]:
     return units
 
 
-def _maps_of(args) -> tuple[Map, ...]:
-    return tuple(
-        a.map for a in args
-        if a.is_indirect and a.access in (Access.INC, Access.WRITE)
-    )
+def _write_columns(args) -> list[tuple[Map, object]]:
+    """``(map, column)`` of every indirect-write argument, in order
+    (``"all"`` for a vector argument) — all a plan depends on."""
+    return [(a.map, "all" if a.is_vector else a.idx) for a in args
+            if a.is_indirect and a.access in (Access.INC, Access.WRITE)]
 
 
-def _signature(args, extent: int) -> tuple:
-    sig: list = [extent]
-    for a in args:
-        if a.is_indirect and a.access in (Access.INC, Access.WRITE):
-            sig.append((id(a.map), "all" if a.is_vector else a.idx))
-    return tuple(sig)
+def _cached(kind: str, block_size: int | None, extent: int,
+            columns: list[tuple[Map, object]]):
+    """``(owner map, key, cached plan or None)`` for a plan lookup.
+
+    A plan lives in ``_plans`` of the map of its first write column,
+    keyed ``(kind, block_size, extent, columns)`` with the columns'
+    maps by id; the plan holds those maps (``_maps``), so an id in a
+    live key always names a live map. Loops writing through the same
+    columns share one plan whatever dats they write.
+    """
+    owner = columns[0][0]
+    key = (kind, block_size, extent,
+           tuple((id(m), c) for m, c in columns))
+    cached = owner._plans.get(key)
+    rec = active_recorder()
+    if cached is not None and rec is not None:
+        rec.counter("op2.plan.cache_hit")
+    return owner, key, cached
+
+
+def _store(owner: Map, key: tuple, plan) -> None:
+    owner._plans[key] = plan
+    _planned_maps.add(owner)
 
 
 def _first_fit_colors(units: list[_Unit], n: int,
@@ -233,27 +252,24 @@ def _first_fit_block_colors(units: list[_Unit], extent: int,
 
 def build_plan(args, extent: int) -> Plan | None:
     """Element-coloring plan for a loop, or None if it needs no coloring."""
-    sig = _signature(args, extent)
-    if len(sig) == 1:   # no indirect writes
+    columns = _write_columns(args)
+    if not columns:   # no indirect writes
         return None
-    key = ("elem",) + sig
-    cached = _plan_cache.get(key)
-    rec = active_recorder()
+    owner, key, cached = _cached("elem", None, extent, columns)
     if cached is not None:
-        if rec is not None:
-            rec.counter("op2.plan.cache_hit")
-        return cached  # type: ignore[return-value]
+        return cached
 
     t0 = time.perf_counter()
     colors, ncolors = _first_fit_colors(conflict_units(args, extent), extent)
     groups = [np.nonzero(colors == c)[0] for c in range(ncolors)]
     plan = Plan(extent=extent, colors=colors, ncolors=ncolors,
-                color_groups=groups, _maps=_maps_of(args))
+                color_groups=groups, _maps=tuple(m for m, _ in columns))
+    rec = active_recorder()
     if rec is not None:
         rec.add_span("build_plan", "op2.plan", t0, time.perf_counter(),
                      kind="elem", extent=extent, ncolors=ncolors)
         rec.counter("op2.plan.build")
-    _plan_cache[key] = plan
+    _store(owner, key, plan)
     return plan
 
 
@@ -266,16 +282,12 @@ def build_block_plan(args, extent: int, block_size: int = 256) -> BlockPlan | No
     therefore a conflict, so all writing columns per target set merge
     into a single conflict unit here.
     """
-    sig = _signature(args, extent)
-    if len(sig) == 1:   # no indirect writes
+    columns = _write_columns(args)
+    if not columns:   # no indirect writes
         return None
-    key = ("block", block_size) + sig
-    cached = _plan_cache.get(key)
-    rec = active_recorder()
+    owner, key, cached = _cached("block", block_size, extent, columns)
     if cached is not None:
-        if rec is not None:
-            rec.counter("op2.plan.cache_hit")
-        return cached  # type: ignore[return-value]
+        return cached
 
     t0 = time.perf_counter()
     merged: dict[int, _Unit] = {}
@@ -290,18 +302,26 @@ def build_block_plan(args, extent: int, block_size: int = 256) -> BlockPlan | No
     plan = BlockPlan(extent=extent, block_size=block_size,
                      nblocks=block_colors.size,
                      block_colors=block_colors, ncolors=ncolors,
-                     _maps=_maps_of(args))
+                     _maps=tuple(m for m, _ in columns))
+    rec = active_recorder()
     if rec is not None:
         rec.add_span("build_plan", "op2.plan", t0, time.perf_counter(),
                      kind="block", extent=extent, ncolors=ncolors)
         rec.counter("op2.plan.build")
-    _plan_cache[key] = plan
+    _store(owner, key, plan)
     return plan
 
 
 def clear_plan_cache() -> None:
-    """Drop all cached plans (tests and long-lived drivers)."""
-    _plan_cache.clear()
+    """Drop every cached plan (tests and long-lived drivers).
+
+    Plans live on their maps and die with them; this empties the
+    caches of the maps still alive. A loop bound before the reset
+    keeps the plan arrays it already holds.
+    """
+    for m in list(_planned_maps):
+        m._plans.clear()
+    _planned_maps.clear()
 
 
 def clear_native_plan_arrays() -> None:
@@ -314,8 +334,9 @@ def clear_native_plan_arrays() -> None:
     reset_native_state` clears them so backend-switching tests never
     observe stale plan arrays from a previous toolchain configuration.
     """
-    for plan in _plan_cache.values():
-        cache = getattr(plan, "_native_cache", None)
-        if cache:
-            cache.clear()
+    for m in list(_planned_maps):
+        for plan in m._plans.values():
+            cache = getattr(plan, "_native_cache", None)
+            if cache:
+                cache.clear()
 

@@ -367,6 +367,10 @@ class ProcessChannel:
     and ``set``/``is_set``, so tests can wire channels over plain
     ``queue.Queue``/``threading.Event`` to exercise the contract
     in-process.
+
+    ``puts`` and ``pumps`` count the items this rank put on a queue and
+    took off its own; a rank's final report carries both, and equal
+    totals over all ranks prove every queue empty.
     """
 
     def __init__(self, rank: int, queues: Sequence[Any], abort: Any,
@@ -376,10 +380,13 @@ class ProcessChannel:
         self._abort = abort
         self._beat = beat
         self._buffer: list[Item] = []
+        self.puts = 0
+        self.pumps = 0
 
     def put(self, dst_world: int, item: Item) -> None:
         self._beat()
         self._queues[dst_world].put(item[:4] + (_encode_payload(item[4]),))
+        self.puts += 1
 
     def _pump(self, block: float = 0.0) -> bool:
         """Move at most one wire item into the buffer."""
@@ -388,6 +395,7 @@ class ProcessChannel:
                     else self._inbox.get_nowait())
         except _queue.Empty:
             return False
+        self.pumps += 1
         self._buffer.append(item[:4] + (_decode_payload(item[4]),))
         return True
 
@@ -470,10 +478,11 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
     message this rank produced has either been consumed by a peer or
     drained by the parent before the feeder threads are cancelled.
 
-    The final report is a 4-tuple ``(status, payload, message_log,
-    fault_state)`` — the last element ships this child's fire-once
-    fault-plan delta back to the parent (None when no plan is
-    installed). A matched ``crash_hard`` never reaches the report: the
+    The final report is a 5-tuple ``(status, payload, message_log,
+    fault_state, (puts, pumps))`` — ``fault_state`` ships this child's
+    fire-once fault-plan delta back to the parent (None when no plan
+    is installed), and the counts are its channel's queue traffic
+    (:class:`ProcessChannel`). A matched ``crash_hard`` never reaches the report: the
     bound handler sends a ``("fault", notice)`` frame and SIGKILLs the
     process, so the parent sees the notice followed by pipe EOF.
     """
@@ -516,13 +525,14 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
         status, payload = "err", exc
     fault_state = (fault_plan.snapshot_state()
                    if fault_plan is not None else None)
-    report = (status, payload, traffic.message_log(), fault_state)
+    queued = (channel.puts, channel.pumps)
+    report = (status, payload, traffic.message_log(), fault_state, queued)
     try:
         blob = pickle.dumps(report)
     except Exception as exc:  # result/exception not picklable
         fallback = ("err",
                     SimMPIError(f"rank {rank} result not picklable: {exc!r}"),
-                    traffic.message_log(), fault_state)
+                    traffic.message_log(), fault_state, queued)
         blob = pickle.dumps(fallback)
     reporter.send_bytes(blob)
     done.wait(timeout=max(timeout, 30.0))
@@ -531,8 +541,20 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
     os._exit(0)
 
 
+def _all_consumed(reports: Sequence[tuple | None]) -> bool:
+    """Did every rank report ``ok``, with every item any rank put on a
+    queue taken off one? Then no queue and no feeder thread holds an
+    item, and there is nothing to drain."""
+    if any(r is None or r[0] != "ok" for r in reports):
+        return False
+    return sum(r[4][0] for r in reports) == sum(r[4][1] for r in reports)
+
+
 def _drain_queues(queues: Sequence[Any]) -> None:
-    """Empty every rank queue, unlinking stray shared-memory segments."""
+    """Empty every rank queue, unlinking stray shared-memory segments.
+
+    Runs until two passes 10 ms apart find nothing, so items still in
+    a dying rank's feeder thread land first."""
     empty_passes = 0
     while empty_passes < 2:
         got = False
@@ -755,7 +777,8 @@ def run_ranks_process(nranks: int, fn: Callable[..., Any], args: tuple = (),
             for r in pending:
                 reports[r] = ("hung", None, [], None)
             pending.clear()
-        _drain_queues(queues)
+        if not _all_consumed(reports):
+            _drain_queues(queues)
         done.set()
         for p in procs:
             p.join(timeout=5.0)

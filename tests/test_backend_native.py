@@ -104,7 +104,7 @@ def test_corrupted_cache_entry_recompiles():
     undefined behaviour no userspace cache can defend against — the
     realistic failure is a truncated/stale entry from an earlier run.
     """
-    from repro.op2.parloop import ParLoop
+    from repro.op2.parloop import BoundLoop
 
     kernel = op2.Kernel(SAXPY)
 
@@ -118,7 +118,7 @@ def test_corrupted_cache_entry_recompiles():
                        g.arg(op2.READ)], y
 
     cells, args, _ = build_args(kernel)
-    nsig = ParLoop(kernel, cells, args).native_signature()
+    nsig = BoundLoop(kernel, cells, args).native_signature()
     so_path = native_mod.compiled_path(kernel, nsig)
     so_path.parent.mkdir(parents=True, exist_ok=True)
     so_path.write_bytes(b"this is not a shared object")

@@ -278,3 +278,49 @@ class TestHeartbeat:
 
         assert run_ranks(3, healthy, transport="process", timeout=TIMEOUT,
                          heartbeat_s=1.0) == [0, 1, 2]
+
+
+class TestTeardownDrain:
+    """The parent drains the rank queues only when something may be
+    left in one: every rank ``ok`` with as many items taken off the
+    queues as were put on them proves them empty."""
+
+    @pytest.fixture()
+    def drains(self, monkeypatch):
+        from repro.smpi import transport
+
+        calls = []
+        real = transport._drain_queues
+
+        def counted(queues):
+            calls.append(len(queues))
+            real(queues)
+
+        monkeypatch.setattr(transport, "_drain_queues", counted)
+        return calls
+
+    def test_clean_run_skips_the_drain(self, drains, no_shm_orphans):
+        assert len(run_ranks(2, _stepper, transport="process",
+                             timeout=TIMEOUT)) == 2
+        assert drains == []
+
+    def test_unreceived_message_is_drained(self, drains, no_shm_orphans):
+        def body(comm):
+            if comm.rank == 0:  # a large (shm) payload nobody receives
+                comm.send(np.full(65536, 1.0), 1, tag=9)
+            return comm.rank
+
+        assert run_ranks(2, body, transport="process",
+                         timeout=TIMEOUT) == [0, 1]
+        assert drains == [2]
+
+    def test_failed_run_is_drained(self, drains, no_shm_orphans):
+        def body(comm):
+            comm.barrier()
+            if comm.rank == 1:
+                raise ValueError("boom")
+            return comm.rank
+
+        with pytest.raises(ValueError, match="boom"):
+            run_ranks(2, body, transport="process", timeout=TIMEOUT)
+        assert drains == [2]

@@ -19,7 +19,7 @@ from repro.apps import make_airfoil_mesh
 from repro.apps.airfoil import AirfoilApp
 from repro.op2.backends import ReductionBuffers, resolve_backend
 from repro.op2.config import current_config
-from repro.op2.parloop import ParLoop
+from repro.op2.parloop import BoundLoop
 from repro.telemetry import (RankRecorder, Timeline, chrome_trace,
                              merge_timelines, metrics_summary,
                              validate_bench, validate_chrome_trace,
@@ -438,10 +438,10 @@ class TestOverheadGuard:
         app = AirfoilApp(make_airfoil_mesh(48, 12))
         app.iterate(2)  # warm caches, allocate, JIT numpy paths
 
-        current = ParLoop.execute
+        current = BoundLoop.execute
 
         def run(impl, niter=2):
-            monkeypatch.setattr(ParLoop, "execute", impl)
+            monkeypatch.setattr(BoundLoop, "execute", impl)
             t0 = time.perf_counter()
             app.iterate(niter)
             return time.perf_counter() - t0
@@ -450,7 +450,7 @@ class TestOverheadGuard:
         for _ in range(5):  # interleave to decorrelate machine noise
             seed_times.append(run(_seed_execute))
             new_times.append(run(current))
-        monkeypatch.setattr(ParLoop, "execute", current)
+        monkeypatch.setattr(BoundLoop, "execute", current)
         seed_best, new_best = min(seed_times), min(new_times)
         # min-of-N with a 2 ms absolute floor to absorb scheduler jitter
         assert new_best <= seed_best * 1.05 + 2e-3, (
