@@ -301,23 +301,26 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
     from repro.op2.codegen import (generate_native, generate_sequential,
                                    generate_vectorized)
 
-    kernel = KERNELS["flux_edge"]
-    # the compiled wrappers' signature: dats also name their map column
-    native_signature = (
-        ("dat", op2.READ, "idx", 5, 2, 0), ("dat", op2.READ, "idx", 5, 2, 1),
-        ("dat", op2.READ, "direct", 3, 0, None),
-        ("dat", op2.INC, "idx", 5, 2, 0), ("dat", op2.INC, "idx", 5, 2, 1),
-        ("gbl", op2.READ, 1),
-    )
-    signature = tuple(sig if sig[0] == "gbl" else sig[:5]
-                      for sig in native_signature)
+    # the signatures come from a real binding on a 3-edge chain: only a
+    # bound loop knows that q1 and q2 read one dat (what lets the
+    # compiled wrapper hoist their per-node work)
+    nodes, edges = op2.Set(4, "nodes"), op2.Set(3, "edges")
+    pedge = op2.Map(edges, nodes, 2, [[0, 1], [1, 2], [2, 3]], "pedge")
+    q, res = op2.Dat(nodes, 5, name="q"), op2.Dat(nodes, 5, name="res")
+    w = op2.Dat(edges, 3, name="w")
+    loop = op2.bind(KERNELS["flux_edge"], edges,
+                    q.arg(op2.READ, pedge, 0), q.arg(op2.READ, pedge, 1),
+                    w.arg(op2.READ), res.arg(op2.INC, pedge, 0),
+                    res.arg(op2.INC, pedge, 1),
+                    op2.Global(1, 1.4, "gam").arg(op2.READ))
+    kernel = loop.kernel
     if args.backend == "sequential":
-        print(generate_sequential(kernel.name, signature))
+        print(generate_sequential(kernel.name, loop.signature()))
     elif args.backend == "vectorized":
-        print(generate_vectorized(kernel, signature, "atomic"))
+        print(generate_vectorized(kernel, loop.signature(), "atomic"))
     else:
         strategy = op2.resolve_backend(args.backend).strategy
-        print(generate_native(kernel, native_signature, strategy))
+        print(generate_native(kernel, loop.native_signature(), strategy))
     return 0
 
 

@@ -67,12 +67,12 @@ def _load_native():
     """Compile (or load cached) gather kernel; reason string on failure."""
     global _native_fn
     if _native_fn is None:
-        loaded = _load_compiled(_SOURCE, "coupler_gather_apply",
-                                "gather_apply")
+        loaded = _load_compiled(_SOURCE, lambda: _SOURCE,
+                                "coupler_gather_apply", "gather_apply")
         if isinstance(loaded, _Fallback):
             _native_fn = loaded.reason
         else:
-            fn, _path, lib = loaded
+            fn, _path, lib, _source = loaded
             fn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
                            ctypes.POINTER(ctypes.c_double),
                            ctypes.POINTER(ctypes.c_long),

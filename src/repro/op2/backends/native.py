@@ -23,10 +23,15 @@ Execution strategies mirror the Python backends exactly:
   distributed finalize/allreduce plumbing is untouched.
 
 Compiled objects are cached on disk under ``~/.cache/repro-op2``
-(override with ``REPRO_CACHE_DIR``), keyed by the SHA-256 of
-``(source, compiler, flags)``, with in-process memoization in the
-kernel's wrapper cache. The compiler is ``$REPRO_CC`` or the first of
-``cc``/``gcc``/``clang`` on ``PATH``; flags are ``$REPRO_CFLAGS``
+(override with ``REPRO_CACHE_DIR``), keyed by the SHA-256 of the
+generator's *inputs* — kernel name and source, native signature,
+strategy, compiler, flags and a fingerprint of the generator modules'
+source (:func:`generator_fingerprint`) — so a process that finds its
+object on disk loads it without generating C; the source is generated
+only to build a missing object (or to rebuild a corrupt one). The
+kernel's wrapper cache memoizes the loaded entry in-process. The
+compiler is ``$REPRO_CC`` or the first of ``cc``/``gcc``/``clang`` on
+``PATH``; flags are ``$REPRO_CFLAGS``
 (default ``-O2 -fopenmp -ffp-contract=off`` — contraction off keeps
 the elemental arithmetic bitwise-equal to numpy for correctly-rounded
 operations).
@@ -46,6 +51,7 @@ reassociate per chunk).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -53,16 +59,20 @@ import subprocess
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.op2.access import Access
+from repro.op2 import kernel as kernel_module
 from repro.op2.backends.base import ReductionBuffers
 from repro.op2.backends.vectorized import VectorizedBackend
+from repro.op2.codegen import csource, hoist
 from repro.op2.codegen.csource import (generate_native, native_entry_name,
                                        native_is_planned)
+from repro.op2.codegen.hoist import hoist_plan
 from repro.op2.config import current_config
 from repro.op2.kernel import KernelParseError
 from repro.op2.plan import build_block_plan, clear_native_plan_arrays
@@ -70,6 +80,7 @@ from repro.telemetry.recorder import active_recorder, span
 from repro.util.atomicio import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.op2.args import Arg
     from repro.op2.parloop import BoundLoop
 
 #: default compile flags (overridable via ``REPRO_CFLAGS``); the link
@@ -123,10 +134,28 @@ def cache_dir() -> Path:
                 or "~/.cache/repro-op2").expanduser()
 
 
-def _so_path(stem: str, source: str, cc: str, cflags: list[str]) -> Path:
+@functools.cache
+def generator_fingerprint() -> str:
+    """SHA-256 of the source of the modules that shape generated C
+    (the kernel parser and typing, the hoisting analysis, the C
+    generator): part of every compiled object's cache key, so editing
+    the generator misses the cache instead of loading stale code."""
+    digest = hashlib.sha256()
+    for module in (kernel_module, hoist, csource):
+        digest.update(Path(module.__file__).read_bytes())
+    return digest.hexdigest()
+
+
+def _so_path(stem: str, key: str, cc: str, cflags: list[str]) -> Path:
     digest = hashlib.sha256(
-        "\x00".join([source, cc, " ".join(cflags)]).encode()).hexdigest()[:16]
+        "\x00".join([key, cc, " ".join(cflags)]).encode()).hexdigest()[:16]
     return cache_dir() / f"{stem[:80]}_{digest}.so"
+
+
+def _generator_key(kernel, nsig: tuple, strategy: str) -> str:
+    """Everything :func:`generate_native` reads, as one string."""
+    return "\x00".join([kernel.name, kernel.source, repr(nsig), strategy,
+                        generator_fingerprint()])
 
 
 def compiled_path(kernel, nsig: tuple,
@@ -137,13 +166,13 @@ def compiled_path(kernel, nsig: tuple,
     :meth:`~repro.op2.parloop.BoundLoop.native_signature`. Returns None
     without a toolchain. The object need not exist yet — this is where
     the backend will look for (or build) it, which is what cache tests
-    and cache-management tooling need.
+    and cache-management tooling need. No C is generated.
     """
     tc = toolchain()
     if tc is None:
         return None
     cc, cflags = tc
-    return _so_path(kernel.name, generate_native(kernel, nsig, strategy),
+    return _so_path(kernel.name, _generator_key(kernel, nsig, strategy),
                     cc, cflags)
 
 
@@ -207,18 +236,27 @@ def _compile(source: str, cc: str, cflags: list[str],
     return None
 
 
-def _load_compiled(source: str, stem: str, entry_name: str
+def _load_compiled(key: str, generate, stem: str, entry_name: str
                    ) -> "tuple | _Fallback":
-    """Compile (or reuse) ``source`` and dlopen it; ``(fn, path, lib)``."""
+    """dlopen the object cached under ``key``, building it from
+    ``generate()`` (the C source) when it is missing or unusable;
+    ``(fn, path, lib, source)``."""
     rec = active_recorder()
     tc = toolchain()
     if tc is None:
         return _Fallback("no C toolchain (set REPRO_CC or install cc/gcc)")
     cc, cflags = tc
-    so_path = _so_path(stem, source, cc, cflags)
+    so_path = _so_path(stem, key, cc, cflags)
+    source = None
     with _compile_lock:
         for attempt in (0, 1):
             if not so_path.exists():
+                if source is None:
+                    try:
+                        source = generate()
+                    except KernelParseError as exc:
+                        return _Fallback(
+                            f"C generation failed for {stem!r}: {exc}")
                 err = _compile(source, cc, cflags, so_path)
                 if err is not None:
                     return _Fallback(err)
@@ -239,24 +277,37 @@ def _load_compiled(source: str, stem: str, entry_name: str
                         "even after recompiling")
                 continue
             fn.restype = None
-            return fn, so_path, lib
+            if source is None:  # loaded from disk: show what was built
+                c_path = so_path.with_suffix(".c")
+                source = c_path.read_text() if c_path.exists() else ""
+            return fn, so_path, lib, source
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _build_entry(kernel, nsig: tuple,
-                 strategy: str) -> "_NativeEntry | _Fallback":
-    try:
-        with span("native.generate", "op2.native", kernel=kernel.name):
-            source = generate_native(kernel, nsig, strategy)
-    except KernelParseError as exc:
-        return _Fallback(f"C generation failed for {kernel.name!r}: {exc}")
-    loaded = _load_compiled(source, kernel.name,
-                            native_entry_name(kernel, strategy))
-    if isinstance(loaded, _Fallback):
-        return loaded
-    fn, so_path, lib = loaded
-    planned = strategy == "blockcolor" and native_is_planned(nsig)
-    return _NativeEntry(fn, planned, source, so_path, lib)
+#: per-map hoisting row lists, keyed ``(((id(map), column), ...), start,
+#: end)``; ``Map.values`` is read-only, so an entry never goes stale,
+#: and it dies with its first map (weak keys; the entry holds the
+#: others)
+_rows_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def hoisted_rows(args: "list[Arg]", start: int, end: int) -> np.ndarray:
+    """Sorted unique target rows that elements [start, end) reference
+    through the map columns of the indirect ``args``: the rows a
+    hoisting pre-pass evaluates (:mod:`repro.op2.codegen.hoist`)."""
+    first = args[0].map
+    per_map = _rows_cache.get(first)
+    if per_map is None:
+        per_map = _rows_cache[first] = {}
+    key = (tuple((id(a.map), int(a.idx)) for a in args), start, end)
+    entry = per_map.get(key)
+    if entry is None:
+        rows = np.unique(np.concatenate(
+            [a.map.values[start:end, a.idx] for a in args]))
+        rows.setflags(write=False)
+        others = tuple(a.map for a in args if a.map is not first)
+        entry = per_map[key] = (rows, others)
+    return entry[0]
 
 
 def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
@@ -289,9 +340,10 @@ class NativeBackend:
         cannot be built.
 
         ``argv`` is the whole ctypes argument list: a pointer per dat,
-        map, READ Global and reduction buffer, then the block plan's
-        arrays (planned wrappers), the range, the atomics chunk and the
-        thread count. Each pointer keeps its array alive.
+        map, READ Global and reduction buffer, then per hoisting group
+        its row list, row count and scratch array, then the block
+        plan's arrays (planned wrappers), the range, the atomics chunk
+        and the thread count. Each pointer keeps its array alive.
         """
         entry = self._entry_for(loop)
         if isinstance(entry, _Fallback):
@@ -301,6 +353,7 @@ class NativeBackend:
         cfg = current_config()
         c_ll = ctypes.c_longlong
         argv = self._loop_argv(loop, reductions)
+        argv += self._hoist_argv(loop, start, end)
         if entry.planned:
             plan = build_block_plan(loop.args, end,
                                     block_size=cfg.block_size)
@@ -337,6 +390,35 @@ class NativeBackend:
                 argv.append(_pointer(arg.map.values))
         return argv
 
+    @staticmethod
+    def _hoist_argv(loop: "BoundLoop", start: int, end: int) -> list:
+        """Per hoisting group: row list, row count, scratch array."""
+        argv: list = []
+        for group in hoist_plan(loop.kernel, loop.native_signature()).groups:
+            rows = hoisted_rows([loop.args[i] for i in group.members],
+                                start, end)
+            argv += [_pointer(rows), ctypes.c_longlong(rows.size),
+                     _pointer(loop.hoist_scratch(group.members,
+                                                 group.width))]
+        return argv
+
+    def _build_entry(self, kernel, nsig: tuple
+                     ) -> "_NativeEntry | _Fallback":
+        """Load the compiled wrapper of ``(kernel, nsig)``, generating
+        and compiling it only when the disk cache misses."""
+        def generate() -> str:
+            with span("native.generate", "op2.native", kernel=kernel.name):
+                return generate_native(kernel, nsig, self.strategy)
+
+        loaded = _load_compiled(_generator_key(kernel, nsig, self.strategy),
+                                generate, kernel.name,
+                                native_entry_name(kernel, self.strategy))
+        if isinstance(loaded, _Fallback):
+            return loaded
+        fn, so_path, lib, source = loaded
+        planned = self.strategy == "blockcolor" and native_is_planned(nsig)
+        return _NativeEntry(fn, planned, source, so_path, lib)
+
     def _entry_for(self, loop: "BoundLoop") -> "_NativeEntry | _Fallback":
         unsupported = self._unsupported(loop)
         if unsupported is not None:
@@ -349,7 +431,7 @@ class NativeBackend:
             if rec is not None:
                 rec.counter("op2.native.cache_hit_mem")
             return entry
-        entry = _build_entry(loop.kernel, nsig, self.strategy)
+        entry = self._build_entry(loop.kernel, nsig)
         source = entry.source if isinstance(entry, _NativeEntry) else ""
         loop.kernel.store(key, entry, source)
         return entry

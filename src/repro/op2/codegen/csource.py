@@ -10,6 +10,18 @@ invokes through ``ctypes``: one wrapper per ``par_loop``, running
 inside a single OpenMP region, in one of the paper's two data-race
 strategies — the block-color plan (its OpenMP backend) or chunked
 ``#pragma omp atomic`` increments (its CUDA backend's atomics).
+
+Map-invariant hoisting (:mod:`repro.op2.codegen.hoist`): the locals a
+kernel computes from one endpoint only — assigned once at top level,
+double-typed, reading ``p[c]`` of an indirect READ argument ``p``
+whose dat the loop does not write, constants, READ Globals and math —
+are evaluated once per node. Each hoisting group adds a row list, a
+row count and a ``(total_size, width)`` scratch array to the ABI; an
+``#pragma omp for`` pre-pass over the rows stores the group's
+frontier in the scratch, and the elemental function loads it from
+the scratch row of each member's map target. ``min``/``max`` are
+numpy's ``minimum``/``maximum`` (``op2_min``/``op2_max``, emitted
+where used).
 """
 
 from __future__ import annotations
@@ -19,7 +31,9 @@ import copy
 from typing import Sequence
 
 from repro.op2.access import Access
-from repro.op2.kernel import Kernel, KernelParseError
+from repro.op2.codegen.hoist import NO_HOIST, HoistPlan, hoist_plan
+from repro.op2.kernel import (Kernel, KernelParseError, integer_locals,
+                              is_integer)
 
 #: kernel math names -> C math spellings (floating-point operands; the
 #: integer-typed forms of ``abs``/``min``/``max`` are special-cased in
@@ -28,8 +42,18 @@ from repro.op2.kernel import Kernel, KernelParseError
 _C_MATH = {
     "sqrt": "sqrt", "fabs": "fabs", "abs": "fabs", "exp": "exp",
     "log": "log", "sin": "sin", "cos": "cos", "tan": "tan",
-    "atan2": "atan2", "min": "fmin", "max": "fmax", "pow": "pow",
+    "atan2": "atan2", "min": "op2_min", "max": "op2_max", "pow": "pow",
     "copysign": "copysign",
+}
+
+#: numpy's ``minimum``/``maximum`` in C (libm's ``fmin``/``fmax`` drop a
+#: NaN and order signed zeros differently); emitted into a translation
+#: unit that calls them
+_MINMAX = {
+    "op2_min": "static inline double op2_min(double a, double b) "
+               "{ return (a < b || a != a) ? a : b; }",
+    "op2_max": "static inline double op2_max(double a, double b) "
+               "{ return (a > b || a != a) ? a : b; }",
 }
 
 
@@ -88,10 +112,10 @@ def _native_args(kernel: Kernel, signature: Sequence[tuple]
             neutral = {Access.INC: "0.0", Access.MIN: "INFINITY",
                        Access.MAX: "-INFINITY"}[access]
             fold = {Access.INC: f"g{i}{_TAG}[d] += {staged}[d];",
-                    Access.MIN:
-                        f"g{i}{_TAG}[d] = fmin(g{i}{_TAG}[d], {staged}[d]);",
-                    Access.MAX:
-                        f"g{i}{_TAG}[d] = fmax(g{i}{_TAG}[d], {staged}[d]);",
+                    Access.MIN: f"g{i}{_TAG}[d] = "
+                                f"op2_min(g{i}{_TAG}[d], {staged}[d]);",
+                    Access.MAX: f"g{i}{_TAG}[d] = "
+                                f"op2_max(g{i}{_TAG}[d], {staged}[d]);",
                     }[access]
             red_decl.append(f"double {staged}[{dim}];")
             red_decl.append(
@@ -99,7 +123,7 @@ def _native_args(kernel: Kernel, signature: Sequence[tuple]
             red_fold.append(f"for (int d = 0; d < {dim}; d++) {fold}")
             call.append(staged)
             continue
-        _, access, addressing, dim, arity, idx = sig
+        _, access, addressing, dim, arity, idx = sig[:6]
         const = "const " if access is Access.READ else ""
         formals.append(f"{const}double *a{i}{_TAG}")
         if addressing == "direct":
@@ -182,16 +206,28 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
     ``long long``): one ``double*`` per argument (reductions receive
     the caller's neutral-initialised partial buffer) plus a
     ``const long long*`` map table after each indirect argument, names
-    suffixed ``_f0``; then — planned blockcolor loops only — the
+    suffixed ``_f0``; then, per hoisting group
+    (:mod:`~repro.op2.codegen.hoist`), its sorted row list
+    ``_hrowsG_f0``, row count ``_hnG_f0`` and ``(total_size, width)``
+    scratch ``_hsG_f0``; then — planned blockcolor loops only — the
     flattened plan ``_blk_lo_f0, _blk_hi_f0, _col_off_f0,
     _ncolors_f0``; then the tail ``_start, _end, _block, _nthreads``
     (``_block`` is the atomics chunk extent, ignored under
     blockcolor). Reduction staging is thread-private and folded under
     ``#pragma omp critical`` right after the element loop.
 
+    Hoisting: when the signature's dat entries carry their seventh
+    element (the first argument bound to the same dat), each group's
+    node pre-pass is an ``#pragma omp for`` over its rows ahead of the
+    element loop, announced by a ``// hoisted on <label>: <frontier>``
+    line; the elemental function takes one scratch-row pointer per
+    group member after its arguments. A loop with nothing to hoist
+    emits the unhoisted wrapper, byte for byte.
+
     Compiled with ``-ffp-contract=off`` the elemental arithmetic is
     bitwise-identical to the numpy backends for correctly-rounded
-    operations; reductions reassociate across threads.
+    operations; reductions reassociate across threads. ``min``/``max``
+    are numpy's ``minimum``/``maximum`` (``op2_min``/``op2_max``).
     """
     if strategy not in ("blockcolor", "atomics"):
         raise ValueError(f"unknown native strategy {strategy!r}")
@@ -199,9 +235,40 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
 
     base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
     fn_name = f"{kernel.name}{_TAG}"
+    plan = hoist_plan(kernel, signature)
     elemental = _elemental_c(kernel, base_sig, index_type="long long",
-                             omp_atomic=atomics, fn_name=fn_name)
+                             omp_atomic=atomics, fn_name=fn_name, plan=plan)
     formals, call, red_decl, red_fold = _native_args(kernel, signature)
+    params = kernel.params
+    prepass_fns: list[str] = []
+    prepass: list[str] = []
+    for g, group in enumerate(plan.groups):
+        rows, count, scratch = (f"_hrows{g}{_TAG}", f"_hn{g}{_TAG}",
+                                f"_hs{g}{_TAG}")
+        formals += [f"const long long *{rows}", f"long long {count}",
+                    f"double *{scratch}"]
+        width = group.width
+        for i in group.members:
+            _, _, _, _, arity, idx = signature[i][:6]
+            call.append(f"{scratch} + m{i}{_TAG}[n * {arity} + {idx}] "
+                        f"* {width}")
+        first = group.members[0]
+        prepass_fns.append(_prepass_c(kernel, base_sig, group,
+                                      f"{fn_name}_h{g}"))
+        gbl_args = [f"g{params.index(name)}{_TAG}"
+                    for name in group.global_params]
+        dim = signature[first][3]
+        prepass += [
+            f"    // hoisted on {group.label}: "
+            + " ".join(group.frontiers[0]),
+            "    #pragma omp for schedule(static)",
+            f"    for (long long _r = 0; _r < {count}; _r++) {{",
+            f"      long long _row = {rows}[_r];",
+            f"      {fn_name}_h{g}("
+            + ", ".join([f"a{first}{_TAG} + _row * {dim}", *gbl_args,
+                         f"{scratch} + _row * {width}"]) + ");",
+            "    }",
+        ]
     planned = not atomics and native_is_planned(signature)
     if planned:
         formals += [f"const long long *_blk_lo{_TAG}",
@@ -211,13 +278,8 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
     tail = ["long long _start", "long long _end",
             "long long _block", "long long _nthreads"]
     variant = "atomic chunks" if atomics else "block-color plan"
+    functions = "\n\n".join([elemental, *prepass_fns])
     lines = [
-        f"// generated by repro.op2 — native {variant} wrapper for "
-        + kernel.name,
-        *_NATIVE_PREAMBLE,
-        "",
-        elemental,
-        "",
         f"void {native_entry_name(kernel, strategy)}(",
         "    " + ",\n    ".join(formals + tail) + ") {",
         "  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();",
@@ -230,6 +292,7 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
         f"    // -- section 0: {kernel.name}",
     ]
     lines.extend(f"    {d}" for d in red_decl)
+    lines.extend(prepass)
     lines.extend(_native_element_loop(
         f"{fn_name}({', '.join(call)})", planned=planned, atomics=atomics))
     if red_fold:
@@ -238,17 +301,48 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
         lines.extend(f"      {f}" for f in red_fold)
         lines.append("    }")
     lines.extend(["  }", "}"])
-    return "\n".join(lines) + "\n"
+    wrapper = "\n".join(lines)
+    helpers = [_MINMAX[name] for name in _MINMAX
+               if f"{name}(" in functions or f"{name}(" in wrapper]
+    head = [
+        f"// generated by repro.op2 — native {variant} wrapper for "
+        + kernel.name,
+        *_NATIVE_PREAMBLE,
+        "",
+    ]
+    if helpers:
+        head += [*helpers, ""]
+    return "\n".join(head + [functions, "", wrapper]) + "\n"
+
+
+def _prepass_c(kernel: Kernel, signature: Sequence[tuple],
+               group, fn_name: str) -> str:
+    """The ``static inline`` node pre-pass of one hoisting group: the
+    first member's hoisted statements, then its frontier stored into
+    the scratch row ``_h``."""
+    first = group.params[0]
+    formals = [f"const double *{first}"]
+    formals += [f"const double *{name}" for name in group.global_params]
+    formals.append("double *_h")
+    body = _CBody(kernel, signature, set()).translate_stmts(group.body)
+    body += [f"_h[{j}] = {name};"
+             for j, name in enumerate(group.frontiers[0])]
+    head = f"static inline void {fn_name}(" + ", ".join(formals) + ") {"
+    return "\n".join([head] + [f"  {line}" for line in body] + ["}"])
 
 
 def _elemental_c(kernel: Kernel, signature: Sequence[tuple],
                  index_type: str = "int", omp_atomic: bool = False,
-                 fn_name: str | None = None) -> str:
+                 fn_name: str | None = None,
+                 plan: HoistPlan = NO_HOIST) -> str:
     """Translate the elemental kernel body to a ``static inline`` C function.
 
     ``omp_atomic`` emits ``#pragma omp atomic`` before every indirect
     increment; ``fn_name`` overrides the emitted function name (the
-    kernel's name by default).
+    kernel's name by default). Under a hoisting ``plan`` the function
+    also takes a scratch-row pointer ``_h_<param>`` per group member,
+    loads each frontier local from it and drops the other hoisted
+    statements.
     """
     params = kernel.params
     formals = []
@@ -269,8 +363,10 @@ def _elemental_c(kernel: Kernel, signature: Sequence[tuple],
         if (omp_atomic and access is Access.INC
                 and addressing in ("idx", "all")):
             inc_params.add(pname)
+    for group in plan.groups:
+        formals += [f"const double *_h_{p}" for p in group.params]
 
-    body = _CBody(kernel, signature, inc_params).translate()
+    body = _CBody(kernel, signature, inc_params).translate(plan)
     head = (f"static inline void {fn_name or kernel.name}("
             + ", ".join(formals) + ") {")
     return "\n".join([head] + [f"  {line}" for line in body] + ["}"])
@@ -292,70 +388,20 @@ class _CBody:
             for p, sig in zip(kernel.params, signature)
         }
         self.declared: set[str] = set()
-        self.loop_vars: set[str] = set()
-        self.int_locals: set[str] = set()
-        self._infer_int_locals(kernel.func_ast)
-
-    # -- integer typing ---------------------------------------------------
-    def _infer_int_locals(self, fdef: ast.FunctionDef) -> None:
-        """Fixed-point pass: which locals hold integers on every path?
-
-        Python locals are dynamically typed; the C translation must pick
-        one declaration per name. A local counts as integer only when
-        *every* assignment to it is integer-valued (loop variables are
-        always integers) — then ``abs``/``min``/``max`` over it get
-        integer spellings instead of ``fabs``/``fmin``/``fmax``, and it
-        stays usable in array-index position.
-        """
-        assigns: list[tuple[str, ast.expr]] = []
-        for node in ast.walk(fdef):
-            if isinstance(node, ast.For) and isinstance(node.target,
-                                                        ast.Name):
-                self.loop_vars.add(node.target.id)
-            elif isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        assigns.append((tgt.id, node.value))
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                    node.target, ast.Name):
-                # x /= y is float in Python regardless of operand types
-                if isinstance(node.op, ast.Div):
-                    assigns.append((node.target.id, ast.Constant(value=0.5)))
-                else:
-                    assigns.append((node.target.id, node.value))
-        self.int_locals = {name for name, _ in assigns} - self.loop_vars
-        changed = True
-        while changed:
-            changed = False
-            for name, value in assigns:
-                if name in self.int_locals and not self._is_int(value):
-                    self.int_locals.discard(name)
-                    changed = True
+        #: locals holding integers on every path, loop variables
+        #: included: ``abs``/``min``/``max`` over them get integer
+        #: spellings, and they stay usable in array-index position
+        loop_vars, int_locals = integer_locals(kernel.func_ast)
+        self.loop_vars = loop_vars
+        self.int_locals = int_locals
+        self.ints = loop_vars | int_locals
 
     def _is_int(self, node: ast.expr) -> bool:
         """Does this expression have integer type in the C translation?"""
-        if isinstance(node, ast.Constant):
-            return isinstance(node.value, (bool, int))
-        if isinstance(node, ast.Name):
-            return node.id in self.loop_vars or node.id in self.int_locals
-        if isinstance(node, ast.UnaryOp):
-            return self._is_int(node.operand)
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, (ast.Div, ast.Pow)):
-                return False  # Python / is float division; pow -> double
-            return self._is_int(node.left) and self._is_int(node.right)
-        if isinstance(node, ast.IfExp):
-            return self._is_int(node.body) and self._is_int(node.orelse)
-        if isinstance(node, (ast.Compare, ast.BoolOp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in ("min", "max"):
-                return all(self._is_int(a) for a in node.args)
-            if node.func.id == "abs":
-                return self._is_int(node.args[0])
-        return False  # subscripts (array data) and math calls are double
+        return is_integer(node, self.ints)
 
-    def translate(self) -> list[str]:
+    def translate(self, plan: HoistPlan = NO_HOIST) -> list[str]:
+        """The body's statements, rewritten by a hoisting ``plan``."""
         fdef = copy.deepcopy(self.kernel.func_ast)
         out: list[str] = []
         for stmt in fdef.body:
@@ -364,6 +410,23 @@ class _CBody:
                 continue
             if isinstance(stmt, ast.Return):
                 continue
+            target = (stmt.targets[0].id
+                      if isinstance(stmt, ast.Assign)
+                      and isinstance(stmt.targets[0], ast.Name) else None)
+            if target in plan.dropped:
+                continue
+            if target in plan.loads:
+                param, slot = plan.loads[target]
+                self.declared.add(target)
+                out.append(f"double {target} = _h_{param}[{slot}];")
+                continue
+            out.extend(self._stmt(stmt))
+        return out
+
+    def translate_stmts(self, stmts) -> list[str]:
+        """Some of the body's statements, as they stand."""
+        out: list[str] = []
+        for stmt in stmts:
             out.extend(self._stmt(stmt))
         return out
 

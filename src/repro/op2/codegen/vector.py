@@ -67,6 +67,15 @@ Every column is then computed from the same operands in the same
 order, so the result is bitwise the per-column loop's. Anything else
 stays a loop: ``x[i] = x[i] / x[0]`` (a loop-carried read), an
 accumulation into ``rms[0]``, nested loops over an ``ALL`` map.
+
+No map-invariant hoisting. The compiled generator evaluates a
+kernel's single-endpoint locals once per node
+(:mod:`repro.op2.codegen.hoist`); a numpy wrapper doing the same — a
+node pre-pass over the referenced rows into a scratch array, then one
+scratch gather per member instead of the per-edge arithmetic — ran no
+faster on the 1-2 row: the pre-pass and the extra gathers cost what
+the saved whole-array operations did. So this generator takes the
+5-column signature and emits the whole body per element block.
 """
 
 from __future__ import annotations

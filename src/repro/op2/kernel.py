@@ -40,6 +40,24 @@ class KernelParseError(ValueError):
     """The kernel source steps outside the restricted language."""
 
 
+def kernel_max(a, b):
+    """``max`` in a kernel: numpy's ``maximum`` on scalars.
+
+    A NaN operand is the result (Python's ``max`` and C's ``fmax`` drop
+    it, depending on argument order), and of two equal operands — ``-0.``
+    and ``0.`` included — the second. Every backend spells the same
+    rule: ``np.maximum`` (numpy), this function (sequential) and
+    ``op2_max`` (compiled C).
+    """
+    return a if a > b or a != a else b
+
+
+def kernel_min(a, b):
+    """``min`` in a kernel: numpy's ``minimum`` on scalars (see
+    :func:`kernel_max`)."""
+    return a if a < b or a != a else b
+
+
 #: functions kernels may call, and their numpy spellings
 MATH_WHITELIST: dict[str, str] = {
     "sqrt": "_np.sqrt",
@@ -109,6 +127,7 @@ class Kernel:
         self._params: list[str] | None = None
         self._scalar_fn: Callable | None = None
         #: generated-code cache: (backend, signature) -> compiled wrapper
+        #: (and per-signature analyses, such as the hoisting plan)
         self._cache: dict[tuple, object] = {}
         self._cache_lock = threading.Lock()
         #: generated source text per cache key, for inspection/examples
@@ -161,8 +180,8 @@ class Kernel:
                 "sqrt": math.sqrt, "fabs": math.fabs, "exp": math.exp,
                 "log": math.log, "sin": math.sin, "cos": math.cos,
                 "tan": math.tan, "atan2": math.atan2, "pow": pow,
-                "copysign": math.copysign, "abs": abs, "min": min,
-                "max": max, "range": range,
+                "copysign": math.copysign, "abs": abs, "min": kernel_min,
+                "max": kernel_max, "range": range,
             }
             module = ast.Module(body=[fdef], type_ignores=[])
             ast.fix_missing_locations(module)
@@ -177,10 +196,14 @@ class Kernel:
     def cached(self, key: tuple):
         return self._cache.get(key)
 
-    def store(self, key: tuple, wrapper: object, source: str) -> None:
+    def store(self, key: tuple, wrapper: object,
+              source: str | None = None) -> None:
+        """Memoize ``wrapper`` under ``key``; ``source``, when given,
+        is kept for :meth:`generated_sources`."""
         with self._cache_lock:
             self._cache[key] = wrapper
-            self._generated_sources[key] = source
+            if source is not None:
+                self._generated_sources[key] = source
 
     def generated_sources(self) -> dict[tuple, str]:
         """All generated source variants so far (for inspection)."""
@@ -188,6 +211,65 @@ class Kernel:
 
     def __repr__(self) -> str:
         return f"Kernel({self.name!r}, params={self.params})"
+
+
+def integer_locals(fdef: ast.FunctionDef) -> tuple[set[str], set[str]]:
+    """``(loop variables, integer locals)`` of a kernel body.
+
+    Python locals are dynamically typed; a C translation must pick one
+    declaration per name. A local counts as integer only when *every*
+    assignment to it is integer-valued (a fixed point: ``j = i`` is
+    integer while ``i`` is); loop variables always are.
+    """
+    loop_vars: set[str] = set()
+    assigns: list[tuple[str, ast.expr]] = []
+    for node in ast.walk(fdef):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            loop_vars.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            for tgt in node.targets:
+                if isinstance(tgt, ast.Name):
+                    assigns.append((tgt.id, node.value))
+        elif isinstance(node, ast.AugAssign) and isinstance(
+                node.target, ast.Name):
+            # x /= y is float in Python regardless of operand types
+            if isinstance(node.op, ast.Div):
+                assigns.append((node.target.id, ast.Constant(value=0.5)))
+            else:
+                assigns.append((node.target.id, node.value))
+    ints = {name for name, _ in assigns} - loop_vars
+    changed = True
+    while changed:
+        changed = False
+        for name, value in assigns:
+            if name in ints and not is_integer(value, loop_vars | ints):
+                ints.discard(name)
+                changed = True
+    return loop_vars, ints
+
+
+def is_integer(node: ast.expr, ints: set[str]) -> bool:
+    """Is this kernel expression integer-typed, given the integer names?"""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (bool, int))
+    if isinstance(node, ast.Name):
+        return node.id in ints
+    if isinstance(node, ast.UnaryOp):
+        return is_integer(node.operand, ints)
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, (ast.Div, ast.Pow)):
+            return False  # Python / is float division; pow -> double
+        return is_integer(node.left, ints) and is_integer(node.right, ints)
+    if isinstance(node, ast.IfExp):
+        return is_integer(node.body, ints) and is_integer(node.orelse, ints)
+    if isinstance(node, (ast.Compare, ast.BoolOp)):
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in ("min", "max"):
+            return all(is_integer(a, ints) for a in node.args)
+        if node.func.id == "abs":
+            return is_integer(node.args[0], ints)
+    return False  # subscripts (array data) and math calls are double
 
 
 class _Validator(ast.NodeVisitor):

@@ -26,6 +26,8 @@ from __future__ import annotations
 import time
 import weakref
 
+import numpy as np
+
 from repro.op2.access import Access, READING, WRITING
 from repro.op2.args import Arg
 from repro.op2.backends import ReductionBuffers, resolve_backend
@@ -182,7 +184,10 @@ class BoundLoop:
                           else "all" if arg.is_vector else "idx")
             arity = arg.map.arity if arg.map is not None else 0
             idx = arg.idx if (arg.is_indirect and not arg.is_vector) else None
-            native.append(("dat", arg.access, addressing, arg.dim, arity, idx))
+            shares = next(j for j, other in enumerate(args)
+                          if other.data is arg.data)
+            native.append(("dat", arg.access, addressing, arg.dim, arity, idx,
+                           shares))
             self._flat.append(arg.data._data)
             if arg.is_indirect:
                 self._flat.append(arg.map.values if arg.is_vector
@@ -190,6 +195,8 @@ class BoundLoop:
         self._native_signature = tuple(native)
         self._signature = tuple(sig if sig[0] == "gbl" else sig[:5]
                                 for sig in native)
+        #: hoisting scratch arrays, ``(members, width) -> array``
+        self._scratch: dict[tuple, np.ndarray] = {}
         #: indices of READ Globals (snapshotted by a chain at enqueue)
         self.global_reads = tuple(i for i, a in enumerate(args)
                                   if a.is_global and a.access is Access.READ)
@@ -223,15 +230,32 @@ class BoundLoop:
         return self._signature
 
     def native_signature(self) -> tuple:
-        """Signature extended with map indices, for compiled codegen.
+        """Signature extended for compiled codegen.
 
         The compiled native wrapper indexes the full contiguous map
         table in C (``m[n * arity + idx]``, the strided column view has
         no zero-copy pointer), so its cache key and codegen need the
         index: dat entries carry a sixth element (``None`` for direct
-        and vector arguments).
+        and vector arguments). The seventh is the index of the first
+        argument bound to the same dat, which tells the hoisting
+        analysis (:mod:`~repro.op2.codegen.hoist`) which arguments
+        share a dat and whether a read dat is also written.
         """
         return self._native_signature
+
+    def hoist_scratch(self, members: tuple[int, ...],
+                      width: int) -> np.ndarray:
+        """The ``(total_size, width)`` scratch array of the hoisting
+        group of arguments ``members``, kept for the loop's lifetime
+        (prepared backend calls hold its address). Only rows a
+        pre-pass covered hold values."""
+        key = (members, width)
+        scratch = self._scratch.get(key)
+        if scratch is None:
+            target = self.args[members[0]].data.set
+            scratch = self._scratch[key] = np.empty((target.total_size,
+                                                     width))
+        return scratch
 
     def flatten_bindings(self, reductions: ReductionBuffers) -> list:
         """Runtime arrays in the order generated wrappers expect.

@@ -6,12 +6,14 @@
 #define omp_get_max_threads() 1
 #endif
 
+static inline double op2_max(double a, double b) { return (a > b || a != a) ? a : b; }
+
 static inline void golden_update_f0(double *q, const double *qold, const double *res, const double *adt, const double *g, double *change) {
   double adti = (1.0 / adt[0]);
   for (int i = 0; i < 4; i++) {
     double d = (adti * res[i]);
     q[i] = (qold[i] - (d * g[0]));
-    change[0] = fmax(change[0], fabs(d));
+    change[0] = op2_max(change[0], fabs(d));
   }
 }
 
@@ -42,7 +44,7 @@ void op_native_golden_update(
     }
     #pragma omp critical
     {
-      for (int d = 0; d < 1; d++) g5_f0[d] = fmax(g5_f0[d], change_l_f0[d]);
+      for (int d = 0; d < 1; d++) g5_f0[d] = op2_max(g5_f0[d], change_l_f0[d]);
     }
   }
 }

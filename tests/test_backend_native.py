@@ -158,6 +158,75 @@ def test_cache_key_includes_flags(monkeypatch):
     assert len(list(cache_dir().glob("*.so"))) == 2
 
 
+WARM_SCRIPT = """
+import sys
+
+import numpy as np
+
+from repro import op2, telemetry
+from repro.hydra.kernels import KERNELS
+from repro.op2.backends import native
+
+if sys.argv[1] == "warm":
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated C with the object on disk")
+    native.generate_native = refuse
+nodes, edges = op2.Set(4, "nodes"), op2.Set(3, "edges")
+pedge = op2.Map(edges, nodes, 2, [[0, 1], [1, 2], [2, 3]], "pedge")
+q = op2.Dat(nodes, 5, np.tile([1.0, 0.1, 0.0, 0.0, 2.5], (4, 1)), name="q")
+res = op2.Dat(nodes, 5, name="res")
+w = op2.Dat(edges, 3, np.ones((3, 3)), name="w")
+with telemetry.tracing() as rec:
+    op2.par_loop(KERNELS["flux_edge"], edges, q.arg(op2.READ, pedge, 0),
+                 q.arg(op2.READ, pedge, 1), w.arg(op2.READ),
+                 res.arg(op2.INC, pedge, 0), res.arg(op2.INC, pedge, 1),
+                 op2.Global(1, 1.4, "gam").arg(op2.READ), backend="native")
+print(*(int(rec.counters.get(f"op2.native.{name}", 0))
+        for name in ("compile", "cache_hit_disk", "fallback")),
+      res.data_ro.sum())
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+def test_warm_process_never_generates_c(tmp_path):
+    """The disk cache is keyed by the generator's inputs: a second
+    process loads the object its predecessor built without generating
+    (its ``generate_native`` raises)."""
+    import subprocess
+    import sys
+
+    import repro
+
+    script = tmp_path / "warm.py"
+    script.write_text(WARM_SCRIPT)
+    env = dict(os.environ, OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+
+    def run(mode):
+        proc = subprocess.run([sys.executable, str(script), mode], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    cold = run("cold")
+    warm = run("warm")
+    assert cold[:3] == ["1", "0", "0"]
+    assert warm[:3] == ["0", "1", "0"]
+    assert warm[3] == cold[3]
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
+def test_generator_fingerprint_change_misses(monkeypatch):
+    _run_flux("native")
+    monkeypatch.setattr(native_mod, "generator_fingerprint",
+                        lambda: "an edited generator")
+    with telemetry.tracing() as rec:
+        _run_flux("native", op2.Kernel(FLUX))
+    assert rec.counters.get("op2.native.compile") == 1
+    assert rec.counters.get("op2.native.cache_hit_disk", 0) == 0
+    assert len(list(cache_dir().glob("*.so"))) == 2
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_cold_cache_many_process_ranks():
     """Forked ranks meeting an empty cache all build the same wrappers

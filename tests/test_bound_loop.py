@@ -126,7 +126,7 @@ def random_loop(nsig: tuple, exec_halo: bool, seed: int) -> tuple:
             gbls.append(g)
             args.append(g.arg(access))
             continue
-        _, access, addressing, dim, arity, idx = sig
+        _, access, addressing, dim, arity, idx = sig[:6]
         if addressing == "direct":
             d = op2.Dat(iterset, dim, _values(rng, iterset.total_size, dim),
                         name=f"d{k}")

@@ -45,6 +45,17 @@ def test_codegen_variants(capsys):
         assert marker in capsys.readouterr().out
 
 
+def test_codegen_prints_the_hoisted_wrapper(capsys):
+    """What ``codegen`` prints is what the native backend compiles: the
+    signature comes from a bound loop, so ``q1``/``q2`` share a dat
+    and their per-node work is hoisted."""
+    for backend in ("native", "native-atomics"):
+        assert main(["codegen", "--backend", backend]) == 0
+        out = capsys.readouterr().out
+        assert "// hoisted on q: ul vl sl pl cl" in out
+        assert "_hs0_f0 + m1_f0[n * 2 + 1] * 5" in out
+
+
 def test_compressor_small_run(capsys):
     assert main(["compressor", "--rows", "2", "--steps", "2", "--nt", "12",
                  "--contour"]) == 0

@@ -169,3 +169,71 @@ def doubler(xv, yv):
     def test_validation_still_applies(self):
         with pytest.raises(KernelParseError, match="while"):
             op2.Kernel("def k(a):\n    while a[0] > 0:\n        a[0] = 0.0\n").params
+
+
+# -- min/max: numpy's rule on every backend ----------------------------------
+
+def minmax(x, y, hi, lo):
+    hi[0] = max(x[0], y[0])  # noqa: F821 - kernel language
+    lo[0] = min(x[0], y[0])  # noqa: F821
+
+
+def minmax_reduce(x, top, bottom):
+    top[0] = max(top[0], x[0])  # noqa: F821
+    bottom[0] = min(bottom[0], x[0])  # noqa: F821
+
+
+MINMAX_BACKENDS = ["sequential", "vectorized", "sanitizer", "native",
+                   "native-atomics"]
+
+
+def _same_bits(got, want):
+    import numpy as np
+
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    ok = ~np.isnan(want)
+    assert np.array_equal(got[ok], want[ok])
+
+
+@pytest.mark.filterwarnings(
+    "ignore:.*falling back to the vectorized backend:RuntimeWarning")
+@pytest.mark.parametrize("backend", MINMAX_BACKENDS)
+def test_min_max_follow_numpy_on_nan_and_signed_zero(backend):
+    """``max(a, b)`` is ``np.maximum``: a NaN operand wins in either
+    position, and of ``-0.``/``0.`` the second operand. Python's
+    ``max`` and libm's ``fmax`` answer otherwise."""
+    import numpy as np
+
+    nan = np.nan
+    xs = np.array([nan, 1.0, -0.0, 0.0, 2.0, 1.0, nan, -1.0])
+    ys = np.array([1.0, nan, 0.0, -0.0, 1.0, 2.0, nan, -1.0])
+    cells = op2.Set(xs.size, "cells")
+    x = op2.Dat(cells, 1, xs[:, None], name="x")
+    y = op2.Dat(cells, 1, ys[:, None], name="y")
+    hi, lo = op2.Dat(cells, 1, name="hi"), op2.Dat(cells, 1, name="lo")
+    with op2.configure(native_threads=1):
+        op2.par_loop(op2.Kernel(minmax), cells, x.arg(op2.READ),
+                     y.arg(op2.READ), hi.arg(op2.WRITE), lo.arg(op2.WRITE),
+                     backend=backend)
+    _same_bits(hi.data_ro[:, 0], np.maximum(xs, ys))
+    _same_bits(lo.data_ro[:, 0], np.minimum(xs, ys))
+
+
+@pytest.mark.filterwarnings(
+    "ignore:.*falling back to the vectorized backend:RuntimeWarning")
+@pytest.mark.parametrize("backend", MINMAX_BACKENDS)
+def test_min_max_reductions_propagate_nan(backend):
+    import numpy as np
+
+    cells = op2.Set(6, "cells")
+    for values, want in (([3.0, 1.0, 7.0, 2.0, 5.0, 4.0], (7.0, 1.0)),
+                         ([3.0, 1.0, np.nan, 2.0, 5.0, 4.0], (np.nan,) * 2)):
+        x = op2.Dat(cells, 1, np.array(values)[:, None], name="x")
+        top = op2.Global(1, -np.inf, "top")
+        bottom = op2.Global(1, np.inf, "bottom")
+        with op2.configure(native_threads=1):
+            op2.par_loop(op2.Kernel(minmax_reduce), cells, x.arg(op2.READ),
+                         top.arg(op2.MAX), bottom.arg(op2.MIN),
+                         backend=backend)
+        _same_bits(np.array([top.value, bottom.value]), np.array(want))
