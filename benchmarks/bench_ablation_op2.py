@@ -37,8 +37,7 @@ def flux_loop():
     return run, local, mesh
 
 
-@pytest.mark.parametrize("backend", ["sequential", "vectorized", "native",
-                                     "native-atomics"])
+@pytest.mark.parametrize("backend", ["sequential", "vectorized", "native"])
 def test_flux_loop_backend(benchmark, flux_loop, backend):
     run, local, mesh = flux_loop
     run(backend)  # warm the codegen cache

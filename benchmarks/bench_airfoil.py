@@ -17,8 +17,7 @@ def mesh():
     return make_airfoil_mesh(ni=96, nj=24)
 
 
-@pytest.mark.parametrize("backend", ["sequential", "vectorized", "native",
-                                     "native-atomics"])
+@pytest.mark.parametrize("backend", ["sequential", "vectorized", "native"])
 def test_airfoil_iteration(benchmark, mesh, backend):
     app = AirfoilApp(mesh, backend=backend)
     app.iterate(1)  # warm codegen/plan caches
@@ -33,7 +32,7 @@ def test_report_airfoil_portability(report, mesh, benchmark):
 
     rows = []
     ref = None
-    for backend in ["sequential", "vectorized", "native", "native-atomics"]:
+    for backend in ["sequential", "vectorized", "native"]:
         app = AirfoilApp(mesh, backend=backend)
         app.iterate(1)
         t0 = time.perf_counter()

@@ -12,8 +12,8 @@ Measured layers:
   best-of-REPS over a warmed cache (the one-time compile cost is
   reported separately as ``compile_wall``).
 * ``test_native_thread_scaling`` — a 1/2/4/8-thread scaling study of
-  both compiled strategies (``native`` block-color plan and
-  ``native-atomics`` chunked atomics), eager and lazy loop chain,
+  the compiled ``native`` backend (block-color plan), eager and lazy
+  loop chain,
   writing ``benchmarks/out/BENCH_native_scaling.json`` (the lazy
   walls keep their ``wall_fused_*`` JSON keys). Thread counts
   beyond the visible cores are still measured (they document the
@@ -62,7 +62,7 @@ HOT_LOOPS = ("res_calc", "adt_calc")
 
 #: thread-scaling study axes
 SCALING_THREADS = (1, 2, 4, 8)
-SCALING_BACKENDS = ("native", "native-atomics")
+SCALING_BACKENDS = ("native",)
 
 
 def run_airfoil(backend, mesh, niter=NITER, warm=2, native_threads=0,
@@ -191,8 +191,8 @@ def test_native_thread_scaling(report, smoke):
                 reps)
             walls_lazy[(backend, nt)] = lz["wall"]
             # physics is thread-count- and chain-invariant to
-            # reassociation; single-thread runs of one strategy are
-            # bitwise-identical to each other
+            # reassociation; single-thread runs are bitwise-identical
+            # to each other
             if base_q is None:
                 base_q = r["q"]
             np.testing.assert_allclose(r["q"], base_q,

@@ -56,7 +56,7 @@ def main() -> None:
         return g
 
     reference = None
-    for backend in ("sequential", "vectorized", "native", "native-atomics"):
+    for backend in ("sequential", "vectorized", "native"):
         run(backend)  # warm up: generate (and, for native, compile) once
         t0 = time.perf_counter()
         g = run(backend)

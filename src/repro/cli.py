@@ -319,8 +319,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
     elif args.backend == "vectorized":
         print(generate_vectorized(kernel, loop.signature(), "atomic"))
     else:
-        strategy = op2.resolve_backend(args.backend).strategy
-        print(generate_native(kernel, loop.native_signature(), strategy))
+        print(generate_native(kernel, loop.native_signature()))
     return 0
 
 
@@ -739,8 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codegen", help="show generated kernel source")
     p.add_argument("--backend",
-                   choices=["sequential", "vectorized", "native",
-                            "native-atomics"],
+                   choices=["sequential", "vectorized", "native"],
                    default="vectorized")
     p.set_defaults(fn=_cmd_codegen)
 
@@ -793,8 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", action="append", default=None,
                    choices=sorted(BACKENDS), metavar="NAME",
                    help="repeatable; one of %(choices)s; default: "
-                        "vectorized + native (the native backends fall "
-                        "back to vectorized without a C toolchain)")
+                        "vectorized + native (native falls back to "
+                        "vectorized without a C toolchain)")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--ni", type=int, default=64)
     p.add_argument("--nj", type=int, default=16)

@@ -2,7 +2,7 @@
 
 Each function below is a restricted-language OP2 kernel describing the
 computation for one mesh element. The code generator turns these into
-sequential, vectorized and compiled block-color-plan and atomics
+sequential, vectorized and compiled block-color-plan
 parallelizations; nothing here knows about parallelism — exactly the
 paper's Fig. 3 discipline.
 

@@ -4,9 +4,9 @@ Declares a problem as sets, maps (connectivity), dats (data on sets)
 and Globals, and executes computation as parallel loops over sets with
 per-argument access descriptors. A real code-generation layer turns
 each scalar elemental kernel into specialized source per backend
-(sequential reference, vectorized/SIMD numpy, and compiled C in the
-paper's two race strategies: the OpenMP block-color plan and CUDA-style
-atomics), and the distribution machinery runs the same loops over
+(sequential reference, vectorized/SIMD numpy, and compiled C under the
+paper's OpenMP block-color plan), and the distribution machinery runs
+the same loops over
 simulated-MPI ranks with owner-compute redundant execution and halo
 exchanges.
 

@@ -2,8 +2,8 @@
 
 Every argument to an ``op_par_loop`` declares *how* the elemental
 kernel touches it. The descriptor is what lets the code generator pick
-a data-race-resolution strategy per backend (staging + coloring,
-atomic scatter, owner-compute redundant execution, ...) without ever
+a data-race-resolution strategy per backend (atomic numpy scatter,
+block-color plan, owner-compute redundant execution, ...) without ever
 inspecting the kernel body's intent.
 """
 

@@ -13,13 +13,10 @@ Each backend resolves indirect-increment races one way:
                 through ``ctypes`` — direct loops flat-parallel,
                 indirect loops via the block-color plan (the paper's
                 OpenMP strategy)
-``native-atomics``  generated C with chunked ``#pragma omp atomic``
-                increments (the paper's CUDA strategy on the host)
 ==============  ========================================================
 
-Both compiled backends degrade to ``vectorized`` when the toolchain is
-missing, an argument is not contiguous float64, or (``native-atomics``
-only) an indirect WRITE/RW needs a plan.
+``native`` degrades to ``vectorized`` when the toolchain is missing or
+an argument is not contiguous float64.
 
 Every backend has one entry point, :meth:`Backend.execute`, which runs
 one loop over a range of its iteration set — eagerly, or as a lazy
@@ -30,7 +27,7 @@ floating-point reassociation; the test suite enforces this.
 """
 
 from repro.op2.backends.base import Backend, ReductionBuffers
-from repro.op2.backends.native import NativeAtomicsBackend, NativeBackend
+from repro.op2.backends.native import NativeBackend
 from repro.op2.backends.sanitizer import RaceError, RaceFinding, SanitizerBackend
 from repro.op2.backends.sequential import SequentialBackend
 from repro.op2.backends.vectorized import VectorizedBackend
@@ -40,7 +37,6 @@ BACKENDS: dict[str, Backend] = {
     "vectorized": VectorizedBackend(),
     "sanitizer": SanitizerBackend(),
     "native": NativeBackend(),
-    "native-atomics": NativeAtomicsBackend(),
 }
 
 
@@ -56,5 +52,4 @@ def resolve_backend(name: str) -> Backend:
 
 __all__ = ["Backend", "ReductionBuffers", "BACKENDS", "resolve_backend",
            "SequentialBackend", "VectorizedBackend", "SanitizerBackend",
-           "NativeBackend", "NativeAtomicsBackend", "RaceError",
-           "RaceFinding"]
+           "NativeBackend", "RaceError", "RaceFinding"]

@@ -7,16 +7,12 @@ generate_native`), built with the host toolchain into one shared
 object per loop and invoked through ``ctypes`` with raw numpy data
 pointers: zero copies on either side of the call.
 
-Execution strategies mirror the Python backends exactly:
+Execution follows OP2's OpenMP strategy:
 
 * direct loops run a flat ``#pragma omp for`` over ``[start, end)``;
-* loops with indirect writes execute the **block-color plan** (the
-  OP2 OpenMP strategy): same-colored blocks share no write target and
-  run team-parallel, colors are separated by barriers;
-* the ``native-atomics`` backend instead cuts the range into
-  ``Config.atomics_block``-sized chunks and resolves indirect
-  increments with ``#pragma omp atomic`` — the paper's CUDA strategy,
-  compiled for the host;
+* loops with indirect writes execute the **block-color plan**:
+  same-colored blocks share no write target and run team-parallel,
+  colors are separated by barriers;
 * global reductions accumulate into thread-private staging folded
   under ``#pragma omp critical``, into the caller's
   :class:`~repro.op2.backends.base.ReductionBuffers` partials — so
@@ -25,10 +21,10 @@ Execution strategies mirror the Python backends exactly:
 Compiled objects are cached on disk under ``~/.cache/repro-op2``
 (override with ``REPRO_CACHE_DIR``), keyed by the SHA-256 of the
 generator's *inputs* — kernel name and source, native signature,
-strategy, compiler, flags and a fingerprint of the generator modules'
-source (:func:`generator_fingerprint`) — so a process that finds its
-object on disk loads it without generating C; the source is generated
-only to build a missing object (or to rebuild a corrupt one). The
+compiler, flags and a fingerprint of the generator modules' source
+(:func:`generator_fingerprint`) — so a process that finds its object
+on disk loads it without generating C; the source is generated only
+to build a missing object (or to rebuild a corrupt one). The
 kernel's wrapper cache memoizes the loaded entry in-process. The
 compiler is ``$REPRO_CC`` or the first of ``cc``/``gcc``/``clang`` on
 ``PATH``; flags are ``$REPRO_CFLAGS``
@@ -40,12 +36,7 @@ Degradation is graceful by design: a missing toolchain, a compile
 failure, or an unusable cached object warns **once** per process,
 bumps the ``op2.native.fallback`` telemetry counter, and routes the
 loop through the vectorized backend — every entry point keeps working
-on a machine with no compiler at all. Both strategies degrade to
-``vectorized``, so a degraded ``native-atomics`` loop scatters its
-whole extent at once: bitwise-equal to chunk-by-chunk numpy
-accumulation while the extent fits in one ``atomics_block`` chunk,
-within 1e-12 beyond that (several INC statements aliasing one dat
-reassociate per chunk).
+on a machine with no compiler at all.
 """
 
 from __future__ import annotations
@@ -65,7 +56,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.op2.access import Access
 from repro.op2 import kernel as kernel_module
 from repro.op2.backends.base import ReductionBuffers
 from repro.op2.backends.vectorized import VectorizedBackend
@@ -152,14 +142,13 @@ def _so_path(stem: str, key: str, cc: str, cflags: list[str]) -> Path:
     return cache_dir() / f"{stem[:80]}_{digest}.so"
 
 
-def _generator_key(kernel, nsig: tuple, strategy: str) -> str:
+def _generator_key(kernel, nsig: tuple) -> str:
     """Everything :func:`generate_native` reads, as one string."""
-    return "\x00".join([kernel.name, kernel.source, repr(nsig), strategy,
+    return "\x00".join([kernel.name, kernel.source, repr(nsig),
                         generator_fingerprint()])
 
 
-def compiled_path(kernel, nsig: tuple,
-                  strategy: str = "blockcolor") -> Path | None:
+def compiled_path(kernel, nsig: tuple) -> Path | None:
     """Cache location of the compiled wrapper for ``(kernel, nsig)``.
 
     ``nsig`` is the loop's
@@ -172,19 +161,16 @@ def compiled_path(kernel, nsig: tuple,
     if tc is None:
         return None
     cc, cflags = tc
-    return _so_path(kernel.name, _generator_key(kernel, nsig, strategy),
-                    cc, cflags)
+    return _so_path(kernel.name, _generator_key(kernel, nsig), cc, cflags)
 
 
 class _NativeEntry:
     """A loaded compiled loop wrapper."""
 
-    __slots__ = ("fn", "planned", "source", "path", "_lib")
+    __slots__ = ("fn", "source", "path", "_lib")
 
-    def __init__(self, fn, planned: bool, source: str,
-                 path: Path, lib) -> None:
+    def __init__(self, fn, source: str, path: Path, lib) -> None:
         self.fn = fn
-        self.planned = planned  #: takes the block-color plan arrays
         self.source = source
         self.path = path
         self._lib = lib  # keeps the dlopen handle alive
@@ -315,22 +301,10 @@ def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
     return arr.ctypes.data_as(ctypes.c_void_p)
 
 
-def _counting_atomics(fn, nblocks: int):
-    """``fn`` that also counts its chunks when a recorder is bound."""
-    def run(*argv) -> None:
-        fn(*argv)
-        rec = active_recorder()
-        if rec is not None:
-            rec.counter("op2.native.atomics_loops")
-            rec.counter("op2.native.atomics_blocks", nblocks)
-    return run
-
-
 class NativeBackend:
     """Compiled-C execution through the block-color plan (OpenMP)."""
 
     name = "native"
-    strategy = "blockcolor"
     _fallback = VectorizedBackend()
 
     def prepare(self, loop: "BoundLoop", start: int, end: int,
@@ -342,8 +316,8 @@ class NativeBackend:
         ``argv`` is the whole ctypes argument list: a pointer per dat,
         map, READ Global and reduction buffer, then per hoisting group
         its row list, row count and scratch array, then the block
-        plan's arrays (planned wrappers), the range, the atomics chunk
-        and the thread count. Each pointer keeps its array alive.
+        plan's arrays (planned wrappers), the range and the thread
+        count. Each pointer keeps its array alive.
         """
         entry = self._entry_for(loop)
         if isinstance(entry, _Fallback):
@@ -354,19 +328,14 @@ class NativeBackend:
         c_ll = ctypes.c_longlong
         argv = self._loop_argv(loop, reductions)
         argv += self._hoist_argv(loop, start, end)
-        if entry.planned:
+        if native_is_planned(loop.native_signature()):
             plan = build_block_plan(loop.args, end,
                                     block_size=cfg.block_size)
             blk_lo, blk_hi, col_off = plan.native_arrays(start, end)
             argv += [_pointer(blk_lo), _pointer(blk_hi), _pointer(col_off),
                      c_ll(col_off.size - 1)]
-        block = max(1, cfg.atomics_block)
-        argv += [c_ll(start), c_ll(end), c_ll(block),
-                 c_ll(cfg.native_threads)]
-        fn = entry.fn
-        if self.strategy == "atomics":
-            fn = _counting_atomics(fn, max(0, -(-(end - start) // block)))
-        return fn, argv
+        argv += [c_ll(start), c_ll(end), c_ll(cfg.native_threads)]
+        return entry.fn, argv
 
     def execute(self, loop: "BoundLoop", start: int, end: int,
                 reductions: ReductionBuffers) -> None:
@@ -408,16 +377,14 @@ class NativeBackend:
         and compiling it only when the disk cache misses."""
         def generate() -> str:
             with span("native.generate", "op2.native", kernel=kernel.name):
-                return generate_native(kernel, nsig, self.strategy)
+                return generate_native(kernel, nsig)
 
-        loaded = _load_compiled(_generator_key(kernel, nsig, self.strategy),
-                                generate, kernel.name,
-                                native_entry_name(kernel, self.strategy))
+        loaded = _load_compiled(_generator_key(kernel, nsig), generate,
+                                kernel.name, native_entry_name(kernel))
         if isinstance(loaded, _Fallback):
             return loaded
         fn, so_path, lib, source = loaded
-        planned = self.strategy == "blockcolor" and native_is_planned(nsig)
-        return _NativeEntry(fn, planned, source, so_path, lib)
+        return _NativeEntry(fn, source, so_path, lib)
 
     def _entry_for(self, loop: "BoundLoop") -> "_NativeEntry | _Fallback":
         unsupported = self._unsupported(loop)
@@ -465,35 +432,3 @@ class NativeBackend:
             f"falling back to the {self._fallback.name} backend",
             RuntimeWarning, stacklevel=3)
 
-
-class NativeAtomicsBackend(NativeBackend):
-    """Compiled-C execution with chunked ``#pragma omp atomic`` scatter.
-
-    The paper's CUDA strategy on the host: the iteration space is cut
-    into chunks ("thread blocks") of ``Config.atomics_block``
-    elements, every indirect increment is an ``#pragma omp atomic``,
-    and no block-color plan is ever built. Degrades to ``vectorized``
-    like :class:`NativeBackend`.
-    """
-
-    name = "native-atomics"
-    strategy = "atomics"
-
-    def _unsupported(self, loop: "BoundLoop") -> "_Fallback | None":
-        base = super()._unsupported(loop)
-        if base is not None:
-            return base
-        # atomics only resolve increment races: an indirect WRITE/RW
-        # would be a plain multi-thread data race in the compiled
-        # wrapper, while the numpy fallback stays deterministic
-        for arg in loop.args:
-            if (arg.is_indirect
-                    and arg.access not in (Access.READ, Access.INC)):
-                rec = active_recorder()
-                if rec is not None:
-                    rec.counter("op2.native.unsupported")
-                return _Fallback(
-                    f"indirect {arg.access.name} on {arg.data.name!r} "
-                    "needs a plan; atomics only cover increments",
-                    warn=False)
-        return None

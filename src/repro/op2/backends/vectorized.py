@@ -2,7 +2,7 @@
 
 :class:`VectorizedBackend` runs the generated numpy wrapper once over
 the whole range with ``np.add.at`` scatter (the single-source SIMD
-analogue); it is also what both compiled backends degrade to. The
+analogue); it is also what the compiled backend degrades to. The
 sanitizer backend shares :func:`_get_wrapper` for its colored
 (plain ``+=``) scatter.
 

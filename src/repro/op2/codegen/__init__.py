@@ -6,9 +6,9 @@ argument is addressed and accessed), it emits specialized, human-readable
 source — a scalar gather/call Python loop for the sequential backend, a
 numpy whole-array translation with gather/compute/scatter staging for
 the vectorized and sanitizer backends, and a compilable C wrapper
-(:func:`~repro.op2.codegen.csource.generate_native`) in the block-color
-or atomics strategy for the two native backends — then compiles and
-caches it on the kernel. Every generator works per *loop*.
+(:func:`~repro.op2.codegen.csource.generate_native`) running the
+block-color plan for the native backend — then compiles and caches it
+on the kernel. Every generator works per *loop*.
 """
 
 from repro.op2.codegen.csource import generate_native

@@ -7,9 +7,8 @@ kernel AST the numpy generators consume, :func:`generate_native`
 emits a translation unit the :mod:`repro.op2.backends.native` backend
 builds with the host toolchain (``cc -O2 -fopenmp -shared -fPIC``) and
 invokes through ``ctypes``: one wrapper per ``par_loop``, running
-inside a single OpenMP region, in one of the paper's two data-race
-strategies — the block-color plan (its OpenMP backend) or chunked
-``#pragma omp atomic`` increments (its CUDA backend's atomics).
+inside a single OpenMP region under the block-color plan (the paper's
+OpenMP data-race strategy).
 
 Map-invariant hoisting (:mod:`repro.op2.codegen.hoist`): the locals a
 kernel computes from one endpoint only — assigned once at top level,
@@ -57,10 +56,9 @@ _MINMAX = {
 }
 
 
-def native_entry_name(kernel: Kernel, strategy: str = "blockcolor") -> str:
+def native_entry_name(kernel: Kernel) -> str:
     """Exported symbol of the compiled wrapper for ``kernel``."""
-    tag = "atomics_" if strategy == "atomics" else ""
-    return "op_native_" + tag + kernel.name
+    return "op_native_" + kernel.name
 
 
 def native_is_planned(signature: Sequence[tuple]) -> bool:
@@ -139,8 +137,7 @@ def _native_args(kernel: Kernel, signature: Sequence[tuple]
     return formals, call, red_decl, red_fold
 
 
-def _native_element_loop(call_expr: str, *, planned: bool,
-                         atomics: bool) -> list[str]:
+def _native_element_loop(call_expr: str, *, planned: bool) -> list[str]:
     """The wrapper's element loop (inside the parallel region)."""
     if planned:
         return [
@@ -155,16 +152,6 @@ def _native_element_loop(call_expr: str, *, planned: bool,
             "      }",
             "    }",
         ]
-    if atomics:
-        return [
-            "    for (long long _lo = _start; _lo < _end; _lo += _block) {",
-            "      long long _hi = _lo + _block < _end ? _lo + _block : _end;",
-            "      #pragma omp for schedule(static)",
-            "      for (long long n = _lo; n < _hi; n++) {",
-            f"        {call_expr};",
-            "      }",
-            "    }",
-        ]
     return [
         "    #pragma omp for schedule(static)",
         "    for (long long n = _start; n < _end; n++) {",
@@ -173,34 +160,23 @@ def _native_element_loop(call_expr: str, *, planned: bool,
     ]
 
 
-def generate_native(kernel: Kernel, signature: Sequence[tuple],
-                    strategy: str = "blockcolor") -> str:
+def generate_native(kernel: Kernel, signature: Sequence[tuple]) -> str:
     """Emit one self-contained compilable C wrapper for a loop.
 
     The translation unit is what the native backend builds and
     ``dlopen``\\ s: one wrapper per ``par_loop``, as OP2 generates one
-    per ``op_par_loop``.
-    ``signature`` is the loop's
+    per ``op_par_loop``. ``signature`` is the loop's
     :meth:`~repro.op2.parloop.BoundLoop.native_signature`: dat entries
     carry a sixth element, the map index, so indirect accesses index
     the *full contiguous* map table (``m[n * arity + idx]``) — the
     strided per-column views Python backends use have no zero-copy C
     equivalent. The wrapper runs its element loop inside one
-    ``#pragma omp parallel`` region.
-
-    ``strategy`` selects the data-race-resolution scheme:
-
-    * ``"blockcolor"`` (default) — OP2's OpenMP plan. Direct loops run
-      a flat ``#pragma omp for`` over ``[start, end)``; loops with
-      indirect writes execute the flattened block-color plan
-      ``blk_lo, blk_hi, col_off, ncolors`` — blocks of one color share
-      no write target, so each color is an ``#pragma omp for`` with a
-      barrier between colors.
-    * ``"atomics"`` — the compiled GPU analogue: fixed-size chunks
-      ("thread blocks", extent ``_block``) with ``#pragma omp atomic``
-      on every indirect increment, never planned. Chunk boundaries
-      carry an implicit barrier, so chunks accumulate one after
-      another.
+    ``#pragma omp parallel`` region, under OP2's OpenMP plan: direct
+    loops run a flat ``#pragma omp for`` over ``[start, end)``; loops
+    with indirect writes execute the flattened block-color plan
+    ``blk_lo, blk_hi, col_off, ncolors`` — blocks of one color share
+    no write target, so each color is an ``#pragma omp for`` with a
+    barrier between colors.
 
     ABI (all pointers are raw numpy data pointers, indices are
     ``long long``): one ``double*`` per argument (reductions receive
@@ -209,12 +185,11 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
     suffixed ``_f0``; then, per hoisting group
     (:mod:`~repro.op2.codegen.hoist`), its sorted row list
     ``_hrowsG_f0``, row count ``_hnG_f0`` and ``(total_size, width)``
-    scratch ``_hsG_f0``; then — planned blockcolor loops only — the
-    flattened plan ``_blk_lo_f0, _blk_hi_f0, _col_off_f0,
-    _ncolors_f0``; then the tail ``_start, _end, _block, _nthreads``
-    (``_block`` is the atomics chunk extent, ignored under
-    blockcolor). Reduction staging is thread-private and folded under
-    ``#pragma omp critical`` right after the element loop.
+    scratch ``_hsG_f0``; then — planned loops only — the flattened
+    plan ``_blk_lo_f0, _blk_hi_f0, _col_off_f0, _ncolors_f0``; then
+    the tail ``_start, _end, _nthreads``. Reduction staging is
+    thread-private and folded under ``#pragma omp critical`` right
+    after the element loop.
 
     Hoisting: when the signature's dat entries carry their seventh
     element (the first argument bound to the same dat), each group's
@@ -229,19 +204,67 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
     operations; reductions reassociate across threads. ``min``/``max``
     are numpy's ``minimum``/``maximum`` (``op2_min``/``op2_max``).
     """
-    if strategy not in ("blockcolor", "atomics"):
-        raise ValueError(f"unknown native strategy {strategy!r}")
-    atomics = strategy == "atomics"
-
     base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
     fn_name = f"{kernel.name}{_TAG}"
     plan = hoist_plan(kernel, signature)
     elemental = _elemental_c(kernel, base_sig, index_type="long long",
-                             omp_atomic=atomics, fn_name=fn_name, plan=plan)
+                             fn_name=fn_name, plan=plan)
     formals, call, red_decl, red_fold = _native_args(kernel, signature)
+    prepass_fns, prepass = _hoist_prepass(kernel, signature, plan, fn_name,
+                                          formals, call)
+    planned = native_is_planned(signature)
+    if planned:
+        formals += [f"const long long *_{name}{_TAG}"
+                    for name in ("blk_lo", "blk_hi", "col_off")]
+        formals.append(f"long long _ncolors{_TAG}")
+    tail = ["long long _start", "long long _end", "long long _nthreads"]
+    functions = "\n\n".join([elemental, *prepass_fns])
+    lines = [
+        f"void {native_entry_name(kernel)}(",
+        "    " + ",\n    ".join(formals + tail) + ") {",
+        "  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();",
+        "  (void)_nt;",
+        "  (void)_start;",
+        "  (void)_end;",
+        "  #pragma omp parallel num_threads(_nt)",
+        "  {",
+        f"    // -- section 0: {kernel.name}",
+    ]
+    lines.extend(f"    {d}" for d in red_decl)
+    lines.extend(prepass)
+    lines.extend(_native_element_loop(
+        f"{fn_name}({', '.join(call)})", planned=planned))
+    if red_fold:
+        lines.append("    #pragma omp critical")
+        lines.append("    {")
+        lines.extend(f"      {f}" for f in red_fold)
+        lines.append("    }")
+    lines.extend(["  }", "}"])
+    wrapper = "\n".join(lines)
+    helpers = [_MINMAX[name] for name in _MINMAX
+               if f"{name}(" in functions or f"{name}(" in wrapper]
+    head = [
+        "// generated by repro.op2 — native block-color plan wrapper for "
+        + kernel.name,
+        *_NATIVE_PREAMBLE,
+        "",
+    ]
+    if helpers:
+        head += [*helpers, ""]
+    return "\n".join(head + [functions, "", wrapper]) + "\n"
+
+
+def _hoist_prepass(kernel: Kernel, signature: Sequence[tuple],
+                   plan: HoistPlan, fn_name: str, formals: list[str],
+                   call: list[str]) -> tuple[list[str], list[str]]:
+    """Per hoisting group of ``plan``: append its row list, row count
+    and scratch to ``formals`` and its members' scratch rows to
+    ``call``; return the pre-pass functions and the wrapper lines
+    running them (an ``#pragma omp for`` over the group's rows)."""
+    base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
     params = kernel.params
-    prepass_fns: list[str] = []
-    prepass: list[str] = []
+    functions: list[str] = []
+    lines: list[str] = []
     for g, group in enumerate(plan.groups):
         rows, count, scratch = (f"_hrows{g}{_TAG}", f"_hn{g}{_TAG}",
                                 f"_hs{g}{_TAG}")
@@ -253,12 +276,12 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
             call.append(f"{scratch} + m{i}{_TAG}[n * {arity} + {idx}] "
                         f"* {width}")
         first = group.members[0]
-        prepass_fns.append(_prepass_c(kernel, base_sig, group,
-                                      f"{fn_name}_h{g}"))
+        functions.append(_prepass_c(kernel, base_sig, group,
+                                    f"{fn_name}_h{g}"))
         gbl_args = [f"g{params.index(name)}{_TAG}"
                     for name in group.global_params]
         dim = signature[first][3]
-        prepass += [
+        lines += [
             f"    // hoisted on {group.label}: "
             + " ".join(group.frontiers[0]),
             "    #pragma omp for schedule(static)",
@@ -269,50 +292,7 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple],
                          f"{scratch} + _row * {width}"]) + ");",
             "    }",
         ]
-    planned = not atomics and native_is_planned(signature)
-    if planned:
-        formals += [f"const long long *_blk_lo{_TAG}",
-                    f"const long long *_blk_hi{_TAG}",
-                    f"const long long *_col_off{_TAG}",
-                    f"long long _ncolors{_TAG}"]
-    tail = ["long long _start", "long long _end",
-            "long long _block", "long long _nthreads"]
-    variant = "atomic chunks" if atomics else "block-color plan"
-    functions = "\n\n".join([elemental, *prepass_fns])
-    lines = [
-        f"void {native_entry_name(kernel, strategy)}(",
-        "    " + ",\n    ".join(formals + tail) + ") {",
-        "  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();",
-        "  (void)_nt;",
-        "  (void)_block;",
-        "  (void)_start;",
-        "  (void)_end;",
-        "  #pragma omp parallel num_threads(_nt)",
-        "  {",
-        f"    // -- section 0: {kernel.name}",
-    ]
-    lines.extend(f"    {d}" for d in red_decl)
-    lines.extend(prepass)
-    lines.extend(_native_element_loop(
-        f"{fn_name}({', '.join(call)})", planned=planned, atomics=atomics))
-    if red_fold:
-        lines.append("    #pragma omp critical")
-        lines.append("    {")
-        lines.extend(f"      {f}" for f in red_fold)
-        lines.append("    }")
-    lines.extend(["  }", "}"])
-    wrapper = "\n".join(lines)
-    helpers = [_MINMAX[name] for name in _MINMAX
-               if f"{name}(" in functions or f"{name}(" in wrapper]
-    head = [
-        f"// generated by repro.op2 — native {variant} wrapper for "
-        + kernel.name,
-        *_NATIVE_PREAMBLE,
-        "",
-    ]
-    if helpers:
-        head += [*helpers, ""]
-    return "\n".join(head + [functions, "", wrapper]) + "\n"
+    return functions, lines
 
 
 def _prepass_c(kernel: Kernel, signature: Sequence[tuple],

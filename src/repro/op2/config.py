@@ -21,13 +21,11 @@ class Config:
     backend:
         Default compute backend (a name in
         :data:`~repro.op2.backends.BACKENDS`): ``"sequential"``,
-        ``"vectorized"``, ``"sanitizer"``, ``"native"`` (compiled C
-        via the host toolchain, block-color plan) or
-        ``"native-atomics"`` (compiled C with chunked
-        ``#pragma omp atomic`` increments). Both compiled backends
-        fall back to ``"vectorized"`` when no compiler is available.
+        ``"vectorized"``, ``"sanitizer"`` or ``"native"`` (compiled C
+        via the host toolchain, block-color plan), which falls back to
+        ``"vectorized"`` when no compiler is available.
     native_threads:
-        OpenMP thread count of the native backends' compiled wrappers
+        OpenMP thread count of the native backend's compiled wrappers
         (each runs one loop, eager or chained, in one region);
         ``0`` (default) lets the OpenMP runtime decide
         (``omp_get_max_threads``, honouring ``OMP_NUM_THREADS``). With
@@ -40,10 +38,6 @@ class Config:
     grouped_halos:
         Pack all of a loop's halo messages to one neighbour into a
         single message (paper's GH).
-    atomics_block:
-        Chunk size of the ``native-atomics`` compiled wrappers — the
-        thread-block extent of the CUDA strategy; chunks accumulate
-        one after another.
     block_size:
         Block extent of the block-color plan the ``native`` backend's
         compiled wrappers execute (OP2's OpenMP plan shape).
@@ -76,7 +70,6 @@ class Config:
     native_threads: int = 0
     partial_halos: bool = False
     grouped_halos: bool = False
-    atomics_block: int = 4096
     block_size: int = 256
     check_access: bool = False
     sanitize: bool = False

@@ -134,8 +134,8 @@ class BoundLoop:
     objects (a bound ``Arg`` must not be mutated), the backend
     override, the signatures and the flat argument layout. Built per
     configuration (:attr:`_fingerprint` of ``partial_halos``,
-    ``block_size``, ``atomics_block``, ``native_threads``; a change
-    rebinds on the next run): the halo reads, one scope per dat. Built
+    ``block_size``, ``native_threads``; a change rebinds on the next
+    run): the halo reads, one scope per dat. Built
     on the first run under each backend: the prepared backend calls
     over the owned range and the exec halo, with the loop's two
     reusable reduction buffers bound in. Read per run: halo
@@ -359,8 +359,7 @@ def execute_loop(loop: BoundLoop, backend_name: str,
     cfg = current_config()
     rec = active_recorder()
     t0 = t_halo = time.perf_counter() if rec is not None else 0.0
-    fingerprint = (cfg.partial_halos, cfg.block_size, cfg.atomics_block,
-                   cfg.native_threads)
+    fingerprint = (cfg.partial_halos, cfg.block_size, cfg.native_threads)
     if fingerprint != loop._fingerprint:
         loop._rebind(cfg, fingerprint)
     iterset = loop.iterset

@@ -10,7 +10,9 @@ Fault plans and traced coupled runs work on both transports
 (``crash_hard`` faults are process-only).
 
 The numpy race-strategy simulations ``coloring``, ``atomics`` and
-``blockcolor`` live in ``tests/oracles/backends.py``; importing this
+``blockcolor`` live in ``tests/oracles/backends.py``, the compiled
+``native-atomics``, ``native-atomics-unhoisted`` and
+``native-unhoisted`` in ``tests/oracles/compiled.py``; importing this
 file registers them into ``repro.op2.BACKENDS`` so every test can
 select them by name, as it selects ``src/`` backends.
 """
@@ -31,9 +33,9 @@ def smpi_transport(request, monkeypatch):
 
 @pytest.fixture(params=["native", "native-atomics"])
 def native_chain_backend(request):
-    """Parameterize a test over both compiled backends' chain paths.
+    """Parameterize a test over both compiled strategies' chain paths.
 
     Application-level equivalence suites take this fixture to certify
-    the block-color-plan and omp-atomic compiled strategies alike.
+    the block-color-plan backend and the omp-atomic oracle alike.
     """
     return request.param

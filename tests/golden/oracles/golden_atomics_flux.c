@@ -28,11 +28,10 @@ void op_native_atomics_golden_flux(
     double *g5_f0,
     long long _start,
     long long _end,
-    long long _block,
-    long long _nthreads) {
+    long long _nthreads,
+    long long _block) {
   int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();
   (void)_nt;
-  (void)_block;
   (void)_start;
   (void)_end;
   #pragma omp parallel num_threads(_nt)

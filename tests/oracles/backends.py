@@ -16,7 +16,9 @@ exactly the chunk order of ``atomics``, so the differential tests pin
 each compiled backend bitwise to its simulation.
 :func:`register_oracle_backends` (called by ``tests/conftest.py``)
 adds all three to :data:`repro.op2.backends.BACKENDS` under these
-names; nothing under ``src/`` imports this module.
+names, with the compiled oracles of :mod:`tests.oracles.compiled`
+(``native-atomics``, ``native-atomics-unhoisted``, ``native-unhoisted``);
+nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from repro.op2.backends import BACKENDS
 from repro.op2.backends.vectorized import _get_wrapper, run_atomic
 from repro.op2.config import current_config
 from repro.op2.plan import build_block_plan, build_plan
+from tests.oracles import compiled
 
 
 def atomics_chunks(start: int, end: int, block: int):
     """Yield the ``(lo, hi)`` simulated thread-block ranges of [start, end).
 
     The compiled ``native-atomics`` wrapper cuts its range into the
-    same ``Config.atomics_block``-element chunks, which is what makes
-    the two bitwise comparable.
+    same ``ATOMICS_BLOCK``-element chunks, which is what makes the two
+    bitwise comparable.
     """
     block = max(1, block)
     for lo in range(start, end, block):
@@ -68,14 +71,14 @@ class ColoringBackend:
 class AtomicsBackend:
     """Chunked execution with atomic-add scatter (CUDA grid analogue).
 
-    The chunk size (``Config.atomics_block``) is the simulated
-    thread-block extent.
+    The chunk size (:data:`tests.oracles.compiled.ATOMICS_BLOCK`) is
+    the simulated thread-block extent.
     """
 
     name = "atomics"
 
     def execute(self, loop, start: int, end: int, reductions) -> None:
-        block = current_config().atomics_block
+        block = compiled.ATOMICS_BLOCK
         flat = loop.flatten_bindings(reductions)
         for lo, hi in atomics_chunks(start, end, block):
             run_atomic(loop, lo, hi, flat)
@@ -111,7 +114,8 @@ class BlockColorBackend:
 
 
 ORACLE_BACKENDS = {b.name: b for b in
-                   (ColoringBackend(), AtomicsBackend(), BlockColorBackend())}
+                   (ColoringBackend(), AtomicsBackend(), BlockColorBackend(),
+                    *compiled.COMPILED_ORACLES)}
 
 
 def register_oracle_backends() -> None:

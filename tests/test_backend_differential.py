@@ -22,7 +22,7 @@ Tolerance model (see ``backends/native.py``):
   native code is compiled with ``-ffp-contract=off``, so dat outputs
   pin **bitwise** along matched accumulation orders: native ==
   blockcolor (identical block-color plan order) and native-atomics ==
-  atomics (identical ``atomics_block`` chunk order) whenever each
+  atomics (identical ``ATOMICS_BLOCK`` chunk order) whenever each
   location receives increments through at most one kernel statement;
 * kernels where several INC statements alias one dat reassociate
   (numpy scatters per statement, C per element) and are ULP-bounded
@@ -31,8 +31,11 @@ Tolerance model (see ``backends/native.py``):
   legitimately.
 
 ``atomics`` and ``blockcolor`` are the numpy simulations of the two
-compiled strategies, kept as oracles in ``tests/oracles/backends.py``
-(``tests/conftest.py`` registers them). When no C toolchain is present
+compiled strategies, kept as oracles in ``tests/oracles/backends.py``;
+the compiled ``native-atomics`` is an oracle too
+(``tests/oracles/compiled.py``), so its pin to ``atomics`` holds two
+oracles to each other (``tests/conftest.py`` registers all three).
+When no C toolchain is present
 both native entries transparently run ``vectorized`` and the bitwise
 pins are skipped; every other assertion still holds, so this whole
 suite doubles as the no-compiler fallback proof.

@@ -18,6 +18,7 @@ from repro import op2, telemetry
 from repro.op2.backends import native as native_mod
 from repro.op2.backends.native import (cache_dir, reset_native_state,
                                        toolchain)
+from tests.oracles.compiled import NativeOracleBackend
 
 HAVE_CC = toolchain() is not None
 
@@ -356,20 +357,23 @@ def test_native_backend_registered():
 
 
 def test_native_atomics_backend_registered():
+    """The compiled atomics strategy is a test oracle, registered by
+    the suite's conftest like the numpy simulations."""
     from repro.op2.backends import BACKENDS, resolve_backend
 
     assert "native-atomics" in BACKENDS
     backend = resolve_backend("native-atomics")
-    assert isinstance(backend, native_mod.NativeAtomicsBackend)
-    assert backend.strategy == "atomics"
-    # both compiled backends degrade to the one numpy backend in src/
+    assert isinstance(backend, NativeOracleBackend) and backend.atomics
+    # the oracle degrades like native, to the one numpy backend in src/
     assert backend._fallback.name == "vectorized"
 
 
 def test_fresh_interpreter_sees_only_src_backends():
-    """The numpy race-strategy simulations are test oracles: outside
-    the suite's conftest only the five ``src/`` backends exist, and no
-    module under ``src/`` imports the ``tests`` package."""
+    """The numpy race-strategy simulations and the compiled atomics
+    strategy are test oracles: outside the suite's conftest only the
+    four ``src/`` backends exist, no module under ``src/`` imports the
+    ``tests`` package, and no config knob of the atomics chunk
+    remains."""
     import ast
     import pathlib
     import subprocess
@@ -385,9 +389,11 @@ def test_fresh_interpreter_sees_only_src_backends():
         env={**os.environ, "PYTHONPATH": str(src)}, cwd=src,
         capture_output=True, text=True, check=True)
     names, test_modules = proc.stdout.splitlines()
-    assert names == str(["native", "native-atomics", "sanitizer",
-                         "sequential", "vectorized"])
+    assert names == str(["native", "sanitizer", "sequential",
+                         "vectorized"])
     assert test_modules == "[]"
+    with pytest.raises(ValueError, match="unknown config key"):
+        op2.set_config(atomics_block=64)
     for path in src.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):

@@ -9,9 +9,10 @@ pre-pass into a scratch array the element loop reads. These tests pin
   loop, through a reassigned or an integer local, or without the
   signature's record of shared dats;
 * the wrappers: every hydra, turbulence, airfoil and FEM kernel on
-  ``native`` and ``native-atomics`` equals the unhoisted wrapper of
-  ``tests/oracles/unhoisted.py`` bitwise, over the owned range and the
-  exec halo, on one and two OpenMP threads, and in distributed runs;
+  ``native`` and on the ``native-atomics`` oracle equals its unhoisted
+  wrapper (``tests/oracles/compiled.py``) bitwise, over the owned range
+  and the exec halo, on one and two OpenMP threads, and in distributed
+  runs;
 * the pre-pass covers exactly the referenced rows: NaN in every
   unreferenced halo row changes nothing and warns nothing, and scratch
   rows nobody references are never written.
@@ -41,9 +42,7 @@ from repro.op2.distribute import (build_local_problem, build_serial_problem,
                                   gather_dat, plan_distribution)
 from repro.op2.halo import SetHalo
 from repro.smpi import run_ranks
-from tests.oracles.unhoisted import register_unhoisted_backends
-
-register_unhoisted_backends()
+from tests.oracles.compiled import generate_oracle
 
 HAVE_CC = toolchain() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -220,9 +219,8 @@ def test_kernels_with_nothing_to_hoist_emit_the_unhoisted_source():
         if hoist_plan(kernel, nsig).groups:
             continue
         bare = tuple(sig[:6] if sig[0] == "dat" else sig for sig in nsig)
-        for strategy in ("blockcolor", "atomics"):
-            assert generate_native(kernel, nsig, strategy) == \
-                generate_native(kernel, bare, strategy), name
+        for generate in (generate_native, generate_oracle):
+            assert generate(kernel, nsig) == generate(kernel, bare), name
 
 
 def test_generated_source_announces_the_hoist():

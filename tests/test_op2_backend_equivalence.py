@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import op2
+from tests.oracles import compiled
 
 OTHER_BACKENDS = ["vectorized", "coloring", "atomics", "blockcolor"]
 
@@ -128,14 +129,18 @@ def test_vector_args_match_sequential(mesh):
         assert got[2] == pytest.approx(ref[2], rel=1e-12)
 
 
-def test_atomics_block_size_independence():
-    """Results must not depend on the simulated thread-block size."""
+def test_atomics_block_size_independence(monkeypatch):
+    """Results must not depend on the thread-block size, simulated or
+    compiled: at the small blocks the C chunk loop crosses chunk
+    boundaries (without a toolchain the compiled oracle runs
+    ``vectorized``)."""
     nnodes, nedges = 40, 200
     rng = np.random.default_rng(7)
     table = rng.integers(0, nnodes, size=(nedges, 2))
     ref_res, ref_rms = run_flux(nnodes, table, 3, "sequential")
     for block in (1, 7, 64, 10_000):
-        with op2.configure(atomics_block=block):
-            res, rms = run_flux(nnodes, table, 3, "atomics")
-        np.testing.assert_allclose(res, ref_res, rtol=1e-12)
-        assert rms == pytest.approx(ref_rms, rel=1e-12)
+        monkeypatch.setattr(compiled, "ATOMICS_BLOCK", block)
+        for backend in ("atomics", "native-atomics"):
+            res, rms = run_flux(nnodes, table, 3, backend)
+            np.testing.assert_allclose(res, ref_res, rtol=1e-12)
+            assert rms == pytest.approx(ref_rms, rel=1e-12)

@@ -1,11 +1,13 @@
 """C source generation: the compiled native wrappers, and the CUDA/OpenMP
-display text (``tests/oracles/csource_text.py``) built on the same
+display text (``tests/oracles/csource_text.py``) and compiled atomics
+wrapper (``tests/oracles/compiled.py``) built on the same
 elemental translation — the paper's Fig. 4 outputs.
 
 The native generator additionally has *golden* tests: its output is
-compared verbatim against checked-in ``tests/golden/native/*.c`` files
-(each verified to compile standalone), so any codegen drift fails with
-a readable unified diff instead of a compile error three layers away.
+compared verbatim against checked-in ``tests/golden/native/*.c`` files,
+the atomics oracle's against ``tests/golden/oracles/*.c`` (each
+verified to compile standalone), so any codegen drift fails with a
+readable unified diff instead of a compile error three layers away.
 """
 
 import difflib
@@ -18,9 +20,10 @@ from repro.hydra.kernels import KERNELS
 from repro.op2.codegen.csource import (generate_native, native_entry_name,
                                        native_is_planned)
 from repro.op2.kernel import KernelParseError
+from tests.oracles.compiled import entry_name, generate_oracle
 from tests.oracles.csource_text import generate_cuda, generate_openmp
 
-GOLDEN_DIR = Path(__file__).parent / "golden" / "native"
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 FLUX_SIG = (
     ("dat", op2.READ, "idx", 5, 2),
@@ -248,12 +251,13 @@ GOLDEN_UPDATE_SIG = (
 )
 
 
-def _assert_matches_golden(got: str, golden_name: str) -> None:
-    golden = (GOLDEN_DIR / golden_name).read_text()
+def _assert_matches_golden(got: str, golden_name: str,
+                           folder: str = "native") -> None:
+    golden = (GOLDEN_DIR / folder / golden_name).read_text()
     if got != golden:
         diff = "".join(difflib.unified_diff(
             golden.splitlines(keepends=True), got.splitlines(keepends=True),
-            fromfile=f"golden/native/{golden_name}", tofile="generated"))
+            fromfile=f"golden/{folder}/{golden_name}", tofile="generated"))
         pytest.fail(f"native codegen drifted from golden file:\n{diff}")
 
 
@@ -269,9 +273,8 @@ class TestNativeGolden:
         _assert_matches_golden(got, "golden_update.c")
 
     def test_golden_atomics_flux_matches(self):
-        got = generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
-                              strategy="atomics")
-        _assert_matches_golden(got, "golden_atomics_flux.c")
+        got = generate_oracle(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
+        _assert_matches_golden(got, "golden_atomics_flux.c", "oracles")
 
 
 class TestNativeStructure:
@@ -398,16 +401,15 @@ def int_k(x, y):
 
 
 class TestNativeAtomicsStructure:
-    """The compiled atomics strategy: chunked blocks, omp-atomic INCs."""
+    """The compiled atomics oracle: chunked blocks, omp-atomic INCs."""
 
     def _src(self):
-        return generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
-                               strategy="atomics")
+        return generate_oracle(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG)
 
     def test_entry_name_and_chunk_loop(self):
         src = self._src()
         kern = op2.Kernel(GOLDEN_FLUX)
-        assert f"void {native_entry_name(kern, 'atomics')}(" in src
+        assert f"void {entry_name(kern)}(" in src
         assert "op_native_atomics_golden_flux" in src
         # the iteration space is cut into _block-sized chunks — the
         # simulated CUDA grid the numpy atomics backend also uses
@@ -433,14 +435,16 @@ class TestNativeAtomicsStructure:
         assert "_blk_lo" not in src and "_ncolors" not in src
 
     def test_direct_loop_has_no_atomics(self):
-        src = generate_native(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG,
-                              strategy="atomics")
+        src = generate_oracle(op2.Kernel(GOLDEN_UPDATE), GOLDEN_UPDATE_SIG)
         assert "#pragma omp atomic" not in src  # no indirect INCs
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
+        # the generator in src/ has one strategy and takes no selector
+        with pytest.raises(TypeError):
             generate_native(op2.Kernel(GOLDEN_FLUX), GOLDEN_FLUX_SIG,
-                            strategy="voodoo")
+                            strategy="atomics")
+        with pytest.raises(TypeError):
+            native_entry_name(op2.Kernel(GOLDEN_FLUX), "atomics")
 
 
 class TestNativeFusedStructure:
@@ -448,7 +452,9 @@ class TestNativeFusedStructure:
 
     def _src(self, strategy="blockcolor", kernel=GOLDEN_FLUX,
              sig=GOLDEN_FLUX_SIG):
-        return generate_native(op2.Kernel(kernel), sig, strategy)
+        generate = {"blockcolor": generate_native,
+                    "atomics": generate_oracle}[strategy]
+        return generate(op2.Kernel(kernel), sig)
 
     def test_single_parallel_region_spans_sections(self):
         src = self._src()
@@ -490,10 +496,13 @@ class TestNativeFusedStructure:
         assert "#pragma omp atomic" in src
 
     def test_shared_tail(self):
-        for strategy in ("blockcolor", "atomics"):
-            src = self._src(strategy)
-            assert "long long _start,\n    long long _end,\n"  \
-                "    long long _block,\n    long long _nthreads) {" in src
+        # the atomics oracle appends its chunk extent to the native tail
+        assert "long long _start,\n    long long _end,\n" \
+            "    long long _nthreads) {" in self._src()
+        assert "long long _start,\n    long long _end,\n" \
+            "    long long _nthreads,\n    long long _block) {" \
+            in self._src("atomics")
+        assert "_block" not in self._src()
 
     def test_balanced_braces(self):
         for strategy in ("blockcolor", "atomics"):
