@@ -350,20 +350,45 @@ class AirfoilApp:
         self.pbedge = local.maps["pbedge"]
         self.pbecell = local.maps["pbecell"]
         self.pcell = local.maps["pcell"]
-        self.x = local.dats["x"]
+        self.x = local.dats["x"].freeze()
         self.q = local.dats["q"]
         self.qold = local.dats["qold"]
         self.res = local.dats["res"]
         self.adt = local.dats["adt"]
-        self.bound = local.dats["bound"]
-        self.g_qinf = op2.Global(4, freestream(mach), "qinf")
+        self.bound = local.dats["bound"].freeze()
+        self.g_qinf = op2.Global(4, freestream(mach), "qinf", const=True)
         self.g_cfl = op2.Global(1, cfl, "cflnum")
+        self.g_rms = op2.Global(1, 0.0, "rms")
 
         self.k_save = op2.Kernel(save_soln)
         self.k_adt = op2.Kernel(adt_calc)
         self.k_res = op2.Kernel(res_calc)
         self.k_bres = op2.Kernel(bres_calc)
         self.k_update = op2.Kernel(update)
+        R, W, RW, INC = op2.READ, op2.WRITE, op2.RW, op2.INC
+        x, q, adt, res = self.x, self.q, self.adt, self.res
+        pcell, pedge, pecell = self.pcell, self.pedge, self.pecell
+        self._sites = op2.LoopSites({
+            "save_soln": (self.k_save, self.cells, q.arg(R),
+                          self.qold.arg(W)),
+            "adt_calc": (self.k_adt, self.cells,
+                         *(x.arg(R, pcell, i) for i in range(4)), q.arg(R),
+                         adt.arg(W), self.g_cfl.arg(R)),
+            "res_calc": (self.k_res, self.edges, x.arg(R, pedge, 0),
+                         x.arg(R, pedge, 1), q.arg(R, pecell, 0),
+                         q.arg(R, pecell, 1), adt.arg(R, pecell, 0),
+                         adt.arg(R, pecell, 1), res.arg(INC, pecell, 0),
+                         res.arg(INC, pecell, 1)),
+            "bres_calc": (self.k_bres, self.bedges, x.arg(R, self.pbedge, 0),
+                          x.arg(R, self.pbedge, 1),
+                          q.arg(R, self.pbecell, 0),
+                          adt.arg(R, self.pbecell, 0),
+                          res.arg(INC, self.pbecell, 0), self.bound.arg(R),
+                          self.g_qinf.arg(R)),
+            "update": (self.k_update, self.cells, self.qold.arg(R),
+                       q.arg(W), res.arg(RW), adt.arg(R),
+                       self.g_rms.arg(INC)),
+        }, backend)
 
     @classmethod
     def from_local(cls, mesh: AirfoilMesh, local, mach: float = 0.4,
@@ -377,45 +402,16 @@ class AirfoilApp:
 
         Collective in distributed runs (the RMS reduction allreduces).
         """
-        b = self.backend
+        run = self._sites.run
         ncell_global = self.mesh.ncell
         history: list[float] = []
         for _ in range(niter):
-            op2.par_loop(self.k_save, self.cells,
-                         self.q.arg(op2.READ), self.qold.arg(op2.WRITE),
-                         backend=b)
-            rms = op2.Global(1, 0.0, "rms")
+            run("save_soln")
+            self.g_rms.value = 0.0
             for _stage in range(rk_stages):
-                op2.par_loop(self.k_adt, self.cells,
-                             self.x.arg(op2.READ, self.pcell, 0),
-                             self.x.arg(op2.READ, self.pcell, 1),
-                             self.x.arg(op2.READ, self.pcell, 2),
-                             self.x.arg(op2.READ, self.pcell, 3),
-                             self.q.arg(op2.READ), self.adt.arg(op2.WRITE),
-                             self.g_cfl.arg(op2.READ), backend=b)
-                op2.par_loop(self.k_res, self.edges,
-                             self.x.arg(op2.READ, self.pedge, 0),
-                             self.x.arg(op2.READ, self.pedge, 1),
-                             self.q.arg(op2.READ, self.pecell, 0),
-                             self.q.arg(op2.READ, self.pecell, 1),
-                             self.adt.arg(op2.READ, self.pecell, 0),
-                             self.adt.arg(op2.READ, self.pecell, 1),
-                             self.res.arg(op2.INC, self.pecell, 0),
-                             self.res.arg(op2.INC, self.pecell, 1),
-                             backend=b)
-                op2.par_loop(self.k_bres, self.bedges,
-                             self.x.arg(op2.READ, self.pbedge, 0),
-                             self.x.arg(op2.READ, self.pbedge, 1),
-                             self.q.arg(op2.READ, self.pbecell, 0),
-                             self.adt.arg(op2.READ, self.pbecell, 0),
-                             self.res.arg(op2.INC, self.pbecell, 0),
-                             self.bound.arg(op2.READ),
-                             self.g_qinf.arg(op2.READ), backend=b)
-                op2.par_loop(self.k_update, self.cells,
-                             self.qold.arg(op2.READ), self.q.arg(op2.WRITE),
-                             self.res.arg(op2.RW), self.adt.arg(op2.READ),
-                             rms.arg(op2.INC), backend=b)
-            history.append(float(np.sqrt(rms.value / ncell_global)))
+                for name in ("adt_calc", "res_calc", "bres_calc", "update"):
+                    run(name)
+            history.append(float(np.sqrt(self.g_rms.value / ncell_global)))
         return history
 
     def pressure(self) -> np.ndarray:

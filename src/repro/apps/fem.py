@@ -177,14 +177,15 @@ class PoissonApp:
         self.nodes = local.sets["nodes"]
         self.cells = local.sets["cells"]
         self.pcell = local.maps["pcell"]
-        self.x = local.dats["x"]
+        self.x = local.dats["x"].freeze()
         self.u = local.dats["u"]
         self.r = local.dats["r"]
         self.rhs = local.dats["rhs"]
         self.d = local.dats["d"]
-        self.mask = local.dats["mask"]
-        self.g_omega = op2.Global(1, 0.8, "omega")
-        self.g_src = op2.Global(1, source, "fsrc")
+        self.mask = local.dats["mask"].freeze()
+        self.g_omega = op2.Global(1, 0.8, "omega", const=True)
+        self.g_src = op2.Global(1, source, "fsrc", const=True)
+        self.g_norm = op2.Global(1, 0.0, "norm")
 
         self.k_stiff = op2.Kernel(stiffness)
         self.k_diag = op2.Kernel(diag)
@@ -201,27 +202,29 @@ class PoissonApp:
                      self.x.arg(op2.READ, self.pcell, op2.ALL),
                      self.rhs.arg(op2.INC, self.pcell, op2.ALL),
                      self.g_src.arg(op2.READ), backend=backend)
+        R, ALL = op2.READ, op2.ALL
+        self._sites = op2.LoopSites({
+            "stiffness": (self.k_stiff, self.cells,
+                          self.x.arg(R, self.pcell, ALL),
+                          self.u.arg(R, self.pcell, ALL),
+                          self.r.arg(op2.INC, self.pcell, ALL)),
+            "resnorm": (self.k_norm, self.nodes, self.r.arg(R),
+                        self.rhs.arg(R), self.mask.arg(R),
+                        self.g_norm.arg(op2.INC)),
+            "jacobi": (self.k_jacobi, self.nodes, self.r.arg(op2.RW),
+                       self.rhs.arg(R), self.d.arg(R), self.mask.arg(R),
+                       self.u.arg(op2.RW), self.g_omega.arg(R)),
+        }, backend)
 
     def iterate(self, niter: int) -> list[float]:
         """Damped Jacobi iterations; returns the residual-norm history."""
         history = []
         for _ in range(niter):
-            op2.par_loop(self.k_stiff, self.cells,
-                         self.x.arg(op2.READ, self.pcell, op2.ALL),
-                         self.u.arg(op2.READ, self.pcell, op2.ALL),
-                         self.r.arg(op2.INC, self.pcell, op2.ALL),
-                         backend=self.backend)
-            norm = op2.Global(1, 0.0, "norm")
-            op2.par_loop(self.k_norm, self.nodes,
-                         self.r.arg(op2.READ), self.rhs.arg(op2.READ),
-                         self.mask.arg(op2.READ), norm.arg(op2.INC),
-                         backend=self.backend)
-            op2.par_loop(self.k_jacobi, self.nodes,
-                         self.r.arg(op2.RW), self.rhs.arg(op2.READ),
-                         self.d.arg(op2.READ), self.mask.arg(op2.READ),
-                         self.u.arg(op2.RW), self.g_omega.arg(op2.READ),
-                         backend=self.backend)
-            history.append(float(np.sqrt(norm.value)))
+            self._sites.run("stiffness")
+            self.g_norm.value = 0.0
+            self._sites.run("resnorm")
+            self._sites.run("jacobi")
+            history.append(float(np.sqrt(self.g_norm.value)))
         return history
 
     @classmethod

@@ -303,11 +303,12 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 
     # the signatures come from a real binding on a 3-edge chain: only a
     # bound loop knows that q1 and q2 read one dat (what lets the
-    # compiled wrapper hoist their per-node work)
+    # compiled wrapper hoist their per-node work) and that w is frozen
+    # (what lets it cache the face area)
     nodes, edges = op2.Set(4, "nodes"), op2.Set(3, "edges")
     pedge = op2.Map(edges, nodes, 2, [[0, 1], [1, 2], [2, 3]], "pedge")
     q, res = op2.Dat(nodes, 5, name="q"), op2.Dat(nodes, 5, name="res")
-    w = op2.Dat(edges, 3, name="w")
+    w = op2.Dat(edges, 3, name="w").freeze()
     loop = op2.bind(KERNELS["flux_edge"], edges,
                     q.arg(op2.READ, pedge, 0), q.arg(op2.READ, pedge, 1),
                     w.arg(op2.READ), res.arg(op2.INC, pedge, 0),
@@ -320,6 +321,14 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
         print(generate_vectorized(kernel, loop.signature(), "atomic"))
     else:
         print(generate_native(kernel, loop.native_signature()))
+        # frozen coordinates and a const Global: cos(k y) is cached
+        xyz, vol = (op2.Dat(nodes, dim, name=name).freeze()
+                    for dim, name in ((3, "xyz"), (1, "vol")))
+        blade = op2.bind(KERNELS["blade_force"], nodes, q.arg(op2.READ),
+                         xyz.arg(op2.READ), vol.arg(op2.READ),
+                         res.arg(op2.INC), op2.Global(
+                             5, 1.0, "bladeprm", const=True).arg(op2.READ))
+        print(generate_native(blade.kernel, blade.native_signature()))
     return 0
 
 

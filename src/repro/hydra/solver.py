@@ -78,12 +78,14 @@ class Numerics:
 class HydraSolver:
     """Dual time-stepping URANS-style solver for one blade row.
 
-    The constructor builds the ``Arg`` objects of every loop the
-    solver runs (:meth:`_loop_sites`: one per call site, the mass-flow
-    site once per boundary); each site is bound (:func:`repro.op2.bind`)
-    on its first run, with ``Numerics.backend`` as the backend override
-    (read then only), and kept. The reduction targets (``dtmin`` and
-    the monitor sums) are solver-owned Globals reset before each loop.
+    The constructor freezes the mesh dats (:meth:`repro.op2.Dat.freeze`)
+    and builds the ``Arg`` objects of every loop the solver runs
+    (:meth:`_loop_sites`: one per call site, the mass-flow site once
+    per boundary) into an :class:`repro.op2.LoopSites`, which binds
+    each site on its first run, with ``Numerics.backend`` as the
+    backend override (read then only), and keeps it. The reduction
+    targets (``dtmin`` and the monitor sums) are solver-owned Globals
+    reset before each loop.
     A loop runs through ``op2.par_loop`` with its bound ``Arg``
     objects, which finds the binding (:func:`repro.op2.par_loop`): a
     run validates nothing and builds nothing, and code that interposes
@@ -125,19 +127,22 @@ class HydraSolver:
                 f"row {config.name!r} has an outlet boundary; supply `p_out`"
             )
 
-        # runtime constants as Globals (OP2 READ args)
-        self.g_gam = op2.Global(1, self.num.gamma, "gam")
+        # runtime constants as Globals (OP2 READ args); const ones are
+        # fixed for the solver's life, so compiled loops compute what
+        # follows from them (and from the frozen mesh dats) once
+        self.g_gam = op2.Global(1, self.num.gamma, "gam", const=True)
         self.g_cfl = op2.Global(1, self.num.cfl, "cfl")
         self.g_coef = op2.Global(1, 0.0, "coef")
         self.g_wdual = op2.Global(3, [0.0, 0.0, 0.0], "wdual")
         if inlet is not None:
             self.g_qin = op2.Global(
-                4, [inlet.rho, inlet.ux, inlet.uy, inlet.uz], "qin"
-            )
+                4, [inlet.rho, inlet.ux, inlet.uy, inlet.uz], "qin",
+                const=True)
         else:
             self.g_qin = None
-        self.g_pout = op2.Global(1, p_out if p_out is not None else 1.0, "pout")
-        self.g_hmin = op2.Global(1, config.min_spacing, "hmin")
+        self.g_pout = op2.Global(1, p_out if p_out is not None else 1.0,
+                                 "pout", const=True)
+        self.g_hmin = op2.Global(1, config.min_spacing, "hmin", const=True)
 
         # blade-force parameters: [rate, v_target, wake_amp, k_wave, f_axial]
         k_wave = config.blade_count / config.r_mid
@@ -146,13 +151,13 @@ class HydraSolver:
                                      or f_axial != 0.0) else 0.0
         self.g_blade = op2.Global(
             5, [rate, config.turning_velocity, config.wake_amplitude,
-                k_wave, f_axial], "bladeprm"
-        )
+                k_wave, f_axial], "bladeprm", const=True)
         self.blades_active = rate != 0.0 or f_axial != 0.0
         self._pseudo_dt: float | None = None
         self._steady = False
         if self.num.smooth_eps > 0.0:
-            self.g_smooth = op2.Global(1, self.num.smooth_eps, "smooth_eps")
+            self.g_smooth = op2.Global(1, self.num.smooth_eps, "smooth_eps",
+                                       const=True)
             self._res_s = op2.Dat(self.nodes, 5, name="res_s")
             self._smooth_acc = op2.Dat(self.nodes, 5, name="smooth_acc")
         else:
@@ -162,9 +167,11 @@ class HydraSolver:
         self.g_resnorm = op2.Global(1, 0.0, "resnorm")
         self.g_mdot = op2.Global(1, 0.0, "mdot")
         self.g_p0acc = op2.Global(2, [0.0, 0.0], "p0acc")
-        self._sites = self._loop_sites()
-        #: call-site name -> its loop, bound on the site's first run
-        self._loops: dict[str, op2.BoundLoop] = {}
+        for name in ("xyz", "edgew", "vol", "mask", "wall_nz", "inlet_area",
+                     "outlet_area", "deg"):
+            if name in d:
+                d[name].freeze()
+        self._sites = op2.LoopSites(self._loop_sites(), self.num.backend)
 
     def _loop_sites(self) -> dict[str, tuple]:
         """``(kernel, set, *args)`` of every loop the solver runs, by
@@ -232,32 +239,18 @@ class HydraSolver:
         return {name: (KERNELS.get(name, KERNELS["face_mass_flow"]), *site)
                 for name, site in sites.items()}
 
-    def _par_loop(self, name: str) -> None:
-        """Run call site ``name``'s loop through ``op2.par_loop``.
-
-        The site is bound on its first run, not at construction:
-        binding parses the kernel, which a solver that never steps
-        (set-up, a zero-step run) must not pay for.
-        """
-        loop = self._loops.get(name)
-        if loop is None:
-            loop = self._loops[name] = op2.bind(*self._sites[name],
-                                                backend=self.num.backend)
-        op2.par_loop(loop.kernel, loop.iterset, *loop.args,
-                     backend=loop.backend)
-
     # -- residual -------------------------------------------------------
     def spatial_residual(self) -> None:
         """Assemble the spatial residual: fluxes, walls, BCs, blade force."""
-        self._par_loop("zero_res")
-        self._par_loop("flux_edge")
-        self._par_loop("wall_flux")
+        self._sites.run("zero_res")
+        self._sites.run("flux_edge")
+        self._sites.run("wall_flux")
         if self.has_inlet:
-            self._par_loop("inlet_flux")
+            self._sites.run("inlet_flux")
         if self.has_outlet:
-            self._par_loop("outlet_flux")
+            self._sites.run("outlet_flux")
         if self.blades_active:
-            self._par_loop("blade_force")
+            self._sites.run("blade_force")
 
     # -- time stepping -----------------------------------------------------
     def pseudo_dt(self) -> float:
@@ -269,7 +262,7 @@ class HydraSolver:
         would push the explicit RK outside its stability region.
         """
         self.g_dtmin.value = np.inf
-        self._par_loop("local_dt")
+        self._sites.run("local_dt")
         dtau = self.g_dtmin.value
         if not self._steady:
             dtau = min(dtau, 0.5 * self.dt_outer)
@@ -301,30 +294,30 @@ class HydraSolver:
                 self._inner_iteration()
 
     def _inner_iteration(self) -> None:
-        self._par_loop("save_state")
+        self._sites.run("save_state")
         if self._pseudo_dt is None:
             self._pseudo_dt = self.pseudo_dt()
         for alpha in self.num.rk_coeffs:
             self.spatial_residual()
-            self._par_loop("dual_source")
+            self._sites.run("dual_source")
             if self.g_smooth is not None:
                 self._smooth_residual()
             self.g_coef.value = alpha * self._pseudo_dt
-            self._par_loop("rk_stage")
+            self._sites.run("rk_stage")
 
     def _smooth_residual(self) -> None:
         """Implicit residual smoothing by Jacobi iteration (in place)."""
         self._res_s.copy_from(self.res)
         self._smooth_acc.zero()
         for _ in range(self.num.smooth_iters):
-            self._par_loop("smooth_gather")
-            self._par_loop("smooth_update")
+            self._sites.run("smooth_gather")
+            self._sites.run("smooth_update")
         self.res.copy_from(self._res_s)
 
     def advance_physical(self) -> None:
         """One outer (physical) time step: shift history, converge inner."""
         with timed(self.timers, "physical_step", "hydra.step"):
-            self._par_loop("shift_history")
+            self._sites.run("shift_history")
             self._dual_weights()
             self._pseudo_dt = None
             for _ in range(self.num.inner_iters):
@@ -490,24 +483,24 @@ class HydraSolver:
         """Volume-weighted L2 norm of the current spatial residual."""
         self.spatial_residual()
         self.g_resnorm.value = 0.0
-        self._par_loop("residual_norm")
+        self._sites.run("residual_norm")
         return float(np.sqrt(self.g_resnorm.value))
 
     def mass_flow(self, side: str) -> float:
         """Mass flow through the inlet/outlet BC faces (collective)."""
         name = f"{side}_mass_flow"
-        if name not in self._sites:
+        if name not in self._sites.sites:
             raise ValueError(
                 f"row {self.config.name!r} has no {side} boundary faces"
             )
         self.g_mdot.value = 0.0
-        self._par_loop(name)
+        self._sites.run(name)
         return self.g_mdot.value
 
     def mean_total_pressure(self) -> float:
         """Mean isentropic stagnation pressure of core nodes (collective)."""
         self.g_p0acc.data = np.zeros(2)
-        self._par_loop("total_pressure_sum")
+        self._sites.run("total_pressure_sum")
         acc = self.g_p0acc.data
         return float(acc[0] / max(acc[1], 1.0))
 

@@ -108,43 +108,43 @@ class TurbulenceModel:
                            name="nut")
         self.nut_res = op2.Dat(nodes, 1, name="nut_res")
         cfg = solver.config
-        self.g_prm = op2.Global(2, [cfg.r_inner, cfg.r_outer], "sa_prm")
+        self.g_prm = op2.Global(2, [cfg.r_inner, cfg.r_outer], "sa_prm",
+                                const=True)
         self.g_coef = op2.Global(1, 0.0, "sa_coef")
+        self.g_norm = op2.Global(1, 0.0, "nut_l2")
+        lp = solver.local
+        pedge = lp.maps["pedge"]
+        R, INC = op2.READ, op2.INC
+        q, nut, res = solver.q, self.nut, self.nut_res
+        sites = {
+            "nut_zero_res": (solver.nodes, res.arg(op2.WRITE)),
+            "nut_flux_edge": (solver.edges, q.arg(R, pedge, 0),
+                              q.arg(R, pedge, 1), nut.arg(R, pedge, 0),
+                              nut.arg(R, pedge, 1), lp.dats["edgew"].arg(R),
+                              res.arg(INC, pedge, 0), res.arg(INC, pedge, 1)),
+            "nut_source": (solver.nodes, q.arg(R), nut.arg(R),
+                           lp.dats["xyz"].arg(R), lp.dats["vol"].arg(R),
+                           res.arg(INC), self.g_prm.arg(R)),
+            "nut_update": (solver.nodes, res.arg(R), lp.dats["vol"].arg(R),
+                           lp.dats["mask"].arg(R), nut.arg(op2.RW),
+                           self.g_coef.arg(R)),
+            "nut_norm": (solver.nodes, nut.arg(R), self.g_norm.arg(INC)),
+        }
+        self._sites = op2.LoopSites(
+            {name: (KERNELS[name], *site) for name, site in sites.items()},
+            solver.num.backend)
 
     def advance(self) -> None:
         """One explicit transport step (call after each physical step)."""
-        solver = self.solver
-        lp = solver.local
-        b = solver.num.backend
-        pedge = lp.maps["pedge"]
-        op2.par_loop(KERNELS["nut_zero_res"], solver.nodes,
-                     self.nut_res.arg(op2.WRITE), backend=b)
-        op2.par_loop(KERNELS["nut_flux_edge"], solver.edges,
-                     solver.q.arg(op2.READ, pedge, 0),
-                     solver.q.arg(op2.READ, pedge, 1),
-                     self.nut.arg(op2.READ, pedge, 0),
-                     self.nut.arg(op2.READ, pedge, 1),
-                     lp.dats["edgew"].arg(op2.READ),
-                     self.nut_res.arg(op2.INC, pedge, 0),
-                     self.nut_res.arg(op2.INC, pedge, 1), backend=b)
-        op2.par_loop(KERNELS["nut_source"], solver.nodes,
-                     solver.q.arg(op2.READ), self.nut.arg(op2.READ),
-                     lp.dats["xyz"].arg(op2.READ),
-                     lp.dats["vol"].arg(op2.READ),
-                     self.nut_res.arg(op2.INC),
-                     self.g_prm.arg(op2.READ), backend=b)
-        self.g_coef.value = solver.dt_outer
-        op2.par_loop(KERNELS["nut_update"], solver.nodes,
-                     self.nut_res.arg(op2.READ),
-                     lp.dats["vol"].arg(op2.READ),
-                     lp.dats["mask"].arg(op2.READ),
-                     self.nut.arg(op2.RW), self.g_coef.arg(op2.READ),
-                     backend=b)
+        run = self._sites.run
+        run("nut_zero_res")
+        run("nut_flux_edge")
+        run("nut_source")
+        self.g_coef.value = self.solver.dt_outer
+        run("nut_update")
 
     def norm(self) -> float:
         """Collective L2 norm of nu_t (distributed-safe)."""
-        norm = op2.Global(1, 0.0, "nut_l2")
-        op2.par_loop(KERNELS["nut_norm"], self.solver.nodes,
-                     self.nut.arg(op2.READ), norm.arg(op2.INC),
-                     backend=self.solver.num.backend)
-        return float(np.sqrt(norm.value))
+        self.g_norm.value = 0.0
+        self._sites.run("nut_norm")
+        return float(np.sqrt(self.g_norm.value))

@@ -43,7 +43,7 @@ from repro.op2.chain import (
     reset_chain_stats,
 )
 from repro.op2.config import Config, configure, current_config, set_config, set_default_config
-from repro.op2.dat import Dat
+from repro.op2.dat import Dat, FrozenError
 from repro.op2.distribute import (
     GlobalProblem,
     LocalProblem,
@@ -58,7 +58,7 @@ from repro.op2.globals import Global
 from repro.op2.halo import ExchangePlan, SetHalo, exchange_halos
 from repro.op2.kernel import Kernel, KernelParseError
 from repro.op2.map import ALL, Map
-from repro.op2.parloop import BoundLoop, bind, par_loop
+from repro.op2.parloop import BoundLoop, LoopSites, bind, par_loop
 from repro.op2.plan import (
     BlockPlan,
     Plan,
@@ -72,9 +72,10 @@ __all__ = [
     # access
     "Access", "READ", "WRITE", "RW", "INC", "MIN", "MAX",
     # data model
-    "Set", "Map", "ALL", "Dat", "Global", "Arg",
+    "Set", "Map", "ALL", "Dat", "Global", "Arg", "FrozenError",
     # kernels & loops
-    "Kernel", "KernelParseError", "BoundLoop", "bind", "par_loop",
+    "Kernel", "KernelParseError", "BoundLoop", "LoopSites", "bind",
+    "par_loop",
     # plans
     "Plan", "BlockPlan", "build_plan", "build_block_plan",
     "clear_plan_cache",

@@ -296,6 +296,23 @@ def hoisted_rows(args: "list[Arg]", start: int, end: int) -> np.ndarray:
     return entry[0]
 
 
+def _refilling(fn, loop: "BoundLoop", width: int, start: int, end: int):
+    """``fn`` refilling the loop's invariant cache on every run
+    (``Config.check_access``), raising when a filled one changed."""
+    flag = loop.cache_fill(start, end)
+    cache = loop.invariant_cache(width)
+
+    def run(*argv) -> None:
+        filled = cache.view(np.int64).copy()
+        was_filled, flag[0] = not flag[0], 1
+        fn(*argv)
+        if was_filled and not np.array_equal(filled, cache.view(np.int64)):
+            raise RuntimeError(
+                f"kernel {loop.kernel.name!r}: an invariant cache of "
+                f"elements [{start}, {end}) changed since it was filled")
+    return run
+
+
 def _pointer(arr: np.ndarray) -> ctypes.c_void_p:
     """``arr``'s data pointer; the pointer object keeps ``arr`` alive."""
     return arr.ctypes.data_as(ctypes.c_void_p)
@@ -335,6 +352,10 @@ class NativeBackend:
             argv += [_pointer(blk_lo), _pointer(blk_hi), _pointer(col_off),
                      c_ll(col_off.size - 1)]
         argv += [c_ll(start), c_ll(end), c_ll(cfg.native_threads)]
+        hoisting = hoist_plan(loop.kernel, self._nsig(loop))
+        if cfg.check_access and hoisting.cache:
+            return (_refilling(entry.fn, loop, len(hoisting.cache), start,
+                               end), argv)
         return entry.fn, argv
 
     def execute(self, loop: "BoundLoop", start: int, end: int,
@@ -359,17 +380,25 @@ class NativeBackend:
                 argv.append(_pointer(arg.map.values))
         return argv
 
-    @staticmethod
-    def _hoist_argv(loop: "BoundLoop", start: int, end: int) -> list:
-        """Per hoisting group: row list, row count, scratch array."""
+    def _hoist_argv(self, loop: "BoundLoop", start: int, end: int) -> list:
+        """Per hoisting group: row list, row count, scratch array; then
+        the invariant cache and the range's fill flag."""
+        plan = hoist_plan(loop.kernel, self._nsig(loop))
         argv: list = []
-        for group in hoist_plan(loop.kernel, loop.native_signature()).groups:
+        for group in plan.groups:
             rows = hoisted_rows([loop.args[i] for i in group.members],
                                 start, end)
             argv += [_pointer(rows), ctypes.c_longlong(rows.size),
                      _pointer(loop.hoist_scratch(group.members,
                                                  group.width))]
+        if plan.cache:
+            argv += [_pointer(loop.invariant_cache(len(plan.cache))),
+                     _pointer(loop.cache_fill(start, end))]
         return argv
+
+    def _nsig(self, loop: "BoundLoop") -> tuple:
+        """The signature the backend generates the loop's wrapper from."""
+        return loop.native_signature()
 
     def _build_entry(self, kernel, nsig: tuple
                      ) -> "_NativeEntry | _Fallback":
@@ -390,7 +419,7 @@ class NativeBackend:
         unsupported = self._unsupported(loop)
         if unsupported is not None:
             return unsupported
-        nsig = loop.native_signature()
+        nsig = self._nsig(loop)
         key = (self.name, nsig)
         entry = loop.kernel.cached(key)
         if entry is not None:

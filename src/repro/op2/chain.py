@@ -486,14 +486,15 @@ class LoopChain:
 
 
 def _touched(pending: list[_Pending]) -> tuple[list, list]:
-    """Unique dats and Globals any pending loop accesses."""
+    """Unique dats and Globals any pending loop accesses and may
+    change (frozen dats and const Globals cannot)."""
     dats: dict[int, object] = {}
     gbls: dict[int, object] = {}
     for p in pending:
         for a in p.loop.args:
-            if a.is_dat:
+            if a.is_dat and not a.data.frozen:
                 dats.setdefault(id(a.data), a.data)
-            else:
+            elif a.is_global and not a.data.const:
                 gbls.setdefault(id(a.data), a.data)
     return list(dats.values()), list(gbls.values())
 

@@ -18,9 +18,12 @@ are evaluated once per node. Each hoisting group adds a row list, a
 row count and a ``(total_size, width)`` scratch array to the ABI; an
 ``#pragma omp for`` pre-pass over the rows stores the group's
 frontier in the scratch, and the elemental function loads it from
-the scratch row of each member's map target. ``min``/``max`` are
-numpy's ``minimum``/``maximum`` (``op2_min``/``op2_max``, emitted
-where used).
+the scratch row of each member's map target. Invariant locals — those
+that follow from frozen dats, const Globals and constants only — are
+computed once per binding, into a per-element cache filled while the
+binding's fill flag is set. ``min``/``max`` are numpy's
+``minimum``/``maximum`` (``op2_min``/``op2_max``, branch-free,
+emitted where used).
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ _C_MATH = {
 #: unit that calls them
 _MINMAX = {
     "op2_min": "static inline double op2_min(double a, double b) "
-               "{ return (a < b || a != a) ? a : b; }",
+               "{ double m = a < b ? a : b; return a != a ? a : m; }",
     "op2_max": "static inline double op2_max(double a, double b) "
-               "{ return (a > b || a != a) ? a : b; }",
+               "{ double m = a > b ? a : b; return a != a ? a : m; }",
 }
 
 
@@ -100,7 +103,7 @@ def _native_args(kernel: Kernel, signature: Sequence[tuple]
     red_fold: list[str] = []
     for i, (pname, sig) in enumerate(zip(params, signature)):
         if sig[0] == "gbl":
-            _, access, dim = sig
+            _, access, dim = sig[:3]
             if access is Access.READ:
                 formals.append(f"const double *g{i}{_TAG}")
                 call.append(f"g{i}{_TAG}")
@@ -185,7 +188,9 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple]) -> str:
     suffixed ``_f0``; then, per hoisting group
     (:mod:`~repro.op2.codegen.hoist`), its sorted row list
     ``_hrowsG_f0``, row count ``_hnG_f0`` and ``(total_size, width)``
-    scratch ``_hsG_f0``; then — planned loops only — the flattened
+    scratch ``_hsG_f0``; then the per-element cache ``_inv_f0`` and the
+    fill flag ``_fill_f0`` (loops that cache); then — planned loops
+    only — the flattened
     plan ``_blk_lo_f0, _blk_hi_f0, _col_off_f0, _ncolors_f0``; then
     the tail ``_start, _end, _nthreads``. Reduction staging is
     thread-private and folded under ``#pragma omp critical`` right
@@ -198,6 +203,12 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple]) -> str:
     line; the elemental function takes one scratch-row pointer per
     group member after its arguments. A loop with nothing to hoist
     emits the unhoisted wrapper, byte for byte.
+
+    Caching: an ``#pragma omp for`` over ``[start, end)`` stores the
+    per-element invariant locals in ``_inv`` (``// cached per element:
+    <locals>``), read by the elemental function through one more
+    pointer; it runs while ``*_fill`` is set, which the wrapper clears
+    on return.
 
     Compiled with ``-ffp-contract=off`` the elemental arithmetic is
     bitwise-identical to the numpy backends for correctly-rounded
@@ -239,7 +250,7 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple]) -> str:
         lines.append("    {")
         lines.extend(f"      {f}" for f in red_fold)
         lines.append("    }")
-    lines.extend(["  }", "}"])
+    lines += ["  }", *([f"  *_fill{_TAG} = 0;"] if plan.cache else []), "}"]
     wrapper = "\n".join(lines)
     helpers = [_MINMAX[name] for name in _MINMAX
                if f"{name}(" in functions or f"{name}(" in wrapper]
@@ -259,10 +270,13 @@ def _hoist_prepass(kernel: Kernel, signature: Sequence[tuple],
                    call: list[str]) -> tuple[list[str], list[str]]:
     """Per hoisting group of ``plan``: append its row list, row count
     and scratch to ``formals`` and its members' scratch rows to
-    ``call``; return the pre-pass functions and the wrapper lines
-    running them (an ``#pragma omp for`` over the group's rows)."""
+    ``call``, then the cache ``_inv`` and the fill flag ``_fill``.
+    Return the pre-pass functions and the wrapper lines running them
+    (an ``#pragma omp for`` over each group's rows, then over the
+    elements filling the cache)."""
     base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
     params = kernel.params
+    param_call = ", ".join(call)
     functions: list[str] = []
     lines: list[str] = []
     for g, group in enumerate(plan.groups):
@@ -276,8 +290,12 @@ def _hoist_prepass(kernel: Kernel, signature: Sequence[tuple],
             call.append(f"{scratch} + m{i}{_TAG}[n * {arity} + {idx}] "
                         f"* {width}")
         first = group.members[0]
-        functions.append(_prepass_c(kernel, base_sig, group,
-                                    f"{fn_name}_h{g}"))
+        formals_h = [f"const double *{group.params[0]}"]
+        formals_h += [f"const double *{name}"
+                      for name in group.global_params]
+        functions.append(_prepass_c(kernel, base_sig, group.body,
+                                    group.frontiers[0], f"{fn_name}_h{g}",
+                                    formals_h))
         gbl_args = [f"g{params.index(name)}{_TAG}"
                     for name in group.global_params]
         dim = signature[first][3]
@@ -292,22 +310,36 @@ def _hoist_prepass(kernel: Kernel, signature: Sequence[tuple],
                          f"{scratch} + _row * {width}"]) + ");",
             "    }",
         ]
+    if plan.cache:
+        functions.append(_prepass_c(kernel, base_sig, plan.cache_body,
+                                    plan.cache, f"{fn_name}_c", None))
+        row = f"_inv{_TAG} + n * {len(plan.cache)}"
+        lines += [
+            "    // cached per element: " + " ".join(plan.cache),
+            f"    if (*_fill{_TAG}) {{",
+            "      #pragma omp for schedule(static)",
+            "      for (long long n = _start; n < _end; n++) {",
+            f"        {fn_name}_c({param_call}, {row});",
+            "      }",
+            "    }",
+        ]
+        formals += [f"double *_inv{_TAG}", f"long long *_fill{_TAG}"]
+        call.append(row)
     return functions, lines
 
 
-def _prepass_c(kernel: Kernel, signature: Sequence[tuple],
-               group, fn_name: str) -> str:
-    """The ``static inline`` node pre-pass of one hoisting group: the
-    first member's hoisted statements, then its frontier stored into
-    the scratch row ``_h``."""
-    first = group.params[0]
-    formals = [f"const double *{first}"]
-    formals += [f"const double *{name}" for name in group.global_params]
-    formals.append("double *_h")
-    body = _CBody(kernel, signature, set()).translate_stmts(group.body)
-    body += [f"_h[{j}] = {name};"
-             for j, name in enumerate(group.frontiers[0])]
-    head = f"static inline void {fn_name}(" + ", ".join(formals) + ") {"
+def _prepass_c(kernel: Kernel, signature: Sequence[tuple], stmts,
+               stored: Sequence[str], fn_name: str,
+               formals: list[str] | None) -> str:
+    """A ``static inline`` pre-pass: ``stmts``, then the locals
+    ``stored`` stored into the row ``_h``. It takes ``formals``, or
+    the elemental function's (``None``)."""
+    if formals is None:
+        formals = _param_formals(kernel, signature, "long long")[0]
+    body = _CBody(kernel, signature, set()).translate_stmts(stmts)
+    body += [f"_h[{j}] = {name};" for j, name in enumerate(stored)]
+    head = (f"static inline void {fn_name}("
+            + ", ".join([*formals, "double *_h"]) + ") {")
     return "\n".join([head] + [f"  {line}" for line in body] + ["}"])
 
 
@@ -324,10 +356,27 @@ def _elemental_c(kernel: Kernel, signature: Sequence[tuple],
     loads each frontier local from it and drops the other hoisted
     statements.
     """
-    params = kernel.params
+    formals, inc_params = _param_formals(kernel, signature, index_type,
+                                         omp_atomic)
+    for group in plan.groups:
+        formals += [f"const double *_h_{p}" for p in group.params]
+    if plan.cache:
+        formals.append("const double *_inv")
+
+    body = _CBody(kernel, signature, inc_params).translate(plan)
+    head = (f"static inline void {fn_name or kernel.name}("
+            + ", ".join(formals) + ") {")
+    return "\n".join([head] + [f"  {line}" for line in body] + ["}"])
+
+
+def _param_formals(kernel: Kernel, signature: Sequence[tuple],
+                   index_type: str, omp_atomic: bool = False
+                   ) -> tuple[list[str], set[str]]:
+    """The elemental function's formals per kernel parameter, and the
+    parameters incremented through ``#pragma omp atomic``."""
     formals = []
     inc_params: set[str] = set()
-    for pname, sig in zip(params, signature):
+    for pname, sig in zip(kernel.params, signature):
         if sig[0] == "gbl":
             access = sig[1]
             const = "const " if access is Access.READ else ""
@@ -343,13 +392,7 @@ def _elemental_c(kernel: Kernel, signature: Sequence[tuple],
         if (omp_atomic and access is Access.INC
                 and addressing in ("idx", "all")):
             inc_params.add(pname)
-    for group in plan.groups:
-        formals += [f"const double *_h_{p}" for p in group.params]
-
-    body = _CBody(kernel, signature, inc_params).translate(plan)
-    head = (f"static inline void {fn_name or kernel.name}("
-            + ", ".join(formals) + ") {")
-    return "\n".join([head] + [f"  {line}" for line in body] + ["}"])
+    return formals, inc_params
 
 
 class _CBody:
@@ -399,6 +442,11 @@ class _CBody:
                 param, slot = plan.loads[target]
                 self.declared.add(target)
                 out.append(f"double {target} = _h_{param}[{slot}];")
+                continue
+            if target in plan.cache:
+                self.declared.add(target)
+                out.append(f"double {target} = "
+                           f"_inv[{plan.cache.index(target)}];")
                 continue
             out.extend(self._stmt(stmt))
         return out

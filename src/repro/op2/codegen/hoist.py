@@ -1,11 +1,14 @@
-"""Map-invariant hoisting: a kernel's per-node work, once per node.
+"""Map-invariant hoisting: a kernel's per-node work, once per node;
+its set-up-fixed work, once per binding.
 
 An edge kernel that reads a node dat through two map columns (``q1``
 and ``q2`` of ``flux_edge``) evaluates everything that depends on one
 endpoint once per *edge*, and so as many times per node as the node
 has edges. This module finds that work; the compiled generator
 (:mod:`~repro.op2.codegen.csource`) evaluates it in a node pre-pass
-into a scratch array the element loop then reads.
+into a scratch array the element loop then reads. It also finds the
+work that follows from data fixed at set-up, which the generator
+evaluates on a binding's first run only.
 
 The rule. A kernel local is *hoistable on* parameter ``p`` when
 
@@ -22,7 +25,7 @@ The rule. A kernel local is *hoistable on* parameter ``p`` when
   hoistable on ``p``, and depends on ``p``.
 
 A local reading only constants and READ Globals (``gm1 = gam[0] -
-1.0``) is *invariant*: every pre-pass that needs it recomputes it, and
+1.0``) is *uniform*: every pre-pass that needs it recomputes it, and
 the element body keeps it. The *frontier* of ``p`` is the hoisted
 locals that code staying in the element body reads, minus plain loads
 ``x = p[c]``, which the body keeps (a load from ``p`` costs what a load
@@ -37,6 +40,18 @@ scratch row of its own map target and drops every other hoisted
 statement. The pre-pass evaluates the same expressions on the same
 operands in the same order, so hoisted results are bitwise those of
 the unhoisted body.
+
+The invariant class. When the signature records which dats are frozen
+(:meth:`~repro.op2.dat.Dat.freeze`; an eighth dat element) and which
+Globals const (a fourth), a local obeying the rules above is
+*invariant* when it reads only constants, const Globals, ``p[c]`` of
+frozen dats (direct, indirect, or vector ``p[i, c]``) and other such
+locals, and depends on a frozen dat. An invariant local that is not
+hoisted and not a plain load is *cached*: the body loads the ones it
+reads (:attr:`HoistPlan.cache`) from a per-element row, which the
+generator fills on a binding's first run, with the same expressions on
+the same operands: bitwise the uncached results. A hoisting group
+stays a per-call pre-pass even when its statements are invariant.
 """
 
 from __future__ import annotations
@@ -89,8 +104,13 @@ class HoistPlan:
     groups: tuple[HoistGroup, ...] = ()
     #: frontier local -> (member parameter, scratch slot) it loads
     loads: dict[str, tuple[str, int]] = field(default_factory=dict)
-    #: hoisted locals whose assignment leaves the element body
+    #: hoisted and cached locals whose assignment leaves the element
+    #: body
     dropped: frozenset[str] = frozenset()
+    #: per-element invariant locals the element body loads (slot order)
+    cache: tuple[str, ...] = ()
+    #: the statements a cache fill evaluates, in kernel order
+    cache_body: tuple[ast.stmt, ...] = ()
 
 
 NO_HOIST = HoistPlan()
@@ -119,10 +139,14 @@ def _analyse(kernel: Kernel, signature: tuple) -> HoistPlan:
         p: i for i, (p, sig) in enumerate(zip(params, signature))
         if sig[0] == "dat" and sig[1] is Access.READ and sig[2] == "idx"
         and sig[6] not in written}
-    if not eligible:
+    frozen = {p for p, sig in zip(params, signature)
+              if sig[0] == "dat" and sig[7:] == (True,)}
+    if not eligible and not frozen:
         return NO_HOIST
     read_globals = {p for p, sig in zip(params, signature)
                     if sig[0] == "gbl" and sig[1] is Access.READ}
+    const = {p for p, sig in zip(params, signature)
+             if sig[0] == "gbl" and sig[3:] == (True,)}
 
     fdef = kernel.func_ast
     body = [s for s in fdef.body
@@ -132,8 +156,10 @@ def _analyse(kernel: Kernel, signature: tuple) -> HoistPlan:
     assigned = Counter(_assigned_names(fdef))
     loop_vars, ints = integer_locals(fdef)
 
-    #: hoistable local -> the parameter it depends on (None: invariant)
+    #: hoistable local -> the parameter it depends on (None: uniform)
     depends: dict[str, str | None] = {}
+    #: invariant local -> a frozen dat parameter it reads (None: none)
+    invariant: dict[str, str | None] = {}
     assignment: dict[str, ast.Assign] = {}
     order: list[str] = []
     for stmt in body:
@@ -145,25 +171,31 @@ def _analyse(kernel: Kernel, signature: tuple) -> HoistPlan:
                 or name in params:
             continue
         deps = _reads(stmt.value, eligible, read_globals, depends)
-        if deps is None or len(deps) > 1:
-            continue
-        depends[name] = next(iter(deps), None)
-        assignment[name] = stmt
-        order.append(name)
+        if deps is not None and len(deps) < 2:
+            depends[name] = next(iter(deps), None)
+        deps = _reads(stmt.value, frozen, const, invariant)
+        if deps is not None:
+            invariant[name] = min(deps, default=None)
+        if name in depends or name in invariant:
+            assignment[name] = stmt
+            order.append(name)
 
     hoisted = {n for n, p in depends.items() if p is not None}
+    cached = {n for n, p in invariant.items() if p is not None
+              and n not in hoisted and not _is_load(assignment[n].value)}
     reads = {name: _names_read(stmt.value)
              for name, stmt in assignment.items()}
     kept_reads: set[str] = set()
     for stmt in body:
         if not (isinstance(stmt, ast.Assign)
                 and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id in hoisted):
+                and stmt.targets[0].id in hoisted | cached):
             kept_reads |= _names_read(stmt)
 
     candidates: dict[tuple, list] = {}
     for p, i in eligible.items():
-        frontier = [n for n in order if depends[n] == p and n in kept_reads
+        frontier = [n for n in order if depends.get(n) == p
+                    and n in kept_reads
                     and not _is_load(assignment[n].value)]
         if not frontier:
             continue
@@ -181,7 +213,6 @@ def _analyse(kernel: Kernel, signature: tuple) -> HoistPlan:
 
     groups: list[HoistGroup] = []
     loads: dict[str, tuple[str, int]] = {}
-    dropped: set[str] = set()
     for members in candidates.values():
         first_stmts = members[0][3]
         used = set().union(*(reads[s.targets[0].id] for s in first_stmts))
@@ -194,11 +225,19 @@ def _analyse(kernel: Kernel, signature: tuple) -> HoistPlan:
                                 if g in read_globals and g in used)))
         for _, p, frontier, _ in members:
             loads.update((n, (p, j)) for j, n in enumerate(frontier))
-            dropped |= {n for n in order if depends[n] == p
-                        and n not in frontier
-                        and not _is_load(assignment[n].value)}
     groups.sort(key=lambda g: g.members[0])
-    return HoistPlan(tuple(groups), loads, frozenset(dropped))
+
+    cache = tuple(n for n in order if n in cached and n in kept_reads)
+    needed, pending = set(cache), list(cache)
+    while pending:
+        for name in reads[pending.pop()]:
+            if name in invariant and name not in needed:
+                needed.add(name)
+                pending.append(name)
+    dropped = frozenset(n for n in hoisted | cached if n not in kept_reads
+                        and not _is_load(assignment[n].value))
+    return HoistPlan(tuple(groups), loads, dropped, cache,
+                     tuple(assignment[n] for n in order if n in needed))
 
 
 def _assigned_names(fdef: ast.FunctionDef):
@@ -230,9 +269,11 @@ def _reads(expr: ast.expr, eligible: dict, read_globals: set,
             return True
         if isinstance(node, ast.Subscript):
             base, index = node.value, node.slice
-            if not (isinstance(base, ast.Name)
-                    and isinstance(index, ast.Constant)
-                    and type(index.value) is int):
+            literal = (index.elts if isinstance(index, ast.Tuple)
+                       else [index])
+            if not (isinstance(base, ast.Name) and all(
+                    isinstance(c, ast.Constant) and type(c.value) is int
+                    for c in literal)):
                 return False
             if base.id in eligible:
                 deps.add(base.id)

@@ -33,6 +33,11 @@ def _sync_chain() -> None:
     _chain_sync()
 
 
+class FrozenError(ValueError):
+    """A write to a frozen :class:`Dat` or a const
+    :class:`~repro.op2.globals.Global`."""
+
+
 class Dat:
     """Per-element data: ``dim`` values of ``dtype`` on each element.
 
@@ -84,8 +89,11 @@ class Dat:
     # -- data access ---------------------------------------------------
     @property
     def data(self) -> np.ndarray:
-        """Writable view of the *owned* entries. Marks halos stale."""
+        """Writable view of the *owned* entries. Marks halos stale.
+        Raises :class:`FrozenError` once :meth:`freeze` ran."""
         _sync_chain()
+        if self.frozen:
+            raise FrozenError(f"dat {self.name!r} is frozen")
         self.mark_halo_stale()
         return self._data[: self.set.size]
 
@@ -105,12 +113,33 @@ class Dat:
         return self._data
 
     @property
+    def frozen(self) -> bool:
+        """Set by :meth:`freeze`: the storage is read-only for good."""
+        return not self._data.flags.writeable
+
+    def freeze(self) -> "Dat":
+        """Declare the values fixed for good (OP2's ``op_decl_const``).
+
+        Refreshes stale halos first (a collective), then makes the whole
+        array read-only: host writes and writing loops fail, and
+        compiled loops compute what follows from it once per binding.
+        """
+        _sync_chain()
+        if self.set.halo is not None and not self.is_fresh_for("full"):
+            from repro.op2.halo import exchange_halos
+
+            exchange_halos(self.set, [self])
+        self.fresh_for = "full"
+        self._data.flags.writeable = False
+        return self
+
+    @property
     def halo_fresh(self) -> bool:
         """True when halo copies match owner values for some scope."""
         return self.fresh_for is not None
 
     def mark_halo_stale(self) -> None:
-        if self.set.total_size != self.set.size:
+        if self.set.total_size != self.set.size and not self.frozen:
             self.fresh_for = None
 
     def mark_halo_fresh(self, scope: object = "full") -> None:

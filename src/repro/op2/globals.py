@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.op2.access import Access, REDUCTIONS
+from repro.op2.dat import FrozenError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.args import Arg
@@ -54,11 +55,14 @@ class Global:
     """A ``dim``-vector global value.
 
     ``data`` is always a 1-D float array of length ``dim``; scalars
-    are exposed via :attr:`value` for convenience.
+    are exposed via :attr:`value` for convenience. A ``const`` Global
+    (OP2's ``op_decl_const``) is read-only: its value cannot be set,
+    loops cannot reduce into it, and compiled loops may compute what
+    follows from it once per binding.
     """
 
     def __init__(self, dim: int, value=0.0, name: str | None = None,
-                 dtype=np.float64) -> None:
+                 dtype=np.float64, const: bool = False) -> None:
         if dim < 1:
             raise ValueError(f"Global dim must be >= 1, got {dim}")
         self.dim = int(dim)
@@ -70,7 +74,9 @@ class Global:
             raise ValueError(
                 f"Global value must have {dim} components, got shape {arr.shape}"
             )
+        arr.flags.writeable = not const
         self._data = arr
+        self.const = const
 
     @property
     def data(self) -> np.ndarray:
@@ -82,6 +88,7 @@ class Global:
     def data(self, arr: np.ndarray) -> None:
         # pending loops snapshot READ values at enqueue, so only a
         # pending *reduction* into this global forces a flush
+        self._check_writable()
         _sync_write(self)
         self._data = np.asarray(arr)
 
@@ -96,8 +103,13 @@ class Global:
     def value(self, v: float) -> None:
         if self.dim != 1:
             raise ValueError(f"Global {self.name!r} has dim {self.dim}, not scalar")
+        self._check_writable()
         _sync_write(self)
         self._data[0] = v
+
+    def _check_writable(self) -> None:
+        if self.const:
+            raise FrozenError(f"global {self.name!r} is const")
 
     def neutral(self, access: Access) -> np.ndarray:
         """Identity element for a reduction under ``access``."""

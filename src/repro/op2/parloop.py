@@ -32,7 +32,7 @@ from repro.op2.access import Access, READING, WRITING
 from repro.op2.args import Arg
 from repro.op2.backends import ReductionBuffers, resolve_backend
 from repro.op2.config import current_config
-from repro.op2.dat import Dat
+from repro.op2.dat import Dat, FrozenError
 from repro.op2.halo import exchange_halos, resolve_eager_scope
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
@@ -105,6 +105,17 @@ def eager_exchanges(reads: list[tuple], is_fresh) -> list[tuple]:
     return list(groups.values())
 
 
+def _check_fixed_unwritten(kernel: Kernel, args: list[Arg]) -> None:
+    """Reject an argument that writes a frozen dat or a const Global."""
+    for arg in args:
+        if arg.access is not Access.READ and (
+                arg.data.frozen if arg.is_dat else arg.data.const):
+            raise FrozenError(
+                f"{'frozen dat' if arg.is_dat else 'const global'} "
+                f"{arg.data.name!r} is bound {arg.access.name} in kernel "
+                f"{kernel.name!r}")
+
+
 def _check_direct_writes_unaliased(kernel: Kernel, args: list[Arg]) -> None:
     """Reject a dat written through a direct argument and bound again.
 
@@ -134,13 +145,15 @@ class BoundLoop:
     objects (a bound ``Arg`` must not be mutated), the backend
     override, the signatures and the flat argument layout. Built per
     configuration (:attr:`_fingerprint` of ``partial_halos``,
-    ``block_size``, ``native_threads``; a change rebinds on the next
-    run): the halo reads, one scope per dat. Built
+    ``block_size``, ``native_threads``, ``check_access``; a change
+    rebinds on the next run): the halo reads, one scope per dat. Built
     on the first run under each backend: the prepared backend calls
     over the owned range and the exec halo, with the loop's two
     reusable reduction buffers bound in. Read per run: halo
     freshness, the config, and the storage of every READ ``Global``
     (``Global.data = ...`` may rebind it; the next run re-prepares).
+    Filled on a range's first compiled run and kept: the caches of what
+    follows from frozen dats and const Globals (:meth:`cache_fill`).
     """
 
     def __init__(self, kernel: Kernel, iterset: Set, args: list[Arg],
@@ -158,6 +171,7 @@ class BoundLoop:
             if not isinstance(arg, Arg):
                 raise TypeError(f"loop arguments must be Args, got {arg!r}")
             arg.validate_for(iterset)
+        _check_fixed_unwritten(kernel, args)
         _check_direct_writes_unaliased(kernel, args)
         self.kernel = kernel
         self.iterset = iterset
@@ -175,7 +189,7 @@ class BoundLoop:
         self._global_slots: list[tuple[int, int, bool]] = []
         for i, arg in enumerate(args):
             if arg.is_global:
-                native.append(("gbl", arg.access, arg.dim))
+                native.append(("gbl", arg.access, arg.dim, arg.data.const))
                 self._global_slots.append((len(self._flat), i,
                                            arg.is_reduction))
                 self._flat.append(None)
@@ -187,19 +201,21 @@ class BoundLoop:
             shares = next(j for j, other in enumerate(args)
                           if other.data is arg.data)
             native.append(("dat", arg.access, addressing, arg.dim, arity, idx,
-                           shares))
+                           shares, arg.data.frozen))
             self._flat.append(arg.data._data)
             if arg.is_indirect:
                 self._flat.append(arg.map.values if arg.is_vector
                                   else arg.map.column(arg.idx))
         self._native_signature = tuple(native)
-        self._signature = tuple(sig if sig[0] == "gbl" else sig[:5]
+        self._signature = tuple(sig[:3] if sig[0] == "gbl" else sig[:5]
                                 for sig in native)
-        #: hoisting scratch arrays, ``(members, width) -> array``
+        #: hoisting scratch and invariant caches, by key
         self._scratch: dict[tuple, np.ndarray] = {}
-        #: indices of READ Globals (snapshotted by a chain at enqueue)
+        #: indices of non-const READ Globals (snapshotted by a chain at
+        #: enqueue)
         self.global_reads = tuple(i for i, a in enumerate(args)
-                                  if a.is_global and a.access is Access.READ)
+                                  if a.is_global and a.access is Access.READ
+                                  and not a.data.const)
         #: Globals the loop reduces into
         self.reduced_globals = tuple(a.data for a in args if a.is_reduction)
         #: dats with halo entries a run leaves stale
@@ -239,7 +255,10 @@ class BoundLoop:
         and vector arguments). The seventh is the index of the first
         argument bound to the same dat, which tells the hoisting
         analysis (:mod:`~repro.op2.codegen.hoist`) which arguments
-        share a dat and whether a read dat is also written.
+        share a dat and whether a read dat is also written. The eighth
+        says whether the dat is frozen (:meth:`Dat.freeze`), and Global
+        entries carry a fourth, whether the Global is const: what the
+        analysis may compute once per binding.
         """
         return self._native_signature
 
@@ -252,10 +271,21 @@ class BoundLoop:
         key = (members, width)
         scratch = self._scratch.get(key)
         if scratch is None:
-            target = self.args[members[0]].data.set
+            target = (self.args[members[0]].data.set if members
+                      else self.iterset)
             scratch = self._scratch[key] = np.empty((target.total_size,
                                                      width))
         return scratch
+
+    def invariant_cache(self, width: int) -> np.ndarray:
+        """The per-element invariant cache: one row per element."""
+        return self.hoist_scratch((), width)
+
+    def cache_fill(self, start: int, end: int) -> np.ndarray:
+        """Elements [start, end)'s fill flag: 1 until a compiled run
+        filled their invariant caches."""
+        return self._scratch.setdefault(("fill", start, end),
+                                        np.ones(1, dtype=np.int64))
 
     def flatten_bindings(self, reductions: ReductionBuffers) -> list:
         """Runtime arrays in the order generated wrappers expect.
@@ -359,7 +389,8 @@ def execute_loop(loop: BoundLoop, backend_name: str,
     cfg = current_config()
     rec = active_recorder()
     t0 = t_halo = time.perf_counter() if rec is not None else 0.0
-    fingerprint = (cfg.partial_halos, cfg.block_size, cfg.native_threads)
+    fingerprint = (cfg.partial_halos, cfg.block_size, cfg.native_threads,
+                   cfg.check_access)
     if fingerprint != loop._fingerprint:
         loop._rebind(cfg, fingerprint)
     iterset = loop.iterset
@@ -420,6 +451,32 @@ def bind(kernel: Kernel, iterset: Set, *args: Arg,
         loop = BoundLoop(kernel, iterset, list(args), backend)
         _bound[key] = loop
     return loop
+
+
+class LoopSites:
+    """A program's call sites, ``name -> (kernel, set, *args)``, each
+    bound on its first run (binding parses the kernel) and kept.
+    :meth:`run` runs a site through ``repro.op2.par_loop``, looked up
+    per call, so code that interposes on it sees every loop."""
+
+    def __init__(self, sites: dict[str, tuple],
+                 backend: str | None = None) -> None:
+        import repro.op2
+
+        self._op2 = repro.op2
+        self.sites = sites
+        self.backend = backend
+        #: call-site name -> its loop, bound on the site's first run
+        self.loops: dict[str, BoundLoop] = {}
+
+    def run(self, name: str) -> None:
+        """Run call site ``name``'s loop."""
+        loop = self.loops.get(name)
+        if loop is None:
+            loop = self.loops[name] = bind(*self.sites[name],
+                                           backend=self.backend)
+        self._op2.par_loop(loop.kernel, loop.iterset, *loop.args,
+                           backend=loop.backend)
 
 
 def par_loop(kernel: Kernel, iterset: Set, *args: Arg,

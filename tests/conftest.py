@@ -11,8 +11,8 @@ Fault plans and traced coupled runs work on both transports
 
 The numpy race-strategy simulations ``coloring``, ``atomics`` and
 ``blockcolor`` live in ``tests/oracles/backends.py``, the compiled
-``native-atomics``, ``native-atomics-unhoisted`` and
-``native-unhoisted`` in ``tests/oracles/compiled.py``; importing this
+``native-atomics``, ``native-atomics-unhoisted``, ``native-unhoisted``
+and ``native-uncached`` in ``tests/oracles/compiled.py``; importing this
 file registers them into ``repro.op2.BACKENDS`` so every test can
 select them by name, as it selects ``src/`` backends.
 """

@@ -6,7 +6,7 @@
 #define omp_get_max_threads() 1
 #endif
 
-static inline double op2_max(double a, double b) { return (a > b || a != a) ? a : b; }
+static inline double op2_max(double a, double b) { double m = a > b ? a : b; return a != a ? a : m; }
 
 static inline void golden_update_f0(double *q, const double *qold, const double *res, const double *adt, const double *g, double *change) {
   double adti = (1.0 / adt[0]);

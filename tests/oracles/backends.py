@@ -17,7 +17,8 @@ each compiled backend bitwise to its simulation.
 :func:`register_oracle_backends` (called by ``tests/conftest.py``)
 adds all three to :data:`repro.op2.backends.BACKENDS` under these
 names, with the compiled oracles of :mod:`tests.oracles.compiled`
-(``native-atomics``, ``native-atomics-unhoisted``, ``native-unhoisted``);
+(``native-atomics``, ``native-atomics-unhoisted``, ``native-unhoisted``,
+``native-uncached``);
 nothing under ``src/`` imports this module.
 """
 

@@ -1,4 +1,5 @@
-"""Compiled oracles: the atomics strategy, and the unhoisted wrappers.
+"""Compiled oracles: the atomics strategy, the unhoisted and the
+uncached wrappers.
 
 ``native-atomics`` is the paper's CUDA strategy on the host: chunks of
 ``ATOMICS_BLOCK`` elements ("thread blocks", accumulated one after
@@ -9,9 +10,12 @@ plan. It ran 2.7-3.8x slower than ``native`` on the largest
 ``native-unhoisted`` and
 ``native-atomics-unhoisted`` are the wrappers as they were before
 hoisting: the whole body per element, ``min``/``max`` as libm's
-``fmin``/``fmax``. All take the ``native`` ABI, the atomics ones with
-``_block`` appended (read at prepare: a bound loop keeps its extent);
-``tests/conftest.py`` registers them.
+``fmin``/``fmax``. ``native-uncached`` is ``native`` as it was before
+invariant caching: every call evaluates what follows from frozen dats
+and const Globals. No oracle caches. All take the ``native`` ABI
+without its caches, the atomics ones with ``_block`` appended (read at
+prepare: a bound loop keeps its extent); ``tests/conftest.py``
+registers them.
 """
 
 from __future__ import annotations
@@ -42,13 +46,20 @@ def entry_name(kernel: Kernel, atomics: bool = True) -> str:
     return ("op_native_atomics_" if atomics else "op_native_") + kernel.name
 
 
+def uncached(signature: Sequence[tuple], hoisted: bool = True) -> tuple:
+    """``signature`` without its record of frozen dats and const
+    Globals (so nothing is cached), and without that of shared dats
+    unless ``hoisted`` (so nothing is hoisted)."""
+    return tuple(sig[:3] if sig[0] == "gbl" else sig[:7 if hoisted else 6]
+                 for sig in signature)
+
+
 def generate_oracle(kernel: Kernel, signature: Sequence[tuple],
                     atomics: bool = True, hoisted: bool = True) -> str:
-    """One loop's wrapper: chunked ``#pragma omp atomic`` increments
-    (``atomics``) or the block-color plan, with the hoisting pre-pass
-    or as before it (``hoisted``)."""
-    if not hoisted:  # without its record of shared dats nothing hoists
-        signature = [sig[:6] if sig[0] == "dat" else sig for sig in signature]
+    """One loop's wrapper, uncached: chunked ``#pragma omp atomic``
+    increments (``atomics``) or the block-color plan, with the
+    hoisting pre-pass or as before it (``hoisted``)."""
+    signature = uncached(signature, hoisted)
     base_sig = [sig if sig[0] == "gbl" else sig[:5] for sig in signature]
     fn_name = f"{kernel.name}{_TAG}"
     plan = hoist_plan(kernel, signature)
@@ -131,8 +142,8 @@ class NativeOracleBackend(NativeBackend):
                 rec.counter("op2.native.atomics_blocks", nblocks)
         return run, argv
 
-    def _hoist_argv(self, loop, start: int, end: int) -> list:
-        return super()._hoist_argv(loop, start, end) if self.hoisted else []
+    def _nsig(self, loop) -> tuple:
+        return uncached(loop.native_signature(), self.hoisted)
 
     def _build_entry(self, kernel, nsig: tuple):
         source = generate_oracle(kernel, nsig, self.atomics, self.hoisted)
@@ -159,4 +170,5 @@ COMPILED_ORACLES = (
     NativeOracleBackend("native-atomics-unhoisted", atomics=True,
                         hoisted=False),
     NativeOracleBackend("native-unhoisted", atomics=False, hoisted=False),
+    NativeOracleBackend("native-uncached", atomics=False, hoisted=True),
 )

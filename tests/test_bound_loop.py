@@ -118,7 +118,7 @@ def random_loop(nsig: tuple, exec_halo: bool, seed: int) -> tuple:
     args, dats, gbls = [], [], []
     for k, sig in enumerate(nsig):
         if sig[0] == "gbl":
-            _, access, dim = sig
+            _, access, dim = sig[:3]
             start = {op2.READ: rng.uniform(1.1, 1.6, dim),
                      op2.INC: np.full(dim, 0.5), op2.MIN: np.full(dim, 9.0),
                      op2.MAX: np.full(dim, -9.0)}[access]
@@ -388,23 +388,25 @@ def test_a_native_run_makes_at_most_30_python_calls():
         solver.mass_flow("inlet")
         solver.mass_flow("outlet")
         solver.mean_total_pressure()
-        assert set(solver._loops) == set(solver._sites)
+        assert set(solver._sites.loops) == set(solver._sites.sites)
         nloops = len(_recorded(solver.inner_iteration))
         per_loop = _calls_per(solver.inner_iteration, 3) / nloops
         assert per_loop <= 30, f"{per_loop:.1f} Python calls per par_loop"
-        for name, bound in solver._loops.items():
+        for name, bound in solver._sites.loops.items():
             per_run = _calls_per(bound.run, 5)
             assert per_run <= 30, f"{name}: {per_run:.1f} calls per run()"
 
 
 def test_a_solver_binds_each_site_once_on_its_first_run():
     solver = _rotor(nr=2, nt=3, nx=2)
-    assert solver._loops == {}, "construction must not bind (or parse)"
+    assert solver._sites.loops == {}, \
+        "construction must not bind (or parse)"
     solver.advance_physical()
-    bound = dict(solver._loops)
+    bound = dict(solver._sites.loops)
     assert "flux_edge" in bound and "residual_norm" not in bound
     solver.advance_physical()
-    assert all(solver._loops[name] is loop for name, loop in bound.items())
+    assert all(solver._sites.loops[name] is loop
+               for name, loop in bound.items())
 
 
 def _recorded(fn) -> list:

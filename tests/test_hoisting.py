@@ -42,7 +42,7 @@ from repro.op2.distribute import (build_local_problem, build_serial_problem,
                                   gather_dat, plan_distribution)
 from repro.op2.halo import SetHalo
 from repro.smpi import run_ranks
-from tests.oracles.compiled import generate_oracle
+from tests.oracles.compiled import generate_oracle, uncached
 
 HAVE_CC = toolchain() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -216,6 +216,7 @@ def test_signature_without_shared_dats_hoists_nothing():
 
 def test_kernels_with_nothing_to_hoist_emit_the_unhoisted_source():
     for name, (kernel, nsig) in captured_loops().items():
+        nsig = uncached(nsig)
         if hoist_plan(kernel, nsig).groups:
             continue
         bare = tuple(sig[:6] if sig[0] == "dat" else sig for sig in nsig)
@@ -252,7 +253,8 @@ def random_loop(nsig: tuple, seed: int, exec_halo: bool = True,
     globals)``. The iteration set carries an exec halo (``exec_halo``);
     the target set always carries exec and nonexec halo rows, which
     the maps reference only in part. With ``nan_rows`` every target
-    halo row no map references is NaN."""
+    halo row no map references is NaN. Dats and Globals ``nsig``
+    records as frozen or const are frozen or const here."""
     rng = np.random.default_rng(seed)
     iterset = op2.Set(SIZE, "elems")
     if exec_halo:
@@ -267,15 +269,16 @@ def random_loop(nsig: tuple, seed: int, exec_halo: bool = True,
     args, dats, gbls = [], [], []
     for k, sig in enumerate(nsig):
         if sig[0] == "gbl":
-            _, access, dim = sig
+            _, access, dim = sig[:3]
             start = {R: rng.uniform(1.1, 1.6, dim), I: np.full(dim, 0.5),
                      op2.MIN: np.full(dim, 9.0),
                      op2.MAX: np.full(dim, -9.0)}[access]
-            g = op2.Global(dim, start, name=f"g{k}")
+            g = op2.Global(dim, start, name=f"g{k}",
+                           const=sig[3:] == (True,))
             gbls.append(g)
             args.append(g.arg(access))
             continue
-        _, access, addressing, dim, arity, idx, shares = sig
+        _, access, addressing, dim, arity, idx, shares = sig[:7]
         if addressing != "direct" and arity not in maps:
             # distinct targets per row, as in a mesh; rows TARGET_EXEC-2
             # and up (two exec-halo rows, the nonexec halo) unreferenced
@@ -296,6 +299,9 @@ def random_loop(nsig: tuple, seed: int, exec_halo: bool = True,
             if nan_rows:
                 d.data[TARGET_EXEC - 2:] = np.nan
             dats.append(d)
+        if shares == k and sig[7:] == (True,):
+            d.fresh_for = "full"
+            d.freeze()
         if addressing == "direct":
             args.append(d.arg(access))
         else:

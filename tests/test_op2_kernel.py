@@ -1,5 +1,6 @@
 """Kernel parsing: the restricted language and its rejections."""
 
+import numpy as np
 import pytest
 
 from repro import op2
@@ -237,3 +238,31 @@ def test_min_max_reductions_propagate_nan(backend):
                          top.arg(op2.MAX), bottom.arg(op2.MIN),
                          backend=backend)
         _same_bits(np.array([top.value, bottom.value]), np.array(want))
+
+
+#: NaN, -NaN, signed zeros, infinities, subnormals and ordinary values
+MINMAX_GRID = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+               -5e-324, 1e-310, -1e-310, 1.0, -1.5, 3.0]
+
+
+@pytest.mark.filterwarnings(
+    "ignore:.*falling back to the vectorized backend:RuntimeWarning")
+@pytest.mark.parametrize("backend", MINMAX_BACKENDS + ["native-uncached"])
+def test_min_max_are_bitwise_numpy_over_the_special_value_grid(backend):
+    """Every pair of the grid, both orders: the bits of ``max``/``min``
+    are those of ``np.maximum``/``np.minimum`` — NaN sign included."""
+    grid = np.array(MINMAX_GRID)
+    xs, ys = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    cells = op2.Set(xs.size, "cells")
+    x = op2.Dat(cells, 1, xs[:, None], name="x")
+    y = op2.Dat(cells, 1, ys[:, None], name="y")
+    hi, lo = op2.Dat(cells, 1, name="hi"), op2.Dat(cells, 1, name="lo")
+    with op2.configure(native_threads=1):
+        op2.par_loop(op2.Kernel(minmax), cells, x.arg(op2.READ),
+                     y.arg(op2.READ), hi.arg(op2.WRITE), lo.arg(op2.WRITE),
+                     backend=backend)
+    bits = np.int64
+    assert np.array_equal(hi.data_ro[:, 0].view(bits),
+                          np.maximum(xs, ys).view(bits))
+    assert np.array_equal(lo.data_ro[:, 0].view(bits),
+                          np.minimum(xs, ys).view(bits))
