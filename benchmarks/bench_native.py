@@ -12,10 +12,8 @@ Measured layers:
   best-of-REPS over a warmed cache (the one-time compile cost is
   reported separately as ``compile_wall``).
 * ``test_native_thread_scaling`` — a 1/2/4/8-thread scaling study of
-  the compiled ``native`` backend (block-color plan), eager and lazy
-  loop chain,
-  writing ``benchmarks/out/BENCH_native_scaling.json`` (the lazy
-  walls keep their ``wall_fused_*`` JSON keys). Thread counts
+  the compiled ``native`` backend (block-color plan),
+  writing ``benchmarks/out/BENCH_native_scaling.json``. Thread counts
   beyond the visible cores are still measured (they document the
   oversubscription penalty) but carry no perf bar; the
   res_calc >= 1.8x @ 4 threads acceptance bar is asserted ONLY when
@@ -65,27 +63,21 @@ SCALING_THREADS = (1, 2, 4, 8)
 SCALING_BACKENDS = ("native",)
 
 
-def run_airfoil(backend, mesh, niter=NITER, warm=2, native_threads=0,
-                lazy=False):
+def run_airfoil(backend, mesh, niter=NITER, warm=2, native_threads=0):
     """One traced airfoil run; also used by the CI bench smoke.
 
     Returns ``{"wall", "compile_wall", "kernels": {name: seconds},
     "q"}`` — ``compile_wall`` is the first (cache-cold) iteration pair,
     which for the native backends includes codegen + cc + dlopen.
-    ``lazy`` routes every iteration through the loop chain (halo
-    exchanges elided and batched; loops still run one wrapper each).
     """
-    with op2.configure(backend=backend, native_threads=native_threads,
-                       lazy=lazy):
+    with op2.configure(backend=backend, native_threads=native_threads):
         app = AirfoilApp(mesh, mach=0.4)
         t0 = time.perf_counter()
         app.iterate(warm)  # warm wrapper/plan/compile caches
-        op2.flush_chain()
         compile_wall = time.perf_counter() - t0
         with tracing() as rec:
             t0 = time.perf_counter()
             app.iterate(niter)
-            op2.flush_chain()
             wall = time.perf_counter() - t0
     kernels = {name: st.compute_seconds
                for name, st in rec.loop_stats.items()}
@@ -163,8 +155,8 @@ def test_native_vs_vectorized(report, smoke):
 
 @pytest.mark.skipif(toolchain() is None, reason="no C toolchain")
 def test_native_thread_scaling(report, smoke):
-    """1/2/4/8-thread scaling of both compiled strategies, eager and
-    lazy loop chain, on the airfoil hot loops.
+    """1/2/4/8-thread scaling of the compiled backend on the airfoil
+    hot loops.
 
     The res_calc >= 1.8x @ 4 threads bar only holds where 4 cores
     exist; elsewhere (this repo's reference container is single-core)
@@ -178,26 +170,17 @@ def test_native_thread_scaling(report, smoke):
     threads = (1, 2) if smoke else SCALING_THREADS
     mesh = make_airfoil_mesh(ni=ni, nj=nj)
 
-    results = {}   # (backend, nthreads) -> eager run dict
-    walls_lazy = {}
+    results = {}   # (backend, nthreads) -> run dict
     base_q = None
     for backend in SCALING_BACKENDS:
         for nt in threads:
             r = _best_of(lambda: run_airfoil(
                 backend, mesh, niter=niter, native_threads=nt), reps)
             results[(backend, nt)] = r
-            lz = _best_of(lambda: run_airfoil(
-                backend, mesh, niter=niter, native_threads=nt, lazy=True),
-                reps)
-            walls_lazy[(backend, nt)] = lz["wall"]
-            # physics is thread-count- and chain-invariant to
-            # reassociation; single-thread runs are bitwise-identical
-            # to each other
+            # physics is thread-count-invariant to reassociation
             if base_q is None:
                 base_q = r["q"]
             np.testing.assert_allclose(r["q"], base_q,
-                                       rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(lz["q"], base_q,
                                        rtol=1e-12, atol=1e-14)
 
     rows = []
@@ -208,12 +191,11 @@ def test_native_thread_scaling(report, smoke):
             rows.append([
                 backend, nt,
                 r["wall"] * 1e3, t1["wall"] / r["wall"],
-                walls_lazy[(backend, nt)] * 1e3,
                 r["kernels"]["res_calc"] * 1e3,
                 t1["kernels"]["res_calc"] / r["kernels"]["res_calc"],
             ])
     report(format_table(
-        ["backend", "threads", "wall ms", "speedup", "lazy wall ms",
+        ["backend", "threads", "wall ms", "speedup",
          "res_calc ms", "res_calc speedup"], rows,
         title=f"native thread scaling, airfoil {mesh.ncell} cells / "
               f"{mesh.nedge} edges, {niter} iterations, best of {reps} "
@@ -224,8 +206,6 @@ def test_native_thread_scaling(report, smoke):
     for (backend, nt), r in results.items():
         tag = f"{backend.replace('-', '_')}_{nt}t"
         metrics[f"wall_{tag}"] = {"value": r["wall"], "unit": "s"}
-        metrics[f"wall_fused_{tag}"] = {
-            "value": walls_lazy[(backend, nt)], "unit": "s"}
         for name in HOT_LOOPS:
             metrics[f"kernel_{name}_{tag}"] = {
                 "value": r["kernels"][name], "unit": "s"}

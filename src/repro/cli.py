@@ -423,7 +423,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     cfg = _run_config(
         args, incremental=not args.no_incremental, interp=args.interp,
-        schedule_seed=args.seed, lazy=args.lazy, trace=True)
+        schedule_seed=args.seed, trace=True)
     driver = CoupledDriver(cfg)
     result = driver.run(args.steps)
     timeline = result.timeline
@@ -449,9 +449,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"{len(timeline.spans)} spans")
     print(f"breakdown [s]: compute {bd['compute']:.4f}  "
           f"halo {bd['halo']:.4f}  coupler {bd['coupler']:.4f}")
-    if "halo_elided" in bd:
-        print(f"loop chains: halo exchanges elided {bd['halo_elided']:.0f}  "
-              f"messages saved {bd['messages_saved']:.0f}")
     print(f"wrote {trace_path} (open in https://ui.perfetto.dev "
           f"or chrome://tracing)")
     print(f"wrote {metrics_path}")
@@ -473,15 +470,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     runs: dict[str, dict] = {}
     ref = None
     for backend in backends:
-        with op2.configure(backend=backend, native_threads=args.threads,
-                           lazy=args.lazy):
+        with op2.configure(backend=backend, native_threads=args.threads):
             app = AirfoilApp(mesh, mach=0.4)
             app.iterate(2)  # warm wrapper/plan/compile caches
-            op2.flush_chain()
             with tracing() as rec:
                 t0 = time.perf_counter()
                 app.iterate(args.iters)
-                op2.flush_chain()
                 wall = time.perf_counter() - t0
         runs[backend] = {
             "wall": wall,
@@ -497,8 +491,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     base = backends[0]
     rows = []
-    # every backend runs the same loops, eager or lazy, so each kernel
-    # has a row on every backend
+    # every backend runs the same loops, so each kernel has a row on
+    # every backend
     for name in sorted(runs[base]["kernels"]):
         row = [name]
         for b in backends:
@@ -514,11 +508,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     headers = ["kernel"] + [f"{b} ms" for b in backends]
     if len(backends) > 1:
         headers.append(f"{base}/{backends[-1]}")
-    mode = "lazy loop chain" if args.lazy else "eager"
     print(format_table(
         headers, rows,
-        title=f"airfoil {mesh.ncell} cells, {args.iters} iterations "
-              f"({mode})",
+        title=f"airfoil {mesh.ncell} cells, {args.iters} iterations",
         floatfmt=".2f"))
 
     if args.json:
@@ -530,7 +522,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         doc = bench_summary("cli", metrics, meta={
             "cells": mesh.ncell, "edges": mesh.nedge,
             "iterations": args.iters, "backends": ",".join(backends),
-            "native_threads": args.threads, "lazy": args.lazy})
+            "native_threads": args.threads})
         validate_bench(doc)
         path = pathlib.Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -738,9 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--seed", type=int, default=None,
                    help="deterministic schedule seed (replayable trace)")
-    p.add_argument("--lazy", action="store_true",
-                   help="lazy loop-chain execution in the Hydra Sessions "
-                        "(bitwise-equal; breakdown gains elision columns)")
     p.add_argument("--out", default="trace_out",
                    help="output directory for trace.json / metrics.json")
     p.set_defaults(fn=_cmd_trace)
@@ -807,10 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nj", type=int, default=16)
     p.add_argument("--threads", type=int, default=0,
                    help="native OpenMP threads (0 = all cores)")
-    p.add_argument("--lazy", action="store_true",
-                   help="run every iteration through the lazy loop "
-                        "chain (halo exchanges elided and batched; "
-                        "loops still run one at a time)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write a bench-schema JSON summary")
     p.set_defaults(fn=_cmd_bench)

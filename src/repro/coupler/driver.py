@@ -75,8 +75,7 @@ class CoupledRunConfig:
     timeout: float = 300.0
     #: route every par_loop through the race-sanitizer backend
     sanitize: bool = False
-    #: lazy loop-chain execution inside each Hydra Session (the solver's
-    #: inner iteration chains; results stay bitwise-equal to eager)
+    #: no effect (see the chain stand-ins at the end of :mod:`repro.op2`)
     lazy: bool = False
     #: serialize ranks under a seeded deterministic schedule (None = off)
     schedule_seed: int | None = None

@@ -77,8 +77,7 @@ def rank_main(world, ctx: RunContext, couple=None):
     sub = world.split(color)
     op2.set_config(partial_halos=cfg.partial_halos,
                    grouped_halos=cfg.grouped_halos,
-                   sanitize=cfg.sanitize,
-                   lazy=cfg.lazy)
+                   sanitize=cfg.sanitize)
     if role == "hs":
         report = hs_main(world, sub, idx, ctx, couple or hs_couple)
     else:

@@ -280,30 +280,18 @@ class HydraSolver:
             self.g_wdual.data[:] = np.array([1.5, -2.0, 0.5]) * idt
 
     def inner_iteration(self) -> None:
-        """One pseudo-time RK cycle towards the implicit physical step.
-
-        The whole cycle is declared as one loop chain: under
-        ``Config.lazy`` (``enabled=None`` keeps eager mode untouched
-        otherwise) the chain analyzer elides the per-map re-exchanges
-        of ``q`` across the residual loops and batches what remains;
-        each loop still runs on its own, in program order —
-        bitwise-identically to eager.
-        """
+        """One pseudo-time RK cycle towards the implicit physical step."""
         with _tspan("inner_iteration", "hydra.inner", step=self.step):
-            with op2.loop_chain("hydra.inner", enabled=None):
-                self._inner_iteration()
-
-    def _inner_iteration(self) -> None:
-        self._sites.run("save_state")
-        if self._pseudo_dt is None:
-            self._pseudo_dt = self.pseudo_dt()
-        for alpha in self.num.rk_coeffs:
-            self.spatial_residual()
-            self._sites.run("dual_source")
-            if self.g_smooth is not None:
-                self._smooth_residual()
-            self.g_coef.value = alpha * self._pseudo_dt
-            self._sites.run("rk_stage")
+            self._sites.run("save_state")
+            if self._pseudo_dt is None:
+                self._pseudo_dt = self.pseudo_dt()
+            for alpha in self.num.rk_coeffs:
+                self.spatial_residual()
+                self._sites.run("dual_source")
+                if self.g_smooth is not None:
+                    self._smooth_residual()
+                self.g_coef.value = alpha * self._pseudo_dt
+                self._sites.run("rk_stage")
 
     def _smooth_residual(self) -> None:
         """Implicit residual smoothing by Jacobi iteration (in place)."""
@@ -324,9 +312,6 @@ class HydraSolver:
                 self.inner_iteration()
             self.step += 1
             self.time += self.dt_outer
-            # under Config.lazy the step's loops are still pending: run
-            # them inside the timer, not in the coupler's first host read
-            op2.flush_chain()
         if self.num.guard:
             self.check_health()
 

@@ -32,16 +32,6 @@ Quick example::
 from repro.op2.access import INC, MAX, MIN, READ, RW, WRITE, Access
 from repro.op2.args import Arg
 from repro.op2.backends import BACKENDS, resolve_backend
-from repro.op2.chain import (
-    ChainEquivalenceError,
-    ChainStats,
-    LoopChain,
-    chain_stats,
-    current_chain,
-    flush_chain,
-    loop_chain,
-    reset_chain_stats,
-)
 from repro.op2.config import Config, configure, current_config, set_config, set_default_config
 from repro.op2.dat import Dat, FrozenError
 from repro.op2.distribute import (
@@ -86,7 +76,27 @@ __all__ = [
     "GlobalProblem", "LocalProblem", "RankLayout", "plan_distribution",
     "build_local_problem", "build_serial_problem", "derive_owner_from_map", "gather_dat",
     "SetHalo", "ExchangePlan", "exchange_halos",
-    # lazy execution / loop chains
-    "LoopChain", "loop_chain", "flush_chain", "current_chain",
-    "chain_stats", "reset_chain_stats", "ChainStats", "ChainEquivalenceError",
 ]
+
+
+# Inert stand-ins for the removed lazy loop chain: every par_loop runs
+# when it is called. The frozen end-to-end harness
+# (benchmarks/e2e/probes.py and workloads.py) still passes ``lazy=``
+# (``Config.lazy``, ``CoupledRunConfig.lazy``: fields without effect)
+# and calls these three; all of it goes with ROADMAP item 1(a).
+class _ChainStats:
+    def as_dict(self) -> dict:
+        return {"fused": 0, "halo_elided": 0, "flushes": 0}
+
+
+def flush_chain() -> None:
+    """No-op."""
+
+
+def reset_chain_stats() -> None:
+    """No-op."""
+
+
+def chain_stats() -> _ChainStats:
+    """All-zero counters."""
+    return _ChainStats()

@@ -60,9 +60,9 @@ class Arg:
         return cls(data=g, access=access)
 
     # -- classification ----------------------------------------------------
-    # Plain attributes, precomputed once: every backend and the chain
-    # runtime consult these many times per loop, which made the former
-    # properties a measurable share of loop-dispatch overhead.
+    # Plain attributes, precomputed once: every backend consults these
+    # many times per loop, which made the former properties a
+    # measurable share of loop-dispatch overhead.
     is_global: bool = dataclasses.field(init=False, repr=False, compare=False)
     is_dat: bool = dataclasses.field(init=False, repr=False, compare=False)
     is_direct: bool = dataclasses.field(init=False, repr=False, compare=False)

@@ -19,8 +19,7 @@ Each backend resolves indirect-increment races one way:
 an argument is not contiguous float64.
 
 Every backend has one entry point, :meth:`Backend.execute`, which runs
-one loop over a range of its iteration set — eagerly, or as a lazy
-loop chain flushes it.
+one loop over a range of its iteration set.
 
 All backends must produce results identical to ``sequential`` up to
 floating-point reassociation; the test suite enforces this.

@@ -26,7 +26,7 @@ class Config:
         ``"vectorized"`` when no compiler is available.
     native_threads:
         OpenMP thread count of the native backend's compiled wrappers
-        (each runs one loop, eager or chained, in one region);
+        (each runs one loop in one region);
         ``0`` (default) lets the OpenMP runtime decide
         (``omp_get_max_threads``, honouring ``OMP_NUM_THREADS``). With
         more than one thread, global
@@ -52,18 +52,8 @@ class Config:
         :class:`~repro.op2.backends.sanitizer.RaceError` instead of
         silently corrupting data.
     lazy:
-        Defer every par_loop into this thread's implicit
-        :class:`~repro.op2.chain.LoopChain` instead of executing
-        immediately. The chain flushes on host data access or an
-        explicit :func:`~repro.op2.chain.flush_chain`; flushing elides
-        redundant halo exchanges and batches the rest, then runs the
-        loops one at a time in program order. Results are
-        bitwise-identical to eager mode.
-    chain_verify:
-        Debug mode: every chain flush replays the loops eagerly on a
-        snapshot of the pre-flush state and bitwise-compares all
-        touched dats and reductions, raising
-        :class:`~repro.op2.chain.ChainEquivalenceError` on divergence.
+        No effect; every par_loop runs when it is called (see the
+        chain stand-ins at the end of :mod:`repro.op2`).
     """
 
     backend: str = "vectorized"
@@ -74,7 +64,6 @@ class Config:
     check_access: bool = False
     sanitize: bool = False
     lazy: bool = False
-    chain_verify: bool = False
 
 
 _default = Config()

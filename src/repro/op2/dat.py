@@ -16,23 +16,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _dat_ids = itertools.count()
 
-_chain_sync = None
-
-
-def _sync_chain() -> None:
-    """Flush any pending loop chain before host code observes data.
-
-    Imported lazily: dat -> chain -> backends -> ... -> dat is a cycle
-    at module-import time but not at first call.
-    """
-    global _chain_sync
-    if _chain_sync is None:
-        from repro.op2.chain import sync_host_access
-
-        _chain_sync = sync_host_access
-    _chain_sync()
-
-
 class FrozenError(ValueError):
     """A write to a frozen :class:`Dat` or a const
     :class:`~repro.op2.globals.Global`."""
@@ -50,8 +33,7 @@ class Dat:
     ``None`` (stale) and the next loop that would read stale halo
     entries triggers an exchange, which records *what* it refreshed —
     a scope name (``"full"``, ``"exec"``, or a map's partial scope,
-    the paper's PH optimization) or, after an exchange over a union
-    plan, a frozenset of scope names.
+    the paper's PH optimization).
     """
 
     def __init__(self, dataset: Set, dim: int, data: np.ndarray | None = None,
@@ -82,8 +64,8 @@ class Dat:
                 )
             self._data = np.ascontiguousarray(arr)
         self.dtype = self._data.dtype
-        #: the scope (name or frozenset) last refreshed; None when stale
-        self.fresh_for: object = (
+        #: the scope name last refreshed; None when stale
+        self.fresh_for: str | None = (
             "full" if dataset.total_size == dataset.size else None)
 
     # -- data access ---------------------------------------------------
@@ -91,7 +73,6 @@ class Dat:
     def data(self) -> np.ndarray:
         """Writable view of the *owned* entries. Marks halos stale.
         Raises :class:`FrozenError` once :meth:`freeze` ran."""
-        _sync_chain()
         if self.frozen:
             raise FrozenError(f"dat {self.name!r} is frozen")
         self.mark_halo_stale()
@@ -100,7 +81,6 @@ class Dat:
     @property
     def data_ro(self) -> np.ndarray:
         """Read-only view of the owned entries."""
-        _sync_chain()
         view = self._data[: self.set.size]
         view = view.view()
         view.flags.writeable = False
@@ -109,7 +89,6 @@ class Dat:
     @property
     def data_with_halos(self) -> np.ndarray:
         """Writable view including halo entries (runtime internals only)."""
-        _sync_chain()
         return self._data
 
     @property
@@ -124,7 +103,6 @@ class Dat:
         array read-only: host writes and writing loops fail, and
         compiled loops compute what follows from it once per binding.
         """
-        _sync_chain()
         if self.set.halo is not None and not self.is_fresh_for("full"):
             from repro.op2.halo import exchange_halos
 
@@ -142,21 +120,22 @@ class Dat:
         if self.set.total_size != self.set.size and not self.frozen:
             self.fresh_for = None
 
-    def mark_halo_fresh(self, scope: object = "full") -> None:
+    def mark_halo_fresh(self, scope: str = "full") -> None:
         self.fresh_for = scope
 
-    def is_fresh_for(self, scope: object) -> bool:
+    def is_fresh_for(self, scope: str) -> bool:
         """Was the halo refreshed recently enough for a read via ``scope``?
 
         ``scope`` is ``"full"`` (direct read that touches all halo
         entries) or a named partial scope. Subsumption follows
-        :func:`~repro.op2.halo.marker_covers`: a full refresh satisfies
+        :func:`~repro.op2.halo.scope_covers`: a full refresh satisfies
         any scope and a map's depth-2 refresh satisfies its depth-1
         scope.
         """
-        from repro.op2.halo import marker_covers
+        from repro.op2.halo import scope_covers
 
-        return marker_covers(self.fresh_for, scope)
+        return self.fresh_for is not None \
+            and scope_covers(self.fresh_for, scope)
 
     # -- arg construction -------------------------------------------------
     def arg(self, access: Access, map: Map | None = None, idx=None) -> "Arg":
@@ -196,7 +175,6 @@ class Dat:
 
     def duplicate(self, name: str | None = None) -> "Dat":
         """Deep copy with identical layout and freshness reset."""
-        _sync_chain()
         out = Dat(self.set, self.dim, data=self._data.copy(), dtype=self.dtype,
                   name=name or f"{self.name}_copy")
         out.fresh_for = self.fresh_for
@@ -204,7 +182,6 @@ class Dat:
 
     def norm(self) -> float:
         """L2 norm of owned entries (local; callers allreduce if needed)."""
-        _sync_chain()
         return float(np.sqrt(np.sum(self._data[: self.set.size] ** 2)))
 
     def __repr__(self) -> str:

@@ -24,33 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _gbl_ids = itertools.count()
 
-_chain_sync = None
-_chain_sync_write = None
-
-
-def _sync_chain() -> None:
-    """Flush any pending loop chain before host code observes the value
-    (a pending loop may still reduce into it). Lazily imported to break
-    the module-level import cycle."""
-    global _chain_sync
-    if _chain_sync is None:
-        from repro.op2.chain import sync_host_access
-
-        _chain_sync = sync_host_access
-    _chain_sync()
-
-
-def _sync_write(g: "Global") -> None:
-    """Flush only if a pending loop reduces into ``g`` (READ snapshots
-    make plain reads of the old value safe without flushing)."""
-    global _chain_sync_write
-    if _chain_sync_write is None:
-        from repro.op2.chain import sync_global_write
-
-        _chain_sync_write = sync_global_write
-    _chain_sync_write(g)
-
-
 class Global:
     """A ``dim``-vector global value.
 
@@ -80,16 +53,12 @@ class Global:
 
     @property
     def data(self) -> np.ndarray:
-        """The stored value; flushes any pending loop chain first."""
-        _sync_chain()
+        """The stored value."""
         return self._data
 
     @data.setter
     def data(self, arr: np.ndarray) -> None:
-        # pending loops snapshot READ values at enqueue, so only a
-        # pending *reduction* into this global forces a flush
         self._check_writable()
-        _sync_write(self)
         self._data = np.asarray(arr)
 
     @property
@@ -104,7 +73,6 @@ class Global:
         if self.dim != 1:
             raise ValueError(f"Global {self.name!r} has dim {self.dim}, not scalar")
         self._check_writable()
-        _sync_write(self)
         self._data[0] = v
 
     def _check_writable(self) -> None:

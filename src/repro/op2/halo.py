@@ -23,8 +23,8 @@ reads without re-exchanging.
 
 There is one exchange protocol, split-phase: :func:`exchange_begin`
 packs and posts every send, :func:`exchange_end` receives, unpacks and
-marks each dat fresh. An eager refresh (:func:`exchange_halos`) runs
-the two back to back; a chain flush runs compute in between. Every
+marks each dat fresh, so compute can be issued in between. A loop's
+refresh (:func:`exchange_halos`) runs the two back to back. Every
 message is one ndarray in its dats' own dtype, so a grouped exchange
 mixing dtypes sends one message per (neighbour, dtype) and never
 converts a value.
@@ -64,47 +64,19 @@ def scope_covers(have: str, need: str) -> bool:
     return need == have + _OWN_SUFFIX
 
 
-def marker_covers(marker: object, need: str) -> bool:
-    """Does a dat freshness marker satisfy a read needing ``need``?
+def resolve_scope(scopes) -> str:
+    """The one plan scope that serves every scope in ``scopes``.
 
-    ``marker`` is ``None`` (stale), a scope name, or a frozenset of
-    scope names (after an exchange over a union plan).
+    Scopes another member covers are dropped; one distinct scope left
+    is used as-is, genuinely mixed needs fall back to the full
+    exchange (a refresh sends one message batch per (set, scope)
+    group).
     """
-    if marker is None:
-        return False
-    if isinstance(marker, frozenset):
-        return any(marker_covers(m, need) for m in marker)
-    return scope_covers(marker, need)  # type: ignore[arg-type]
-
-
-def normalize_scopes(scopes) -> frozenset:
-    """Drop scopes subsumed by another member of the set.
-
-    ``{"m", "m@own"}`` collapses to ``{"m"}`` and any set containing
-    ``"full"`` collapses to ``{"full"}`` — fewer scopes means smaller
-    union plans and better plan-cache reuse.
-    """
-    scopes = frozenset(scopes)
     if "full" in scopes:
-        return frozenset({"full"})
-    return frozenset(
-        s for s in scopes
-        if not any(o != s and scope_covers(o, s) for o in scopes)
-    )
-
-
-def resolve_eager_scope(scopes) -> str:
-    """The single plan scope eager execution uses for a scope set.
-
-    One distinct scope (after normalization) is used as-is; genuinely
-    mixed needs fall back to the full exchange — the eager path sends
-    one message batch per (set, scope) group and cannot union plans the
-    way the chain runtime does.
-    """
-    norm = normalize_scopes(scopes)
-    if len(norm) == 1:
-        return next(iter(norm))
-    return "full"
+        return "full"
+    kept = {s for s in scopes
+            if not any(o != s and scope_covers(o, s) for o in scopes)}
+    return next(iter(kept)) if len(kept) == 1 else "full"
 
 
 @dataclass
@@ -139,50 +111,11 @@ class SetHalo:
     n_nonexec: int
     global_ids: np.ndarray              #: local index -> global id
     plans: dict[str, ExchangePlan] = field(default_factory=dict)
-    _unions: dict = field(default_factory=dict, repr=False)
 
-    def plan_for(self, scope) -> ExchangePlan:
-        """The plan for a scope name or a set of scope names.
-
-        Unknown names fall back to the full exchange. A set that
-        normalizes to several known scopes gets a cached union plan:
-        the per-scope send/recv segments concatenated in sorted scope
-        order, repeat entries dropped at their later positions.
-        Per-scope segments are pairwise index-aligned across ranks and
-        a repeated entry names the same entity on both sides, so
-        first-occurrence dedup keeps sender and receiver aligned — the
-        union plan is as collective-safe as its constituents.
-        """
-        if isinstance(scope, str):
-            return self.plans.get(scope) or self.plans["full"]
-        scopes = normalize_scopes(scope)
-        if len(scopes) == 1:
-            return self.plan_for(next(iter(scopes)))
-        if any(s not in self.plans for s in scopes):
-            return self.plans["full"]
-        union = self._unions.get(scopes)
-        if union is None:
-            send: dict[int, list] = {}
-            recv: dict[int, list] = {}
-            for s in sorted(scopes):
-                for nbr, idx in self.plans[s].send.items():
-                    send.setdefault(nbr, []).append(idx)
-                for nbr, idx in self.plans[s].recv.items():
-                    recv.setdefault(nbr, []).append(idx)
-            union = ExchangePlan(
-                name="+".join(sorted(scopes)),
-                send={n: _dedup_concat(parts) for n, parts in send.items()},
-                recv={n: _dedup_concat(parts) for n, parts in recv.items()},
-            )
-            self._unions[scopes] = union
-        return union
-
-
-def _dedup_concat(parts: list) -> np.ndarray:
-    """Concatenate index segments, keeping only first occurrences."""
-    cat = np.concatenate(parts)
-    _, first = np.unique(cat, return_index=True)
-    return cat[np.sort(first)]
+    def plan_for(self, scope: str) -> ExchangePlan:
+        """The plan of a scope name; unknown names fall back to the
+        full exchange."""
+        return self.plans.get(scope) or self.plans["full"]
 
 
 def exchange_nbytes(plan: ExchangePlan, dats: Sequence["Dat"]) -> int:
@@ -232,8 +165,8 @@ def _account_exchange(full: ExchangePlan, streams: list, grouped: bool,
     rec = active_recorder()
     if rec is None:
         return
-    nbytes = sum(exchange_nbytes(p, [d]) for _, s in streams for d, p, _ in s)
-    full_nbytes = exchange_nbytes(full, [d for _, s in streams for d, _, _ in s])
+    nbytes = sum(exchange_nbytes(p, [d]) for _, s in streams for d, p in s)
+    full_nbytes = exchange_nbytes(full, [d for _, s in streams for d, _ in s])
     full_messages = sum(exchange_messages(full, len(s), grouped)
                         for _, s in streams)
     rec.counter("op2.halo.nbytes", nbytes)
@@ -253,15 +186,14 @@ class PendingExchange:
     """
 
     sset: "Set"
-    streams: list           #: [(tag, [(dat, plan, freshness marker)])]
-    sent: int               #: messages this rank posted
+    streams: list           #: [(tag, [(dat, plan)])]
 
 
-def exchange_begin(sset: "Set", dat_scopes: Sequence[tuple["Dat", object]],
+def exchange_begin(sset: "Set", dat_scopes: Sequence[tuple["Dat", str]],
                    tag: int, grouped: bool,
                    phase: str) -> PendingExchange | None:
     """Post the send half of an exchange refreshing each dat for its
-    scope (a name or a set of names, see :meth:`SetHalo.plan_for`).
+    scope name (see :meth:`SetHalo.plan_for`).
 
     Per neighbour, posts one message per :func:`message_streams`
     stream carrying the plan entries of each of its dats, back to
@@ -283,10 +215,7 @@ def exchange_begin(sset: "Set", dat_scopes: Sequence[tuple["Dat", object]],
             raise ValueError(
                 f"dat {d.name!r} lives on {d.set.name!r}, not {sset.name!r}"
             )
-        plan = halo.plan_for(scope)
-        # freshness marker: the plan's name, a scope set for a union plan
-        entries.append((d, plan, plan.name if plan.name in halo.plans
-                        else normalize_scopes(scope)))
+        entries.append((d, halo.plan_for(scope)))
     idx = message_streams([e[0] for e in entries], grouped)
     streams = [(tag if grouped else tag + k, [entries[i] for i in s])
                for k, s in enumerate(idx)]
@@ -296,41 +225,37 @@ def exchange_begin(sset: "Set", dat_scopes: Sequence[tuple["Dat", object]],
     with _tspan("exchange_begin", "op2.halo.exchange", set=sset.name,
                 phase=phase, ndats=len(entries)):
         for stag, stream in streams:
-            for nbr in sorted({n for _, p, _ in stream for n in p.send}):
+            for nbr in sorted({n for _, p in stream for n in p.send}):
                 parts = [d.data_with_halos[p.send[nbr]].ravel()
-                         for d, p, _ in stream if nbr in p.send]
+                         for d, p in stream if nbr in p.send]
                 # a lone segment is already a fresh copy: send it as is
                 comm.send(parts[0] if len(parts) == 1
                           else np.concatenate(parts), dest=nbr, tag=stag)
                 sent += 1
     _account_exchange(halo.plans["full"], streams, grouped, sent)
     comm.set_phase("compute")
-    return PendingExchange(sset=sset, streams=streams, sent=sent)
+    return PendingExchange(sset=sset, streams=streams)
 
 
-def exchange_end(pending: PendingExchange | None) -> int:
-    """Complete an exchange: receive, unpack, mark each dat fresh.
-
-    Returns the number of messages the begin half sent on this rank.
-    """
+def exchange_end(pending: PendingExchange | None) -> None:
+    """Complete an exchange: receive, unpack, mark each dat fresh."""
     if pending is None:
-        return 0
+        return
     comm = pending.sset.halo.comm
     with _tspan("exchange_end", "op2.halo.exchange", set=pending.sset.name):
         for stag, stream in pending.streams:
-            for nbr in sorted({n for _, p, _ in stream for n in p.recv}):
+            for nbr in sorted({n for _, p in stream for n in p.recv}):
                 packed = comm.recv(source=nbr, tag=stag)
                 offset = 0
-                for d, ridx in [(d, p.recv[nbr]) for d, p, _ in stream
+                for d, ridx in [(d, p.recv[nbr]) for d, p in stream
                                 if nbr in p.recv]:
                     n = len(ridx) * d.dim
                     d.data_with_halos[ridx] = (
                         packed[offset:offset + n].reshape(len(ridx), -1))
                     offset += n
     for _, stream in pending.streams:
-        for d, _, marker in stream:
-            d.mark_halo_fresh(marker)
-    return pending.sent
+        for d, p in stream:
+            d.mark_halo_fresh(p.name)
 
 
 def exchange_halos(sset: "Set", dats: Sequence["Dat"], scope: str = "full",

@@ -32,24 +32,24 @@ from repro.op2.access import Access, READING, WRITING
 from repro.op2.args import Arg
 from repro.op2.backends import ReductionBuffers, resolve_backend
 from repro.op2.config import current_config
-from repro.op2.dat import Dat, FrozenError
-from repro.op2.halo import exchange_halos, resolve_eager_scope
+from repro.op2.dat import FrozenError
+from repro.op2.halo import exchange_halos, resolve_scope
 from repro.op2.kernel import Kernel
 from repro.op2.set import Set
 from repro.telemetry.recorder import active_recorder
 
 
-def loop_halo_reads(loop: "BoundLoop", cfg) -> dict[int, tuple]:
-    """Per-dat halo scopes ``loop`` reads: ``id(dat) -> (dat, {scopes})``.
+def loop_halo_reads(loop: "BoundLoop", cfg) -> list[tuple]:
+    """``(dat, scope)`` for every halo-bearing dat ``loop`` reads: the
+    one scope a run refreshes it for.
 
-    The single scope-selection rule shared by eager execution and the
-    chain analyzer (which must mirror it exactly for elision to be
-    sound). Under ``Config.partial_halos`` an indirect read needs the
-    map's scope at the depth the execution extent requires: the full
-    per-map scope (owned+exec rows) when the loop executes redundantly
-    over the exec halo, only the ``@own`` depth-1 scope (owned rows)
-    otherwise. Direct reads need the exec region exactly when the loop
-    executes it.
+    Under ``Config.partial_halos`` an indirect read needs the map's
+    scope at the depth the execution extent requires: the full per-map
+    scope (owned+exec rows) when the loop executes redundantly over the
+    exec halo, only the ``@own`` depth-1 scope (owned rows) otherwise.
+    Direct reads need the exec region exactly when the loop executes
+    it. A dat read through several scopes gets the one that covers
+    them all (:func:`~repro.op2.halo.resolve_scope`).
 
     Scope choices key off :attr:`BoundLoop.has_indirect_writes` — a
     property of the loop's argument list, identical on every rank —
@@ -77,32 +77,7 @@ def loop_halo_reads(loop: "BoundLoop", cfg) -> dict[int, tuple]:
             scope = "exec" if cfg.partial_halos else "full"
         entry = needs.setdefault(id(dat), (dat, set()))
         entry[1].add(scope)
-    return needs
-
-
-def eager_reads(needs: dict[int, tuple]) -> list[tuple]:
-    """``(dat, scope)`` per dat of :func:`loop_halo_reads`: the one
-    scope an eager loop refreshes it for
-    (:func:`~repro.op2.halo.resolve_eager_scope`)."""
-    return [(dat, resolve_eager_scope(scopes))
-            for dat, scopes in needs.values()]
-
-
-def eager_exchanges(reads: list[tuple], is_fresh) -> list[tuple]:
-    """The ``(set, scope, stale dats)`` exchanges an eager loop makes.
-
-    ``reads`` is :func:`eager_reads` of the loop and
-    ``is_fresh(dat, scope)`` the freshness predicate — the live
-    :meth:`Dat.is_fresh_for` when executing, a simulated marker when
-    the chain predicts its eager baseline. Stale dats sharing a set
-    and scope travel in one exchange.
-    """
-    groups: dict[tuple[int, str], tuple] = {}
-    for dat, scope in reads:
-        if not is_fresh(dat, scope):
-            groups.setdefault((id(dat.set), scope),
-                              (dat.set, scope, []))[2].append(dat)
-    return list(groups.values())
+    return [(dat, resolve_scope(scopes)) for dat, scopes in needs.values()]
 
 
 def _check_fixed_unwritten(kernel: Kernel, args: list[Arg]) -> None:
@@ -132,10 +107,6 @@ def _check_direct_writes_unaliased(kernel: Kernel, args: list[Arg]) -> None:
                 f"of kernel {kernel.name!r} and bound to another of its "
                 f"arguments; pass it once, with RW access if it is also read"
             )
-
-
-#: repro.op2.chain, imported on first use (it imports this module)
-_chain = None
 
 
 class BoundLoop:
@@ -211,13 +182,10 @@ class BoundLoop:
                                 for sig in native)
         #: hoisting scratch and invariant caches, by key
         self._scratch: dict[tuple, np.ndarray] = {}
-        #: indices of non-const READ Globals (snapshotted by a chain at
-        #: enqueue)
+        #: indices of non-const READ Globals
         self.global_reads = tuple(i for i, a in enumerate(args)
                                   if a.is_global and a.access is Access.READ
                                   and not a.data.const)
-        #: Globals the loop reduces into
-        self.reduced_globals = tuple(a.data for a in args if a.is_reduction)
         #: dats with halo entries a run leaves stale
         self._stale_after = tuple(
             a.data for a in args
@@ -225,7 +193,7 @@ class BoundLoop:
             and a.data.set.total_size != a.data.set.size)
 
         self._fingerprint: tuple | None = None
-        #: eager halo reads, ``(dat, scope)`` (:func:`eager_reads`)
+        #: halo reads, ``(dat, scope)`` (:func:`loop_halo_reads`)
         self._reads: list[tuple] = []
         #: backend name -> (owned-range call, exec-halo call or None),
         #: each ``(fn, argv)``
@@ -304,30 +272,18 @@ class BoundLoop:
 
     # -- running ---------------------------------------------------------
     def run(self) -> None:
-        """Run the loop: enqueue it on this thread's open chain (under
-        ``Config.lazy`` or :func:`~repro.op2.chain.loop_chain`), else
-        execute it now."""
+        """Run the loop: refresh the halos it reads, then compute."""
         cfg = current_config()
-        chain = _chain or _import_chain()
-        if (cfg.lazy or getattr(chain._tls, "chain", None) is not None) \
-                and chain.submit(self, self.backend):
-            return
-        self.execute()
-
-    def execute(self, backend_name: str | None = None) -> None:
-        """Run eagerly: refresh the halos this loop reads, then compute."""
-        cfg = current_config()
-        if cfg.sanitize:  # sanitize mode audits every loop, overrides all
-            backend_name = "sanitizer"
-        execute_loop(self, backend_name or self.backend or cfg.backend,
-                     refresh_halos=True)
+        # sanitize mode audits every loop, overriding every backend choice
+        execute_loop(self, "sanitizer" if cfg.sanitize
+                     else self.backend or cfg.backend)
 
     def _rebind(self, cfg, fingerprint: tuple) -> None:
         """Adopt a configuration: resolve the halo reads, drop the
         prepared backend calls."""
         self._fingerprint = fingerprint
         self._launches.clear()
-        self._reads = eager_reads(loop_halo_reads(self, cfg))
+        self._reads = loop_halo_reads(self, cfg)
 
     def _prepare(self, backend_name: str) -> tuple:
         """Prepare the backend calls of one backend (first run under it,
@@ -353,9 +309,15 @@ class BoundLoop:
         return launches
 
     def _refresh_halos(self, cfg) -> None:
-        """Forward-exchange every stale dat the loop will read from halos."""
-        for sset, scope, dats in eager_exchanges(self._reads,
-                                                 Dat.is_fresh_for):
+        """Forward-exchange every stale dat the loop will read from
+        halos; stale dats sharing a set and scope travel in one
+        exchange."""
+        groups: dict[tuple[int, str], tuple] = {}
+        for dat, scope in self._reads:
+            if not dat.is_fresh_for(scope):
+                groups.setdefault((id(dat.set), scope),
+                                  (dat.set, scope, []))[2].append(dat)
+        for sset, scope, dats in groups.values():
             exchange_halos(sset, dats, scope=scope, grouped=cfg.grouped_halos)
 
     def _mark_written_stale(self) -> None:
@@ -363,21 +325,9 @@ class BoundLoop:
             dat.fresh_for = None
 
 
-def _import_chain():
-    global _chain
-    from repro.op2 import chain
-
-    _chain = chain
-    return chain
-
-
-def execute_loop(loop: BoundLoop, backend_name: str,
-                 refresh_halos: bool = False) -> None:
-    """Run one loop — the one compute sequence of the runtime.
-
-    An eager run calls this with ``refresh_halos`` set; a chain flush
-    calls it for each pending loop in program order, with the loop's
-    exchanges already scheduled or elided by the analyzer. Redundant
+def execute_loop(loop: BoundLoop, backend_name: str) -> None:
+    """Run one loop under ``backend_name`` — the one compute sequence
+    of the runtime: halo refresh, owned range, exec halo. Redundant
     exec-halo execution folds into the loop's discarded reduction
     buffer so global reductions count every element exactly once.
 
@@ -395,7 +345,7 @@ def execute_loop(loop: BoundLoop, backend_name: str,
         loop._rebind(cfg, fingerprint)
     iterset = loop.iterset
     halo = iterset.halo
-    if refresh_halos and halo is not None:
+    if halo is not None:
         loop._refresh_halos(cfg)
         if rec is not None:
             t_halo = time.perf_counter()
@@ -436,9 +386,9 @@ def bind(kernel: Kernel, iterset: Set, *args: Arg,
     """Bind a parallel loop once, to run it many times.
 
     Validates the loop and returns a :class:`BoundLoop` whose
-    :meth:`~BoundLoop.run` executes (or, lazily, enqueues) it with no
-    re-validation: the per-run cost is a halo freshness check and one
-    backend call per executed range. Binding the same kernel, set,
+    :meth:`~BoundLoop.run` executes it with no re-validation: the
+    per-run cost is a halo freshness check and one backend call per
+    executed range. Binding the same kernel, set,
     backend and :class:`Arg` *objects* again returns the same loop, and
     :func:`par_loop` called with those objects runs it — so a caller
     that keeps its ``Arg`` objects and its bound loop gets bind-once
@@ -483,11 +433,7 @@ def par_loop(kernel: Kernel, iterset: Set, *args: Arg,
              backend: str | None = None) -> None:
     """Declare a parallel loop (OP2's ``op_par_loop``): ``bind(...).run()``.
 
-    Executes immediately in eager mode; under ``Config.lazy`` or an
-    open :func:`~repro.op2.chain.loop_chain` the bound loop is
-    enqueued instead and runs when the chain flushes — with its halo
-    exchanges elided or batched across loops, its results bitwise
-    equal to eager execution. Arguments that a live :func:`bind` bound
+    Executes immediately. Arguments that a live :func:`bind` bound
     run through that binding; any others are bound for this one call
     and leave nothing behind.
 

@@ -69,8 +69,8 @@ class LoopStat:
 def loop_stats(spans) -> dict[str, LoopStat]:
     """Per-kernel cost, computed from par_loop spans.
 
-    Every ``op2.compute`` span is one call of the kernel it names, eager
-    or chained, and carries its element count; an ``op2.halo`` span
+    Every ``op2.compute`` span is one call of the kernel it names and
+    carries its element count; an ``op2.halo`` span
     of the same name adds that call's halo refresh. Span durations are
     exact differences of clock readings, so these totals equal the
     :meth:`~repro.telemetry.timeline.Timeline.breakdown` buckets

@@ -59,11 +59,7 @@ class Timeline:
 
         Buckets draw from disjoint top-level categories (``op2.compute``,
         ``op2.halo``, and :data:`COUPLER_CATS`), so they can be summed
-        without double counting. When the run used the lazy loop-chain
-        runtime, two count-valued (not seconds) columns are appended
-        from the chain counters: ``halo_elided`` — exchange calls the
-        staleness analysis removed — and ``messages_saved`` — halo
-        messages avoided versus the eager schedule, summed over ranks.
+        without double counting.
         """
         out = {"compute": 0.0, "halo": 0.0, "coupler": 0.0}
         for s in self.spans:
@@ -73,10 +69,6 @@ class Timeline:
                 out["halo"] += s.duration
             elif s.cat in COUPLER_CATS:
                 out["coupler"] += s.duration
-        if "chain.flushes" in self.counters:
-            out["halo_elided"] = self.counters.get("chain.halo_elided", 0.0)
-            out["messages_saved"] = self.counters.get(
-                "chain.messages_saved", 0.0)
         return out
 
     # -- determinism --------------------------------------------------

@@ -32,8 +32,8 @@ def smpi_transport(request, monkeypatch):
 
 
 @pytest.fixture(params=["native", "native-atomics"])
-def native_chain_backend(request):
-    """Parameterize a test over both compiled strategies' chain paths.
+def compiled_backend(request):
+    """Parameterize a test over both compiled strategies.
 
     Application-level equivalence suites take this fixture to certify
     the block-color-plan backend and the omp-atomic oracle alike.

@@ -1,4 +1,4 @@
-"""Differential certification across the full backend × mode matrix.
+"""Differential certification across every backend.
 
 The compiled native backends are the first paths where results come
 from *machine code* rather than numpy — so they are certified
@@ -6,17 +6,15 @@ differentially, not trusted: hypothesis-generated kernels
 (direct/indirect, INC/RW/READ mixes, read globals, INC/MIN/MAX
 reductions) run on every backend of
 
-    {sequential, vectorized, atomics, blockcolor,
-     native, native-atomics}  x  {eager, lazy loop-chain}
+    {sequential, vectorized, atomics, blockcolor, native, native-atomics}
 
-and must agree. The lazy column enqueues a direct prep loop ahead of
-the main kernel, so every lazy run flushes a two-loop chain.
+and must agree. The fuzzed kernels run after a direct prep loop that
+writes their direct input.
 
-Tolerance model (see ``backends/native.py``):
+Tolerance model (see ``backends/native.py``; ``native_threads`` is
+pinned to 1 here so global reductions are deterministic in the
+compiled wrappers too):
 
-* **lazy == eager is bitwise, per backend** — the loop-chain contract
-  (``native_threads`` is pinned to 1 here so global reductions are
-  deterministic in the compiled wrappers too);
 * the elemental arithmetic pool is restricted to correctly-rounded
   operations (+, -, *, /, sqrt, fabs, min, max, comparisons) and
   native code is compiled with ``-ffp-contract=off``, so dat outputs
@@ -53,21 +51,19 @@ from repro.op2.backends.native import toolchain
 
 BACKENDS = ["sequential", "vectorized", "atomics", "blockcolor",
             "native", "native-atomics"]
-#: bitwise pins along matched accumulation orders (eager AND lazy)
+#: bitwise pins along matched accumulation orders
 BITWISE_PAIRS = [("native", "blockcolor"), ("native-atomics", "atomics")]
 NATIVE_AVAILABLE = toolchain() is not None
 
 
 def assert_backends_agree(run_fn, bitwise=True):
-    """``run_fn(backend, lazy) -> (dats: dict, reductions: dict)``.
+    """``run_fn(backend) -> (dats: dict, reductions: dict)``.
 
-    Runs the full backend × {eager, lazy} matrix and certifies:
+    Runs every backend and certifies:
 
-    1. lazy == eager **bitwise** for every backend (dats and
-       reductions — the loop-chain contract);
-    2. every backend within 1e-12 relative of sequential;
-    3. when ``bitwise``, native == blockcolor and native-atomics ==
-       atomics exactly, in both modes. That holds when every dat
+    1. every backend within 1e-12 relative of sequential;
+    2. when ``bitwise``, native == blockcolor and native-atomics ==
+       atomics exactly. That holds when every dat
        location receives increments through at most one kernel
        statement: each pair then applies them in identical (plan /
        chunk) order, and the restricted op pool is correctly rounded.
@@ -75,24 +71,11 @@ def assert_backends_agree(run_fn, bitwise=True):
        alias one dat — numpy scatters per *statement* while C
        interleaves per *element*, a legitimate reassociation.
     """
-    results = {}
-    for backend in BACKENDS:
-        for lazy in (False, True):
-            results[(backend, lazy)] = run_fn(backend, lazy)
+    results = {backend: run_fn(backend) for backend in BACKENDS}
 
-    for backend in BACKENDS:
-        e_dats, e_reds = results[(backend, False)]
-        l_dats, l_reds = results[(backend, True)]
-        for name in e_dats:
-            assert np.array_equal(l_dats[name], e_dats[name]), \
-                f"dat {name!r}: lazy != eager on backend {backend}"
-        for name in e_reds:
-            assert l_reds[name] == e_reds[name], \
-                f"reduction {name!r}: lazy != eager on backend {backend}"
-
-    ref_dats, ref_reds = results[("sequential", False)]
+    ref_dats, ref_reds = results["sequential"]
     for backend in BACKENDS[1:]:
-        dats, reds = results[(backend, False)]
+        dats, reds = results[backend]
         for name, arr in dats.items():
             np.testing.assert_allclose(
                 arr, ref_dats[name], rtol=1e-12, atol=1e-13,
@@ -103,13 +86,11 @@ def assert_backends_agree(run_fn, bitwise=True):
 
     if bitwise and NATIVE_AVAILABLE:
         for nat, ref in BITWISE_PAIRS:
-            for lazy in (False, True):
-                nat_dats, _ = results[(nat, lazy)]
-                ref_dats2, _ = results[(ref, lazy)]
-                for name in nat_dats:
-                    assert np.array_equal(nat_dats[name], ref_dats2[name]), \
-                        (f"dat {name!r}: {nat} is not bitwise-equal to "
-                         f"{ref} (lazy={lazy})")
+            nat_dats, _ = results[nat]
+            ref_dats2, _ = results[ref]
+            for name in nat_dats:
+                assert np.array_equal(nat_dats[name], ref_dats2[name]), \
+                    f"dat {name!r}: {nat} is not bitwise-equal to {ref}"
 
 
 # -- hypothesis-generated kernels ---------------------------------------
@@ -183,9 +164,8 @@ def _fuzz_kernel_source(dw, rw, red, w_exprs, inc_expr, red_expr):
     return "\n".join(lines)
 
 
-#: direct prep loop enqueued ahead of the fuzz kernel — reads/writes
-#: the fuzz kernel's direct input, so the lazy column chains two
-#: dependent loops
+#: direct prep loop run ahead of the fuzz kernel — reads/writes the
+#: fuzz kernel's direct input
 FUZZ_PREP = """
 def fuzz_prep(c):
     c[0] = 0.5 * c[0] + 0.125
@@ -205,7 +185,7 @@ def test_fuzzed_kernels_agree(spec):
         "inc": (op2.INC, 0.0), "min": (op2.MIN, np.inf),
         "max": (op2.MAX, -np.inf)}[red]
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(seed)
         nodes = op2.Set(nnodes, "nodes")
         edges = op2.Set(nedges, "edges")
@@ -216,15 +196,14 @@ def test_fuzzed_kernels_agree(spec):
         inc = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="inc")
         g = op2.Global(1, 0.75, name="g")
         r = op2.Global(1, red_init, name="r")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("fuzz", enabled=lazy):
-                op2.par_loop(prep, edges, c.arg(op2.RW))
-                op2.par_loop(kernel, edges,
-                             a.arg(op2.READ, emap, 0), c.arg(op2.READ),
-                             g.arg(op2.READ),
-                             w.arg(op2.RW if rw else op2.WRITE),
-                             inc.arg(op2.INC, emap, inc_col),
-                             r.arg(red_access))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(prep, edges, c.arg(op2.RW))
+            op2.par_loop(kernel, edges,
+                         a.arg(op2.READ, emap, 0), c.arg(op2.READ),
+                         g.arg(op2.READ),
+                         w.arg(op2.RW if rw else op2.WRITE),
+                         inc.arg(op2.INC, emap, inc_col),
+                         r.arg(red_access))
         return ({"w": w.data_ro.copy(), "inc": inc.data_ro.copy()},
                 {"r": r.value})
 
@@ -286,16 +265,15 @@ def _mesh(seed, nnodes=17, nedges=33, arity=2):
 def test_corpus_saxpy_direct():
     kernel = op2.Kernel(SAXPY)
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(11)
         cells = op2.Set(20, "cells")
         x = op2.Dat(cells, 3, rng.normal(size=(20, 3)), name="x")
         y = op2.Dat(cells, 3, name="y")
         g = op2.Global(1, -0.25, name="g")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("saxpy", enabled=lazy):
-                op2.par_loop(kernel, cells, x.arg(op2.READ),
-                             y.arg(op2.WRITE), g.arg(op2.READ))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(kernel, cells, x.arg(op2.READ),
+                         y.arg(op2.WRITE), g.arg(op2.READ))
         return {"y": y.data_ro.copy()}, {}
     assert_backends_agree(run)
 
@@ -304,7 +282,7 @@ def test_corpus_edge_flux_indirect_inc():
     nnodes, nedges, table, _ = _mesh(5)
     kernel = op2.Kernel(EDGE_FLUX)
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(7)
         nodes = op2.Set(nnodes, "nodes")
         edges = op2.Set(nedges, "edges")
@@ -313,16 +291,15 @@ def test_corpus_edge_flux_indirect_inc():
         q = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="q")
         res = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="res")
         rms = op2.Global(1, 0.0, name="rms")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("flux", enabled=lazy):
-                op2.par_loop(kernel, edges,
-                             x.arg(op2.READ, pedge, 0),
-                             x.arg(op2.READ, pedge, 1),
-                             q.arg(op2.READ, pedge, 0),
-                             q.arg(op2.READ, pedge, 1),
-                             res.arg(op2.INC, pedge, 0),
-                             res.arg(op2.INC, pedge, 1),
-                             rms.arg(op2.INC))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(kernel, edges,
+                         x.arg(op2.READ, pedge, 0),
+                         x.arg(op2.READ, pedge, 1),
+                         q.arg(op2.READ, pedge, 0),
+                         q.arg(op2.READ, pedge, 1),
+                         res.arg(op2.INC, pedge, 0),
+                         res.arg(op2.INC, pedge, 1),
+                         rms.arg(op2.INC))
         return {"res": res.data_ro.copy()}, {"rms": rms.value}
     # two INC statements alias `res`: reassociation only, not bitwise
     assert_backends_agree(run, bitwise=False)
@@ -332,7 +309,7 @@ def test_corpus_vector_args_min_max():
     nnodes, ncells, table, _ = _mesh(9, nnodes=14, nedges=25, arity=3)
     kernel = op2.Kernel(CELL_GATHER)
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(3)
         nodes = op2.Set(nnodes, "nodes")
         cells = op2.Set(ncells, "cells")
@@ -341,12 +318,11 @@ def test_corpus_vector_args_min_max():
         out = op2.Dat(cells, 1, name="out")
         lo = op2.Global(1, np.inf, name="lo")
         hi = op2.Global(1, -np.inf, name="hi")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("gather", enabled=lazy):
-                op2.par_loop(kernel, cells,
-                             xs.arg(op2.READ, pcell, op2.ALL),
-                             out.arg(op2.WRITE),
-                             lo.arg(op2.MIN), hi.arg(op2.MAX))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(kernel, cells,
+                         xs.arg(op2.READ, pcell, op2.ALL),
+                         out.arg(op2.WRITE),
+                         lo.arg(op2.MIN), hi.arg(op2.MAX))
         return {"out": out.data_ro.copy()}, {"lo": lo.value, "hi": hi.value}
     assert_backends_agree(run)
 
@@ -356,15 +332,14 @@ def test_corpus_integer_index_math():
     type-aware ``_C_MATH`` fix) must agree across every backend."""
     kernel = op2.Kernel(INT_INDEX)
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(13)
         cells = op2.Set(12, "cells")
         x = op2.Dat(cells, 4, rng.normal(size=(12, 4)), name="x")
         y = op2.Dat(cells, 4, name="y")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("intidx", enabled=lazy):
-                op2.par_loop(kernel, cells, x.arg(op2.READ),
-                             y.arg(op2.WRITE))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(kernel, cells, x.arg(op2.READ),
+                         y.arg(op2.WRITE))
         return {"y": y.data_ro.copy()}, {}
     assert_backends_agree(run)
 
@@ -372,28 +347,27 @@ def test_corpus_integer_index_math():
 def test_corpus_rw_update_with_reduction():
     kernel = op2.Kernel(RW_UPDATE)
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(17)
         cells = op2.Set(31, "cells")
         r = op2.Dat(cells, 1, rng.normal(size=(31, 1)), name="r")
         q = op2.Dat(cells, 1, rng.normal(size=(31, 1)), name="q")
         norm = op2.Global(1, 0.0, name="norm")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("rwupd", enabled=lazy):
-                op2.par_loop(kernel, cells, r.arg(op2.READ),
-                             q.arg(op2.RW), norm.arg(op2.INC))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(kernel, cells, r.arg(op2.READ),
+                         q.arg(op2.RW), norm.arg(op2.INC))
         return {"q": q.data_ro.copy()}, {"norm": norm.value}
     assert_backends_agree(run)
 
 
 def test_corpus_fused_pair_direct_then_indirect():
-    """Two-loop chain (direct RW prep, then indirect INC consumer),
-    certified across the matrix."""
+    """Two dependent loops (direct RW prep, then indirect INC
+    consumer), certified across every backend."""
     nnodes, nedges, table, _ = _mesh(21)
     prep = op2.Kernel(FUZZ_PREP)
     kernel = op2.Kernel(EDGE_FLUX)
 
-    def run(backend, lazy):
+    def run(backend):
         rng = np.random.default_rng(23)
         nodes = op2.Set(nnodes, "nodes")
         edges = op2.Set(nedges, "edges")
@@ -403,17 +377,16 @@ def test_corpus_fused_pair_direct_then_indirect():
         res = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="res")
         c = op2.Dat(edges, 1, rng.normal(size=(nedges, 1)), name="c")
         rms = op2.Global(1, 0.0, name="rms")
-        with op2.configure(backend=backend, lazy=lazy, native_threads=1):
-            with op2.loop_chain("pair", enabled=lazy):
-                op2.par_loop(prep, edges, c.arg(op2.RW))
-                op2.par_loop(kernel, edges,
-                             x.arg(op2.READ, pedge, 0),
-                             x.arg(op2.READ, pedge, 1),
-                             q.arg(op2.READ, pedge, 0),
-                             q.arg(op2.READ, pedge, 1),
-                             res.arg(op2.INC, pedge, 0),
-                             res.arg(op2.INC, pedge, 1),
-                             rms.arg(op2.INC))
+        with op2.configure(backend=backend, native_threads=1):
+            op2.par_loop(prep, edges, c.arg(op2.RW))
+            op2.par_loop(kernel, edges,
+                         x.arg(op2.READ, pedge, 0),
+                         x.arg(op2.READ, pedge, 1),
+                         q.arg(op2.READ, pedge, 0),
+                         q.arg(op2.READ, pedge, 1),
+                         res.arg(op2.INC, pedge, 0),
+                         res.arg(op2.INC, pedge, 1),
+                         rms.arg(op2.INC))
         return ({"c": c.data_ro.copy(), "res": res.data_ro.copy()},
                 {"rms": rms.value})
     # EDGE_FLUX aliases `res` through two INC statements: not bitwise

@@ -1,10 +1,10 @@
-"""Native backend runtime behaviour: caching, fallback, threads, chain.
+"""Native backend runtime behaviour: caching, fallback, threads.
 
 The differential suite (``test_backend_differential.py``) certifies
 *results*; this file certifies the *machinery* around them — the
 on-disk compile cache (hits, corruption recovery), the warn-once
-vectorized fallback when the toolchain is missing or broken, thread
-and chain integration, and distributed execution.
+vectorized fallback when the toolchain is missing or broken, threads,
+loop sequences, and distributed execution.
 """
 
 import os
@@ -272,6 +272,8 @@ def test_native_threads_config_matches_serial():
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_native_under_lazy_chain_is_bitwise_eager():
+    """``Config.lazy`` has no effect: native airfoil runs are bitwise
+    equal with it off and on."""
     from repro.apps import AirfoilApp, make_airfoil_mesh
 
     mesh = make_airfoil_mesh(ni=12, nj=6)
@@ -280,7 +282,6 @@ def test_native_under_lazy_chain_is_bitwise_eager():
         with op2.configure(backend="native", lazy=lazy):
             app = AirfoilApp(mesh, mach=0.35)
             app.iterate(3)
-            op2.flush_chain()
             return app.q.data_ro.copy()
 
     assert np.array_equal(run(False), run(True))
@@ -467,7 +468,7 @@ def test_native_atomics_missing_compiler_falls_back_to_atomics(monkeypatch):
     assert np.array_equal(got[0], vec[0]) and got[1] == vec[1]
 
 
-# -- chained execution ---------------------------------------------------
+# -- loop sequences ------------------------------------------------------
 
 PREP = """
 def nprep(w):
@@ -488,10 +489,11 @@ def nscale32(s):
 """
 
 
-def _run_pair(backend, lazy, nthreads=1, mixed=False):
-    """A direct prep loop feeding an indirect one on the same set;
-    ``mixed`` appends a third same-set loop on a float32 dat (outside
-    the compiled ABI) and returns its data too."""
+def _run_pair(backend, lazy=False, nthreads=1, mixed=False):
+    """A direct prep loop feeding an indirect one on the same set, with
+    ``Config.lazy`` (no effect) set to ``lazy``; ``mixed`` appends a
+    third same-set loop on a float32 dat (outside the compiled ABI) and
+    returns its data too."""
     rng = np.random.default_rng(11)
     nodes = op2.Set(9, "nodes")
     edges = op2.Set(14, "edges")
@@ -502,16 +504,15 @@ def _run_pair(backend, lazy, nthreads=1, mixed=False):
     tot = op2.Global(1, 0.0, name="tot")
     extra = []
     with op2.configure(backend=backend, lazy=lazy, native_threads=nthreads):
-        with op2.loop_chain("pair", enabled=lazy):
-            op2.par_loop(op2.Kernel(PREP), edges, w.arg(op2.RW))
-            op2.par_loop(op2.Kernel(FLUX2), edges, w.arg(op2.READ),
-                         a.arg(op2.READ, emap, 0), a.arg(op2.READ, emap, 1),
-                         out.arg(op2.INC, emap, 0), tot.arg(op2.INC))
-            if mixed:
-                s32 = op2.Dat(edges, 1, dtype=np.float32, name="s32",
-                              data=rng.normal(size=(14, 1)).astype(np.float32))
-                op2.par_loop(op2.Kernel(SCALE32), edges, s32.arg(op2.RW))
-                extra.append(s32)
+        op2.par_loop(op2.Kernel(PREP), edges, w.arg(op2.RW))
+        op2.par_loop(op2.Kernel(FLUX2), edges, w.arg(op2.READ),
+                     a.arg(op2.READ, emap, 0), a.arg(op2.READ, emap, 1),
+                     out.arg(op2.INC, emap, 0), tot.arg(op2.INC))
+        if mixed:
+            s32 = op2.Dat(edges, 1, dtype=np.float32, name="s32",
+                          data=rng.normal(size=(14, 1)).astype(np.float32))
+            op2.par_loop(op2.Kernel(SCALE32), edges, s32.arg(op2.RW))
+            extra.append(s32)
     return (out.data_ro.copy(), tot.value,
             *(d.data_ro.copy() for d in extra))
 
@@ -519,41 +520,41 @@ def _run_pair(backend, lazy, nthreads=1, mixed=False):
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 @pytest.mark.parametrize("backend", ["native", "native-atomics"])
 def test_fused_chain_bitwise_equals_eager(backend):
+    """The pair runs bitwise the same with ``Config.lazy`` off and on."""
     eager = _run_pair(backend, lazy=False)
-    op2.reset_chain_stats()
     lazy = _run_pair(backend, lazy=True)
-    assert op2.chain_stats().as_dict()["flushes"] == 1
     assert np.array_equal(eager[0], lazy[0])
     assert eager[1] == lazy[1]
 
 
 def test_fused_chain_missing_compiler_degrades_bitwise(monkeypatch):
-    """With no toolchain every chained loop runs the same backend's
-    fallback, warned and counted — lazy stays bitwise-equal to eager."""
+    """With no toolchain both loops run the ``vectorized`` fallback,
+    warned and counted, bitwise equal to ``vectorized`` itself, with
+    ``Config.lazy`` off and on."""
+    want = _run_pair("vectorized")
     monkeypatch.setenv("REPRO_CC", "/nonexistent/compiler-xyz")
     for backend in ("native", "native-atomics"):
         reset_native_state()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with telemetry.tracing() as rec:
-                eager = _run_pair(backend, lazy=False)
-                lazy = _run_pair(backend, lazy=True)
+                got = [_run_pair(backend, lazy=lazy)
+                       for lazy in (False, True)]
         assert rec.counters.get("op2.native.fallback", 0) >= 1
-        assert np.array_equal(eager[0], lazy[0])
-        assert eager[1] == lazy[1]
+        for g in got:
+            assert np.array_equal(g[0], want[0])
+            assert g[1] == want[1]
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_mixed_capability_group_degrades_to_singletons():
-    """One float32 loop in a chain: it runs the numpy twin, the float64
-    loops still run compiled, nothing warns."""
+    """One float32 loop among float64 ones: it runs the numpy twin, the
+    float64 loops still run compiled, nothing warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any warning fails the test
-        eager = _run_pair("native", lazy=False, mixed=True)
-        op2.reset_chain_stats()
+        first = _run_pair("native", mixed=True)
         with telemetry.tracing() as rec:
-            lazy = _run_pair("native", lazy=True, mixed=True)
-    assert op2.chain_stats().loops == 3
+            again = _run_pair("native", mixed=True)
     assert rec.counters.get("op2.native.unsupported", 0) >= 1
     assert rec.counters.get("op2.native.fallback", 0) == 0
     # fresh kernels, warm disk cache: both float64 singletons load their
@@ -562,16 +563,16 @@ def test_mixed_capability_group_degrades_to_singletons():
     assert rec.counters.get("op2.native.compile", 0) == 0
     assert {p.name.rsplit("_", 1)[0] for p in cache_dir().glob("*.so")} \
         == {"nprep", "nflux2"}
-    for e, l in zip(eager, lazy):
-        assert np.array_equal(e, l)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_fused_wrapper_reuses_disk_cache():
     with telemetry.tracing() as rec:
-        _run_pair("native", lazy=True)
+        _run_pair("native")
         before = rec.counters.get("op2.native.compile", 0)
-        _run_pair("native", lazy=True)  # fresh kernels: memo misses
+        _run_pair("native")  # fresh kernels: memo misses
         assert rec.counters.get("op2.native.compile", 0) == before, \
-            "second flush must reuse the compiled wrappers from disk"
+            "second run must reuse the compiled wrappers from disk"
         assert rec.counters.get("op2.native.cache_hit_disk", 0) >= 1

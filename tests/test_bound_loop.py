@@ -5,8 +5,10 @@ prepared backend calls; every ``run()`` is a freshness check and one
 backend call per range. These tests hold a loop bound once and run
 repeatedly bitwise equal to the backends' per-call entry point
 (``execute`` with fresh reduction buffers, the unbound path), for every
-kernel the hydra, airfoil and FEM solvers run, on every backend, eager
-and lazy, over a serial set and over a set with an exec halo. They also
+kernel the hydra, airfoil and FEM solvers run, on every backend, with
+``Config.lazy`` off and on (the field has no effect: every par_loop
+runs when it is called), over a serial set and over a set with an exec
+halo. They also
 pin what a run must still read (Global storage, the config), the
 exec-halo reduction discard on real ranks, and the per-run Python call
 budget.
@@ -69,10 +71,10 @@ def captured_loops() -> dict[str, tuple]:
     seen: dict[str, tuple] = {}
     real = parloop.execute_loop
 
-    def record(loop, backend_name, refresh_halos=False):
+    def record(loop, backend_name):
         seen.setdefault(loop.kernel.name,
                         (loop.kernel, loop.native_signature()))
-        real(loop, backend_name, refresh_halos)
+        real(loop, backend_name)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parloop, "execute_loop", record)
@@ -186,17 +188,13 @@ def test_bound_equals_unbound(name, backend, lazy, exec_halo):
     seed = sum(map(ord, name))
     ref_set, ref_args, ref_dats, ref_gbls = random_loop(nsig, exec_halo, seed)
     iterset, args, dats, gbls = random_loop(nsig, exec_halo, seed)
-    with op2.configure(native_threads=1):
+    with op2.configure(native_threads=1, lazy=lazy):
         bound = op2.bind(kernel, iterset, *args, backend=backend)
         for run in range(RUNS):
             _between_runs(run, ref_dats, ref_args)
             _between_runs(run, dats, args)
             unbound_run(kernel, ref_set, ref_args, backend)
-            if lazy:
-                with op2.loop_chain("bound"):
-                    bound.run()
-            else:
-                bound.run()
+            bound.run()
             _assert_bitwise(dats, ref_dats, f"run {run}")
             _assert_bitwise(gbls, ref_gbls, f"run {run}")
 
@@ -210,7 +208,7 @@ def test_bind_returns_the_binding_par_loop_runs():
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parloop, "execute_loop",
-                   lambda loop, name, refresh_halos=False: seen.append(loop))
+                   lambda loop, name: seen.append(loop))
         op2.par_loop(kernel, iterset, *args)
         op2.par_loop(kernel, iterset, *list(args))
         fresh = [a.data.arg(a.access) if a.is_global
@@ -245,10 +243,6 @@ def test_global_rebind_and_in_place_write_are_seen(backend):
     g.data = np.array([5.0])            # rebinds Global._data
     bound.run()
     assert y.data_ro[:, 0].tolist() == [0.0, 5.0, 10.0, 15.0, 20.0]
-    with op2.loop_chain("rebind"):
-        g.data = np.array([-1.0])
-        bound.run()
-    assert y.data_ro[:, 0].tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
 
 
 class _Spy:

@@ -88,6 +88,7 @@ def test_trace_writes_artifacts(tmp_path, capsys):
                  "--seed", "11", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "trace.json" in stdout and "metrics.json" in stdout
+    assert "loop chains" not in stdout
 
     trace_doc = json.loads((out / "trace.json").read_text())
     validate_chrome_trace(trace_doc)
@@ -95,6 +96,7 @@ def test_trace_writes_artifacts(tmp_path, capsys):
 
     metrics = json.loads((out / "metrics.json").read_text())
     validate_metrics(metrics)
+    assert set(metrics["breakdown"]) == {"compute", "halo", "coupler"}
     assert metrics["breakdown"]["compute"] > 0
     assert metrics["breakdown"]["coupler"] > 0
     assert metrics["meta"]["case"] == "coupled-rig250"
@@ -126,6 +128,8 @@ def test_bench_writes_valid_summary(tmp_path, capsys):
     # native always present: it falls back to vectorized without a
     # toolchain, so the CLI works on a compiler-less machine too
     assert "wall_native" in doc["metrics"]
+    assert "lazy" not in doc["meta"]
+    assert "eager" not in stdout
 
 
 def test_bench_single_backend(capsys):
@@ -134,6 +138,14 @@ def test_bench_single_backend(capsys):
     out = capsys.readouterr().out
     assert "blockcolor ms" in out
     assert "speedup" not in out
+
+
+@pytest.mark.parametrize("command", ["bench", "trace"])
+def test_lazy_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--lazy"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --lazy" in capsys.readouterr().err
 
 
 def test_bench_rejects_unknown_backend(capsys):

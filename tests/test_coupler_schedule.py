@@ -86,6 +86,8 @@ class TestCadence:
 
 class TestMonolithicHonoursItsConfig:
     def test_process_lazy_equals_thread_eager(self):
+        """``CoupledRunConfig.lazy`` has no effect; the transport none
+        on the results."""
         eager = MonolithicDriver(run_config(transport="thread")).run(3)
         lazy = MonolithicDriver(
             run_config(transport="process", lazy=True)).run(3)
@@ -102,7 +104,8 @@ class TestMonolithicHonoursItsConfig:
     def test_ranks_see_transport_lazy_and_sanitize(self, tmp_path,
                                                    monkeypatch):
         """Every inline transfer runs in a forked child with the
-        config's op2 switches applied (a fork inherits the patch)."""
+        config's op2 switches applied (a fork inherits the patch);
+        ``lazy``, a field without effect, does not reach the ranks."""
         import repro.coupler.monolithic as mono
 
         class Spy(mono.CUTransferEngine):
@@ -118,7 +121,7 @@ class TestMonolithicHonoursItsConfig:
         seen = list(tmp_path.iterdir())
         assert len(seen) == 2
         assert f"rank-{os.getpid()}" not in {p.name for p in seen}
-        assert {p.read_text() for p in seen} == {"True True"}
+        assert {p.read_text() for p in seen} == {"False True"}
 
     def test_fault_plan_and_step_marks_reach_the_ranks(self):
         plan = FaultPlan().crash(rank=0, step=2)

@@ -105,7 +105,7 @@ class TestAirfoilTwoRankRegression:
     EXPECTED_NBYTES = 960
     EXPECTED_MESSAGES = 6
 
-    def _run(self, partial=False, lazy=False, grouped=False):
+    def _run(self, partial=False, grouped=False):
         mesh = make_airfoil_mesh(ni=24, nj=6)
         gp = airfoil_problem(mesh, mach=0.35)
         owners = airfoil_owners(mesh, 2)
@@ -113,8 +113,7 @@ class TestAirfoilTwoRankRegression:
 
         @_with_counters
         def rank_fn(comm):
-            op2.set_config(partial_halos=partial, grouped_halos=grouped,
-                           lazy=lazy)
+            op2.set_config(partial_halos=partial, grouped_halos=grouped)
             local = build_local_problem(gp, layouts[comm.rank], comm)
             app = AirfoilApp.from_local(mesh, local, mach=0.35)
             history = app.iterate(1)
@@ -140,14 +139,12 @@ class TestAirfoilTwoRankRegression:
 
     def test_counters_track_ledger_in_every_mode(self):
         q_ref, _, _ = self._run()
-        for partial, lazy, grouped in ((True, False, False),
-                                       (False, False, True),
-                                       (True, True, True)):
-            q, counters, traffic = self._run(partial=partial, lazy=lazy,
+        for partial, grouped in ((True, False), (False, True), (True, True)):
+            q, counters, traffic = self._run(partial=partial,
                                              grouped=grouped)
             counter_bytes = sum(c["op2.halo.nbytes"] for c in counters)
             ledger_bytes, _msgs = _halo_ledger(traffic)
-            assert counter_bytes == ledger_bytes, (partial, lazy, grouped)
+            assert counter_bytes == ledger_bytes, (partial, grouped)
             np.testing.assert_array_equal(q, q_ref)
 
 

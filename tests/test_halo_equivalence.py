@@ -235,10 +235,11 @@ def test_own_scope_minimal_yet_sufficient(case):
 @given(random_meshes())
 @HALO_SETTINGS
 def test_lazy_partial_halos_bitwise_equal_eager_full(case):
-    """The aggressive end of the optimization space (lazy chains +
-    depth-aware partial halos + grouped messages) must be *bitwise*
-    equal to the conservative eager full exchange — not merely close:
-    both paths fold the same owner values in the same order."""
+    """The aggressive end of the optimization space (depth-aware
+    partial halos + grouped messages, with ``Config.lazy`` set, which
+    has no effect) must be *bitwise* equal to the conservative full
+    exchange — not merely close: both paths fold the same owner values
+    in the same order."""
     n, table, nranks, owners, data_seed = case
     gp = build_problem(n, table, data_seed)
     q_ref, totals_ref = run_distributed(gp, table, nranks, owners,

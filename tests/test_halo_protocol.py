@@ -1,18 +1,19 @@
 """One halo exchange protocol, pinned from the wire up.
 
-Eager ``par_loop`` refreshes and chain flushes share one split-phase
-primitive (:func:`repro.op2.halo.exchange_begin` /
+A ``par_loop``'s halo refresh runs one split-phase primitive
+(:func:`repro.op2.halo.exchange_begin` /
 :func:`~repro.op2.halo.exchange_end`). These tests pin
 
 * the wire: sender-ordered message structure and per-phase totals of
-  the 2-rank airfoil and the two-map ring, eager and lazy, under every
+  the 2-rank airfoil and the two-map ring under every
   (partial_halos, grouped_halos), on both transports;
 * dtype-exact grouped packing: a group mixing an int64 and a float64
   dat delivers the owners' values bit for bit, and the op2 halo
   counters of an int32 + float64 group equal the smpi ledger;
 * that disabled telemetry computes no halo byte/message accounting;
-* that the chain's eager baseline (``ChainStats.eager_exchanges`` /
-  ``eager_messages``) is exactly what eager execution does.
+* that ``Config.lazy``, a field without effect kept for the frozen
+  end-to-end harness, changes none of it: the ``lazy`` cases make the
+  same exchange calls and put the same messages on the wire as eager.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def _hydra_row(nranks):
 
 
 def run_case(case, nranks, *, lazy, partial, grouped, transport="thread"):
-    """Run one rank program; returns (traffic ledger, per-rank ChainStats)."""
+    """Run one rank program; returns its traffic ledger."""
     if case == "airfoil":
         mesh = make_airfoil_mesh(ni=24, nj=6)
         gp = airfoil_problem(mesh, mach=0.35)
@@ -75,8 +76,7 @@ def run_case(case, nranks, *, lazy, partial, grouped, transport="thread"):
 
     def rank_fn(comm):
         op2.set_config(backend="vectorized", lazy=lazy, partial_halos=partial,
-                       grouped_halos=grouped, chain_verify=False)
-        op2.reset_chain_stats()
+                       grouped_halos=grouped)
         local = op2.build_local_problem(gp, layouts[comm.rank], comm)
         if case == "airfoil":
             AirfoilApp.from_local(mesh, local, mach=0.35).iterate(2)
@@ -87,19 +87,13 @@ def run_case(case, nranks, *, lazy, partial, grouped, transport="thread"):
             sets = (local.sets["nodes"], local.sets["edges"])
             maps = (local.maps["pedge"], local.maps["pskip"])
             dats = (local.dats["x"], local.dats["y"], local.dats["e"])
-            with op2.loop_chain("ring", enabled=lazy):
-                for op in case:
-                    _issue(op, sets, maps, dats)
-        op2.flush_chain()
-        stats = op2.chain_stats().as_dict()
-        op2.set_config(lazy=False)
-        op2.flush_chain()
-        return stats
+            for op in case:
+                _issue(op, sets, maps, dats)
 
     traffic = Traffic()
-    stats = run_ranks(nranks, rank_fn, traffic=traffic, transport=transport,
-                      timeout=120.0)
-    return traffic, stats
+    run_ranks(nranks, rank_fn, traffic=traffic, transport=transport,
+              timeout=120.0)
+    return traffic
 
 
 def wire(traffic):
@@ -113,60 +107,37 @@ def wire(traffic):
 # wire pin
 # --------------------------------------------------------------------------
 
-#: recorded before eager refreshes and chain flushes shared one packer
+#: recorded before the refresh ran through the split-phase primitive
 #: (identical on both transports then):
-#: (case, lazy, partial, grouped) -> wire(traffic) of the 2-rank run
+#: (case, partial, grouped) -> wire(traffic) of the 2-rank eager run,
+#: which the ``lazy`` cases must put on the wire too
 WIRE_PINS = {
-    (RING_PROGRAM, False, False, False): (
+    (RING_PROGRAM, False, False): (
         "e0c9e1d1e83d777a8a2e772d3a9d6be311c9e9ea3da917a317fa735014109fc0",
         {"halo:full": (8, 192)}),
-    (RING_PROGRAM, False, False, True): (
+    (RING_PROGRAM, False, True): (
         "1ad8d713a3f323be733fb2a5e6c9cc33b53b2154745f6a7771191161c5504de2",
         {"halo:full:grouped": (8, 192)}),
-    (RING_PROGRAM, False, True, False): (
+    (RING_PROGRAM, True, False): (
         "4fa4ba1ba30807fe6ef34b68ae9b7dad72b4e00355cde014849a058f72374960",
         {"halo:exec": (4, 64), "halo:pedge@own": (4, 32),
          "halo:pskip@own": (2, 32)}),
-    (RING_PROGRAM, False, True, True): (
+    (RING_PROGRAM, True, True): (
         "d47638760e5a762550c6aaa5c766aac964ff4f999d978e5e99b0b4800dddb125",
         {"halo:exec:grouped": (4, 64), "halo:pedge@own:grouped": (4, 32),
          "halo:pskip@own:grouped": (2, 32)}),
-    (RING_PROGRAM, True, False, False): (
-        "e691c7b300a49d20a52466641cc69ea56e3b47d94a7e760fd31fc190c89eb105",
-        {"halo:chain": (8, 192)}),
-    (RING_PROGRAM, True, False, True): (
-        "e691c7b300a49d20a52466641cc69ea56e3b47d94a7e760fd31fc190c89eb105",
-        {"halo:chain": (8, 192)}),
-    (RING_PROGRAM, True, True, False): (
-        "8415391fa90c1fd93108adfb91814a8159b1e4eee5cb650a7bcca96ada01ca90",
-        {"halo:chain": (8, 112)}),
-    (RING_PROGRAM, True, True, True): (
-        "8415391fa90c1fd93108adfb91814a8159b1e4eee5cb650a7bcca96ada01ca90",
-        {"halo:chain": (8, 112)}),
-    ("airfoil", False, False, False): (
+    ("airfoil", False, False): (
         "df87f3ae45baf520543bd4fab861d50c3e4be36b203a8b1ff776993ecef941f9",
         {"halo:full": (14, 2560)}),
-    ("airfoil", False, False, True): (
+    ("airfoil", False, True): (
         "7da2e9b7dd4f523e0130a1c4d1d7dcf1dd93bc9e0030a99c1296576ac7e9da60",
         {"halo:full:grouped": (8, 2560)}),
-    ("airfoil", False, True, False): (
+    ("airfoil", True, False): (
         "ad4709300dea7fc487dafc5cab6c6366f30c6c8483d341bbbe230368b2450e99",
         {"halo:pbecell": (14, 512), "halo:pecell": (14, 2560)}),
-    ("airfoil", False, True, True): (
+    ("airfoil", True, True): (
         "660d4cc3a988b1a1e0cff7581ca4f5aefbd8787902fd873a44bd3ca1eccee4d1",
         {"halo:pbecell:grouped": (8, 512), "halo:pecell:grouped": (8, 2560)}),
-    ("airfoil", True, False, False): (
-        "b65d3be6330a4ec4b6f72e9b85969320264ac2e4c5814811450b71f708f0e8f1",
-        {"halo:chain": (8, 2560)}),
-    ("airfoil", True, False, True): (
-        "b65d3be6330a4ec4b6f72e9b85969320264ac2e4c5814811450b71f708f0e8f1",
-        {"halo:chain": (8, 2560)}),
-    ("airfoil", True, True, False): (
-        "b65d3be6330a4ec4b6f72e9b85969320264ac2e4c5814811450b71f708f0e8f1",
-        {"halo:chain": (8, 2560)}),
-    ("airfoil", True, True, True): (
-        "b65d3be6330a4ec4b6f72e9b85969320264ac2e4c5814811450b71f708f0e8f1",
-        {"halo:chain": (8, 2560)}),
 }
 
 
@@ -175,9 +146,9 @@ WIRE_PINS = {
 @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("case", ["airfoil", RING_PROGRAM])
 def test_wire_unchanged(case, lazy, partial, grouped, transport):
-    traffic, _ = run_case(case, 2, lazy=lazy, partial=partial,
-                          grouped=grouped, transport=transport)
-    assert wire(traffic) == WIRE_PINS[(case, lazy, partial, grouped)]
+    traffic = run_case(case, 2, lazy=lazy, partial=partial, grouped=grouped,
+                       transport=transport)
+    assert wire(traffic) == WIRE_PINS[(case, partial, grouped)]
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +160,10 @@ BIG = 2**53 + 1  # the smallest int64 a float64 cannot hold
 
 def _mixed_rank(comm, gp, layouts, node_owner, lazy, int_dtype):
     """Exchange an integer dat grouped with float64 ``x``; return the halo
-    values received and the owners' values they must equal."""
+    values received and the owners' values they must equal. The
+    ``lazy`` case sets ``Config.lazy`` and leaves the exchange to the
+    halo refresh of a par_loop reading both dats; the eager case calls
+    :func:`~repro.op2.exchange_halos` directly."""
     op2.set_config(backend="vectorized", lazy=lazy, partial_halos=False,
                    grouped_halos=True)
     local = op2.build_local_problem(gp, layouts[comm.rank], comm)
@@ -201,14 +175,12 @@ def _mixed_rank(comm, gp, layouts, node_owner, lazy, int_dtype):
     k.data[:] = base + comm.rank
     x.data[:] = 0.1 + comm.rank
     if lazy:
-        with op2.loop_chain("mixed"):
-            op2.par_loop(op2.Kernel(k_mixed), edges, e.arg(op2.WRITE),
-                         k.arg(op2.READ, pedge, 0), k.arg(op2.READ, pedge, 1),
-                         x.arg(op2.READ, pedge, 0), x.arg(op2.READ, pedge, 1))
+        op2.par_loop(op2.Kernel(k_mixed), edges, e.arg(op2.WRITE),
+                     k.arg(op2.READ, pedge, 0), k.arg(op2.READ, pedge, 1),
+                     x.arg(op2.READ, pedge, 0), x.arg(op2.READ, pedge, 1))
     else:
         op2.exchange_halos(nodes, [k, x], scope="full", grouped=True)
     op2.set_config(lazy=False)
-    op2.flush_chain()
     owner = node_owner[nodes.halo.global_ids[nodes.size:]]
     return (k.data_with_halos[nodes.size:, 0].copy(), base + owner,
             x.data_with_halos[nodes.size:, 0].copy(), 0.1 + owner)
@@ -268,30 +240,33 @@ def test_untraced_exchange_computes_no_accounting(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the chain's eager baseline is what eager execution does
+# Config.lazy leaves the eager exchanges as they are
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("nranks", [2, 3])
 @pytest.mark.parametrize("case", [RING_PROGRAM, "UGS", "GUGUGU", "CCCC",
                                   "hydra"])
 def test_eager_baseline_matches_eager_run(case, nranks, monkeypatch):
+    """Per rank, a run with ``lazy=True`` starts as many exchanges and
+    sends as many halo messages as the eager run, in every config."""
     for partial, grouped in CONFIGS:
-        calls: list[int] = []
-        real_begin = halo_mod.exchange_begin
+        seen = {}
+        for lazy in (False, True):
+            calls: list[int] = []
+            real_begin = halo_mod.exchange_begin
 
-        def spy(sset, *args, **kwargs):
-            calls.append(sset.halo.comm.rank)
-            return real_begin(sset, *args, **kwargs)
+            def spy(sset, *args, **kwargs):
+                calls.append(sset.halo.comm.rank)
+                return real_begin(sset, *args, **kwargs)
 
-        with monkeypatch.context() as m:
-            m.setattr(halo_mod, "exchange_begin", spy)
-            traffic, _ = run_case(case, nranks, lazy=False, partial=partial,
-                                  grouped=grouped)
-        _, stats = run_case(case, nranks, lazy=True, partial=partial,
-                            grouped=grouped)
-        for rank, st in enumerate(stats):
-            sent = sum(r.messages for r in traffic.records()
-                       if r.phase.startswith("halo") and r.src == rank)
-            label = (case, nranks, partial, grouped, rank)
-            assert st["eager_exchanges"] == calls.count(rank), label
-            assert st["eager_messages"] == sent, label
+            with monkeypatch.context() as m:
+                m.setattr(halo_mod, "exchange_begin", spy)
+                traffic = run_case(case, nranks, lazy=lazy, partial=partial,
+                                   grouped=grouped)
+            seen[lazy] = [
+                (calls.count(rank),
+                 sum(r.messages for r in traffic.records()
+                     if r.phase.startswith("halo") and r.src == rank))
+                for rank in range(nranks)]
+        label = (case, nranks, partial, grouped)
+        assert seen[True] == seen[False], label

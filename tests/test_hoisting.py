@@ -75,10 +75,10 @@ def captured_loops() -> dict[str, tuple]:
     seen: dict[str, tuple] = {}
     real = parloop.execute_loop
 
-    def record(loop, backend_name, refresh_halos=False):
+    def record(loop, backend_name):
         seen.setdefault(loop.kernel.name,
                         (loop.kernel, loop.native_signature()))
-        real(loop, backend_name, refresh_halos)
+        real(loop, backend_name)
 
     with pytest.MonkeyPatch.context() as mp, \
             op2.configure(backend="sequential"):

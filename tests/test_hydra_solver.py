@@ -238,15 +238,11 @@ class TestTotalPressure:
 
 
 def test_lazy_step_drains_its_chain_inside_the_timer():
-    """``advance_physical`` must leave nothing pending under ``lazy``.
-
-    A step whose loops flush in the caller's next host read is booked to
-    the wrong timer: on a coupled lazy run ``timers["physical_step"]``
-    read 0.11 s of 2.45 s and the rest appeared as coupler wait. The
-    drain sits at the program point of the old first host read, so the
-    chain's accounting for the step — pinned here from the commit before
-    the fix — and the state are what they were.
-    """
+    """Under ``Config.lazy`` (a field without effect) every loop of a
+    physical step runs inside the step's ``hydra.step`` span, and the
+    step's state is bitwise the eager one, on two ranks with partial
+    and grouped halos."""
+    from repro import telemetry
     from repro.hydra.problem import row_owners
     from repro.op2.distribute import (build_local_problem, gather_dat,
                                       plan_distribution)
@@ -263,30 +259,30 @@ def test_lazy_step_drains_its_chain_inside_the_timer():
     def run(lazy):
         def rank_fn(comm):
             op2.set_config(partial_halos=True, grouped_halos=True, lazy=lazy)
-            op2.reset_chain_stats()
             local = build_local_problem(gp, layouts[comm.rank], comm)
             s = HydraSolver(local, cfg, Numerics(), dt_outer=0.05,
                             inlet=inflow, p_out=1.0)
-            s.advance_physical()
-            chain = op2.current_chain()
-            pending = len(chain.pending) if chain is not None else 0
-            st = op2.chain_stats().as_dict()
+            with telemetry.tracing() as rec:
+                s.advance_physical()
             q = gather_dat(comm, s.q, layouts[comm.rank], mesh.n_nodes)
-            return q, pending, st
+            return q, list(rec.spans)
 
         return run_ranks(2, rank_fn)
 
     eager, lazy = run(False), run(True)
     assert np.array_equal(eager[0][0], lazy[0][0])
-    for _q, pending, st in lazy:
-        assert pending == 0
-        assert (st["halo_elided"], st["flushes"]) == (93, 3)
+    for _q, spans in lazy:
+        (step,) = [sp for sp in spans if sp.cat == "hydra.step"]
+        loops = [sp for sp in spans if sp.cat == "op2.compute"]
+        assert loops
+        assert all(step.t0 <= sp.t0 and sp.t1 <= step.t1 for sp in loops)
 
 
 @pytest.mark.parametrize("backend", ["vectorized", "native"])
 def test_lazy_loop_stats_name_every_kernel(backend):
-    """A chained inner iteration records one ``op2.compute`` span per
-    kernel call, as eager does: same kernel names, same call counts."""
+    """An inner iteration under ``Config.lazy`` (no effect) records one
+    ``op2.compute`` span per kernel call, as eager does: same kernel
+    names, same call counts."""
     from repro import telemetry
 
     solver, _mesh, _inflow = make_solver(
@@ -298,8 +294,6 @@ def test_lazy_loop_stats_name_every_kernel(backend):
             solver.advance_physical()
             with telemetry.tracing() as rec:
                 solver.inner_iteration()
-                op2.flush_chain()
-        op2.flush_chain()  # retire the implicit chain
         return {name: st.calls for name, st in rec.loop_stats.items()}
 
     eager = calls(False)

@@ -1,15 +1,17 @@
-"""Application-level equivalence of the compiled chain paths.
+"""Application-level equivalence of the compiled backends.
 
 The differential matrix (``test_backend_differential.py``) certifies
 the compiled backends on synthetic kernels; this suite certifies them
 on the real applications. The airfoil solver and the Hydra row solver
 run distributed — 1 and 4 ranks, both simulated-MPI transports — on
-both compiled backends (the ``native_chain_backend`` fixture), and
+both compiled backends (the ``compiled_backend`` fixture), and
 every combination must satisfy:
 
-* the lazy loop-chain is **bitwise-equal** to eager execution
+* a run with ``Config.lazy`` set (a field without effect, kept for the
+  frozen end-to-end harness) is **bitwise-equal** to the eager run
   (``native_threads`` pinned to 1, so compiled global reductions are
-  deterministic too);
+  deterministic too), and within 1e-12 of the ``vectorized`` backend's
+  result on the same ranks;
 * the ``op2.native.*`` telemetry counters tell a consistent story: no
   environment fallbacks with a healthy toolchain, and the atomics
   strategy actually executing its chunked compiled path.
@@ -18,6 +20,8 @@ The default shared compile cache is used deliberately — every rank and
 parameterization after the first hits the disk cache, keeping the
 matrix cheap.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -65,28 +69,36 @@ def _airfoil_run(backend, lazy, nranks):
     def rank_fn(comm):
         op2.set_config(backend=backend, lazy=lazy, native_threads=1,
                        partial_halos=True, grouped_halos=True)
-        op2.reset_chain_stats()
         with telemetry.tracing() as rec:
             local = build_local_problem(gp, layouts[comm.rank], comm)
             app = AirfoilApp.from_local(mesh, local, mach=0.35)
             app.iterate(3)
-            op2.flush_chain()
             q = gather_dat(comm, app.q, layouts[comm.rank], mesh.ncell)
-        return q, op2.chain_stats().as_dict(), dict(rec.counters)
+        return q, dict(rec.counters)
 
     results = run_ranks(nranks, rank_fn)
-    return results[0][0], [r[1] for r in results], [r[2] for r in results]
+    return results[0][0], [r[1] for r in results]
+
+
+@functools.cache
+def _reference(run, nranks):
+    """The ``vectorized`` result of ``run`` (transport-invariant)."""
+    return run("vectorized", False, nranks)[0]
 
 
 @pytest.mark.parametrize("nranks", [1, 4])
-def test_airfoil_chain_bitwise_eager(native_chain_backend, smpi_transport,
+def test_airfoil_chain_bitwise_eager(compiled_backend, smpi_transport,
                                      nranks):
-    q_e, _, _ = _airfoil_run(native_chain_backend, False, nranks)
-    q_l, _, counters = _airfoil_run(native_chain_backend, True, nranks)
-    assert np.array_equal(q_e, q_l), \
-        (f"airfoil chain != eager on {native_chain_backend} "
+    q_e, _ = _airfoil_run(compiled_backend, False, nranks)
+    q, counters = _airfoil_run(compiled_backend, True, nranks)
+    assert np.array_equal(q_e, q), \
+        (f"airfoil lazy=True != eager on {compiled_backend} "
          f"({nranks} ranks, {smpi_transport} transport)")
-    _check_rank_counters(native_chain_backend, counters)
+    np.testing.assert_allclose(
+        q, _reference(_airfoil_run, nranks), rtol=1e-12, atol=1e-13,
+        err_msg=f"airfoil on {compiled_backend} ({nranks} ranks, "
+                f"{smpi_transport} transport)")
+    _check_rank_counters(compiled_backend, counters)
 
 
 # -- hydra ---------------------------------------------------------------
@@ -107,27 +119,28 @@ def _hydra_run(backend, lazy, nranks):
     def rank_fn(comm):
         op2.set_config(backend=backend, lazy=lazy, native_threads=1,
                        partial_halos=True, grouped_halos=True)
-        op2.reset_chain_stats()
         with telemetry.tracing() as rec:
             local = build_local_problem(gp, layouts[comm.rank], comm)
             s = HydraSolver(local, cfg, Numerics(), dt_outer=0.05,
                             inlet=inflow, p_out=1.0)
             s.run(2)
-            op2.flush_chain()
             q = gather_dat(comm, s.q, layouts[comm.rank], mesh.n_nodes)
-        return q, op2.chain_stats().as_dict(), dict(rec.counters)
+        return q, dict(rec.counters)
 
     results = run_ranks(nranks, rank_fn)
-    return results[0][0], [r[1] for r in results], [r[2] for r in results]
+    return results[0][0], [r[1] for r in results]
 
 
 @pytest.mark.parametrize("nranks", [1, 4])
-def test_hydra_chain_bitwise_eager(native_chain_backend, smpi_transport,
+def test_hydra_chain_bitwise_eager(compiled_backend, smpi_transport,
                                    nranks):
-    q_e, _, _ = _hydra_run(native_chain_backend, False, nranks)
-    q_l, stats, counters = _hydra_run(native_chain_backend, True, nranks)
-    assert np.array_equal(q_e, q_l), \
-        (f"hydra chain != eager on {native_chain_backend} "
+    q_e, _ = _hydra_run(compiled_backend, False, nranks)
+    q, counters = _hydra_run(compiled_backend, True, nranks)
+    assert np.array_equal(q_e, q), \
+        (f"hydra lazy=True != eager on {compiled_backend} "
          f"({nranks} ranks, {smpi_transport} transport)")
-    assert stats[0]["flushes"] > 0, "the hydra inner iteration must chain"
-    _check_rank_counters(native_chain_backend, counters)
+    np.testing.assert_allclose(
+        q, _reference(_hydra_run, nranks), rtol=1e-12, atol=1e-13,
+        err_msg=f"hydra on {compiled_backend} ({nranks} ranks, "
+                f"{smpi_transport} transport)")
+    _check_rank_counters(compiled_backend, counters)

@@ -1,35 +1,41 @@
-"""Lazy loop chains: bitwise equivalence and halo elision.
+"""``Config.lazy`` and the loop-chain stand-ins change nothing.
 
-The chain runtime's contract is *bitwise equivalence* with eager
-execution, so every test here compares full eager and lazy runs bit
-for bit — serially across the numpy backends, distributed across
-rank counts and halo-optimization configs, on the Hydra solver's
-chained inner iteration, and under hypothesis-generated random loop
-programs that stress the staleness analysis (an elision that drops a
-required exchange leaves stale halo values and breaks the comparison).
+Every par_loop runs when it is called. What is left of the removed
+lazy loop chain is what the frozen end-to-end harness
+(``benchmarks/e2e/``) still uses: the no-effect fields ``Config.lazy``
+and ``CoupledRunConfig.lazy``, no-op ``op2.flush_chain()`` /
+``op2.reset_chain_stats()`` and an all-zero ``op2.chain_stats()``.
+These tests run the programs the chain was once certified on — the
+serial airfoil on the numpy backends, a two-map ring and the airfoil
+across rank counts and halo configs, the distributed Hydra row, a
+coupled run and hypothesis-generated random ring programs — with
+``lazy`` off and on, and require the same bits and the same halo
+traffic. They also pin eager semantics at host access under
+``lazy=True``: a loop's result is in the dat's storage when
+``par_loop`` returns, and a Global reads its reduction at once.
 """
 
 import numpy as np
 import pytest
 
 from repro import op2
-from repro.op2.chain import current_chain
 from repro.op2.distribute import GlobalProblem, plan_distribution
 from repro.smpi import Traffic, run_ranks
 
+#: what ``op2.chain_stats().as_dict()`` always reads
+ZERO_STATS = {"fused": 0, "halo_elided": 0, "flushes": 0}
+
 
 @pytest.fixture(autouse=True)
-def _clean_chain_state():
-    """Leave the main thread's config and chain exactly as found."""
+def _clean_config():
+    """Leave the main thread's config exactly as found."""
     yield
-    op2.set_config(lazy=False, chain_verify=False, partial_halos=False, grouped_halos=False,
+    op2.set_config(lazy=False, partial_halos=False, grouped_halos=False,
                    backend="vectorized", check_access=False)
-    op2.flush_chain()  # lazy is off: this also retires an implicit chain
-    op2.reset_chain_stats()
 
 
 # --------------------------------------------------------------------------
-# a small ring problem with two maps (union-scope coverage)
+# a small ring problem with two maps
 # --------------------------------------------------------------------------
 
 def k_gather(e, x0, x1):
@@ -54,6 +60,8 @@ def k_relax(y, x):
 
 
 def make_ring(n=16, seed=0):
+    """A ring of ``n`` nodes with two edge maps, to neighbour and to
+    next-but-one neighbour."""
     rng = np.random.default_rng(seed)
     gp = GlobalProblem()
     gp.add_set("nodes", n)
@@ -68,8 +76,8 @@ def make_ring(n=16, seed=0):
     return gp, t1
 
 
-#: opcode -> one par_loop of the random program
 def _issue(op, sets, maps, dats):
+    """Run the ring program's loop for opcode ``op``."""
     nodes, edges = sets
     pedge, pskip = maps
     x, y, e = dats
@@ -91,8 +99,9 @@ def _issue(op, sets, maps, dats):
         raise ValueError(op)
 
 
-def run_ring(program, nranks, *, lazy, partial=True, grouped=True,
-             verify=False, n=16):
+def run_ring(program, nranks, *, lazy, partial=True, grouped=True, n=16):
+    """Run ``program`` on ``nranks`` ranks; returns the gathered dats,
+    each rank's ``chain_stats().as_dict()`` and the halo message count."""
     gp, table = make_ring(n)
     node_owner = np.minimum(np.arange(n) * nranks // n, nranks - 1)
     owners = {"nodes": node_owner, "edges": node_owner[table[:, 0]]}
@@ -101,15 +110,15 @@ def run_ring(program, nranks, *, lazy, partial=True, grouped=True,
 
     def rank_fn(comm):
         op2.set_config(lazy=lazy, partial_halos=partial,
-                       grouped_halos=grouped, chain_verify=verify)
+                       grouped_halos=grouped)
         op2.reset_chain_stats()
         local = op2.build_local_problem(gp, layouts[comm.rank], comm)
         sets = (local.sets["nodes"], local.sets["edges"])
         maps = (local.maps["pedge"], local.maps["pskip"])
         dats = (local.dats["x"], local.dats["y"], local.dats["e"])
-        with op2.loop_chain("ring", enabled=lazy):
-            for step in program:
-                _issue(step, sets, maps, dats)
+        for step in program:
+            _issue(step, sets, maps, dats)
+        op2.flush_chain()
         st = op2.chain_stats().as_dict()
         out = [op2.gather_dat(comm, d, layouts[comm.rank], n) for d in dats]
         return out, st
@@ -136,27 +145,16 @@ class TestSerialEquivalence:
             op2.set_config(backend=backend, lazy=lazy)
             app = AirfoilApp(mesh, mach=0.35)
             history = app.iterate(2)
-            op2.flush_chain()
             return app.q.data_ro.copy(), np.asarray(history)
 
         q_e, h_e = run(lazy=False)
-        op2.set_config(lazy=False)
         q_l, h_l = run(lazy=True)
         assert np.array_equal(q_e, q_l)
         assert np.array_equal(h_e, h_l)
 
-    def test_chain_verify_mode_passes(self):
-        from repro.apps import AirfoilApp, make_airfoil_mesh
-
-        mesh = make_airfoil_mesh(ni=12, nj=4)
-        op2.set_config(backend="vectorized", lazy=True, chain_verify=True)
-        app = AirfoilApp(mesh, mach=0.35)
-        app.iterate(2)  # every flush replays eagerly and compares bitwise
-        op2.flush_chain()
-
 
 # --------------------------------------------------------------------------
-# distributed equivalence + elision accounting
+# distributed equivalence and traffic
 # --------------------------------------------------------------------------
 
 PROGRAM = list("GSCYGUGSCY")  # two maps, writes, redundant-exec scatter
@@ -173,31 +171,13 @@ class TestDistributed:
                                    partial=partial, grouped=grouped)
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
-        assert m_l <= m_e  # lazy never sends more messages than eager
-        st = stats[0]
-        assert st["exchanges"] <= st["eager_exchanges"]
-        assert st["messages"] == m_l // nranks or st["messages"] <= m_l
-
-    def test_elision_saves_messages(self):
-        # after U stales x, it is read through pedge AND pskip: eager
-        # re-exchanges per map under partial halos, the chain does one
-        # union-scope exchange
-        _, stats, m_e = run_ring(list("UGS"), 2, lazy=False)
-        _, stats, m_l = run_ring(list("UGS"), 2, lazy=True)
-        st = stats[0]
-        assert st["halo_elided"] > 0
-        assert st["messages_saved"] > 0
-        assert m_l < m_e
-
-    def test_ring_chain_verify(self):
-        ref, _, _ = run_ring(PROGRAM, 2, lazy=False)
-        out, _, _ = run_ring(PROGRAM, 2, lazy=True, verify=True)
-        for a, b in zip(ref, out):
-            assert np.array_equal(a, b)
+        assert m_e > 0
+        assert m_l == m_e
+        assert stats == [ZERO_STATS] * nranks
 
 
 class TestAirfoilDistributed:
-    def run(self, nranks, lazy, verify=False):
+    def run(self, nranks, lazy):
         from repro.apps import (AirfoilApp, airfoil_owners, airfoil_problem,
                                 make_airfoil_mesh)
         from repro.op2.distribute import build_local_problem, gather_dat
@@ -206,38 +186,34 @@ class TestAirfoilDistributed:
         gp = airfoil_problem(mesh, mach=0.35)
         layouts = plan_distribution(gp, nranks,
                                     airfoil_owners(mesh, nranks))
+        traffic = Traffic()
 
         def rank_fn(comm):
             op2.set_config(partial_halos=True, grouped_halos=True,
-                           lazy=lazy, chain_verify=verify)
-            op2.reset_chain_stats()
+                           lazy=lazy)
             local = build_local_problem(gp, layouts[comm.rank], comm)
             app = AirfoilApp.from_local(mesh, local, mach=0.35)
             history = app.iterate(3)
-            op2.flush_chain()
-            st = op2.chain_stats().as_dict()
             q = gather_dat(comm, app.q, layouts[comm.rank], mesh.ncell)
-            return q, np.asarray(history), st
+            return q, np.asarray(history)
 
-        results = run_ranks(nranks, rank_fn)
-        return results[0][0], [r[1] for r in results], [r[2] for r in results]
+        results = run_ranks(nranks, rank_fn, traffic=traffic)
+        halo = {k: (v["messages"], v["nbytes"])
+                for k, v in traffic.by_phase().items()
+                if k.startswith("halo")}
+        return results[0][0], [r[1] for r in results], halo
 
     @pytest.mark.parametrize("nranks", [2, 3])
     def test_bitwise_and_fewer_messages(self, nranks):
-        q_e, h_e, _ = self.run(nranks, lazy=False)
-        q_l, h_l, stats = self.run(nranks, lazy=True)
+        """Bitwise equal, and no more halo messages or bytes than eager
+        (exactly as many, phase by phase)."""
+        q_e, h_e, halo_e = self.run(nranks, lazy=False)
+        q_l, h_l, halo_l = self.run(nranks, lazy=True)
         assert np.array_equal(q_e, q_l)
         for he, hl in zip(h_e, h_l):
             assert np.array_equal(he, hl)
-        st = stats[0]
-        assert st["halo_elided"] > 0
-        # the acceptance bar: >= 25% fewer halo messages than eager
-        assert st["messages"] <= 0.75 * st["eager_messages"]
-
-    def test_chain_verify_distributed(self):
-        q_e, _, _ = self.run(2, lazy=False)
-        q_v, _, _ = self.run(2, lazy=True, verify=True)
-        assert np.array_equal(q_e, q_v)
+        assert halo_e
+        assert halo_l == halo_e
 
 
 class TestHydraDistributed:
@@ -274,11 +250,7 @@ class TestHydraDistributed:
         q_e, _ = self.run(2, lazy=False)
         q_l, stats = self.run(2, lazy=True)
         assert np.array_equal(q_e, q_l)
-        st = stats[0]
-        # the solver's boundary maps are ownership-aligned (empty
-        # plans), so eager's per-boundary-loop exchange calls all elide
-        assert st["halo_elided"] > 0
-        assert st["messages"] <= st["eager_messages"]
+        assert stats == [ZERO_STATS] * 2
 
 
 class TestCoupledLazy:
@@ -298,9 +270,8 @@ class TestCoupledLazy:
         return CoupledDriver(cfg).run(1)
 
     def test_coupled_run_bitwise(self):
-        """CoupledRunConfig.lazy chains every HS solver; the coupler's
-        host reads at interface exchanges flush transparently, so the
-        coupled physics must stay bitwise-equal to the eager run."""
+        """``CoupledRunConfig.lazy`` has no effect: the coupled physics
+        stays bitwise-equal to the run without it."""
         eager, lazy = self.run(False), self.run(True)
         compared = 0
         for re_, rl in zip(eager.rows, lazy.rows):
@@ -312,7 +283,7 @@ class TestCoupledLazy:
 
 
 # --------------------------------------------------------------------------
-# chain semantics: snapshots, flush triggers, retirement
+# host access under lazy=True: loops have run when par_loop returns
 # --------------------------------------------------------------------------
 
 def k_scale(x, g):
@@ -328,104 +299,87 @@ class TestChainSemantics:
         nodes = op2.Set(n, "nodes")
         x = op2.Dat(nodes, 1, data=np.arange(1.0, n + 1.0).reshape(n, 1),
                     name="x")
+        op2.set_config(lazy=True)
         return nodes, x
 
     def test_read_global_snapshot_at_enqueue(self):
+        """A READ Global's value is the one at the call: a later host
+        write does not reach the loop."""
         nodes, x = self._nodes_x()
         g = op2.Global(1, 2.0, "g")
-        with op2.loop_chain("snap"):
-            op2.par_loop(op2.Kernel(k_scale), nodes,
-                         x.arg(op2.RW), g.arg(op2.READ))
-            assert current_chain().pending  # still deferred
-            g.value = 5.0  # host write; READ snapshot keeps old value
-            assert current_chain().pending  # no flush was forced
+        op2.par_loop(op2.Kernel(k_scale), nodes,
+                     x.arg(op2.RW), g.arg(op2.READ))
+        g.value = 5.0
         assert np.array_equal(x.data_ro[:, 0],
                               2.0 * np.arange(1.0, 9.0))
 
     def test_host_read_of_reduction_flushes(self):
         nodes, x = self._nodes_x()
         g = op2.Global(1, 0.0, "acc")
-        with op2.loop_chain("red"):
-            op2.par_loop(op2.Kernel(k_sum), nodes,
-                         x.arg(op2.READ), g.arg(op2.INC))
-            assert current_chain().pending
-            assert g.value == pytest.approx(36.0)  # read forced the flush
-            assert not current_chain().pending
+        op2.par_loop(op2.Kernel(k_sum), nodes,
+                     x.arg(op2.READ), g.arg(op2.INC))
+        assert g.value == pytest.approx(36.0)
 
     def test_host_write_to_reduction_target_flushes(self):
         nodes, x = self._nodes_x()
         g = op2.Global(1, 0.0, "acc")
-        with op2.loop_chain("redw"):
-            op2.par_loop(op2.Kernel(k_sum), nodes,
-                         x.arg(op2.READ), g.arg(op2.INC))
-            g.value = 0.0  # must land *after* the pending reduction
-            assert not current_chain().pending
+        op2.par_loop(op2.Kernel(k_sum), nodes,
+                     x.arg(op2.READ), g.arg(op2.INC))
+        g.value = 0.0  # lands after the reduction
         assert g.value == 0.0
 
     def test_read_after_reduction_enqueue_flushes_first(self):
-        # a loop READing a Global a pending loop reduces into cannot
-        # snapshot the pre-reduction value: enqueue flushes first
+        """A loop READing a Global the previous loop reduced into sees
+        the reduced value."""
         nodes, x = self._nodes_x()
         g = op2.Global(1, 0.0, "acc")
-        with op2.loop_chain("rw"):
-            op2.par_loop(op2.Kernel(k_sum), nodes,
-                         x.arg(op2.READ), g.arg(op2.INC))
-            op2.par_loop(op2.Kernel(k_scale), nodes,
-                         x.arg(op2.RW), g.arg(op2.READ))
+        op2.par_loop(op2.Kernel(k_sum), nodes,
+                     x.arg(op2.READ), g.arg(op2.INC))
+        op2.par_loop(op2.Kernel(k_scale), nodes,
+                     x.arg(op2.RW), g.arg(op2.READ))
         assert np.array_equal(x.data_ro[:, 0],
                               36.0 * np.arange(1.0, 9.0))
 
     def test_dat_host_access_flushes(self):
         nodes, x = self._nodes_x()
-        op2.set_config(lazy=True)
         op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
-        assert current_chain() is not None and current_chain().pending
-        # data_ro is a host observation: it must see the updated values
         assert x.data_ro[0, 0] == pytest.approx(1.01 * 1.0 + 0.1)
-        assert not current_chain().pending
 
     def test_implicit_chain_retires_when_lazy_cleared(self):
         nodes, x = self._nodes_x()
-        op2.set_config(lazy=True)
         op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
-        assert current_chain() is not None
         op2.set_config(lazy=False)
-        op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))  # eager
-        assert current_chain() is None  # implicit chain was retired
+        op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
         expect = 1.01 * (1.01 * np.arange(1.0, 9.0) + 0.1) + 0.1
         assert np.allclose(x.data_ro[:, 0], expect)
 
     def test_loop_chain_disabled_is_eager(self):
+        """The loop has run when ``par_loop`` returns: its result is in
+        the dat's storage before any host accessor is called."""
         nodes, x = self._nodes_x()
-        with op2.loop_chain("off", enabled=False):
-            op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
-            assert current_chain() is None
+        op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
+        assert np.allclose(x._data[:8, 0], 1.01 * np.arange(1.0, 9.0) + 0.1)
 
     def test_nested_chain_joins_outer(self):
+        """Nested ``configure(lazy=True)`` blocks: both loops have run
+        when the inner block exits, and the outer config is restored."""
         nodes, x = self._nodes_x()
-        with op2.loop_chain("outer") as outer:
+        op2.set_config(lazy=False)
+        with op2.configure(lazy=True):
             op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
-            with op2.loop_chain("inner") as inner:
-                assert inner is outer
+            with op2.configure(lazy=True):
                 op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
-            assert len(outer.pending) == 2  # inner exit did not flush
+            expect = 1.01 * (1.01 * np.arange(1.0, 9.0) + 0.1) + 0.1
+            assert np.allclose(x._data[:8, 0], expect)
+            assert op2.current_config().lazy is True
+        assert op2.current_config().lazy is False
 
 
 # --------------------------------------------------------------------------
-# satellites: breakdown columns
+# telemetry: no chain counters, no chain columns
 # --------------------------------------------------------------------------
 
 class TestBreakdownColumns:
-    def test_chain_columns_present_when_chained(self):
-        from repro.telemetry.timeline import Timeline
-
-        tl = Timeline(counters={"chain.flushes": 2.0,
-                                "chain.halo_elided": 5.0,
-                                "chain.messages_saved": 7.0})
-        bd = tl.breakdown()
-        assert bd["halo_elided"] == 5.0
-        assert bd["messages_saved"] == 7.0
-
     def test_chain_columns_absent_otherwise(self):
         from repro.telemetry.timeline import Timeline
 
@@ -434,23 +388,27 @@ class TestBreakdownColumns:
         assert "messages_saved" not in bd
 
     def test_counters_flow_from_flush_to_timeline(self):
+        """A traced ``lazy=True`` run and its ``flush_chain()`` record no
+        ``chain.*`` counters, and the breakdown has no chain columns."""
         from repro.telemetry.recorder import RankRecorder, use_recorder
         from repro.telemetry.timeline import merge_timelines
 
         rec = RankRecorder(rank=0)
         prev = use_recorder(rec)
         try:
-            run_ring(list("GS"), 1, lazy=True)  # serial: counters only
+            run_ring(list("GS"), 1, lazy=True)
             nodes = op2.Set(8, "nodes")
             x = op2.Dat(nodes, 1, data=np.ones((8, 1)), name="x")
-            with op2.loop_chain("counted"):
-                op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
+            op2.set_config(lazy=True)
+            op2.par_loop(op2.Kernel(k_update), nodes, x.arg(op2.RW))
+            op2.flush_chain()
         finally:
             use_recorder(prev)
         tl = merge_timelines([rec])
-        assert tl.counters.get("chain.flushes", 0) >= 1
+        assert tl.counters.get("op2.halo.messages", 0) == 0  # one rank
+        assert not any(k.startswith("chain.") for k in tl.counters)
         bd = tl.breakdown()
-        assert "halo_elided" in bd and "messages_saved" in bd
+        assert "halo_elided" not in bd and "messages_saved" not in bd
 
 
 # --------------------------------------------------------------------------
@@ -476,27 +434,21 @@ class TestAnalyzerProperties:
     @example(program=list("GUGUGU"), partial=True, grouped=False)
     @example(program=list("CCCC"), partial=True, grouped=True)
     def test_lazy_bitwise_equals_eager(self, program, partial, grouped):
-        """Elision never drops a required exchange: any dropped or
-        mis-scoped exchange leaves stale halo entries, and the bitwise
-        comparison against the eager run catches it."""
+        """Any ring program runs bitwise the same, with the same halo
+        message count, with ``lazy`` off and on."""
         ref, _, m_e = run_ring(program, 2, lazy=False, partial=partial,
                                grouped=grouped)
-        out, stats, m_l = run_ring(program, 2, lazy=True, partial=partial,
-                                   grouped=grouped)
+        out, _, m_l = run_ring(program, 2, lazy=True, partial=partial,
+                               grouped=grouped)
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
-        # ...and batching never *increases* traffic or exchange rounds
-        assert m_l <= m_e
-        st = stats[0]
-        assert st["exchanges"] <= st["eager_exchanges"]
+        assert m_l == m_e
 
     @settings(max_examples=8, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(program=_programs)
     def test_stats_are_consistent(self, program):
-        _, stats, m_l = run_ring(program, 2, lazy=True)
-        st = stats[0]
-        assert st["loops"] == len(program)
-        assert st["halo_elided"] == st["eager_exchanges"] - st["exchanges"]
-        assert st["messages_saved"] == st["eager_messages"] - st["messages"]
-        assert st["messages"] >= 0 and st["messages_saved"] >= 0
+        """Whatever ran, ``chain_stats()`` reads the three keys the
+        harness probes read, all zero, on every rank."""
+        _, stats, _ = run_ring(program, 2, lazy=True)
+        assert stats == [ZERO_STATS] * 2

@@ -419,12 +419,11 @@ class TestCoupledTrace:
         assert CoupledDriver(cfg).run(1).timeline is None
 
 
-def _seed_execute(self, backend_name=None):
-    """The pre-telemetry serial par_loop execute path (seed replica)."""
+def _seed_run(self):
+    """The pre-telemetry serial par_loop run path (seed replica)."""
     cfg = current_config()
-    if cfg.sanitize:
-        backend_name = "sanitizer"
-    backend = resolve_backend(backend_name or cfg.backend)
+    backend = resolve_backend("sanitizer" if cfg.sanitize
+                              else self.backend or cfg.backend)
     assert not self.iterset.is_distributed
     reductions = ReductionBuffers(self.args)
     backend.execute(self, 0, self.iterset.size, reductions)
@@ -438,19 +437,19 @@ class TestOverheadGuard:
         app = AirfoilApp(make_airfoil_mesh(48, 12))
         app.iterate(2)  # warm caches, allocate, JIT numpy paths
 
-        current = BoundLoop.execute
+        current = BoundLoop.run
 
         def run(impl, niter=2):
-            monkeypatch.setattr(BoundLoop, "execute", impl)
+            monkeypatch.setattr(BoundLoop, "run", impl)
             t0 = time.perf_counter()
             app.iterate(niter)
             return time.perf_counter() - t0
 
         seed_times, new_times = [], []
         for _ in range(5):  # interleave to decorrelate machine noise
-            seed_times.append(run(_seed_execute))
+            seed_times.append(run(_seed_run))
             new_times.append(run(current))
-        monkeypatch.setattr(BoundLoop, "execute", current)
+        monkeypatch.setattr(BoundLoop, "run", current)
         seed_best, new_best = min(seed_times), min(new_times)
         # min-of-N with a 2 ms absolute floor to absorb scheduler jitter
         assert new_best <= seed_best * 1.05 + 2e-3, (

@@ -58,6 +58,7 @@ def _without_native(tl: Timeline) -> Timeline:
         ranks=tl.ranks)
 
 
+# ``lazy`` sets CoupledRunConfig.lazy, a field without effect
 @pytest.mark.parametrize("backend,lazy", [
     ("vectorized", False),
     ("vectorized", True),

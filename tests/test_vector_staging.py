@@ -149,9 +149,9 @@ def captured_loops() -> dict[str, tuple]:
     seen: dict[str, tuple] = {}
     real = parloop.execute_loop
 
-    def record(loop, backend_name, refresh_halos=False):
+    def record(loop, backend_name):
         seen.setdefault(loop.kernel.name, (loop.kernel, loop.signature()))
-        real(loop, backend_name, refresh_halos)
+        real(loop, backend_name)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parloop, "execute_loop", record)
