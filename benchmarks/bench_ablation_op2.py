@@ -2,7 +2,8 @@
 
 Design-choice benchmarks called out in DESIGN.md: how the generated
 parallelizations compare on the solver's hot loop (the edge flux), and
-what the coloring plans look like on a real row mesh.
+what the block-coloring plan looks like on a real row mesh at several
+block sizes.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro.hydra import FlowState, row_problem
 from repro.hydra.kernels import KERNELS
 from repro.mesh import RowConfig, RowKind, make_row_mesh
 from repro.op2.distribute import build_serial_problem
-from repro.op2.plan import build_block_plan, build_plan
+from repro.op2.plan import build_block_plan
 from repro.util.tables import format_table
 
 
@@ -52,10 +53,7 @@ def test_report_plan_quality(report, flux_loop, benchmark):
         local.dats["res"].arg(op2.INC, local.maps["pedge"], 0),
         local.dats["res"].arg(op2.INC, local.maps["pedge"], 1),
     ]
-    plan = build_plan(args, local.sets["edges"].size)
-    rows = [["element coloring", plan.ncolors,
-             min(len(g) for g in plan.color_groups),
-             max(len(g) for g in plan.color_groups)]]
+    rows = []
     for bs in (64, 256, 1024):
         bp = build_block_plan(args, local.sets["edges"].size, block_size=bs)
         sizes = np.bincount(bp.block_colors)
@@ -64,8 +62,9 @@ def test_report_plan_quality(report, flux_loop, benchmark):
     report(format_table(
         ["plan", "colors", "smallest group", "largest group"], rows,
         title=f"OP2 plan quality on a {mesh.n_edges}-edge row mesh"))
-    assert plan.ncolors <= 8  # structured mesh: small chromatic number
-    benchmark.pedantic(build_plan, args=(args, local.sets["edges"].size),
+    op2.clear_plan_cache()  # time a build, not a cache hit
+    benchmark.pedantic(build_block_plan,
+                       args=(args, local.sets["edges"].size),
                        rounds=1, iterations=1)
 
 
@@ -82,7 +81,7 @@ def test_codegen_compile_cost(benchmark):
     )
 
     def generate():
-        src = generate_vectorized(KERNELS["flux_edge"], sig, "atomic")
+        src = generate_vectorized(KERNELS["flux_edge"], sig)
         return compile_wrapper(src, "flux_edge")
 
     benchmark(generate)

@@ -30,14 +30,14 @@ quantitatively here whenever the host has the cores.
 Acceptance bars (asserted): native >= 2x vectorized on both hot
 loops; res_calc >= 1.8x at 4 threads when >= 4 cores are visible.
 Under ``--smoke`` sizes shrink and all perf bars are waived — the
-artifacts are still produced for CI upload.
+artifacts are still produced for CI upload, under
+``benchmarks/out/smoke/``.
 
 Writes ``benchmarks/out/BENCH_native.json`` and
 ``benchmarks/out/BENCH_native_scaling.json`` (telemetry bench schema).
 """
 
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -48,8 +48,6 @@ from repro.apps import AirfoilApp, make_airfoil_mesh
 from repro.op2.backends.native import toolchain
 from repro.telemetry import tracing, write_bench_summary
 from repro.util.tables import format_table
-
-OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 #: wall time is best-of-REPS (robust to scheduling noise)
 REPS = 3
@@ -95,7 +93,7 @@ def _best_of(fn, reps=REPS):
 
 
 @pytest.mark.skipif(toolchain() is None, reason="no C toolchain")
-def test_native_vs_vectorized(report, smoke):
+def test_native_vs_vectorized(report, smoke, bench_out):
     ni, nj = (32, 8) if smoke else (NI, NJ)
     reps = 1 if smoke else REPS
     mesh = make_airfoil_mesh(ni=ni, nj=nj)
@@ -142,7 +140,7 @@ def test_native_vs_vectorized(report, smoke):
         metrics[f"kernel_{name}_speedup"] = {
             "value": vec["kernels"][name] / nat["kernels"][name],
             "unit": "x"}
-    write_bench_summary(OUT_DIR, "native", metrics, meta={
+    write_bench_summary(bench_out, "native", metrics, meta={
         "cells": mesh.ncell, "edges": mesh.nedge, "iterations": NITER,
         "reps": reps, "wall": "best-of-reps", "smoke": smoke,
         "toolchain": toolchain()[0],
@@ -154,7 +152,7 @@ def test_native_vs_vectorized(report, smoke):
 
 
 @pytest.mark.skipif(toolchain() is None, reason="no C toolchain")
-def test_native_thread_scaling(report, smoke):
+def test_native_thread_scaling(report, smoke, bench_out):
     """1/2/4/8-thread scaling of the compiled backend on the airfoil
     hot loops.
 
@@ -215,7 +213,7 @@ def test_native_thread_scaling(report, smoke):
         metrics[f"speedup_res_calc_{tag}"] = {
             "value": t1["kernels"]["res_calc"] / r["kernels"]["res_calc"],
             "unit": "x"}
-    write_bench_summary(OUT_DIR, "native_scaling", metrics, meta={
+    write_bench_summary(bench_out, "native_scaling", metrics, meta={
         "cells": mesh.ncell, "edges": mesh.nedge, "iterations": niter,
         "reps": reps, "threads": list(threads), "cores_visible": cores,
         "smoke": smoke, "toolchain": toolchain()[0],

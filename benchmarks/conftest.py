@@ -8,7 +8,9 @@ On top of the human-readable report, the session-finish hook exports
 every pytest-benchmark measurement as a machine-readable
 ``benchmarks/out/BENCH_<module>.json`` (the telemetry bench schema,
 ``repro-telemetry-bench-v1``) so the repo keeps a diffable perf
-trajectory across commits.
+trajectory across commits. A ``--smoke`` run writes its JSON to the
+untracked ``benchmarks/out/smoke/`` instead (:func:`bench_dir`), so it
+never overwrites the recorded full-size numbers.
 """
 
 import os
@@ -18,6 +20,13 @@ import warnings
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+#: where ``--smoke`` runs write their BENCH_*.json (gitignored)
+SMOKE_DIR = OUT_DIR / "smoke"
+
+
+def bench_dir(config) -> pathlib.Path:
+    """The directory for this session's BENCH_*.json files."""
+    return SMOKE_DIR if config.getoption("--smoke") else OUT_DIR
 
 
 @pytest.fixture(scope="session")
@@ -40,13 +49,20 @@ def pytest_addoption(parser):
     parser.addoption(
         "--smoke", action="store_true", default=False,
         help="shrink benchmark problem sizes/reps to a CI-friendly "
-             "smoke run (artifacts still written, perf bars relaxed)")
+             "smoke run (artifacts written to benchmarks/out/smoke/, "
+             "perf bars relaxed)")
 
 
 @pytest.fixture(scope="session")
 def smoke(request):
     """True when the run is a CI smoke (small sizes, no perf bars)."""
     return request.config.getoption("--smoke")
+
+
+@pytest.fixture(scope="session")
+def bench_out(request):
+    """Where a benchmark writes its BENCH_*.json (see :func:`bench_dir`)."""
+    return bench_dir(request.config)
 
 
 def pytest_report_header(config):
@@ -79,7 +95,7 @@ def _bench_json_summaries(config) -> None:
                 entry.setdefault(k, v)
         by_module.setdefault(name, {})[bench.name] = entry
     for name, metrics in by_module.items():
-        write_bench_summary(OUT_DIR, name, metrics,
+        write_bench_summary(bench_dir(config), name, metrics,
                             meta={"source": "pytest-benchmark"})
 
 

@@ -318,7 +318,7 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
     if args.backend == "sequential":
         print(generate_sequential(kernel.name, loop.signature()))
     elif args.backend == "vectorized":
-        print(generate_vectorized(kernel, loop.signature(), "atomic"))
+        print(generate_vectorized(kernel, loop.signature()))
     else:
         print(generate_native(kernel, loop.native_signature()))
         # frozen coordinates and a const Global: cos(k y) is cached
@@ -334,10 +334,11 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
 
 def _sanitize_races() -> None:
     from repro import op2
+    from repro.op2.plan import BLOCK_SIZE
     from repro.sanitize import RaceError
 
     print("== race sanitizer ==")
-    n = 8
+    n = 4 * BLOCK_SIZE
     nodes = op2.Set(n, "nodes")
     edges = op2.Set(n, "edges")
     table = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
@@ -351,18 +352,17 @@ def _sanitize_races() -> None:
     kernel = op2.Kernel(scatter)
     arg = acc.arg(op2.INC, pedge, op2.ALL)
     op2.par_loop(kernel, edges, arg, backend="sanitizer")
-    plan = op2.build_plan([arg], n)
-    print(f"ring of {n} edges: plan has {plan.ncolors} colors — clean")
+    plan = op2.build_block_plan([arg], n)  # the cached plan native runs
+    print(f"ring of {n} edges in {plan.nblocks} blocks of {BLOCK_SIZE}: "
+          f"block plan has {plan.ncolors} colors — clean")
 
-    # corrupt the cached plan: force two adjacent edges into one color
-    victim = plan.color_groups[1][0]
-    plan.colors[victim] = 0
-    plan.color_groups[0] = np.sort(np.append(plan.color_groups[0], victim))
-    plan.color_groups[1] = plan.color_groups[1][1:]
+    # corrupt the cached plan: force two adjacent blocks into one color
+    victim = int(np.flatnonzero(plan.block_colors == 1)[0])
+    plan.block_colors[victim] = 0
     try:
         op2.par_loop(kernel, edges, arg, backend="sanitizer")
     except RaceError as exc:
-        print(f"mutated plan (edge {victim} forced into color 0):")
+        print(f"mutated plan (block {victim} forced into color 0):")
         print(exc)
     finally:
         op2.clear_plan_cache()

@@ -51,9 +51,7 @@ from repro.op2.map import ALL, Map
 from repro.op2.parloop import BoundLoop, LoopSites, bind, par_loop
 from repro.op2.plan import (
     BlockPlan,
-    Plan,
     build_block_plan,
-    build_plan,
     clear_plan_cache,
 )
 from repro.op2.set import Set
@@ -67,8 +65,7 @@ __all__ = [
     "Kernel", "KernelParseError", "BoundLoop", "LoopSites", "bind",
     "par_loop",
     # plans
-    "Plan", "BlockPlan", "build_plan", "build_block_plan",
-    "clear_plan_cache",
+    "BlockPlan", "build_block_plan", "clear_plan_cache",
     # backends & config
     "BACKENDS", "resolve_backend", "Config", "configure",
     "current_config", "set_config", "set_default_config",

@@ -6,7 +6,9 @@ Each backend resolves indirect-increment races one way:
 ``sequential``  scalar reference loop (generated gather/call wrapper)
 ``vectorized``  whole-extent numpy execution, ``np.add.at`` scatter —
                 the single-source SIMD analogue
-``sanitizer``   colored execution with per-element write-set auditing —
+``sanitizer``   audits the block plan ``native`` executes (same cached
+                object: per-block write-sets, partition) and runs it
+                in its block-color order with the numpy wrapper —
                 raises :class:`~repro.op2.backends.sanitizer.RaceError`
                 on any same-color conflict instead of corrupting data
 ``native``      generated C compiled with the host toolchain and run
@@ -16,7 +18,9 @@ Each backend resolves indirect-increment races one way:
 ==============  ========================================================
 
 ``native`` degrades to ``vectorized`` when the toolchain is missing or
-an argument is not contiguous float64.
+an argument is not contiguous float64. There is one colouring plan,
+:class:`~repro.op2.plan.BlockPlan`; ``native`` runs it and
+``sanitizer`` checks it.
 
 Every backend has one entry point, :meth:`Backend.execute`, which runs
 one loop over a range of its iteration set.

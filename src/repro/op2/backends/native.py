@@ -346,8 +346,7 @@ class NativeBackend:
         argv = self._loop_argv(loop, reductions)
         argv += self._hoist_argv(loop, start, end)
         if native_is_planned(loop.native_signature()):
-            plan = build_block_plan(loop.args, end,
-                                    block_size=cfg.block_size)
+            plan = build_block_plan(loop.args, end)
             blk_lo, blk_hi, col_off = plan.native_arrays(start, end)
             argv += [_pointer(blk_lo), _pointer(blk_hi), _pointer(col_off),
                      c_ll(col_off.size - 1)]

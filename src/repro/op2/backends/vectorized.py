@@ -2,9 +2,8 @@
 
 :class:`VectorizedBackend` runs the generated numpy wrapper once over
 the whole range with ``np.add.at`` scatter (the single-source SIMD
-analogue); it is also what the compiled backend degrades to. The
-sanitizer backend shares :func:`_get_wrapper` for its colored
-(plain ``+=``) scatter.
+analogue); it is also what the compiled backend degrades to, and what
+the sanitizer runs per block of the block plan (:func:`run_atomic`).
 
 A steady-state call allocates no staging array: direct arguments are
 views, indirect blocks and reduction partials are slots of a per-rank
@@ -32,12 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.parloop import BoundLoop
 
 
-def _get_wrapper(loop: "BoundLoop", scatter: str):
+def _get_wrapper(loop: "BoundLoop"):
     signature = loop.signature()
-    key = ("vec", scatter, signature)
+    key = ("vec", signature)
     wrapper = loop.kernel.cached(key)
     if wrapper is None:
-        source = generate_vectorized(loop.kernel, signature, scatter)
+        source = generate_vectorized(loop.kernel, signature)
         wrapper = compile_wrapper(source, loop.kernel.name)
         loop.kernel.store(key, wrapper, source)
     return wrapper
@@ -125,7 +124,7 @@ def atomic_call(loop: "BoundLoop", start: int, end: int,
     """
     scatter = [_cached_scatter_index(arg, start, end) for arg in loop.args
                if arg.is_indirect and arg.access is Access.INC]
-    return (_get_wrapper(loop, "atomic"),
+    return (_get_wrapper(loop),
             [np, ARENA.slot, start, end, *flat, *scatter])
 
 

@@ -8,44 +8,36 @@ sequential wrapper calls per element is *transformed* — every access
 become ``np.where``, math calls become numpy ufuncs — and wrapped in
 staging and scatter code.
 
-Two scatter policies share the generated compute body:
+The wrapper runs one contiguous range ``[_start, _end)`` and is
+correct under any conflicts. A steady-state call copies no direct
+argument and allocates no staging array:
 
-* ``"atomic"`` — the vectorized backend, over one contiguous range
-  ``[_start, _end)`` and correct under any conflicts. A steady-state
-  call copies no direct argument and allocates no staging array:
+* a direct argument is the view ``_aK[_start:_end]`` (map columns are
+  sliced the same way); the body writes WRITE, RW and INC direct
+  arguments in place;
+* an indirect READ/WRITE argument is gathered with ``np.take(...,
+  out=slot)`` into a slot of the caller's staging arena; an indirect
+  INC argument and a reduction partial are slots filled with the
+  neutral value;
+* increments scatter with one unbuffered ``np.add.at`` into the flat
+  1-D view of the dat, through a flat index (one entry per element and
+  component) the caller caches: numpy's fast 1-D path, with the
+  per-target accumulation order — and so the sums, bitwise — of the
+  2-D ``np.add.at(a, m, p)``. A dat that is not C-contiguous has no
+  flat view, so the wrapper raises rather than scatter into a copy.
 
-  - a direct argument is the view ``_aK[_start:_end]`` (map columns
-    are sliced the same way); the body writes WRITE, RW and INC
-    direct arguments in place;
-  - an indirect READ/WRITE argument is gathered with ``np.take(...,
-    out=slot)`` into a slot of the caller's staging arena; an
-    indirect INC argument and a reduction partial are slots filled
-    with the neutral value;
-  - increments scatter with one unbuffered ``np.add.at`` into the
-    flat 1-D view of the dat, through a flat index (one entry per
-    element and component) the caller caches: numpy's fast 1-D path,
-    with the per-target accumulation order — and so the sums,
-    bitwise — of the 2-D ``np.add.at(a, m, p)``. A dat that is not
-    C-contiguous has no flat view, so the wrapper raises rather than
-    scatter into a copy.
+Since direct arguments are views, a dat written through a direct
+argument must be bound to no other argument of the loop
+(:class:`~repro.op2.parloop.BoundLoop` rejects it).
 
-  Since direct arguments are views, a dat written through a direct
-  argument must be bound to no other argument of the loop
-  (:class:`~repro.op2.parloop.BoundLoop` rejects it);
-* ``"colored"`` — fancy-indexed copies in and out and plain ``+=``
-  scatter, valid only for conflict-free element groups (the sanitizer
-  backend, which supplies one audited color group at a time).
+Wrapper calling convention::
 
-Wrapper calling conventions::
-
-    wrapper(_np, _slot, _start, _end, *flat, *scatter)   # "atomic"
-    wrapper(_np, _rows, *flat)                           # "colored"
+    wrapper(_np, _slot, _start, _end, *flat, *scatter)
 
 ``flat`` is as produced by ``BoundLoop.flatten_bindings``.
 ``_slot(k, shape, dtype)`` returns staging slot ``k`` of the arena; no
 staged array outlives its call. ``scatter`` holds, per indirect INC
 argument in argument order, the flat index of rows ``[_start, _end)``.
-``_rows`` is an int index array of the elements to execute.
 
 Component loops. A ``for i in range(a, b)`` block becomes whole-row
 statements over the columns ``[:, a:b]`` when
@@ -96,14 +88,9 @@ _FOLD = {
 }
 
 
-def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
-                        scatter: str) -> str:
-    """Emit vectorized wrapper source for ``kernel`` under ``signature``.
-
-    ``scatter`` is ``"atomic"`` or ``"colored"`` (see module docstring).
-    """
-    if scatter not in ("atomic", "colored"):
-        raise ValueError(f"scatter must be 'atomic' or 'colored', got {scatter!r}")
+def generate_vectorized(kernel: Kernel, signature: Sequence[tuple]) -> str:
+    """Emit vectorized wrapper source for ``kernel`` under ``signature``
+    (see the module docstring for its calling convention)."""
     params = kernel.params
     if len(params) != len(signature):
         raise KernelParseError(
@@ -111,8 +98,6 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
             f"loop supplies {len(signature)} arguments"
         )
 
-    atomic = scatter == "atomic"
-    rows = "_start:_end" if atomic else "_rows"
     wrapper_params: list[str] = []
     scatter_params: list[str] = []
     gather: list[str] = []
@@ -128,14 +113,9 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
         return f"_slot({nslots - 1}, ({shape}), {dtype})"
 
     def neutral_block(pname: str, shape: str, dtype: str, value: str) -> None:
-        """Bind ``pname`` to a ``(_n, ...)`` block filled with ``value``:
-        an arena slot (atomic) or a fresh array (colored)."""
-        if atomic:
-            gather.append(f"{pname} = {slot(shape, dtype)}")
-            gather.append(f"{pname}.fill({value})")
-        else:
-            gather.append(
-                f"{pname} = _np.full(({shape}), {value}, dtype={dtype})")
+        """Bind ``pname`` to an arena slot filled with ``value``."""
+        gather.append(f"{pname} = {slot(shape, dtype)}")
+        gather.append(f"{pname}.fill({value})")
 
     for i, (pname, sig) in enumerate(zip(params, signature)):
         kind = sig[0]
@@ -156,58 +136,41 @@ def generate_vectorized(kernel: Kernel, signature: Sequence[tuple],
         wrapper_params.append(f"_a{i}")
         if addressing == "direct":
             elementwise[pname] = 2
-            if atomic:
-                gather.append(f"{pname} = _a{i}[_start:_end]")
-            else:
-                gather.append(f"{pname} = _a{i}[_rows]")
-                if access in (Access.WRITE, Access.RW, Access.INC):
-                    scatter_lines.append(f"_a{i}[_rows] = {pname}")
+            gather.append(f"{pname} = _a{i}[_start:_end]")
             continue
         if addressing not in ("idx", "all"):  # pragma: no cover
             raise ValueError(f"unknown addressing {addressing!r}")
         wrapper_params.append(f"_m{i}")
         shape = f"_n, {dim}" if addressing == "idx" else f"_n, {arity}, {dim}"
         elementwise[pname] = 2 if addressing == "idx" else 3
-        target = f"_a{i}[_m{i}[{rows}]]"
         if access is Access.INC:
-            if atomic:
-                gather.append(
-                    f"if not _a{i}.flags.c_contiguous: raise ValueError("
-                    f"'{pname}: INC dat is not C-contiguous')")
-                scatter_params.append(f"_s{i}")
-                scatter_lines.append(f"_np.add.at(_a{i}.reshape(-1), _s{i}, "
-                                     f"{pname}.reshape(-1))")
-            else:
-                scatter_lines.append(f"{target} += {pname}")
+            gather.append(
+                f"if not _a{i}.flags.c_contiguous: raise ValueError("
+                f"'{pname}: INC dat is not C-contiguous')")
+            scatter_params.append(f"_s{i}")
+            scatter_lines.append(f"_np.add.at(_a{i}.reshape(-1), _s{i}, "
+                                 f"{pname}.reshape(-1))")
             neutral_block(pname, shape, f"_a{i}.dtype", "0.0")
             continue
-        if atomic:
-            # map rows are validated in range at Map construction, so
-            # mode='clip' only skips the bounds check — and with it
-            # numpy's buffered copy of ``out``
-            gather.append(
-                f"{pname} = _np.take(_a{i}, _m{i}[_start:_end], axis=0, "
-                f"out={slot(shape, f'_a{i}.dtype')}, mode='clip')")
-        else:
-            gather.append(f"{pname} = {target}")
+        # map rows are validated in range at Map construction, so
+        # mode='clip' only skips the bounds check — and with it
+        # numpy's buffered copy of ``out``
+        gather.append(
+            f"{pname} = _np.take(_a{i}, _m{i}[_start:_end], axis=0, "
+            f"out={slot(shape, f'_a{i}.dtype')}, mode='clip')")
         if access is Access.WRITE:
-            scatter_lines.append(f"{target} = {pname}")
+            scatter_lines.append(f"_a{i}[_m{i}[_start:_end]] = {pname}")
 
     body_src = _transform_body(kernel, elementwise)
 
-    name = f"{kernel.name}_{scatter}_wrapper"
-    if atomic:
-        head = ["_np", "_slot", "_start", "_end", *wrapper_params,
-                *scatter_params]
-        extent = "    _n = _end - _start"
-    else:
-        head = ["_np", "_rows", *wrapper_params]
-        extent = "    _n = _rows.shape[0]"
+    name = f"{kernel.name}_atomic_wrapper"
+    head = ["_np", "_slot", "_start", "_end", *wrapper_params,
+            *scatter_params]
     lines = [
         f"def {name}({', '.join(head)}):",
-        f'    """Generated vectorized ({scatter}-scatter) wrapper for '
+        f'    """Generated vectorized (atomic-scatter) wrapper for '
         f'{kernel.name}."""',
-        extent,
+        "    _n = _end - _start",
         "    if _n <= 0:",
         "        return",
         "    # ---- stage ----",

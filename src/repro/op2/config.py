@@ -38,9 +38,6 @@ class Config:
     grouped_halos:
         Pack all of a loop's halo messages to one neighbour into a
         single message (paper's GH).
-    block_size:
-        Block extent of the block-color plan the ``native`` backend's
-        compiled wrappers execute (OP2's OpenMP plan shape).
     check_access:
         Debug mode: the sequential backend hands kernels *read-only*
         views for READ arguments, so a kernel violating its declared
@@ -48,9 +45,10 @@ class Config:
     sanitize:
         Debug mode: route every par_loop through the ``sanitizer``
         backend (write-set race auditing), overriding ``backend`` and
-        per-loop overrides. A plan with a same-color conflict raises
-        :class:`~repro.op2.backends.sanitizer.RaceError` instead of
-        silently corrupting data.
+        per-loop overrides. It audits and runs the block plan the
+        ``native`` backend executes; a plan with a same-color conflict
+        raises :class:`~repro.op2.backends.sanitizer.RaceError` instead
+        of silently corrupting data.
     lazy:
         No effect; every par_loop runs when it is called (see the
         chain stand-ins at the end of :mod:`repro.op2`).
@@ -60,7 +58,6 @@ class Config:
     native_threads: int = 0
     partial_halos: bool = False
     grouped_halos: bool = False
-    block_size: int = 256
     check_access: bool = False
     sanitize: bool = False
     lazy: bool = False

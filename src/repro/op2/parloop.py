@@ -116,7 +116,7 @@ class BoundLoop:
     objects (a bound ``Arg`` must not be mutated), the backend
     override, the signatures and the flat argument layout. Built per
     configuration (:attr:`_fingerprint` of ``partial_halos``,
-    ``block_size``, ``native_threads``, ``check_access``; a change
+    ``native_threads``, ``check_access``; a change
     rebinds on the next run): the halo reads, one scope per dat. Built
     on the first run under each backend: the prepared backend calls
     over the owned range and the exec halo, with the loop's two
@@ -339,8 +339,7 @@ def execute_loop(loop: BoundLoop, backend_name: str) -> None:
     cfg = current_config()
     rec = active_recorder()
     t0 = t_halo = time.perf_counter() if rec is not None else 0.0
-    fingerprint = (cfg.partial_halos, cfg.block_size, cfg.native_threads,
-                   cfg.check_access)
+    fingerprint = (cfg.partial_halos, cfg.native_threads, cfg.check_access)
     if fingerprint != loop._fingerprint:
         loop._rebind(cfg, fingerprint)
     iterset = loop.iterset

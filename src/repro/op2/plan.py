@@ -1,32 +1,26 @@
-"""Execution plans: conflict analysis and coloring for indirect loops.
+"""Execution plans: the block-coloring plan of indirect loops.
 
 When a par_loop increments data through a map, two elements that share
-a target must not execute concurrently. OP2's plan construction
-resolves this by coloring; we reproduce both granularities:
+a target must not execute concurrently. OP2's OpenMP plan resolves this
+by coloring contiguous blocks: blocks of one color share no
+indirect-write target and run in parallel, colors run one after the
+other, and each block runs its elements serially. There is one plan
+shape and one builder, :func:`build_block_plan`; the compiled
+``native`` backend executes the plan, and the ``sanitizer`` backend
+audits and executes the very same cached object.
 
-* **element coloring** — executed by the ``sanitizer`` backend, which
-  audits it first (:func:`~repro.op2.backends.sanitizer.check_plan`):
-  elements of one color share no indirect-write target, so a whole
-  color can be executed as one conflict-free vectorized scatter;
-* **block coloring** — OP2's OpenMP plan shape (contiguous blocks
-  colored by shared targets), executed by the compiled ``native``
-  backend and reported by the plan-quality ablation benchmark.
-
-Conflict granularity follows the generated scatter code: each scalar
-indirect-write argument scatters in its own serial statement, so two
-arguments of one element may share a target without racing; a vector
-(``idx=ALL``) argument scatters all its map columns in a *single*
-statement, so its columns form one conflict unit.
+Any target written from two blocks of one color races, whichever
+arguments write it, so all writing columns into one target set form
+one conflict unit (:func:`conflict_units`); a target shared inside a
+block is fine.
 
 Coloring is the sequential first-fit greedy OP2's plan construction
-uses: walk the elements in order, give each the lowest color not yet
-present on any of its conflict targets (tracked as per-target color
-bitmasks). On a chain mesh this yields the classic 2 colors; color
-count is bounded by the maximum conflict degree plus one. Block
-coloring keeps the masks in one int64 array per target set, so each
-block reads and marks all its targets in two array operations; a plan
-that needs more colors than an int64 mask holds is recolored with
-arbitrary-precision masks.
+uses: walk the blocks in order, give each the lowest color not yet
+present on any of its targets (tracked as per-target color bitmasks).
+The masks are one int64 array per target set, so each block reads and
+marks all its targets in two array operations; a plan that needs more
+colors than an int64 mask holds is recolored with arbitrary-precision
+masks.
 """
 
 from __future__ import annotations
@@ -45,20 +39,8 @@ from repro.telemetry.recorder import active_recorder
 #: weak, so a plan never outlives the map that stores it
 _planned_maps: "weakref.WeakSet[Map]" = weakref.WeakSet()
 
-
-@dataclass
-class Plan:
-    """Element-coloring plan for one (loop signature, extent) combination."""
-
-    extent: int
-    colors: np.ndarray              #: per-element color, shape (extent,)
-    ncolors: int
-    color_groups: list[np.ndarray]  #: element indices per color
-    _maps: tuple[Map, ...]          #: keeps the maps named by the key alive
-
-    @property
-    def max_group(self) -> int:
-        return max((len(g) for g in self.color_groups), default=0)
+#: elements per block of the plan the backends execute
+BLOCK_SIZE = 256
 
 
 @dataclass
@@ -116,32 +98,33 @@ class BlockPlan:
 
 @dataclass
 class _Unit:
-    """One conflict unit: columns that scatter in the same statement."""
+    """One conflict unit: every indirect-write column into one target set."""
 
     target_size: int
     columns: list[np.ndarray]
-    target_id: int = 0
-    label: str = ""  #: human-readable id for sanitizer reports
+    label: str = ""  #: the writing arguments, for sanitizer reports
 
 
 def conflict_units(args, extent: int) -> list[_Unit]:
-    """Conflict units for a loop's indirect-write arguments."""
-    units: list[_Unit] = []
+    """Conflict units of a loop's indirect-write arguments.
+
+    Same-colored blocks run concurrently, so a target written from two
+    blocks races whichever arguments write it: all writing columns into
+    one target set form one unit (a vector argument contributes every
+    map column), labelled with its arguments joined by ``" + "``.
+    """
+    units: dict[int, _Unit] = {}
     for arg in args:
         if not (arg.is_indirect and arg.access in (Access.INC, Access.WRITE)):
             continue
         m = arg.map
-        tsize = m.to_set.total_size
-        if arg.is_vector:
-            units.append(
-                _Unit(tsize, [m.values[:extent, c] for c in range(m.arity)],
-                      id(m.to_set), f"{arg.data.name} via {m.name}[*]")
-            )
-        else:
-            units.append(_Unit(tsize, [m.values[:extent, arg.idx]],
-                               id(m.to_set),
-                               f"{arg.data.name} via {m.name}[{arg.idx}]"))
-    return units
+        unit = units.setdefault(id(m.to_set), _Unit(m.to_set.total_size, []))
+        columns = range(m.arity) if arg.is_vector else (arg.idx,)
+        unit.columns.extend(m.values[:extent, c] for c in columns)
+        label = (f"{arg.data.name} via {m.name}"
+                 f"[{'*' if arg.is_vector else arg.idx}]")
+        unit.label = f"{unit.label} + {label}" if unit.label else label
+    return list(units.values())
 
 
 def _write_columns(args) -> list[tuple[Map, object]]:
@@ -151,71 +134,33 @@ def _write_columns(args) -> list[tuple[Map, object]]:
             if a.is_indirect and a.access in (Access.INC, Access.WRITE)]
 
 
-def _cached(kind: str, block_size: int | None, extent: int,
-            columns: list[tuple[Map, object]]):
-    """``(owner map, key, cached plan or None)`` for a plan lookup.
+def _first_fit_colors(units: list[_Unit], extent: int,
+                      block_size: int) -> tuple[np.ndarray, int]:
+    """OP2-style sequential first-fit greedy block coloring.
 
-    A plan lives in ``_plans`` of the map of its first write column,
-    keyed ``(kind, block_size, extent, columns)`` with the columns'
-    maps by id; the plan holds those maps (``_maps``), so an id in a
-    live key always names a live map. Loops writing through the same
-    columns share one plan whatever dats they write.
+    Walks the blocks in order; each takes the lowest color not yet
+    used on any of its targets, tracked as per-target color bitmasks
+    held in Python ints, so any color count fits (a target shared by
+    ``k`` blocks needs ``k`` colors). The fallback of
+    :func:`_first_fit_block_colors` past ``_MASK_COLORS`` colors.
     """
-    owner = columns[0][0]
-    key = (kind, block_size, extent,
-           tuple((id(m), c) for m, c in columns))
-    cached = owner._plans.get(key)
-    rec = active_recorder()
-    if cached is not None and rec is not None:
-        rec.counter("op2.plan.cache_hit")
-    return owner, key, cached
-
-
-def _store(owner: Map, key: tuple, plan) -> None:
-    owner._plans[key] = plan
-    _planned_maps.add(owner)
-
-
-def _first_fit_colors(units: list[_Unit], n: int,
-                      row_of: list[np.ndarray] | None = None
-                      ) -> tuple[np.ndarray, int]:
-    """OP2-style sequential first-fit greedy coloring.
-
-    Walks items 0..n-1 in order; each takes the lowest color not yet
-    used on any of its conflict targets, tracked as per-target color
-    bitmasks (as in OP2's plan construction). ``row_of`` maps an item
-    to the map rows it covers (identity for element coloring; the rows
-    of a block when :func:`_first_fit_block_colors` runs out of int64
-    mask bits) via ``row_of[item] == item_index``.
-    """
-    colors = np.full(n, -1, dtype=np.int32)
-    # Python ints as bitmasks: arbitrary color counts (a target shared by
-    # k elements legitimately needs k colors)
+    nblocks = max(1, -(-extent // block_size))
+    targets = [np.stack(u.columns, axis=1) for u in units]
     masks: list[list[int]] = [[0] * u.target_size for u in units]
-    ncolors = 0
-    for e in range(n):
+    colors = np.full(nblocks, -1, dtype=np.int32)
+    for b in range(nblocks):
+        rows = slice(b * block_size, (b + 1) * block_size)
+        block = [tgt[rows].ravel().tolist() for tgt in targets]
         used = 0
-        for mask, unit in zip(masks, units):
-            for col in unit.columns:
-                if row_of is None:
-                    used |= mask[col[e]]
-                else:
-                    for r in row_of[e]:
-                        used |= mask[col[r]]
-        c = 0
-        while used >> c & 1:
-            c += 1
-        colors[e] = c
-        ncolors = max(ncolors, c + 1)
-        bit = 1 << c
-        for mask, unit in zip(masks, units):
-            for col in unit.columns:
-                if row_of is None:
-                    mask[col[e]] |= bit
-                else:
-                    for r in row_of[e]:
-                        mask[col[r]] |= bit
-    return colors, ncolors
+        for mask, tgt in zip(masks, block):
+            for t in tgt:
+                used |= mask[t]
+        c = (~used & (used + 1)).bit_length() - 1   # lowest clear bit
+        colors[b] = c
+        for mask, tgt in zip(masks, block):
+            for t in tgt:
+                mask[t] |= 1 << c
+    return colors, int(colors.max()) + 1
 
 
 #: colors an int64 mask holds without touching the sign bit
@@ -224,10 +169,10 @@ _MASK_COLORS = 62
 
 def _first_fit_block_colors(units: list[_Unit], extent: int,
                             block_size: int) -> tuple[np.ndarray, int]:
-    """:func:`_first_fit_colors` over contiguous blocks of ``block_size``
-    rows, with one int64 color mask per target: each block ORs and then
-    marks all its units' targets at once. The same colors; past
-    ``_MASK_COLORS`` colors the plan is rebuilt with Python-int masks.
+    """:func:`_first_fit_colors` with one int64 color mask per target:
+    each block ORs and then marks all its units' targets at once. The
+    same colors; past ``_MASK_COLORS`` colors the plan is rebuilt with
+    Python-int masks.
     """
     nblocks = max(1, -(-extent // block_size))
     targets = [np.stack(u.columns, axis=1) for u in units]
@@ -240,75 +185,52 @@ def _first_fit_block_colors(units: list[_Unit], extent: int,
             used |= int(np.bitwise_or.reduce(mask[tgt[rows]], axis=None))
         c = (~used & (used + 1)).bit_length() - 1   # lowest clear bit
         if c >= _MASK_COLORS:
-            row_of = [np.arange(i * block_size,
-                                min((i + 1) * block_size, extent))
-                      for i in range(nblocks)]
-            return _first_fit_colors(units, nblocks, row_of=row_of)
+            return _first_fit_colors(units, extent, block_size)
         colors[b] = c
         for mask, tgt in zip(masks, targets):
             mask[tgt[rows]] |= 1 << c
     return colors, int(colors.max()) + 1
 
 
-def build_plan(args, extent: int) -> Plan | None:
-    """Element-coloring plan for a loop, or None if it needs no coloring."""
-    columns = _write_columns(args)
-    if not columns:   # no indirect writes
-        return None
-    owner, key, cached = _cached("elem", None, extent, columns)
-    if cached is not None:
-        return cached
-
-    t0 = time.perf_counter()
-    colors, ncolors = _first_fit_colors(conflict_units(args, extent), extent)
-    groups = [np.nonzero(colors == c)[0] for c in range(ncolors)]
-    plan = Plan(extent=extent, colors=colors, ncolors=ncolors,
-                color_groups=groups, _maps=tuple(m for m, _ in columns))
-    rec = active_recorder()
-    if rec is not None:
-        rec.add_span("build_plan", "op2.plan", t0, time.perf_counter(),
-                     kind="elem", extent=extent, ncolors=ncolors)
-        rec.counter("op2.plan.build")
-    _store(owner, key, plan)
-    return plan
-
-
-def build_block_plan(args, extent: int, block_size: int = 256) -> BlockPlan | None:
+def build_block_plan(args, extent: int,
+                     block_size: int | None = None) -> BlockPlan | None:
     """Block-coloring plan (OP2 OpenMP shape), or None if no conflicts.
 
-    Unlike element coloring — where one color's scatter statements run
-    serially, so distinct arguments never race — same-colored *blocks*
-    execute fully concurrently. Any shared target between two blocks is
-    therefore a conflict, so all writing columns per target set merge
-    into a single conflict unit here.
+    ``block_size`` defaults to :data:`BLOCK_SIZE`, read per call. The
+    plan lives in ``_plans`` of the map of the first write column,
+    keyed ``(block_size, extent, columns)`` with the columns' maps by
+    id; it holds those maps (``_maps``), so an id in a live key always
+    names a live map. Loops writing through the same columns share one
+    plan whatever dats they write — ``native`` and ``sanitizer`` get
+    the same object.
     """
     columns = _write_columns(args)
     if not columns:   # no indirect writes
         return None
-    owner, key, cached = _cached("block", block_size, extent, columns)
+    if block_size is None:
+        block_size = BLOCK_SIZE
+    owner = columns[0][0]
+    key = (block_size, extent, tuple((id(m), c) for m, c in columns))
+    cached = owner._plans.get(key)
+    rec = active_recorder()
     if cached is not None:
+        if rec is not None:
+            rec.counter("op2.plan.cache_hit")
         return cached
 
     t0 = time.perf_counter()
-    merged: dict[int, _Unit] = {}
-    for u in conflict_units(args, extent):
-        slot = merged.setdefault(
-            u.target_id, _Unit(u.target_size, [], u.target_id)
-        )
-        slot.columns.extend(u.columns)
     block_colors, ncolors = _first_fit_block_colors(
-        list(merged.values()), extent, block_size)
-
+        conflict_units(args, extent), extent, block_size)
     plan = BlockPlan(extent=extent, block_size=block_size,
                      nblocks=block_colors.size,
                      block_colors=block_colors, ncolors=ncolors,
                      _maps=tuple(m for m, _ in columns))
-    rec = active_recorder()
     if rec is not None:
         rec.add_span("build_plan", "op2.plan", t0, time.perf_counter(),
-                     kind="block", extent=extent, ncolors=ncolors)
+                     extent=extent, ncolors=ncolors)
         rec.counter("op2.plan.build")
-    _store(owner, key, plan)
+    owner._plans[key] = plan
+    _planned_maps.add(owner)
     return plan
 
 
@@ -336,7 +258,5 @@ def clear_native_plan_arrays() -> None:
     """
     for m in list(_planned_maps):
         for plan in m._plans.values():
-            cache = getattr(plan, "_native_cache", None)
-            if cache:
-                cache.clear()
+            plan._native_cache.clear()
 

@@ -17,10 +17,11 @@ correctness invariants:
   milliseconds instead of ripening into the 120 s watchdog.
 * **Race sanitizing** — the
   :class:`~repro.op2.backends.sanitizer.SanitizerBackend` OP2 backend
-  executes coloring plans while auditing per-element write-sets,
-  raising :class:`~repro.op2.backends.sanitizer.RaceError` if one
-  color's scatter statement writes a dat entry twice — from two
-  same-color elements, or from one element's repeating vector map row.
+  audits the one block plan the compiled ``native`` backend executes
+  (the same cached object) on every run, per-block write-sets and
+  partition, raising :class:`~repro.op2.backends.sanitizer.RaceError`
+  if two blocks of one color write a dat entry, then runs the plan in
+  its block-color order.
 
 This package is a pure façade: the implementations live in
 ``repro.smpi`` and ``repro.op2.backends`` (which must not depend on
@@ -33,7 +34,6 @@ from repro.op2.backends.sanitizer import (
     RaceFinding,
     SanitizerBackend,
     check_block_plan,
-    check_plan,
 )
 from repro.smpi.deadlock import DeadlockError, WaitEdge, WaitRegistry, format_cycle
 from repro.smpi.schedule import DeterministicScheduler, ScheduleRun, sweep_schedules
@@ -48,7 +48,6 @@ __all__ = [
     "WaitEdge",
     "WaitRegistry",
     "check_block_plan",
-    "check_plan",
     "format_cycle",
     "sweep_schedules",
 ]

@@ -1,21 +1,21 @@
 """The numpy race-strategy simulations the compiled backends superseded.
 
 Before the ``native`` and ``native-atomics`` backends compiled the
-paper's two data-race strategies, three numpy backends simulated them:
+paper's two data-race strategies, numpy backends simulated them:
 
-* :class:`ColoringBackend` (``"coloring"``) — per conflict-free color
-  group with plain fancy ``+=`` scatter (OpenMP element coloring);
 * :class:`AtomicsBackend` (``"atomics"``) — fixed-size chunks with
   ``np.add.at`` scatter, modelling a GPU grid of thread blocks (CUDA);
 * :class:`BlockColorBackend` (``"blockcolor"``) — contiguous blocks
-  ordered by block color (OP2's OpenMP *plan* shape).
+  ordered by block color (OP2's OpenMP *plan* shape);
+* :class:`ColoringBackend` (``"coloring"``) — the same block plan at
+  one element per block, i.e. element coloring.
 
 They now serve as oracles: ``native`` applies increments in exactly
-the block-color order of ``blockcolor`` and ``native-atomics`` in
-exactly the chunk order of ``atomics``, so the differential tests pin
-each compiled backend bitwise to its simulation.
+the block-color order of ``blockcolor`` (as does ``sanitizer``) and
+``native-atomics`` in exactly the chunk order of ``atomics``, so the
+differential tests pin each compiled backend bitwise to its simulation.
 :func:`register_oracle_backends` (called by ``tests/conftest.py``)
-adds all three to :data:`repro.op2.backends.BACKENDS` under these
+adds them to :data:`repro.op2.backends.BACKENDS` under these
 names, with the compiled oracles of :mod:`tests.oracles.compiled`
 (``native-atomics``, ``native-atomics-unhoisted``, ``native-unhoisted``,
 ``native-uncached``);
@@ -24,12 +24,9 @@ nothing under ``src/`` imports this module.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.op2.backends import BACKENDS
-from repro.op2.backends.vectorized import _get_wrapper, run_atomic
-from repro.op2.config import current_config
-from repro.op2.plan import build_block_plan, build_plan
+from repro.op2.backends.vectorized import run_atomic
+from repro.op2.plan import build_block_plan
 from tests.oracles import compiled
 
 
@@ -43,30 +40,6 @@ def atomics_chunks(start: int, end: int, block: int):
     block = max(1, block)
     for lo in range(start, end, block):
         yield lo, min(lo + block, end)
-
-
-class ColoringBackend:
-    """Conflict-free color groups with plain ``+=`` scatter.
-
-    The plan colors the whole range [0, end); each group is filtered
-    to the executed segment so redundant-halo segments stay separable.
-    Loops without indirect writes need no coloring and run in one shot.
-    """
-
-    name = "coloring"
-
-    def execute(self, loop, start: int, end: int, reductions) -> None:
-        plan = build_plan(loop.args, end)
-        flat = loop.flatten_bindings(reductions)
-        if plan is None:
-            run_atomic(loop, start, end, flat)
-            return
-        wrapper = _get_wrapper(loop, "colored")
-        for group in plan.color_groups:
-            if start > 0:
-                group = group[group >= start]
-            if group.size:
-                wrapper(np, group, *flat)
 
 
 class AtomicsBackend:
@@ -98,10 +71,12 @@ class BlockColorBackend:
     """
 
     name = "blockcolor"
+    #: elements per block; None runs the plan ``native`` runs
+    #: (:data:`repro.op2.plan.BLOCK_SIZE`)
+    block_size: int | None = None
 
     def execute(self, loop, start: int, end: int, reductions) -> None:
-        block_size = max(1, current_config().block_size)
-        plan = build_block_plan(loop.args, end, block_size=block_size)
+        plan = build_block_plan(loop.args, end, block_size=self.block_size)
         flat = loop.flatten_bindings(reductions)
         if plan is None:
             run_atomic(loop, start, end, flat)
@@ -112,6 +87,14 @@ class BlockColorBackend:
                 hi = min(hi, end)
                 if lo < hi:
                     run_atomic(loop, lo, hi, flat)
+
+
+class ColoringBackend(BlockColorBackend):
+    """Element coloring (OpenMP): the block plan at one element per
+    block, so every color is a set of elements sharing no target."""
+
+    name = "coloring"
+    block_size = 1
 
 
 ORACLE_BACKENDS = {b.name: b for b in

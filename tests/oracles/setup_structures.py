@@ -192,14 +192,11 @@ def first_fit_block_colors(args, extent: int, block_size: int
     """Block colours and colour count of a loop's block plan: blocks in
     order, each taking the lowest colour not yet on any target of any
     column that writes the same target set, masks as Python ints."""
-    merged: dict[int, tuple[int, list[np.ndarray]]] = {}
-    for u in conflict_units(args, extent):
-        merged.setdefault(u.target_id, (u.target_size, []))[1].extend(
-            u.columns)
+    units = conflict_units(args, extent)
     nblocks = max(1, -(-extent // block_size))
     colors = np.full(nblocks, -1, dtype=np.int32)
-    masks = [[0] * size for size, _ in merged.values()]
-    columns = [cols for _, cols in merged.values()]
+    masks = [[0] * u.target_size for u in units]
+    columns = [u.columns for u in units]
     ncolors = 0
     for b in range(nblocks):
         rows = range(b * block_size, min((b + 1) * block_size, extent))

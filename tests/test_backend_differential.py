@@ -6,7 +6,8 @@ differentially, not trusted: hypothesis-generated kernels
 (direct/indirect, INC/RW/READ mixes, read globals, INC/MIN/MAX
 reductions) run on every backend of
 
-    {sequential, vectorized, atomics, blockcolor, native, native-atomics}
+    {sequential, vectorized, atomics, blockcolor, native, native-atomics,
+     sanitizer}
 
 and must agree. The fuzzed kernels run after a direct prep loop that
 writes their direct input.
@@ -22,6 +23,9 @@ compiled wrappers too):
   blockcolor (identical block-color plan order) and native-atomics ==
   atomics (identical ``ATOMICS_BLOCK`` chunk order) whenever each
   location receives increments through at most one kernel statement;
+* sanitizer == blockcolor always, compiler or not: both run the same
+  numpy wrapper over the same blocks of the one block plan in the same
+  color order;
 * kernels where several INC statements alias one dat reassociate
   (numpy scatters per statement, C per element) and are ULP-bounded
   at 1e-12 relative instead, as are global reductions and all
@@ -47,13 +51,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import op2
+from repro.op2 import plan as plan_mod
 from repro.op2.backends.native import toolchain
 
 BACKENDS = ["sequential", "vectorized", "atomics", "blockcolor",
-            "native", "native-atomics"]
+            "native", "native-atomics", "sanitizer"]
 #: bitwise pins along matched accumulation orders
-BITWISE_PAIRS = [("native", "blockcolor"), ("native-atomics", "atomics")]
+BITWISE_PAIRS = [("native", "blockcolor"), ("native-atomics", "atomics"),
+                 ("sanitizer", "blockcolor")]
+#: pins between two runs of the same numpy wrapper: they hold for every
+#: kernel and without a compiler
+NUMPY_PAIRS = {("sanitizer", "blockcolor")}
 NATIVE_AVAILABLE = toolchain() is not None
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """Blocks of 8 elements: the meshes here have at most 40 edges, so
+    at the production block size every plan would be one block and the
+    block-order pins would compare single-block runs."""
+    monkeypatch.setattr(plan_mod, "BLOCK_SIZE", 8)
 
 
 def assert_backends_agree(run_fn, bitwise=True):
@@ -62,8 +79,9 @@ def assert_backends_agree(run_fn, bitwise=True):
     Runs every backend and certifies:
 
     1. every backend within 1e-12 relative of sequential;
-    2. when ``bitwise``, native == blockcolor and native-atomics ==
-       atomics exactly. That holds when every dat
+    2. sanitizer == blockcolor exactly, and when ``bitwise``, native ==
+       blockcolor and native-atomics == atomics exactly. The native
+       pins hold when every dat
        location receives increments through at most one kernel
        statement: each pair then applies them in identical (plan /
        chunk) order, and the restricted op pool is correctly rounded.
@@ -84,13 +102,14 @@ def assert_backends_agree(run_fn, bitwise=True):
             assert val == pytest.approx(ref_reds[name], rel=1e-12, abs=1e-13), \
                 f"reduction {name!r} diverged on backend {backend}"
 
-    if bitwise and NATIVE_AVAILABLE:
-        for nat, ref in BITWISE_PAIRS:
-            nat_dats, _ = results[nat]
-            ref_dats2, _ = results[ref]
-            for name in nat_dats:
-                assert np.array_equal(nat_dats[name], ref_dats2[name]), \
-                    f"dat {name!r}: {nat} is not bitwise-equal to {ref}"
+    for nat, ref in BITWISE_PAIRS:
+        if (nat, ref) not in NUMPY_PAIRS and not (bitwise and NATIVE_AVAILABLE):
+            continue
+        nat_dats, _ = results[nat]
+        ref_dats2, _ = results[ref]
+        for name in nat_dats:
+            assert np.array_equal(nat_dats[name], ref_dats2[name]), \
+                f"dat {name!r}: {nat} is not bitwise-equal to {ref}"
 
 
 # -- hypothesis-generated kernels ---------------------------------------

@@ -48,6 +48,19 @@ def test_codegen_variants(capsys):
     assert exc.value.code == 2
 
 
+def test_sanitize_races_corrupts_the_block_plan(capsys):
+    """The demo corrupts the cached block plan ``native`` runs; the
+    report names the color, both blocks of each conflict and the node."""
+    assert main(["sanitize", "races"]) == 0
+    out = capsys.readouterr().out
+    assert "block plan has 2 colors — clean" in out
+    assert "block 1 forced into color 0" in out
+    assert "color 0: blocks [0, 1] all scatter into acc via pedge[*] " \
+           "row 256" in out
+    assert "color 0: blocks [1, 2] all scatter into acc via pedge[*] " \
+           "row 512" in out
+
+
 def test_codegen_prints_the_hoisted_wrapper(capsys, monkeypatch):
     """What ``codegen`` prints is what the native backend compiles: the
     signature comes from a bound loop, so ``q1``/``q2`` share a dat

@@ -8,6 +8,7 @@ from repro import op2, telemetry
 from repro.coupler import CoupledDriver, CoupledRunConfig
 from repro.hydra import FlowState, HydraSolver, Numerics, row_problem
 from repro.mesh import RowConfig, RowKind, make_row_mesh, rig250_config
+from repro.op2 import plan as plan_mod
 from repro.op2.distribute import build_serial_problem
 from repro.util.ascii_plot import render_field, render_series
 
@@ -65,7 +66,7 @@ class TestProfiling:
 
 
 class TestBlockColorBackend:
-    def test_respects_block_size_config(self):
+    def test_respects_block_size_config(self, monkeypatch):
         n = 100
         nodes = op2.Set(n, "nodes")
         edges = op2.Set(n, "edges")
@@ -79,12 +80,12 @@ class TestBlockColorBackend:
 
         for bs in (8, 32, 1000):
             acc.data[:] = 0.0
-            with op2.configure(block_size=bs):
-                op2.par_loop(op2.Kernel(bump), edges,
-                             acc.arg(op2.INC, pedge, 0),
-                             acc.arg(op2.INC, pedge, 1),
-                             backend="blockcolor")
+            monkeypatch.setattr(plan_mod, "BLOCK_SIZE", bs)
+            args = [acc.arg(op2.INC, pedge, 0), acc.arg(op2.INC, pedge, 1)]
+            op2.par_loop(op2.Kernel(bump), edges, *args,
+                         backend="blockcolor")
             np.testing.assert_allclose(acc.data_ro[:, 0], 3.0)
+            assert op2.build_block_plan(args, n).block_size == bs
 
     def test_direct_loop_without_plan(self):
         nodes = op2.Set(7, "nodes")

@@ -39,7 +39,7 @@ def test_sequential_source_shape():
 
 def test_vectorized_source_atomic():
     kern = op2.Kernel(res_calc)
-    src = generate_vectorized(kern, SIG, "atomic")
+    src = generate_vectorized(kern, SIG)
     assert src.startswith("def res_calc_atomic_wrapper(_np, _slot, _start, "
                           "_end, ")
     assert "_np.add.at(_a4.reshape(-1), _s4, r1.reshape(-1))" in src
@@ -72,7 +72,7 @@ def test_flat_scatter_is_bitwise_the_2d_add_at(addressing):
     acc = rng.standard_normal((7, 2))
     if addressing == "all":
         wrapper = compile_wrapper(
-            generate_vectorized(op2.Kernel(scatter_all), ALL_SIG, "atomic"),
+            generate_vectorized(op2.Kernel(scatter_all), ALL_SIG),
             "scatter_all")
         p = np.stack([xs * (j + 1) + np.arange(2) for j in range(3)], axis=1)
         m = table
@@ -85,7 +85,7 @@ def test_flat_scatter_is_bitwise_the_2d_add_at(addressing):
         sig = (("dat", op2.READ, "direct", 1, 0),
                ("dat", op2.INC, "idx", 2, 3))
         wrapper = compile_wrapper(
-            generate_vectorized(op2.Kernel(one), sig, "atomic"), "one")
+            generate_vectorized(op2.Kernel(one), sig), "one")
         p = np.concatenate([xs, 2.0 * xs], axis=1)
         m = table[:, 1]
         flat = (m,)
@@ -98,7 +98,7 @@ def test_flat_scatter_is_bitwise_the_2d_add_at(addressing):
 
 def test_flat_scatter_rejects_a_non_contiguous_dat():
     wrapper = compile_wrapper(
-        generate_vectorized(op2.Kernel(scatter_all), ALL_SIG, "atomic"),
+        generate_vectorized(op2.Kernel(scatter_all), ALL_SIG),
         "scatter_all")
     acc = np.zeros((7, 4))[:, ::2]
     table = np.zeros((2, 3), dtype=np.int64)
@@ -107,20 +107,12 @@ def test_flat_scatter_rejects_a_non_contiguous_dat():
                 scatter_index(table, 2))
 
 
-def test_vectorized_source_colored():
-    kern = op2.Kernel(res_calc)
-    src = generate_vectorized(kern, SIG, "colored")
-    assert "_a4[_m4[_rows]] += r1" in src
-    assert "add.at" not in src
-    compile_wrapper(src, "res_calc")
-
-
 def test_subscript_rewrite():
     def k(x, y):
         y[0] = x[1]
 
     sig = (("dat", op2.READ, "direct", 2, 0), ("dat", op2.WRITE, "direct", 1, 0))
-    src = generate_vectorized(op2.Kernel(k), sig, "atomic")
+    src = generate_vectorized(op2.Kernel(k), sig)
     assert "x[:, 1]" in src
     assert "y[:, 0]" in src
 
@@ -130,7 +122,7 @@ def test_vector_arg_rewrite():
         m[0] = xs[0][1] + xs[1, 0]
 
     sig = (("dat", op2.READ, "all", 2, 3), ("dat", op2.WRITE, "direct", 1, 0))
-    src = generate_vectorized(op2.Kernel(k), sig, "atomic")
+    src = generate_vectorized(op2.Kernel(k), sig)
     assert "xs[:, 0, 1]" in src
     assert "xs[:, 1, 0]" in src
 
@@ -140,7 +132,7 @@ def test_ifexp_becomes_where():
         y[0] = x[0] if x[0] > 0.0 else -x[0]
 
     sig = (("dat", op2.READ, "direct", 1, 0), ("dat", op2.WRITE, "direct", 1, 0))
-    src = generate_vectorized(op2.Kernel(k), sig, "atomic")
+    src = generate_vectorized(op2.Kernel(k), sig)
     assert "_np.where" in src
 
 
@@ -149,7 +141,7 @@ def test_boolop_becomes_logical():
         y[0] = 1.0 if x[0] > 0.0 and x[0] < 2.0 else 0.0
 
     sig = (("dat", op2.READ, "direct", 1, 0), ("dat", op2.WRITE, "direct", 1, 0))
-    src = generate_vectorized(op2.Kernel(k), sig, "atomic")
+    src = generate_vectorized(op2.Kernel(k), sig)
     assert "_np.logical_and" in src
 
 
@@ -158,7 +150,7 @@ def test_min_becomes_minimum():
         y[0] = min(x[0], 1.0)
 
     sig = (("dat", op2.READ, "direct", 1, 0), ("dat", op2.WRITE, "direct", 1, 0))
-    src = generate_vectorized(op2.Kernel(k), sig, "atomic")
+    src = generate_vectorized(op2.Kernel(k), sig)
     assert "_np.minimum" in src
 
 
@@ -169,7 +161,7 @@ def test_reserved_names_rejected():
 
     sig = (("dat", op2.READ, "direct", 1, 0), ("dat", op2.WRITE, "direct", 1, 0))
     with pytest.raises(KernelParseError, match="reserved"):
-        generate_vectorized(op2.Kernel(k), sig, "atomic")
+        generate_vectorized(op2.Kernel(k), sig)
 
 
 def test_data_dependent_indexing_rejected():
@@ -182,7 +174,7 @@ def test_data_dependent_indexing_rejected():
 
     sig = (("dat", op2.READ, "direct", 1, 0), ("dat", op2.RW, "direct", 2, 0))
     with pytest.raises(KernelParseError, match="data-dependent"):
-        generate_vectorized(op2.Kernel(bad), sig, "atomic")
+        generate_vectorized(op2.Kernel(bad), sig)
 
 
 def test_chained_comparison_rejected():
@@ -191,7 +183,7 @@ def test_chained_comparison_rejected():
 
     sig = (("dat", op2.READ, "direct", 1, 0), ("dat", op2.WRITE, "direct", 1, 0))
     with pytest.raises(KernelParseError, match="chained"):
-        generate_vectorized(op2.Kernel(k), sig, "atomic")
+        generate_vectorized(op2.Kernel(k), sig)
 
 
 def test_param_count_mismatch():
@@ -199,16 +191,7 @@ def test_param_count_mismatch():
         x[0] = 1.0
 
     with pytest.raises(KernelParseError, match="parameters"):
-        generate_vectorized(op2.Kernel(k), SIG, "atomic")
-
-
-def test_bad_scatter_mode():
-    def k(x):
-        x[0] = 1.0
-
-    with pytest.raises(ValueError, match="scatter"):
-        generate_vectorized(op2.Kernel(k), (("dat", op2.WRITE, "direct", 1, 0),),
-                            "simd")
+        generate_vectorized(op2.Kernel(k), SIG)
 
 
 def test_generated_sources_cached_on_kernel():

@@ -1,4 +1,6 @@
-"""Coloring plans: validity properties on random connectivity (hypothesis)."""
+"""The block-coloring plan: validity properties on random connectivity
+(hypothesis). Element coloring is the same plan at one element per
+block."""
 
 import numpy as np
 import pytest
@@ -6,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import op2
-from repro.op2.plan import (
-    build_block_plan,
-    build_plan,
-    clear_plan_cache,
-    conflict_units,
-)
-from repro.sanitize import check_plan
+from repro.op2.plan import build_block_plan, clear_plan_cache, conflict_units
+from repro.sanitize import check_block_plan
 
 
 @pytest.fixture(autouse=True)
@@ -48,19 +45,23 @@ def random_mesh(draw):
 @given(random_mesh())
 @settings(max_examples=60, deadline=None)
 def test_element_coloring_is_conflict_free(mesh):
+    """At one element per block, no two same-colored elements share a
+    target through any writing column."""
     nnodes, table = mesh
     edges, args = make_loop_args(table.shape[0], nnodes, table)
-    plan = build_plan(args, edges.size)
+    plan = build_block_plan(args, edges.size, block_size=1)
     assert plan is not None
     # every element colored exactly once
-    assert (plan.colors >= 0).all()
-    assert sum(len(g) for g in plan.color_groups) == edges.size
-    # no two same-colored elements share a target within a conflict unit
-    for unit in conflict_units(args, plan.extent):
-        for group in plan.color_groups:
-            for col in unit.columns:
-                targets = col[group]
-                assert np.unique(targets).size == targets.size
+    assert plan.nblocks == edges.size
+    assert ((plan.block_colors >= 0) & (plan.block_colors < plan.ncolors)).all()
+    for color in range(plan.ncolors):
+        group = np.flatnonzero(plan.block_colors == color)
+        targets = table[group].ravel()
+        # an element may repeat its own target (a degenerate row)
+        owners = np.repeat(group, table.shape[1])
+        pairs = np.unique(np.stack([targets, owners]), axis=1)
+        assert np.unique(pairs[0]).size == pairs.shape[1]
+    assert check_block_plan(args, plan) == []
 
 
 @given(random_mesh(), st.integers(min_value=1, max_value=16))
@@ -84,7 +85,6 @@ def test_no_conflicts_no_plan():
     nodes = op2.Set(5, "nodes")
     x = op2.Dat(nodes, 1)
     args = [x.arg(op2.READ)]
-    assert build_plan(args, 5) is None
     assert build_block_plan(args, 5) is None
 
 
@@ -94,7 +94,7 @@ def test_read_only_indirect_needs_no_plan():
     pedge = op2.Map(edges, nodes, 2, [[0, 1], [1, 2], [2, 3]], "pedge")
     x = op2.Dat(nodes, 1)
     args = [x.arg(op2.READ, pedge, 0)]
-    assert build_plan(args, 3) is None
+    assert build_block_plan(args, 3) is None
 
 
 def test_plan_cache_reuse():
@@ -103,46 +103,54 @@ def test_plan_cache_reuse():
     pedge = op2.Map(edges, nodes, 2, [[0, 1], [1, 2], [2, 3]], "pedge")
     acc = op2.Dat(nodes, 1)
     args = [acc.arg(op2.INC, pedge, 0)]
-    p1 = build_plan(args, 3)
-    p2 = build_plan(args, 3)
+    p1 = build_block_plan(args, 3)
+    p2 = build_block_plan(args, 3)
     assert p1 is p2
-    p3 = build_plan(args, 2)  # different extent → different plan
+    p3 = build_block_plan(args, 2)  # different extent → different plan
     assert p3 is not p1
+    assert build_block_plan(args, 3, block_size=1) is not p1
 
 
 def test_vector_arg_unit_groups_columns():
-    """An ALL-idx arg must treat all map columns as one conflict unit."""
+    """An ALL-idx arg contributes every map column to its conflict unit."""
     nodes = op2.Set(4, "nodes")
     edges = op2.Set(4, "edges")
     # edges 0 and 1 share node 1 but through *different* columns
     table = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
     pedge = op2.Map(edges, nodes, 2, table, "pedge")
-    acc = op2.Dat(nodes, 1)
+    acc = op2.Dat(nodes, 1, name="acc")
     args = [acc.arg(op2.INC, pedge, op2.ALL)]
-    plan = build_plan(args, 4)
-    assert check_plan(args, plan) == []
-    for group in plan.color_groups:
-        targets = table[group].ravel()
-        assert np.unique(targets).size == targets.size
+    (unit,) = conflict_units(args, 4)
+    assert unit.label == "acc via pedge[*]"
+    assert [c.tolist() for c in unit.columns] == table.T.tolist()
+    plan = build_block_plan(args, 4, block_size=1)
+    assert plan.ncolors == 2
+    assert check_block_plan(args, plan) == []
 
 
 def test_separate_scalar_args_may_share_across_columns():
-    """Scalar-idx args scatter serially, so cross-column sharing is legal."""
+    """Two scalar-idx args into one target set form one conflict unit:
+    elements sharing a target across columns may share a block, but
+    never a color across blocks."""
     nodes = op2.Set(3, "nodes")
     edges = op2.Set(2, "edges")
-    # edge 0 col0 hits node 1; edge 1 col1 hits node 1: OK in one color
+    # edge 0 col0 hits node 1; edge 1 col1 hits node 1
     table = np.array([[1, 0], [2, 1]])
     pedge = op2.Map(edges, nodes, 2, table, "pedge")
-    acc = op2.Dat(nodes, 1)
+    acc = op2.Dat(nodes, 1, name="acc")
     args = [acc.arg(op2.INC, pedge, 0), acc.arg(op2.INC, pedge, 1)]
-    plan = build_plan(args, 2)
-    assert plan.ncolors == 1
-    assert check_plan(args, plan) == []
+    (unit,) = conflict_units(args, 2)
+    assert unit.label == "acc via pedge[0] + acc via pedge[1]"
+    assert build_block_plan(args, 2, block_size=2).ncolors == 1
+    plan = build_block_plan(args, 2, block_size=1)
+    assert plan.ncolors == 2
+    assert check_block_plan(args, plan) == []
 
 
 def test_chain_mesh_color_counts():
-    """Path graph: per-column scatters are duplicate-free (1 color);
-    a vector arg couples the columns and needs the classic 2 colors."""
+    """Path graph: scalar and vector args alike couple the columns, so
+    element coloring needs the classic 2 colors, and one block that
+    holds the whole chain needs 1."""
     n = 50
     nodes = op2.Set(n + 1, "nodes")
     edges = op2.Set(n, "edges")
@@ -151,7 +159,9 @@ def test_chain_mesh_color_counts():
     acc = op2.Dat(nodes, 1)
 
     scalar_args = [acc.arg(op2.INC, pedge, 0), acc.arg(op2.INC, pedge, 1)]
-    assert build_plan(scalar_args, n).ncolors == 1
+    assert build_block_plan(scalar_args, n, block_size=1).ncolors == 2
+    assert build_block_plan(scalar_args, n).ncolors == 1
 
     vector_args = [acc.arg(op2.INC, pedge, op2.ALL)]
-    assert build_plan(vector_args, n).ncolors == 2
+    assert build_block_plan(vector_args, n, block_size=1).ncolors == 2
+    assert build_block_plan(vector_args, n, block_size=10).ncolors == 2

@@ -1,16 +1,19 @@
-"""Race-sanitizer OP2 backend: write-set auditing of coloring plans.
+"""Race-sanitizer OP2 backend: write-set auditing of the block plan.
 
-The acceptance bar (ISSUE 1): a seeded plan mutation — two conflicting
-elements forced into one color — must be detected by the sanitizer,
-with a report naming the color, the elements and the shared dat entry.
-The clean paths must stay numerically identical to ``sequential``.
+The sanitizer audits the very plan object the compiled ``native``
+backend executes (same cache key), so a seeded mutation of that plan —
+two target-sharing blocks forced into one color, or a block colored
+outside ``[0, ncolors)`` — must be detected with a report naming the
+color, the blocks and the shared dat entry. The clean paths must stay
+numerically identical to ``sequential``.
 """
 
 import numpy as np
 import pytest
 
 from repro import op2
-from repro.sanitize import RaceError, check_block_plan, check_plan
+from repro.op2 import plan as plan_mod
+from repro.sanitize import RaceError, check_block_plan
 
 
 @pytest.fixture(autouse=True)
@@ -18,6 +21,12 @@ def fresh_plans():
     op2.clear_plan_cache()
     yield
     op2.clear_plan_cache()
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 4 elements, so a 12-edge chain has 3 blocks."""
+    monkeypatch.setattr(plan_mod, "BLOCK_SIZE", 4)
 
 
 def make_chain(n=9):
@@ -36,21 +45,6 @@ def scatter_kernel():
         a[1, 0] += 2.0
 
     return op2.Kernel(scatter)
-
-
-def corrupt_plan(plan, color_from=1, color_to=0):
-    """Force the first element of one color group into another color.
-
-    ``build_plan`` caches plans by loop signature, so mutating the
-    returned object is exactly what a later par_loop will execute —
-    the seeded-mutation scenario of the acceptance criteria.
-    """
-    victim = int(plan.color_groups[color_from][0])
-    plan.colors[victim] = color_to
-    plan.color_groups[color_to] = np.sort(
-        np.append(plan.color_groups[color_to], victim))
-    plan.color_groups[color_from] = plan.color_groups[color_from][1:]
-    return victim
 
 
 class TestCleanExecution:
@@ -84,80 +78,126 @@ class TestCleanExecution:
                      backend="sanitizer")
         np.testing.assert_allclose(x.data[:, 0], 2.0 * np.arange(6.0))
 
-    def test_valid_vector_plan_is_clean(self):
-        nodes, edges, pedge = make_chain()
+    def test_valid_vector_plan_is_clean(self, small_blocks):
+        nodes, edges, pedge = make_chain(12)
         acc = op2.Dat(nodes, 1, name="acc")
         arg = acc.arg(op2.INC, pedge, op2.ALL)
         op2.par_loop(scatter_kernel(), edges, arg, backend="sanitizer")
-        plan = op2.build_plan([arg], edges.size)
-        assert plan.ncolors >= 2
-        assert check_plan([arg], plan) == []
+        plan = op2.build_block_plan([arg], edges.size)
+        assert plan.block_size == 4 and plan.ncolors >= 2
+        assert check_block_plan([arg], plan) == []
+        np.testing.assert_array_equal(
+            acc.data_ro[:, 0], [1.0] + [3.0] * 11 + [2.0])
 
 
 class TestMutationDetection:
-    def test_seeded_plan_mutation_is_detected(self):
-        """Two conflicting edges forced into one color -> RaceError
-        naming the color, both elements, and the shared node."""
-        nodes, edges, pedge = make_chain()
+    def test_seeded_plan_mutation_is_detected(self, small_blocks):
+        """Two target-sharing blocks forced into one color -> RaceError
+        naming the color, both blocks and the shared node."""
+        nodes, edges, pedge = make_chain(12)
         acc = op2.Dat(nodes, 1, name="acc")
         kernel = scatter_kernel()
         arg = acc.arg(op2.INC, pedge, op2.ALL)
 
         op2.par_loop(kernel, edges, arg, backend="sanitizer")  # clean
-        plan = op2.build_plan([arg], edges.size)
-        victim = corrupt_plan(plan)
+        plan = op2.build_block_plan([arg], edges.size)
+        assert plan.block_colors.tolist() == [0, 1, 0]
+        plan.block_colors[1] = 0
 
         with pytest.raises(RaceError) as excinfo:
             op2.par_loop(kernel, edges, arg, backend="sanitizer")
         err = excinfo.value
-        assert err.findings, "mutation must produce findings"
-        conflicting = set()
-        for f in err.findings:
-            conflicting.update(f.elements)
-        assert victim in conflicting
+        assert {(f.blocks, f.target) for f in err.findings} == {
+            ((0, 1), 4), ((1, 2), 8)}
         message = str(err)
-        assert "color 0" in message
-        assert "acc via pedge[*]" in message
+        assert "color 0: blocks [0, 1] all scatter into acc via pedge[*] " \
+               "row 4" in message
 
-    def test_findings_name_the_shared_target(self):
-        nodes, edges, pedge = make_chain()
+    def test_findings_name_the_shared_target(self, small_blocks):
+        nodes, edges, pedge = make_chain(12)
         acc = op2.Dat(nodes, 1, name="acc")
         arg = acc.arg(op2.INC, pedge, op2.ALL)
-        plan = op2.build_plan([arg], edges.size)
-        victim = corrupt_plan(plan)
-        findings = check_plan([arg], plan)
-        # victim (edge v) now shares nodes v and v+1 with its neighbours
-        targets = {f.target for f in findings}
-        assert targets & {victim, victim + 1}
-        assert all(f.color == 0 for f in findings)
+        plan = op2.build_block_plan([arg], edges.size)
+        plan.block_colors[2] = 1  # block 2 shares node 8 with block 1
+        findings = check_block_plan([arg], plan)
+        assert [(f.color, f.target, f.blocks) for f in findings] == [
+            (1, 8, (1, 2))]
 
-    def test_partition_violation_is_detected(self):
-        """A plan that drops an element is flagged even when race-free."""
-        nodes, edges, pedge = make_chain()
+    def test_partition_violation_is_detected(self, small_blocks):
+        """A block colored outside [0, ncolors) never runs: flagged even
+        though no two same-colored blocks share a target."""
+        nodes, edges, pedge = make_chain(12)
         acc = op2.Dat(nodes, 1, name="acc")
         arg = acc.arg(op2.INC, pedge, op2.ALL)
-        plan = op2.build_plan([arg], edges.size)
-        plan.color_groups[0] = plan.color_groups[0][1:]  # lose an element
+        plan = op2.build_block_plan([arg], edges.size)
+        plan.block_colors[0] = plan.ncolors
 
         with pytest.raises(RaceError, match="does not cover"):
             op2.par_loop(scatter_kernel(), edges, arg, backend="sanitizer")
+        np.testing.assert_array_equal(acc.data_ro, 0.0)  # nothing applied
 
-    def test_sanitize_config_flag_overrides_backend(self):
+    def test_sanitize_config_flag_overrides_backend(self, small_blocks):
         """cfg.sanitize routes every loop through the sanitizer, even
         with an explicit per-loop backend override."""
-        nodes, edges, pedge = make_chain()
+        nodes, edges, pedge = make_chain(12)
         acc = op2.Dat(nodes, 1, name="acc")
         arg = acc.arg(op2.INC, pedge, op2.ALL)
-        plan = op2.build_plan([arg], edges.size)
-        corrupt_plan(plan)
+        plan = op2.build_block_plan([arg], edges.size)
+        plan.block_colors[:] = 0
 
-        # the coloring backend trusts the plan: silently wrong results
+        # the blockcolor oracle trusts the plan: blocks run serially in
+        # its simulation, so the race goes unnoticed
         with op2.configure(sanitize=True):
             with pytest.raises(RaceError):
                 op2.par_loop(scatter_kernel(), edges, arg,
-                             backend="coloring")
-        # without the flag the corrupted plan executes silently
-        op2.par_loop(scatter_kernel(), edges, arg, backend="coloring")
+                             backend="blockcolor")
+        op2.par_loop(scatter_kernel(), edges, arg, backend="blockcolor")
+
+
+class TestNativePlanAudit:
+    """``sanitize=True`` audits the plan ``native`` executes: a corrupt
+    cached block plan raises before ``native`` would run it."""
+
+    def run_native(self, kernel, edges, arg):
+        with op2.configure(sanitize=True, native_threads=1):
+            op2.par_loop(kernel, edges, arg, backend="native")
+
+    def test_same_color_blocks_raise_naming_blocks_and_node(
+            self, small_blocks):
+        nodes, edges, pedge = make_chain(12)
+        acc = op2.Dat(nodes, 1, name="acc")
+        arg = acc.arg(op2.INC, pedge, op2.ALL)
+        plan = op2.build_block_plan([arg], edges.size)
+        assert plan.ncolors == 2
+        plan.block_colors[:] = 0
+
+        with pytest.raises(RaceError) as excinfo:
+            self.run_native(scatter_kernel(), edges, arg)
+        message = str(excinfo.value)
+        assert "color 0: blocks [0, 1] all scatter into acc via pedge[*] " \
+               "row 4" in message
+        assert "blocks [1, 2]" in message and "row 8" in message
+        np.testing.assert_array_equal(acc.data_ro, 0.0)
+
+    def test_block_colored_past_ncolors_does_not_cover(self, small_blocks):
+        nodes, edges, pedge = make_chain(12)
+        acc = op2.Dat(nodes, 1, name="acc")
+        arg = acc.arg(op2.INC, pedge, op2.ALL)
+        plan = op2.build_block_plan([arg], edges.size)
+        plan.block_colors[1] = plan.ncolors
+
+        with pytest.raises(RaceError, match="does not cover") as excinfo:
+            self.run_native(scatter_kernel(), edges, arg)
+        assert "blocks [1]" in str(excinfo.value)
+
+    def test_audited_plan_is_the_native_plan(self, small_blocks):
+        nodes, edges, pedge = make_chain(12)
+        acc = op2.Dat(nodes, 1, name="acc")
+        arg = acc.arg(op2.INC, pedge, op2.ALL)
+        self.run_native(scatter_kernel(), edges, arg)
+        (plan,) = pedge._plans.values()
+        assert plan is op2.build_block_plan([arg], edges.size)
+        assert plan.block_size == 4
 
 
 class TestBlockPlanAudit:
@@ -180,14 +220,15 @@ class TestBlockPlanAudit:
         findings = check_block_plan(args, plan)
         assert findings
         # blocks 0/1 share node 4; blocks 1/2 share node 8
-        pairs = {f.elements for f in findings}
+        pairs = {f.blocks for f in findings}
         assert (0, 1) in pairs and (1, 2) in pairs
         assert {f.target for f in findings} == {4, 8}
 
 
 class TestDegenerateVectorRow:
     """A vector map row that repeats a target, e.g. ``[2, 3, 3]``: the
-    element's one fancy ``+=`` would drop the repeated increment."""
+    element increments the target twice, and every backend keeps both
+    increments (one block applies its writes serially)."""
 
     def make_cells(self):
         nodes = op2.Set(5, "nodes")
@@ -203,26 +244,14 @@ class TestDegenerateVectorRow:
 
         return op2.Kernel(spread)
 
-    def test_check_plan_reports_same_element_repeat(self):
+    def test_every_backend_keeps_both_increments(self):
         nodes, cells, cell2node = self.make_cells()
-        acc = op2.Dat(nodes, 1, name="acc")
-        arg = acc.arg(op2.INC, cell2node, op2.ALL)
-        plan = op2.build_plan([arg], cells.size)
-        findings = check_plan([arg], plan)
-        assert [(f.target, f.elements) for f in findings] == [(3, (1,))]
-
-    def test_sanitizer_raises_instead_of_losing_an_increment(self):
-        nodes, cells, cell2node = self.make_cells()
-        ref = op2.Dat(nodes, 1, name="ref")
-        op2.par_loop(self.spread(), cells,
-                     ref.arg(op2.INC, cell2node, op2.ALL),
-                     backend="sequential")
-        assert ref.data_ro[3, 0] == 2.0
-        acc = op2.Dat(nodes, 1, name="acc")
-        with pytest.raises(RaceError) as excinfo:
-            op2.par_loop(self.spread(), cells,
-                         acc.arg(op2.INC, cell2node, op2.ALL),
-                         backend="sanitizer")
-        message = str(excinfo.value)
-        assert "element 1 scatters into acc via cell2node[*] row 3" in message
-        np.testing.assert_array_equal(acc.data_ro, 0.0)  # nothing applied
+        for backend in ("sequential", "vectorized", "native", "sanitizer"):
+            acc = op2.Dat(nodes, 1, name="acc")
+            arg = acc.arg(op2.INC, cell2node, op2.ALL)
+            with op2.configure(native_threads=1):
+                op2.par_loop(self.spread(), cells, arg, backend=backend)
+            assert acc.data_ro[:, 0].tolist() == [1.0, 1.0, 2.0, 2.0, 0.0], \
+                backend
+            plan = op2.build_block_plan([arg], cells.size)
+            assert check_block_plan([arg], plan) == []

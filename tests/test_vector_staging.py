@@ -191,7 +191,7 @@ def random_bindings(signature, rng):
 def test_atomic_wrapper_is_bitwise_the_alloc_form(name, extent):
     kernel, signature = captured_loops()[name]
     start, end = (0, SIZE) if extent == "full" else (SIZE, EXEC_SIZE)
-    new = compile_wrapper(generate_vectorized(kernel, signature, "atomic"),
+    new = compile_wrapper(generate_vectorized(kernel, signature),
                           name)
     old = compile_wrapper(generate_vectorized_alloc(kernel, signature), name)
     rng = np.random.default_rng(sum(map(ord, name)))
@@ -213,7 +213,7 @@ def test_atomic_wrapper_is_bitwise_the_alloc_form(name, extent):
 def test_batching_rule_edge_cases_are_bitwise_the_alloc_form(name, extent):
     fn, signature, batched = EDGE_KERNELS[name]
     kernel = op2.Kernel(fn)
-    src = generate_vectorized(kernel, signature, "atomic")
+    src = generate_vectorized(kernel, signature)
     assert (LOOP.search(src) is None) == batched
     start, end = (0, SIZE) if extent == "full" else (SIZE, EXEC_SIZE)
     new = compile_wrapper(src, name)
@@ -233,7 +233,7 @@ def test_batching_rule_edge_cases_are_bitwise_the_alloc_form(name, extent):
                                   "smooth_gather", "smooth_update"])
 def test_component_loops_become_row_operations(name):
     kernel, signature = captured_loops()[name]
-    src = generate_vectorized(kernel, signature, "atomic")
+    src = generate_vectorized(kernel, signature)
     assert not LOOP.search(src)
     assert "[:, 0:5]" in src
 
@@ -241,13 +241,13 @@ def test_component_loops_become_row_operations(name):
 @pytest.mark.parametrize("name", ["residual_norm", "update", "scatter_all"])
 def test_accumulating_and_nested_loops_stay_loops(name):
     kernel, signature = captured_loops()[name]
-    assert LOOP.search(generate_vectorized(kernel, signature, "atomic"))
+    assert LOOP.search(generate_vectorized(kernel, signature))
 
 
 def test_loop_carried_read_stays_a_loop_and_matches_sequential():
     kernel = op2.Kernel(normalize)
     sig = (("dat", op2.RW, "direct", 3, 0),)
-    assert "for i in range(3)" in generate_vectorized(kernel, sig, "atomic")
+    assert "for i in range(3)" in generate_vectorized(kernel, sig)
     data = np.random.default_rng(5).uniform(0.5, 2.0, (40, 3))
     results = {}
     for backend in ("sequential", "vectorized"):
