@@ -462,6 +462,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro import op2
     from repro.apps import AirfoilApp, make_airfoil_mesh
+    from repro.smpi import omp_threads
     from repro.telemetry import bench_summary, tracing, validate_bench
     from repro.util.tables import format_table
 
@@ -470,7 +471,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     runs: dict[str, dict] = {}
     ref = None
     for backend in backends:
-        with op2.configure(backend=backend, native_threads=args.threads):
+        with op2.configure(backend=backend):
             app = AirfoilApp(mesh, mach=0.4)
             app.iterate(2)  # warm wrapper/plan/compile caches
             with tracing() as rec:
@@ -522,7 +523,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         doc = bench_summary("cli", metrics, meta={
             "cells": mesh.ncell, "edges": mesh.nedge,
             "iterations": args.iters, "backends": ",".join(backends),
-            "native_threads": args.threads})
+            "threads": omp_threads()})
         validate_bench(doc)
         path = pathlib.Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -794,8 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--ni", type=int, default=64)
     p.add_argument("--nj", type=int, default=16)
-    p.add_argument("--threads", type=int, default=0,
-                   help="native OpenMP threads (0 = all cores)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write a bench-schema JSON summary")
     p.set_defaults(fn=_cmd_bench)

@@ -13,9 +13,12 @@ implementations here reproduce that **fixed evaluation order**
   by the op2 native backend's compile cache (same toolchain, compile
   lock, disk-cache counters and corrupt-entry rebuild), with the same
   sequential accumulation per output element (OpenMP across targets
-  only, so determinism is unaffected) and ``-ffp-contract=off``.
+  only, on the rank's :func:`~repro.smpi.omp_threads` budget, so
+  determinism is unaffected) and ``-ffp-contract=off``.
   Unavailable toolchain, compile failure, or load failure all fall
-  back to the numpy path silently; :func:`native_status` reports why.
+  back to the numpy path, each call bumping the
+  ``coupler.interp_native.fallback`` telemetry counter;
+  :func:`native_status` reports why.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import ctypes
 import numpy as np
 
 from repro.op2.backends.native import _Fallback, _load_compiled
+from repro.smpi.threads import region_threads
+from repro.telemetry.recorder import active_recorder
 
 _SOURCE = r"""
 #include <stddef.h>
@@ -33,9 +38,10 @@ void gather_apply(long n, long S, long m,
                   const double *w,      /* (n, S) weights */
                   const long *pts,      /* (n, S) donor point indices */
                   const double *vals,   /* (npts, m) donor values */
-                  double *out)          /* (n, m) */
+                  double *out,          /* (n, m) */
+                  int nthreads)
 {
-    #pragma omp parallel for schedule(static)
+    #pragma omp parallel for schedule(static) num_threads(nthreads)
     for (long i = 0; i < n; ++i) {
         const double *wi = w + i * S;
         const long *pi = pts + i * S;
@@ -77,7 +83,7 @@ def _load_native():
                            ctypes.POINTER(ctypes.c_double),
                            ctypes.POINTER(ctypes.c_long),
                            ctypes.POINTER(ctypes.c_double),
-                           ctypes.POINTER(ctypes.c_double)]
+                           ctypes.POINTER(ctypes.c_double), ctypes.c_int]
             _native_fn = (fn, lib)  # keep dlopen handle alive
     return _native_fn
 
@@ -90,7 +96,7 @@ def gather_apply(weights: np.ndarray, pts: np.ndarray,
     Accumulates the stencil axis left-to-right in a fixed chain, so the
     result is bitwise equal to the historical per-point loop. With
     ``native=True`` the compiled kernel is used when available (same
-    per-element arithmetic; silent numpy fallback otherwise).
+    per-element arithmetic; a counted numpy fallback otherwise).
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     pts = np.ascontiguousarray(pts, dtype=np.int64)
@@ -106,8 +112,12 @@ def gather_apply(weights: np.ndarray, pts: np.ndarray,
                weights.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
                pts.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
                donor_values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-               out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+               out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+               region_threads())
             return out
+        rec = active_recorder()
+        if rec is not None:
+            rec.counter("coupler.interp_native.fallback")
     out = weights[:, 0, None] * donor_values[pts[:, 0]]
     for s in range(1, S):
         out = out + weights[:, s, None] * donor_values[pts[:, s]]

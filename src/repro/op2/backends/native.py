@@ -66,6 +66,7 @@ from repro.op2.codegen.hoist import hoist_plan
 from repro.op2.config import current_config
 from repro.op2.kernel import KernelParseError
 from repro.op2.plan import build_block_plan, clear_native_plan_arrays
+from repro.smpi.threads import region_threads
 from repro.telemetry.recorder import active_recorder, span
 from repro.util.atomicio import atomic_write_text
 
@@ -334,7 +335,8 @@ class NativeBackend:
         map, READ Global and reduction buffer, then per hoisting group
         its row list, row count and scratch array, then the block
         plan's arrays (planned wrappers), the range and the thread
-        count. Each pointer keeps its array alive.
+        count (:func:`~repro.smpi.threads.region_threads`, read here
+        and not per run). Each pointer keeps its array alive.
         """
         entry = self._entry_for(loop)
         if isinstance(entry, _Fallback):
@@ -350,7 +352,7 @@ class NativeBackend:
             blk_lo, blk_hi, col_off = plan.native_arrays(start, end)
             argv += [_pointer(blk_lo), _pointer(blk_hi), _pointer(col_off),
                      c_ll(col_off.size - 1)]
-        argv += [c_ll(start), c_ll(end), c_ll(cfg.native_threads)]
+        argv += [c_ll(start), c_ll(end), c_ll(region_threads())]
         hoisting = hoist_plan(loop.kernel, self._nsig(loop))
         if cfg.check_access and hoisting.cache:
             return (_refilling(entry.fn, loop, len(hoisting.cache), start,

@@ -73,14 +73,7 @@ def native_is_planned(signature: Sequence[tuple]) -> bool:
     )
 
 
-_NATIVE_PREAMBLE = [
-    "#include <math.h>",
-    "#ifdef _OPENMP",
-    "#include <omp.h>",
-    "#else",
-    "#define omp_get_max_threads() 1",
-    "#endif",
-]
+_NATIVE_PREAMBLE = ["#include <math.h>"]
 
 
 #: suffix of every wrapper-scope name (formals, plan arrays, reduction
@@ -233,11 +226,10 @@ def generate_native(kernel: Kernel, signature: Sequence[tuple]) -> str:
     lines = [
         f"void {native_entry_name(kernel)}(",
         "    " + ",\n    ".join(formals + tail) + ") {",
-        "  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();",
-        "  (void)_nt;",
+        "  (void)_nthreads;",
         "  (void)_start;",
         "  (void)_end;",
-        "  #pragma omp parallel num_threads(_nt)",
+        "  #pragma omp parallel num_threads((int)_nthreads)",
         "  {",
         f"    // -- section 0: {kernel.name}",
     ]

@@ -23,16 +23,12 @@ class Config:
         :data:`~repro.op2.backends.BACKENDS`): ``"sequential"``,
         ``"vectorized"``, ``"sanitizer"`` or ``"native"`` (compiled C
         via the host toolchain, block-color plan), which falls back to
-        ``"vectorized"`` when no compiler is available.
-    native_threads:
-        OpenMP thread count of the native backend's compiled wrappers
-        (each runs one loop in one region);
-        ``0`` (default) lets the OpenMP runtime decide
-        (``omp_get_max_threads``, honouring ``OMP_NUM_THREADS``). With
-        more than one thread, global
-        reductions fold thread partials in nondeterministic order —
-        pin ``native_threads=1`` where bitwise-reproducible reductions
-        matter.
+        ``"vectorized"`` when no compiler is available. Its compiled
+        regions run :func:`repro.smpi.omp_threads` OpenMP threads,
+        which follows from the launch. With more than one thread,
+        global reductions fold thread partials in nondeterministic
+        order — set ``OMP_NUM_THREADS=1`` where bitwise-reproducible
+        reductions matter.
     partial_halos:
         Enable the partial-halo-exchange optimization (paper's PH).
     grouped_halos:
@@ -55,7 +51,6 @@ class Config:
     """
 
     backend: str = "vectorized"
-    native_threads: int = 0
     partial_halos: bool = False
     grouped_halos: bool = False
     check_access: bool = False

@@ -115,12 +115,12 @@ class BoundLoop:
     Frozen at bind: the kernel, the iteration set, the :class:`Arg`
     objects (a bound ``Arg`` must not be mutated), the backend
     override, the signatures and the flat argument layout. Built per
-    configuration (:attr:`_fingerprint` of ``partial_halos``,
-    ``native_threads``, ``check_access``; a change
-    rebinds on the next run): the halo reads, one scope per dat. Built
-    on the first run under each backend: the prepared backend calls
-    over the owned range and the exec halo, with the loop's two
-    reusable reduction buffers bound in. Read per run: halo
+    configuration (:attr:`_fingerprint` of ``partial_halos`` and
+    ``check_access``; a change rebinds on the next run): the halo
+    reads, one scope per dat. Built on the first run under each
+    backend: the prepared backend calls over the owned range and the
+    exec halo, with the loop's two reusable reduction buffers bound
+    in. Read per run: halo
     freshness, the config, and the storage of every READ ``Global``
     (``Global.data = ...`` may rebind it; the next run re-prepares).
     Filled on a range's first compiled run and kept: the caches of what
@@ -339,7 +339,7 @@ def execute_loop(loop: BoundLoop, backend_name: str) -> None:
     cfg = current_config()
     rec = active_recorder()
     t0 = t_halo = time.perf_counter() if rec is not None else 0.0
-    fingerprint = (cfg.partial_halos, cfg.native_threads, cfg.check_access)
+    fingerprint = (cfg.partial_halos, cfg.check_access)
     if fingerprint != loop._fingerprint:
         loop._rebind(cfg, fingerprint)
     iterset = loop.iterset

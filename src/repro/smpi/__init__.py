@@ -30,6 +30,7 @@ from repro.smpi.deadlock import DeadlockError, WaitEdge, WaitRegistry, format_cy
 from repro.smpi.errors import ProcessRankDied, RankFailure, TransportError
 from repro.smpi.faults import CrashFault, FaultPlan, FaultRecord, MessageFault
 from repro.smpi.schedule import DeterministicScheduler, ScheduleRun, sweep_schedules
+from repro.smpi.threads import omp_threads
 from repro.smpi.traffic import Traffic, TrafficRecord
 from repro.smpi.transport import (
     HEARTBEAT_ENV,
@@ -68,6 +69,7 @@ __all__ = [
     "default_transport",
     "format_cycle",
     "heartbeat_seconds",
+    "omp_threads",
     "resolve_transport",
     "run_ranks",
     "sweep_schedules",

@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.smpi.deadlock import WaitEdge, WaitRegistry
 from repro.smpi.errors import SimAbort, SimMPIError, TransportError
+from repro.smpi.threads import enter_launch
 from repro.smpi.traffic import Traffic, payload_nbytes
 from repro.telemetry.recorder import active_recorder, span as _tspan
 
@@ -615,6 +616,7 @@ def run_ranks(nranks: int, fn: Callable[..., Any], args: tuple = (),
     failures_lock = threading.Lock()
 
     def runner(rank: int) -> None:
+        enter_launch(nranks)
         comm = SimComm(channels[rank], range(nranks), rank, traffic,
                        timeout, fault_plan)
         try:

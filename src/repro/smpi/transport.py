@@ -98,6 +98,7 @@ from repro.smpi.errors import (
     SimMPIError,
     TransportError,
 )
+from repro.smpi.threads import enter_launch
 from repro.smpi.traffic import Traffic
 from repro.telemetry.recorder import active_recorder, use_recorder
 
@@ -486,6 +487,7 @@ def _child_main(rank: int, nranks: int, fn: Callable[..., Any], args: tuple,
     bound handler sends a ``("fault", notice)`` frame and SIGKILLs the
     process, so the parent sees the notice followed by pipe EOF.
     """
+    enter_launch(nranks, forked=True)
     if shm_prefix:
         _set_shm_prefix(f"{shm_prefix}r{rank}x")
     # the fork copied the launching thread's recorder binding; a rank

@@ -15,6 +15,11 @@ The numpy race-strategy simulations ``coloring``, ``atomics`` and
 and ``native-uncached`` in ``tests/oracles/compiled.py``; importing this
 file registers them into ``repro.op2.BACKENDS`` so every test can
 select them by name, as it selects ``src/`` backends.
+
+``one_omp_thread`` (autouse) sets ``OMP_NUM_THREADS=1``: every compiled
+region runs one thread, so compiled global reductions are bitwise
+reproducible and no forked rank inherits a multi-threaded libgomp. A
+test that varies the thread count sets the variable itself.
 """
 
 import pytest
@@ -22,6 +27,12 @@ import pytest
 from tests.oracles.backends import register_oracle_backends
 
 register_oracle_backends()
+
+
+@pytest.fixture(autouse=True)
+def one_omp_thread(monkeypatch):
+    """One OpenMP thread per rank unless the test sets another count."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
 
 
 @pytest.fixture(params=["thread", "process"])

@@ -1,10 +1,5 @@
 // generated by repro.op2 — native block-color plan wrapper for golden_flux
 #include <math.h>
-#ifdef _OPENMP
-#include <omp.h>
-#else
-#define omp_get_max_threads() 1
-#endif
 
 static inline void golden_flux_f0(const double *x1, const double *x2, const double *w, double *r1, double *r2, double *rms) {
   double f = (w[0] * (x1[0] - x2[0]));
@@ -31,11 +26,10 @@ void op_native_golden_flux(
     long long _start,
     long long _end,
     long long _nthreads) {
-  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();
-  (void)_nt;
+  (void)_nthreads;
   (void)_start;
   (void)_end;
-  #pragma omp parallel num_threads(_nt)
+  #pragma omp parallel num_threads((int)_nthreads)
   {
     // -- section 0: golden_flux
     double rms_l_f0[1];

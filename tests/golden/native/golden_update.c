@@ -1,10 +1,5 @@
 // generated by repro.op2 — native block-color plan wrapper for golden_update
 #include <math.h>
-#ifdef _OPENMP
-#include <omp.h>
-#else
-#define omp_get_max_threads() 1
-#endif
 
 static inline double op2_max(double a, double b) { double m = a > b ? a : b; return a != a ? a : m; }
 
@@ -27,11 +22,10 @@ void op_native_golden_update(
     long long _start,
     long long _end,
     long long _nthreads) {
-  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();
-  (void)_nt;
+  (void)_nthreads;
   (void)_start;
   (void)_end;
-  #pragma omp parallel num_threads(_nt)
+  #pragma omp parallel num_threads((int)_nthreads)
   {
     // -- section 0: golden_update
     double change_l_f0[1];

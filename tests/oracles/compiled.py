@@ -31,8 +31,8 @@ from repro.op2.codegen.csource import (_MINMAX, _NATIVE_PREAMBLE, _TAG,
                                        _native_args, _native_element_loop,
                                        native_is_planned)
 from repro.op2.codegen.hoist import hoist_plan
-from repro.op2.config import current_config
 from repro.op2.kernel import Kernel
+from repro.smpi.threads import region_threads
 from repro.telemetry.recorder import active_recorder
 
 #: elements per chunk, of the compiled and the numpy atomics oracles
@@ -90,11 +90,10 @@ def generate_oracle(kernel: Kernel, signature: Sequence[tuple],
         f"void {entry_name(kernel, atomics)}(",
         "    " + ",\n    ".join(formals + [f"long long {t}" for t in tail])
         + ") {",
-        "  int _nt = _nthreads > 0 ? (int)_nthreads : omp_get_max_threads();",
-        "  (void)_nt;",
+        "  (void)_nthreads;",
         "  (void)_start;",
         "  (void)_end;",
-        "  #pragma omp parallel num_threads(_nt)",
+        "  #pragma omp parallel num_threads((int)_nthreads)",
         "  {",
         f"    // -- section 0: {kernel.name}",
         *(f"    {d}" for d in red_decl),
@@ -132,7 +131,7 @@ class NativeOracleBackend(NativeBackend):
         nblocks = -(-(end - start) // block)
         argv = [*self._loop_argv(loop, reductions),
                 *self._hoist_argv(loop, start, end), c_ll(start), c_ll(end),
-                c_ll(current_config().native_threads), c_ll(block)]
+                c_ll(region_threads()), c_ll(block)]
 
         def run(*argv) -> None:
             entry.fn(*argv)

@@ -12,9 +12,9 @@ reductions) run on every backend of
 and must agree. The fuzzed kernels run after a direct prep loop that
 writes their direct input.
 
-Tolerance model (see ``backends/native.py``; ``native_threads`` is
-pinned to 1 here so global reductions are deterministic in the
-compiled wrappers too):
+Tolerance model (see ``backends/native.py``; ``OMP_NUM_THREADS`` is
+pinned to 1 by ``tests/conftest.py`` so global reductions are
+deterministic in the compiled wrappers too):
 
 * the elemental arithmetic pool is restricted to correctly-rounded
   operations (+, -, *, /, sqrt, fabs, min, max, comparisons) and
@@ -215,7 +215,7 @@ def test_fuzzed_kernels_agree(spec):
         inc = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="inc")
         g = op2.Global(1, 0.75, name="g")
         r = op2.Global(1, red_init, name="r")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(prep, edges, c.arg(op2.RW))
             op2.par_loop(kernel, edges,
                          a.arg(op2.READ, emap, 0), c.arg(op2.READ),
@@ -290,7 +290,7 @@ def test_corpus_saxpy_direct():
         x = op2.Dat(cells, 3, rng.normal(size=(20, 3)), name="x")
         y = op2.Dat(cells, 3, name="y")
         g = op2.Global(1, -0.25, name="g")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(kernel, cells, x.arg(op2.READ),
                          y.arg(op2.WRITE), g.arg(op2.READ))
         return {"y": y.data_ro.copy()}, {}
@@ -310,7 +310,7 @@ def test_corpus_edge_flux_indirect_inc():
         q = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="q")
         res = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="res")
         rms = op2.Global(1, 0.0, name="rms")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(kernel, edges,
                          x.arg(op2.READ, pedge, 0),
                          x.arg(op2.READ, pedge, 1),
@@ -337,7 +337,7 @@ def test_corpus_vector_args_min_max():
         out = op2.Dat(cells, 1, name="out")
         lo = op2.Global(1, np.inf, name="lo")
         hi = op2.Global(1, -np.inf, name="hi")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(kernel, cells,
                          xs.arg(op2.READ, pcell, op2.ALL),
                          out.arg(op2.WRITE),
@@ -356,7 +356,7 @@ def test_corpus_integer_index_math():
         cells = op2.Set(12, "cells")
         x = op2.Dat(cells, 4, rng.normal(size=(12, 4)), name="x")
         y = op2.Dat(cells, 4, name="y")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(kernel, cells, x.arg(op2.READ),
                          y.arg(op2.WRITE))
         return {"y": y.data_ro.copy()}, {}
@@ -372,7 +372,7 @@ def test_corpus_rw_update_with_reduction():
         r = op2.Dat(cells, 1, rng.normal(size=(31, 1)), name="r")
         q = op2.Dat(cells, 1, rng.normal(size=(31, 1)), name="q")
         norm = op2.Global(1, 0.0, name="norm")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(kernel, cells, r.arg(op2.READ),
                          q.arg(op2.RW), norm.arg(op2.INC))
         return {"q": q.data_ro.copy()}, {"norm": norm.value}
@@ -396,7 +396,7 @@ def test_corpus_fused_pair_direct_then_indirect():
         res = op2.Dat(nodes, 1, rng.normal(size=(nnodes, 1)), name="res")
         c = op2.Dat(edges, 1, rng.normal(size=(nedges, 1)), name="c")
         rms = op2.Global(1, 0.0, name="rms")
-        with op2.configure(backend=backend, native_threads=1):
+        with op2.configure(backend=backend):
             op2.par_loop(prep, edges, c.arg(op2.RW))
             op2.par_loop(kernel, edges,
                          x.arg(op2.READ, pedge, 0),

@@ -238,8 +238,6 @@ def test_cold_cache_many_process_ranks():
 
     def rank_fn(comm):
         warnings.simplefilter("error")  # a fallback warning fails the rank
-        # ranks are the parallelism; libgomp's pool does not survive fork
-        op2.set_config(native_threads=1)
         return [_run_flux("native", op2.Kernel(src))[1] for src in sources]
 
     totals = run_ranks(12, rank_fn, transport="process")
@@ -261,11 +259,11 @@ def test_generated_source_is_inspectable():
 # -- config / execution integration --------------------------------------
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
-def test_native_threads_config_matches_serial():
+def test_native_thread_counts_match_serial(monkeypatch):
     ref = _run_flux("sequential")
     for nt in (1, 2, 4):
-        with op2.configure(native_threads=nt):
-            got = _run_flux("native")
+        monkeypatch.setenv("OMP_NUM_THREADS", str(nt))
+        got = _run_flux("native")
         np.testing.assert_allclose(got[0], ref[0], rtol=1e-12, atol=1e-13)
         assert got[1] == pytest.approx(ref[1], rel=1e-12)
 
@@ -437,8 +435,7 @@ def test_reset_native_state_clears_plan_native_cache():
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_native_atomics_matches_numpy_atomics_bitwise():
     ref = _run_flux("atomics")
-    with op2.configure(native_threads=1):
-        got = _run_flux("native-atomics")
+    got = _run_flux("native-atomics")
     # one INC statement per dat + single thread: accumulation order is
     # element order in both forms, so dats are bitwise-identical
     assert np.array_equal(got[0], ref[0])
@@ -448,8 +445,7 @@ def test_native_atomics_matches_numpy_atomics_bitwise():
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
 def test_native_atomics_counters_and_no_plan():
     with telemetry.tracing() as rec:
-        with op2.configure(native_threads=1):
-            _run_flux("native-atomics")
+        _run_flux("native-atomics")
     assert rec.counters.get("op2.native.atomics_loops", 0) >= 1
     assert rec.counters.get("op2.native.atomics_blocks", 0) >= 1
     assert rec.counters.get("op2.plan.build", 0) == 0, \
@@ -489,7 +485,7 @@ def nscale32(s):
 """
 
 
-def _run_pair(backend, lazy=False, nthreads=1, mixed=False):
+def _run_pair(backend, lazy=False, mixed=False):
     """A direct prep loop feeding an indirect one on the same set, with
     ``Config.lazy`` (no effect) set to ``lazy``; ``mixed`` appends a
     third same-set loop on a float32 dat (outside the compiled ABI) and
@@ -503,7 +499,7 @@ def _run_pair(backend, lazy=False, nthreads=1, mixed=False):
     out = op2.Dat(nodes, 1, np.zeros((9, 1)), name="out")
     tot = op2.Global(1, 0.0, name="tot")
     extra = []
-    with op2.configure(backend=backend, lazy=lazy, native_threads=nthreads):
+    with op2.configure(backend=backend, lazy=lazy):
         op2.par_loop(op2.Kernel(PREP), edges, w.arg(op2.RW))
         op2.par_loop(op2.Kernel(FLUX2), edges, w.arg(op2.READ),
                      a.arg(op2.READ, emap, 0), a.arg(op2.READ, emap, 1),

@@ -188,7 +188,7 @@ def test_bound_equals_unbound(name, backend, lazy, exec_halo):
     seed = sum(map(ord, name))
     ref_set, ref_args, ref_dats, ref_gbls = random_loop(nsig, exec_halo, seed)
     iterset, args, dats, gbls = random_loop(nsig, exec_halo, seed)
-    with op2.configure(native_threads=1, lazy=lazy):
+    with op2.configure(lazy=lazy):
         bound = op2.bind(kernel, iterset, *args, backend=backend)
         for run in range(RUNS):
             _between_runs(run, ref_dats, ref_args)
@@ -375,7 +375,7 @@ def _calls_per(fn, repeat: int) -> float:
 
 
 def test_a_native_run_makes_at_most_30_python_calls():
-    with op2.configure(backend="native", native_threads=1):
+    with op2.configure(backend="native"):
         solver = _rotor(nr=2, nt=3, nx=2)
         solver.advance_physical()       # every loop bound and prepared
         solver.residual_norm()
@@ -421,7 +421,7 @@ def _recorded(fn) -> list:
 
 @pytest.mark.parametrize("backend", ["native", "sanitizer"])
 def test_a_dropped_solver_frees_its_maps(backend):
-    with op2.configure(backend=backend, native_threads=1):
+    with op2.configure(backend=backend):
         solver = _rotor(nr=2, nt=3, nx=2, smooth_eps=0.2)
         solver.advance_physical()
     pedge = solver.local.maps["pedge"]

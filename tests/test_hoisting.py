@@ -313,7 +313,8 @@ def random_loop(nsig: tuple, seed: int, exec_halo: bool = True,
 def _run(kernel, nsig, backend, seed, threads, exec_halo=True,
          nan_rows=False, runs=2):
     iterset, args, dats, gbls = random_loop(nsig, seed, exec_halo, nan_rows)
-    with op2.configure(native_threads=threads), telemetry.tracing() as rec:
+    with pytest.MonkeyPatch.context() as mp, telemetry.tracing() as rec:
+        mp.setenv("OMP_NUM_THREADS", str(threads))
         loop = op2.bind(kernel, iterset, *args, backend=backend)
         for _ in range(runs):
             for d in dats:
@@ -416,8 +417,7 @@ def _hydra_distributed(backend, nranks=2):
                                 row_owners(mesh, gp, nranks, scheme="strips"))
 
     def rank_fn(comm):
-        op2.set_config(backend=backend, native_threads=1,
-                       partial_halos=True)
+        op2.set_config(backend=backend, partial_halos=True)
         local = build_local_problem(gp, layouts[comm.rank], comm)
         solver = HydraSolver(local, cfg, Numerics(), dt_outer=0.05,
                              inlet=inflow, p_out=1.0)
@@ -441,8 +441,7 @@ def _airfoil_distributed(backend, nranks=2):
     layouts = plan_distribution(gp, nranks, airfoil_owners(mesh, nranks))
 
     def rank_fn(comm):
-        op2.set_config(backend=backend, native_threads=1,
-                       partial_halos=True)
+        op2.set_config(backend=backend, partial_halos=True)
         local = build_local_problem(gp, layouts[comm.rank], comm)
         app = AirfoilApp.from_local(mesh, local, mach=0.35)
         app.iterate(3)

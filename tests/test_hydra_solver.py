@@ -290,7 +290,7 @@ def test_lazy_loop_stats_name_every_kernel(backend):
         num_kw=dict(backend=backend))
 
     def calls(lazy):
-        with op2.configure(lazy=lazy, native_threads=1):
+        with op2.configure(lazy=lazy):
             solver.advance_physical()
             with telemetry.tracing() as rec:
                 solver.inner_iteration()

@@ -278,7 +278,7 @@ def test_cached_equals_uncached(name, exec_halo, threads):
 
 def _cached_blade_force():
     solver = _rotor()
-    with op2.configure(backend="native", native_threads=1):
+    with op2.configure(backend="native"):
         solver.run(1)
     loop = solver._sites.loops["blade_force"]
     return solver, loop, loop.invariant_cache(1)
@@ -286,7 +286,7 @@ def _cached_blade_force():
 
 def _blade_force_once(solver, loop):
     solver.res.zero()
-    with op2.configure(backend="native", native_threads=1):
+    with op2.configure(backend="native"):
         op2.par_loop(loop.kernel, loop.iterset, *loop.args,
                      backend=loop.backend)
     return solver.res.data_ro.copy()
@@ -333,7 +333,7 @@ def test_two_rank_hydra_run_equals_uncached_with_the_same_traffic():
 
     def run(backend):
         def rank_fn(comm):
-            op2.set_config(backend=backend, native_threads=1)
+            op2.set_config(backend=backend)
             local = build_local_problem(gp, layouts[comm.rank], comm)
             solver = HydraSolver(local, cfg, Numerics(inner_iters=2),
                                  dt_outer=0.05, inlet=inflow, p_out=1.0)

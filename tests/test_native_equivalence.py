@@ -9,8 +9,8 @@ every combination must satisfy:
 
 * a run with ``Config.lazy`` set (a field without effect, kept for the
   frozen end-to-end harness) is **bitwise-equal** to the eager run
-  (``native_threads`` pinned to 1, so compiled global reductions are
-  deterministic too), and within 1e-12 of the ``vectorized`` backend's
+  (``OMP_NUM_THREADS`` pinned to 1 by ``tests/conftest.py``, so
+  compiled global reductions are deterministic too), and within 1e-12 of the ``vectorized`` backend's
   result on the same ranks;
 * the ``op2.native.*`` telemetry counters tell a consistent story: no
   environment fallbacks with a healthy toolchain, and the atomics
@@ -67,7 +67,7 @@ def _airfoil_run(backend, lazy, nranks):
     layouts = plan_distribution(gp, nranks, airfoil_owners(mesh, nranks))
 
     def rank_fn(comm):
-        op2.set_config(backend=backend, lazy=lazy, native_threads=1,
+        op2.set_config(backend=backend, lazy=lazy,
                        partial_halos=True, grouped_halos=True)
         with telemetry.tracing() as rec:
             local = build_local_problem(gp, layouts[comm.rank], comm)
@@ -117,7 +117,7 @@ def _hydra_run(backend, lazy, nranks):
     layouts = plan_distribution(gp, nranks, owners)
 
     def rank_fn(comm):
-        op2.set_config(backend=backend, lazy=lazy, native_threads=1,
+        op2.set_config(backend=backend, lazy=lazy,
                        partial_halos=True, grouped_halos=True)
         with telemetry.tracing() as rec:
             local = build_local_problem(gp, layouts[comm.rank], comm)

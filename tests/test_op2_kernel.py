@@ -213,10 +213,9 @@ def test_min_max_follow_numpy_on_nan_and_signed_zero(backend):
     x = op2.Dat(cells, 1, xs[:, None], name="x")
     y = op2.Dat(cells, 1, ys[:, None], name="y")
     hi, lo = op2.Dat(cells, 1, name="hi"), op2.Dat(cells, 1, name="lo")
-    with op2.configure(native_threads=1):
-        op2.par_loop(op2.Kernel(minmax), cells, x.arg(op2.READ),
-                     y.arg(op2.READ), hi.arg(op2.WRITE), lo.arg(op2.WRITE),
-                     backend=backend)
+    op2.par_loop(op2.Kernel(minmax), cells, x.arg(op2.READ),
+                 y.arg(op2.READ), hi.arg(op2.WRITE), lo.arg(op2.WRITE),
+                 backend=backend)
     _same_bits(hi.data_ro[:, 0], np.maximum(xs, ys))
     _same_bits(lo.data_ro[:, 0], np.minimum(xs, ys))
 
@@ -233,10 +232,9 @@ def test_min_max_reductions_propagate_nan(backend):
         x = op2.Dat(cells, 1, np.array(values)[:, None], name="x")
         top = op2.Global(1, -np.inf, "top")
         bottom = op2.Global(1, np.inf, "bottom")
-        with op2.configure(native_threads=1):
-            op2.par_loop(op2.Kernel(minmax_reduce), cells, x.arg(op2.READ),
-                         top.arg(op2.MAX), bottom.arg(op2.MIN),
-                         backend=backend)
+        op2.par_loop(op2.Kernel(minmax_reduce), cells, x.arg(op2.READ),
+                     top.arg(op2.MAX), bottom.arg(op2.MIN),
+                     backend=backend)
         _same_bits(np.array([top.value, bottom.value]), np.array(want))
 
 
@@ -257,10 +255,9 @@ def test_min_max_are_bitwise_numpy_over_the_special_value_grid(backend):
     x = op2.Dat(cells, 1, xs[:, None], name="x")
     y = op2.Dat(cells, 1, ys[:, None], name="y")
     hi, lo = op2.Dat(cells, 1, name="hi"), op2.Dat(cells, 1, name="lo")
-    with op2.configure(native_threads=1):
-        op2.par_loop(op2.Kernel(minmax), cells, x.arg(op2.READ),
-                     y.arg(op2.READ), hi.arg(op2.WRITE), lo.arg(op2.WRITE),
-                     backend=backend)
+    op2.par_loop(op2.Kernel(minmax), cells, x.arg(op2.READ),
+                 y.arg(op2.READ), hi.arg(op2.WRITE), lo.arg(op2.WRITE),
+                 backend=backend)
     bits = np.int64
     assert np.array_equal(hi.data_ro[:, 0].view(bits),
                           np.maximum(xs, ys).view(bits))

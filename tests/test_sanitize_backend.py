@@ -159,7 +159,7 @@ class TestNativePlanAudit:
     cached block plan raises before ``native`` would run it."""
 
     def run_native(self, kernel, edges, arg):
-        with op2.configure(sanitize=True, native_threads=1):
+        with op2.configure(sanitize=True):
             op2.par_loop(kernel, edges, arg, backend="native")
 
     def test_same_color_blocks_raise_naming_blocks_and_node(
@@ -249,8 +249,7 @@ class TestDegenerateVectorRow:
         for backend in ("sequential", "vectorized", "native", "sanitizer"):
             acc = op2.Dat(nodes, 1, name="acc")
             arg = acc.arg(op2.INC, cell2node, op2.ALL)
-            with op2.configure(native_threads=1):
-                op2.par_loop(self.spread(), cells, arg, backend=backend)
+            op2.par_loop(self.spread(), cells, arg, backend=backend)
             assert acc.data_ro[:, 0].tolist() == [1.0, 1.0, 2.0, 2.0, 0.0], \
                 backend
             plan = op2.build_block_plan([arg], cells.size)

@@ -8,13 +8,10 @@ context pickles, and a coordinated checkpoint is exactly one span per
 rank.
 """
 
-import dataclasses
 import pickle
 
 import pytest
 
-import repro.op2.config as op2_config
-from repro import op2
 from repro.coupler import CoupledDriver, CoupledRunConfig, build_driver_setup
 from repro.coupler.ranks import RunContext
 from repro.hydra import FlowState, Numerics
@@ -38,17 +35,6 @@ def run_config(**kw):
     return CoupledRunConfig(**base)
 
 
-@pytest.fixture
-def one_omp_thread(monkeypatch):
-    """Pin ``native_threads=1`` for rank threads (the module default)
-    and forked ranks (they inherit the caller's config): a fork after a
-    multi-threaded OpenMP region hangs in libgomp."""
-    monkeypatch.setattr(op2_config, "_default", dataclasses.replace(
-        op2_config._default, native_threads=1))
-    with op2.configure(native_threads=1):
-        yield
-
-
 def _without_native(tl: Timeline) -> Timeline:
     """Drop what each process's own wrapper loading records."""
     return Timeline(
@@ -65,8 +51,7 @@ def _without_native(tl: Timeline) -> Timeline:
     pytest.param("native", False, marks=pytest.mark.skipif(
         toolchain() is None, reason="no C toolchain")),
 ])
-def test_thread_and_process_trace_the_same_run(backend, lazy,
-                                               one_omp_thread):
+def test_thread_and_process_trace_the_same_run(backend, lazy):
     seen = {}
     for transport in ("thread", "process"):
         driver = CoupledDriver(run_config(
